@@ -2,65 +2,70 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 
 #include "core/error.hpp"
+#include "ctmc/sparse.hpp"
 
 namespace dpma::ctmc {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// States that can reach the target set (backward BFS over edges).
-std::vector<char> co_reachable(const Ctmc& chain, const std::vector<char>& targets) {
-    const std::size_t n = chain.num_states();
-    std::vector<std::vector<TangibleId>> incoming(n);
-    for (TangibleId s = 0; s < n; ++s) {
+/// Sweep cap of the iterative first-passage solves.  Stiff chains need a lot:
+/// the streaming AP-buffer overflow at awake period 50 ms takes ~530k sweeps.
+constexpr std::size_t kMaxSweeps = 1'000'000;
+
+/// First-passage equations over the states marked \p unknown, re-indexed
+/// densely:  E(s) x(s) = b(s) + sum_{t unknown} rate(s,t) x(t).
+/// into_targets[i] is the rate from states[i] into the target set; edges to
+/// any other state (where x is known) are dropped.
+struct PassageSystem {
+    std::vector<TangibleId> states;  ///< dense index -> chain state
+    Csr a;
+    std::vector<double> exit;
+    std::vector<double> into_targets;
+};
+
+PassageSystem passage_system(const Ctmc& chain, const std::vector<char>& targets,
+                             const std::vector<char>& unknown) {
+    PassageSystem out;
+    std::vector<TangibleId> index_of(chain.num_states(), kNoTangible);
+    for (TangibleId s = 0; s < chain.num_states(); ++s) {
+        if (unknown[s]) {
+            index_of[s] = static_cast<TangibleId>(out.states.size());
+            out.states.push_back(s);
+        }
+    }
+    for (const TangibleId s : out.states) {
+        double into_targets = 0.0;
         for (const RateEntry& e : chain.row(s)) {
-            incoming[e.target].push_back(s);
-        }
-    }
-    std::vector<char> seen(n, 0);
-    std::deque<TangibleId> queue;
-    for (TangibleId s = 0; s < n; ++s) {
-        if (targets[s]) {
-            seen[s] = 1;
-            queue.push_back(s);
-        }
-    }
-    while (!queue.empty()) {
-        const TangibleId u = queue.front();
-        queue.pop_front();
-        for (TangibleId v : incoming[u]) {
-            if (!seen[v]) {
-                seen[v] = 1;
-                queue.push_back(v);
+            if (targets[e.target]) {
+                into_targets += e.rate;
+            } else if (index_of[e.target] != kNoTangible) {
+                out.a.col.push_back(index_of[e.target]);
+                out.a.val.push_back(e.rate);
             }
         }
+        out.a.start.push_back(out.a.col.size());
+        out.exit.push_back(chain.exit_rate(s));
+        out.into_targets.push_back(into_targets);
     }
-    return seen;
+    return out;
 }
 
-/// Dense solve of the hitting-time equations restricted to `unknown` states.
-/// System: E(s) h(s) - sum_{t unknown} rate(s,t) h(t) = 1   (targets give 0).
-std::vector<double> solve_dense(const Ctmc& chain, const std::vector<char>& targets,
-                                const std::vector<TangibleId>& unknown,
-                                const std::vector<TangibleId>& index_of) {
-    const std::size_t m = unknown.size();
+/// Dense solve of the hitting-time equations (b = 1) by Gaussian
+/// elimination with partial pivoting.
+std::vector<double> solve_dense(const PassageSystem& system) {
+    const std::size_t m = system.states.size();
     std::vector<std::vector<double>> a(m, std::vector<double>(m + 1, 0.0));
     for (std::size_t i = 0; i < m; ++i) {
-        const TangibleId s = unknown[i];
-        a[i][i] = chain.exit_rate(s);
+        a[i][i] = system.exit[i];
         a[i][m] = 1.0;
-        for (const RateEntry& e : chain.row(s)) {
-            if (targets[e.target]) continue;  // h = 0 there
-            const TangibleId j = index_of[e.target];
-            DPMA_ASSERT(j != kNoTangible, "edge into an excluded state");
-            a[i][j] -= e.rate;
+        for (std::size_t k = system.a.start[i]; k < system.a.start[i + 1]; ++k) {
+            a[i][system.a.col[k]] -= system.a.val[k];
         }
     }
-    // Gaussian elimination with partial pivoting.
     for (std::size_t col = 0; col < m; ++col) {
         std::size_t pivot = col;
         for (std::size_t r = col + 1; r < m; ++r) {
@@ -85,28 +90,13 @@ std::vector<double> solve_dense(const Ctmc& chain, const std::vector<char>& targ
     return h;
 }
 
-std::vector<double> solve_iterative(const Ctmc& chain, const std::vector<char>& targets,
-                                    const std::vector<TangibleId>& unknown,
-                                    const std::vector<TangibleId>& index_of) {
-    const std::size_t m = unknown.size();
-    std::vector<double> h(m, 0.0);
-    for (std::size_t iter = 0; iter < 1'000'000; ++iter) {
-        double diff = 0.0;
-        for (std::size_t i = 0; i < m; ++i) {
-            const TangibleId s = unknown[i];
-            double sum = 1.0;
-            for (const RateEntry& e : chain.row(s)) {
-                if (targets[e.target]) continue;
-                const TangibleId j = index_of[e.target];
-                sum += e.rate * h[j];
-            }
-            const double next = sum / chain.exit_rate(s);
-            diff = std::max(diff, std::abs(next - h[i]));
-            h[i] = next;
-        }
-        if (diff < 1e-10) return h;
-    }
-    throw NumericalError("hitting-time iteration did not converge");
+/// Iterative solve of the first-passage system with right-hand side \p b.
+std::vector<double> solve_iterative(const PassageSystem& system,
+                                    const std::vector<double>& b) {
+    std::vector<double> x(system.states.size(), 0.0);
+    gauss_seidel(system.a, b, system.exit, x, /*normalise=*/false,
+                 SolveOptions{}.tolerance, kMaxSweeps, nullptr);
+    return x;
 }
 
 }  // namespace
@@ -121,41 +111,25 @@ std::vector<double> expected_hitting_times(const Ctmc& chain,
 
     // h(s) is finite iff the target is hit with probability 1 from s, i.e.
     // iff s cannot reach any state from which the target is unreachable.
-    const std::vector<char> reachable = co_reachable(chain, targets);
+    const Csr incoming = adjacency(chain, true);
+    const std::vector<char> reachable = reach(incoming, targets);
     std::vector<char> traps(n, 0);
-    bool has_trap = false;
-    for (TangibleId s = 0; s < n; ++s) {
-        if (!targets[s] && !reachable[s]) {
-            traps[s] = 1;
-            has_trap = true;
-        }
-    }
-    const std::vector<char> diverging =
-        has_trap ? co_reachable(chain, traps) : std::vector<char>(n, 0);
+    for (TangibleId s = 0; s < n; ++s) traps[s] = !targets[s] && !reachable[s];
+    const std::vector<char> diverging = reach(incoming, std::move(traps));
 
+    std::vector<char> unknown(n, 0);
     std::vector<double> result(n, kInf);
-    std::vector<TangibleId> unknown;
-    std::vector<TangibleId> index_of(n, kNoTangible);
     for (TangibleId s = 0; s < n; ++s) {
-        if (targets[s]) {
-            result[s] = 0.0;
-        } else if (!diverging[s]) {
-            DPMA_ASSERT(chain.exit_rate(s) > 0.0,
-                        "non-diverging non-target state must have an exit");
-            index_of[s] = static_cast<TangibleId>(unknown.size());
-            unknown.push_back(s);
-        }
+        if (targets[s]) result[s] = 0.0;
+        unknown[s] = !targets[s] && !diverging[s];
     }
-
-    if (!unknown.empty()) {
-        const std::vector<double> h =
-            unknown.size() <= dense_threshold
-                ? solve_dense(chain, targets, unknown, index_of)
-                : solve_iterative(chain, targets, unknown, index_of);
-        for (std::size_t i = 0; i < unknown.size(); ++i) {
-            result[unknown[i]] = h[i];
-        }
-    }
+    const PassageSystem system = passage_system(chain, targets, unknown);
+    if (system.states.empty()) return result;
+    const std::vector<double> h =
+        system.states.size() <= dense_threshold
+            ? solve_dense(system)
+            : solve_iterative(system, std::vector<double>(system.states.size(), 1.0));
+    for (std::size_t i = 0; i < h.size(); ++i) result[system.states[i]] = h[i];
     return result;
 }
 
@@ -163,27 +137,19 @@ std::vector<double> hitting_probabilities(const Ctmc& chain,
                                           const std::vector<char>& targets) {
     const std::size_t n = chain.num_states();
     DPMA_REQUIRE(targets.size() == n, "target mask does not match the chain");
-    const std::vector<char> reachable = co_reachable(chain, targets);
-    // p(s) = sum_t P(s,t) p(t); p = 1 on targets, 0 on non-co-reachable.
-    std::vector<double> p(n, 0.0);
+    // p(s) = sum_t P(s,t) p(t); p = 1 on targets, 0 where they are unreachable.
+    const std::vector<char> reachable = reach(adjacency(chain, true), targets);
+    std::vector<char> unknown(n, 0);
+    std::vector<double> result(n, 0.0);
     for (TangibleId s = 0; s < n; ++s) {
-        if (targets[s]) p[s] = 1.0;
+        if (targets[s]) result[s] = 1.0;
+        unknown[s] = !targets[s] && reachable[s];
     }
-    for (std::size_t iter = 0; iter < 1'000'000; ++iter) {
-        double diff = 0.0;
-        for (TangibleId s = 0; s < n; ++s) {
-            if (targets[s] || !reachable[s] || chain.exit_rate(s) <= 0.0) continue;
-            double sum = 0.0;
-            for (const RateEntry& e : chain.row(s)) {
-                sum += e.rate * p[e.target];
-            }
-            const double next = sum / chain.exit_rate(s);
-            diff = std::max(diff, std::abs(next - p[s]));
-            p[s] = next;
-        }
-        if (diff < 1e-12) break;
-    }
-    return p;
+    const PassageSystem system = passage_system(chain, targets, unknown);
+    if (system.states.empty()) return result;
+    const std::vector<double> p = solve_iterative(system, system.into_targets);
+    for (std::size_t i = 0; i < p.size(); ++i) result[system.states[i]] = p[i];
+    return result;
 }
 
 }  // namespace dpma::ctmc

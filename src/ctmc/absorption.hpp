@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "ctmc/ctmc.hpp"
+#include "ctmc/solve.hpp"
 
 namespace dpma::ctmc {
 
@@ -20,13 +21,15 @@ namespace dpma::ctmc {
 ///    (including absorbing non-target states);
 ///  * otherwise the unique solution of  h(s) = 1/E(s) + sum_t P(s,t) h(t).
 ///
-/// Solved directly (dense Gaussian elimination with partial pivoting) below
-/// \p dense_threshold states, iteratively (Gauss–Seidel) above.
+/// Solved directly (dense Gaussian elimination with partial pivoting) up to
+/// \p dense_threshold unknown states, by Gauss–Seidel above (relative
+/// stopping rule 1e-12, at most 10^6 sweeps; NumericalError beyond).
 [[nodiscard]] std::vector<double> expected_hitting_times(
     const Ctmc& chain, const std::vector<char>& targets,
-    std::size_t dense_threshold = 1500);
+    std::size_t dense_threshold = kDenseThreshold);
 
-/// Probability of reaching the target set at all, per state (1 for targets).
+/// Probability of reaching the target set at all, per state (1 for targets),
+/// by Gauss–Seidel with the same stopping rule and sweep cap.
 [[nodiscard]] std::vector<double> hitting_probabilities(const Ctmc& chain,
                                                         const std::vector<char>& targets);
 

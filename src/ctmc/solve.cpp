@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <deque>
 
 #include "core/error.hpp"
 #include "core/stats_math.hpp"
+#include "ctmc/sparse.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -34,17 +36,6 @@ void finish_solve(SolveDiagnostics* diagnostics, const char* method,
     }
 }
 
-/// Transposed adjacency (incoming rates) used by Gauss–Seidel.
-std::vector<std::vector<RateEntry>> incoming_of(const Ctmc& chain) {
-    std::vector<std::vector<RateEntry>> in(chain.num_states());
-    for (TangibleId s = 0; s < chain.num_states(); ++s) {
-        for (const RateEntry& e : chain.row(s)) {
-            in[e.target].push_back(RateEntry{s, e.rate});
-        }
-    }
-    return in;
-}
-
 void normalize(std::vector<double>& pi) {
     KahanSum sum;
     for (double p : pi) sum.add(p);
@@ -61,41 +52,101 @@ double max_abs_diff(const std::vector<double>& a, const std::vector<double>& b) 
     return best;
 }
 
-bool reaches_all(const Ctmc& chain, bool forward) {
+}  // namespace
+
+Csr adjacency(const Ctmc& chain, bool transposed) {
     const std::size_t n = chain.num_states();
-    std::vector<std::vector<TangibleId>> adj(n);
+    Csr out;
+    out.start.assign(n + 1, 0);
+    for (TangibleId s = 0; s < n; ++s) {
+        for (const RateEntry& e : chain.row(s)) ++out.start[(transposed ? e.target : s) + 1];
+    }
+    for (std::size_t i = 0; i < n; ++i) out.start[i + 1] += out.start[i];
+    out.col.resize(out.start[n]);
+    out.val.resize(out.start[n]);
+    std::vector<std::size_t> fill(out.start.begin(), out.start.end() - 1);
     for (TangibleId s = 0; s < n; ++s) {
         for (const RateEntry& e : chain.row(s)) {
-            if (forward) {
-                adj[s].push_back(e.target);
-            } else {
-                adj[e.target].push_back(s);
-            }
+            const std::size_t k = fill[transposed ? e.target : s]++;
+            out.col[k] = transposed ? s : e.target;
+            out.val[k] = e.rate;
         }
     }
-    std::vector<char> seen(n, 0);
-    std::deque<TangibleId> queue{0};
-    seen[0] = 1;
-    std::size_t count = 1;
+    return out;
+}
+
+std::vector<char> reach(const Csr& graph, std::vector<char> seeds) {
+    std::deque<TangibleId> queue;
+    for (TangibleId s = 0; s < seeds.size(); ++s) {
+        if (seeds[s]) queue.push_back(s);
+    }
     while (!queue.empty()) {
         const TangibleId u = queue.front();
         queue.pop_front();
-        for (TangibleId v : adj[u]) {
-            if (!seen[v]) {
-                seen[v] = 1;
-                ++count;
+        for (std::size_t k = graph.start[u]; k < graph.start[u + 1]; ++k) {
+            const TangibleId v = graph.col[k];
+            if (!seeds[v]) {
+                seeds[v] = 1;
                 queue.push_back(v);
             }
         }
     }
-    return count == n;
+    return seeds;
 }
 
-}  // namespace
+void gauss_seidel(const Csr& a, const std::vector<double>& b,
+                  const std::vector<double>& d, std::vector<double>& x, bool normalise,
+                  double tolerance, std::size_t max_iterations,
+                  SolveDiagnostics* diagnostics) {
+    const std::size_t n = a.rows();
+    if (diagnostics != nullptr) *diagnostics = SolveDiagnostics{};
+    if (std::any_of(d.begin(), d.end(), [](double di) { return !(di > 0.0); })) {
+        throw NumericalError("Gauss-Seidel: zero diagonal (absorbing state in chain)");
+    }
+    std::vector<double> prev;
+    double change = 0.0;
+    for (std::size_t iter = 0; iter < max_iterations; ++iter) {
+        if (normalise) prev = x;
+        change = 0.0;
+        double scale = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            double acc = b.empty() ? 0.0 : b[i];
+            for (std::size_t k = a.start[i]; k < a.start[i + 1]; ++k) {
+                acc += a.val[k] * x[a.col[k]];
+            }
+            const double next = acc / d[i];
+            change = std::max(change, std::abs(next - x[i]));
+            scale = std::max(scale, std::abs(next));
+            x[i] = next;
+        }
+        if (normalise) {
+            normalize(x);
+            change = max_abs_diff(x, prev);
+            scale = 1.0;
+        }
+        if (diagnostics != nullptr) diagnostics->record_residual(change);
+        if (change <= tolerance * scale) {
+            finish_solve(diagnostics, "gauss_seidel", n, iter + 1, change);
+            return;
+        }
+    }
+    char residual[32];
+    std::snprintf(residual, sizeof residual, "%g", change);
+    throw NumericalError("Gauss-Seidel did not converge within " +
+                         std::to_string(max_iterations) + " iterations (residual " +
+                         residual + ")");
+}
 
 bool is_irreducible(const Ctmc& chain) {
-    if (chain.num_states() == 0) return false;
-    return reaches_all(chain, true) && reaches_all(chain, false);
+    const std::size_t n = chain.num_states();
+    if (n == 0) return false;
+    std::vector<char> origin(n, 0);
+    origin[0] = 1;
+    const auto all = [](const std::vector<char>& seen) {
+        return std::all_of(seen.begin(), seen.end(), [](char c) { return c != 0; });
+    };
+    return all(reach(adjacency(chain, false), origin)) &&
+           all(reach(adjacency(chain, true), origin));
 }
 
 void SolveDiagnostics::record_residual(double residual) {
@@ -184,35 +235,14 @@ std::vector<double> steady_state_gauss_seidel(const Ctmc& chain,
                                               const SolveOptions& options) {
     const std::size_t n = chain.num_states();
     DPMA_REQUIRE(n >= 1, "empty chain");
-    SolveDiagnostics* diag = options.diagnostics;
-    if (diag != nullptr) *diag = SolveDiagnostics{};
-    const auto incoming = incoming_of(chain);
+    // Balance equations pi_j E(j) = sum_i pi_i q_ij: the rows of the
+    // transposed rate matrix, no constant term.
+    std::vector<double> exit(n);
+    for (TangibleId s = 0; s < n; ++s) exit[s] = chain.exit_rate(s);
     std::vector<double> pi(n, 1.0 / static_cast<double>(n));
-    std::vector<double> prev(n);
-
-    for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-        prev = pi;
-        for (TangibleId j = 0; j < n; ++j) {
-            const double exit = chain.exit_rate(j);
-            if (exit <= 0.0) {
-                throw NumericalError("Gauss-Seidel: absorbing state in chain");
-            }
-            KahanSum inflow;
-            for (const RateEntry& e : incoming[j]) {
-                inflow.add(pi[e.target] * e.rate);
-            }
-            pi[j] = inflow.value() / exit;
-        }
-        normalize(pi);
-        const double diff = max_abs_diff(pi, prev);
-        if (diag != nullptr) diag->record_residual(diff);
-        if (diff < options.tolerance) {
-            finish_solve(diag, "gauss_seidel", n, iter + 1, diff);
-            return pi;
-        }
-    }
-    throw NumericalError("Gauss-Seidel did not converge within " +
-                         std::to_string(options.max_iterations) + " iterations");
+    gauss_seidel(adjacency(chain, true), {}, exit, pi, /*normalise=*/true,
+                 options.tolerance, options.max_iterations, options.diagnostics);
+    return pi;
 }
 
 std::vector<double> steady_state_power(const Ctmc& chain, const SolveOptions& options) {
@@ -415,39 +445,56 @@ void PoissonWeights::advance() noexcept {
     w_ *= lt_ / static_cast<double>(k_);
 }
 
+namespace {
+
+/// Normalised initial distribution over the chain's states.
+std::vector<double> initial_vector(
+    const Ctmc& chain, const std::vector<std::pair<TangibleId, double>>& initial) {
+    std::vector<double> pi(chain.num_states(), 0.0);
+    for (const auto& [s, p] : initial) {
+        DPMA_REQUIRE(s < pi.size(), "initial state out of range");
+        pi[s] += p;
+    }
+    normalize(pi);
+    return pi;
+}
+
+/// Uniformisation constant of the series users.
+double uniformisation_rate(const Ctmc& chain) {
+    return std::max(chain.max_exit_rate() * 1.05, 1e-9);
+}
+
+/// One step of the uniformised DTMC, out = v (I + Q / lambda), written into a
+/// caller-owned buffer so the series loops allocate their two vectors once
+/// and swap.
+void uniformised_step(const Ctmc& chain, double lambda, const std::vector<double>& v,
+                      std::vector<double>& out) {
+    std::fill(out.begin(), out.end(), 0.0);
+    for (TangibleId s = 0; s < chain.num_states(); ++s) {
+        out[s] += v[s] * (1.0 - chain.exit_rate(s) / lambda);
+        const double mass = v[s] / lambda;
+        if (mass == 0.0) continue;
+        for (const RateEntry& e : chain.row(s)) {
+            out[e.target] += mass * e.rate;
+        }
+    }
+}
+
+}  // namespace
+
 std::vector<double> transient(const Ctmc& chain,
                               const std::vector<std::pair<TangibleId, double>>& initial,
                               double time) {
     const std::size_t n = chain.num_states();
     DPMA_REQUIRE(n >= 1, "empty chain");
     DPMA_REQUIRE(time >= 0.0, "negative time");
-    std::vector<double> pi(n, 0.0);
-    for (const auto& [s, p] : initial) {
-        DPMA_REQUIRE(s < n, "initial state out of range");
-        pi[s] += p;
-    }
-    normalize(pi);
-    if (time == 0.0) return pi;
+    std::vector<double> vk = initial_vector(chain, initial);
+    if (time == 0.0) return vk;
 
-    const double lambda = std::max(chain.max_exit_rate() * 1.05, 1e-9);
+    const double lambda = uniformisation_rate(chain);
     const double lt = lambda * time;
 
-    // Uniformised one-step operator, writing into a caller-owned buffer so
-    // the series loop allocates its two vectors once and swaps.
-    const auto step = [&](const std::vector<double>& v, std::vector<double>& out) {
-        std::fill(out.begin(), out.end(), 0.0);
-        for (TangibleId s = 0; s < n; ++s) {
-            out[s] += v[s] * (1.0 - chain.exit_rate(s) / lambda);
-            const double mass = v[s] / lambda;
-            if (mass == 0.0) continue;
-            for (const RateEntry& e : chain.row(s)) {
-                out[e.target] += mass * e.rate;
-            }
-        }
-    };
-
     std::vector<double> result(n, 0.0);
-    std::vector<double> vk = pi;
     std::vector<double> next(n, 0.0);
     double cumulative = 0.0;
     PoissonWeights weights(lt);
@@ -459,7 +506,7 @@ std::vector<double> transient(const Ctmc& chain,
         cumulative += w;
         if (cumulative >= 1.0 - 1e-12 && static_cast<double>(k) >= lt) break;
         if (k > 20 * (static_cast<std::size_t>(lt) + 10)) break;  // safety cap
-        step(vk, next);
+        uniformised_step(chain, lambda, vk, next);
         vk.swap(next);
     }
     normalize(result);
@@ -475,31 +522,12 @@ double accumulated_reward(const Ctmc& chain,
     DPMA_REQUIRE(time >= 0.0, "negative time");
     if (time == 0.0) return 0.0;
 
-    std::vector<double> pi(n, 0.0);
-    for (const auto& [s, p] : initial) {
-        DPMA_REQUIRE(s < n, "initial state out of range");
-        pi[s] += p;
-    }
-    normalize(pi);
-
-    const double lambda = std::max(chain.max_exit_rate() * 1.05, 1e-9);
+    const double lambda = uniformisation_rate(chain);
     const double lt = lambda * time;
-
-    const auto step = [&](const std::vector<double>& v, std::vector<double>& out) {
-        std::fill(out.begin(), out.end(), 0.0);
-        for (TangibleId s = 0; s < n; ++s) {
-            out[s] += v[s] * (1.0 - chain.exit_rate(s) / lambda);
-            const double mass = v[s] / lambda;
-            if (mass == 0.0) continue;
-            for (const RateEntry& e : chain.row(s)) {
-                out[e.target] += mass * e.rate;
-            }
-        }
-    };
 
     // tail_k = P(Pois(lt) >= k+1); accumulate (tail_k / lambda) * (v_k . r).
     KahanSum total;
-    std::vector<double> vk = pi;
+    std::vector<double> vk = initial_vector(chain, initial);
     std::vector<double> next(n, 0.0);
     double cdf = 0.0;  // P(Pois(lt) <= k)
     PoissonWeights weights(lt);
@@ -511,7 +539,7 @@ double accumulated_reward(const Ctmc& chain,
         total.add(tail / lambda * dot.value());
         if (tail < 1e-13 && static_cast<double>(k) >= lt) break;
         if (k > 20 * (static_cast<std::size_t>(lt) + 10)) break;  // safety cap
-        step(vk, next);
+        uniformised_step(chain, lambda, vk, next);
         vk.swap(next);
     }
     return total.value();

@@ -39,10 +39,15 @@ private:
     std::size_t pending_ = 0;  ///< samples skipped since the last kept one
 };
 
+/// Up to this many states the direct dense methods (GTH for steady state,
+/// Gaussian elimination for hitting times) solve a chain; above it the
+/// sparse Gauss–Seidel kernel does.
+inline constexpr std::size_t kDenseThreshold = 1500;
+
 struct SolveOptions {
-    double tolerance = 1e-12;          ///< max norm of successive-iterate change
+    double tolerance = 1e-12;  ///< relative max-norm change of successive iterates
     std::size_t max_iterations = 500000;
-    std::size_t dense_threshold = 1500;  ///< up to this size use GTH
+    std::size_t dense_threshold = kDenseThreshold;  ///< up to this size use GTH
     /// When non-null, the solver writes its convergence record here (the
     /// caller keeps ownership; one solve per struct).
     SolveDiagnostics* diagnostics = nullptr;

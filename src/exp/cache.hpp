@@ -11,7 +11,7 @@
 /// parametric model checking through model fragmentation), the cache keeps
 ///
 ///  * composed LTSs / reachable state spaces, and
-///  * extracted CTMC skeletons (vanishing elimination, lumping inputs)
+///  * extracted CTMC skeletons (vanishing elimination)
 ///
 /// keyed by a caller-chosen content key, so a sweep composes its family once
 /// and each point only patches rates and re-solves.

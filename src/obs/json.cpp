@@ -1,8 +1,10 @@
 #include "obs/json.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
+
+#include "core/error.hpp"
+#include "obs/json_parse.hpp"
 
 namespace dpma::obs {
 
@@ -39,192 +41,14 @@ std::string json_number(double value) {
     return buffer;
 }
 
-namespace {
-
-/// Recursive-descent validator over a string_view; pos advances past what
-/// was consumed.
-class Checker {
-public:
-    explicit Checker(std::string_view text) : text_(text) {}
-
-    bool run(std::string* error) {
-        skip_ws();
-        if (!value()) {
-            if (error != nullptr) {
-                *error = message_ + " at offset " + std::to_string(pos_);
-            }
-            return false;
-        }
-        skip_ws();
-        if (pos_ != text_.size()) {
-            if (error != nullptr) {
-                *error = "trailing content at offset " + std::to_string(pos_);
-            }
-            return false;
-        }
+bool json_valid(std::string_view text, std::string* error) {
+    try {
+        (void)json_parse(text);
         return true;
-    }
-
-private:
-    bool fail(const char* message) {
-        if (message_.empty()) message_ = message;
+    } catch (const Error& e) {
+        if (error != nullptr) *error = e.what();
         return false;
     }
-
-    void skip_ws() {
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-            ++pos_;
-        }
-    }
-
-    [[nodiscard]] char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-    bool literal(std::string_view word) {
-        if (text_.substr(pos_, word.size()) != word) return fail("bad literal");
-        pos_ += word.size();
-        return true;
-    }
-
-    bool string() {
-        if (peek() != '"') return fail("expected string");
-        ++pos_;
-        while (pos_ < text_.size()) {
-            const unsigned char c = static_cast<unsigned char>(text_[pos_]);
-            if (c == '"') {
-                ++pos_;
-                return true;
-            }
-            if (c < 0x20) return fail("raw control character in string");
-            if (c == '\\') {
-                ++pos_;
-                const char e = peek();
-                if (e == 'u') {
-                    ++pos_;
-                    for (int i = 0; i < 4; ++i, ++pos_) {
-                        if (std::isxdigit(static_cast<unsigned char>(peek())) == 0) {
-                            return fail("bad \\u escape");
-                        }
-                    }
-                    continue;
-                }
-                if (e != '"' && e != '\\' && e != '/' && e != 'b' && e != 'f' &&
-                    e != 'n' && e != 'r' && e != 't') {
-                    return fail("bad escape");
-                }
-            }
-            ++pos_;
-        }
-        return fail("unterminated string");
-    }
-
-    bool number() {
-        const std::size_t start = pos_;
-        if (peek() == '-') ++pos_;
-        if (peek() == '0') {
-            ++pos_;
-        } else if (std::isdigit(static_cast<unsigned char>(peek())) != 0) {
-            while (std::isdigit(static_cast<unsigned char>(peek())) != 0) ++pos_;
-        } else {
-            pos_ = start;
-            return fail("expected number");
-        }
-        if (peek() == '.') {
-            ++pos_;
-            if (std::isdigit(static_cast<unsigned char>(peek())) == 0) {
-                return fail("digit required after decimal point");
-            }
-            while (std::isdigit(static_cast<unsigned char>(peek())) != 0) ++pos_;
-        }
-        if (peek() == 'e' || peek() == 'E') {
-            ++pos_;
-            if (peek() == '+' || peek() == '-') ++pos_;
-            if (std::isdigit(static_cast<unsigned char>(peek())) == 0) {
-                return fail("digit required in exponent");
-            }
-            while (std::isdigit(static_cast<unsigned char>(peek())) != 0) ++pos_;
-        }
-        return true;
-    }
-
-    bool object() {
-        ++pos_;  // '{'
-        skip_ws();
-        if (peek() == '}') {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            skip_ws();
-            if (!string()) return fail("expected object key");
-            skip_ws();
-            if (peek() != ':') return fail("expected ':'");
-            ++pos_;
-            skip_ws();
-            if (!value()) return false;
-            skip_ws();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == '}') {
-                ++pos_;
-                return true;
-            }
-            return fail("expected ',' or '}'");
-        }
-    }
-
-    bool array() {
-        ++pos_;  // '['
-        skip_ws();
-        if (peek() == ']') {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            skip_ws();
-            if (!value()) return false;
-            skip_ws();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == ']') {
-                ++pos_;
-                return true;
-            }
-            return fail("expected ',' or ']'");
-        }
-    }
-
-    bool value() {
-        if (++depth_ > 256) return fail("nesting too deep");
-        bool ok = false;
-        switch (peek()) {
-            case '{': ok = object(); break;
-            case '[': ok = array(); break;
-            case '"': ok = string(); break;
-            case 't': ok = literal("true"); break;
-            case 'f': ok = literal("false"); break;
-            case 'n': ok = literal("null"); break;
-            default: ok = number(); break;
-        }
-        --depth_;
-        return ok;
-    }
-
-    std::string_view text_;
-    std::size_t pos_ = 0;
-    int depth_ = 0;
-    std::string message_;
-};
-
-}  // namespace
-
-bool json_valid(std::string_view text, std::string* error) {
-    return Checker(text).run(error);
 }
 
 }  // namespace dpma::obs

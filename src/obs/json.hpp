@@ -7,11 +7,10 @@
 /// formatting policy (full double round-trip precision), used by the trace
 /// and metrics dumps, solver diagnostics and exp::ResultSet.
 ///
-/// Validation: json_valid is a strict recursive-descent checker (objects,
-/// arrays, strings with escapes, numbers, true/false/null; no trailing
-/// commas, no comments).  It builds no tree — it exists so tests and the
-/// json_check tool can assert that emitted artifacts are well-formed without
-/// an external JSON dependency.
+/// Validation: json_valid runs the strict reader of obs/json_parse.hpp and
+/// reports whether it accepted the text — so tests and the json_check tool
+/// can assert that emitted artifacts are well-formed without an external
+/// JSON dependency.
 
 #include <string>
 #include <string_view>

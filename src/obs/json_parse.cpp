@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdint>
+#include <cstdlib>
 
 #include "core/error.hpp"
 
@@ -172,7 +173,9 @@ private:
             }
             while (std::isdigit(static_cast<unsigned char>(peek())) != 0) ++pos_;
         }
-        return std::stod(std::string(text_.substr(start, pos_ - start)));
+        // strtod, not stod: an out-of-range literal (1e999) is still valid
+        // JSON and reads as +-inf or 0 instead of throwing.
+        return std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(), nullptr);
     }
 
     Json value() {

@@ -3,14 +3,14 @@
 /// \file json_parse.hpp
 /// Strict JSON parser building a small value tree.
 ///
-/// obs/json.hpp validates without building anything; this header is for the
-/// few consumers that need to *read* an artifact back — above all the
-/// perf-regression reporter (exp/regress.hpp, `dpma_cli report`), which
-/// loads two run records and pairs their series.  Same grammar as
-/// json_valid: objects, arrays, strings with escapes (\uXXXX decoded to
-/// UTF-8, surrogate pairs combined), numbers, true/false/null; no trailing
-/// commas, no comments, no duplicate-key policy (later keys win in find()
-/// lookups is NOT guaranteed — find() returns the first).
+/// The one strict JSON reader: obs::json_valid is a thin wrapper over it,
+/// and the few consumers that need to *read* an artifact back — above all
+/// the perf-regression reporter (exp/regress.hpp, `dpma_cli report`), which
+/// loads two run records and pairs their series — use the tree.  Grammar:
+/// objects, arrays, strings with escapes (\uXXXX decoded to UTF-8,
+/// surrogate pairs combined, unpaired surrogates rejected), numbers,
+/// true/false/null; no trailing commas, no comments, at most 256 levels of
+/// nesting; no duplicate-key policy (find() returns the first).
 ///
 /// The tree is deliberately plain: one struct, public members, object keys
 /// kept in document order.  Accessors return fallbacks instead of throwing

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "adl/compose.hpp"
 #include "core/error.hpp"
@@ -120,6 +121,28 @@ TEST(HittingProbabilities, CertainWhenNoTrapExists) {
     const auto p = hitting_probabilities(chain, targets);
     EXPECT_NEAR(p[0], 1.0, 1e-9);
     EXPECT_NEAR(p[1], 1.0, 1e-9);
+}
+
+// Leaving {0, 1} for the target takes ~1e12 visits, so neither iterative
+// solve can converge within its sweep cap; both must say so, with the count
+// and the residual, instead of returning the unconverged iterate.
+TEST(HittingProbabilities, NonConvergenceIsAnError) {
+    Ctmc chain(3);
+    chain.add_rate(0, 1, 1.0);
+    chain.add_rate(1, 0, 1.0);
+    chain.add_rate(1, 2, 1e-12);
+    const std::vector<char> targets{0, 0, 1};
+    for (const bool probabilities : {true, false}) {
+        try {
+            (void)(probabilities ? hitting_probabilities(chain, targets)
+                                 : expected_hitting_times(chain, targets, 0));
+            ADD_FAILURE() << "no NumericalError, probabilities=" << probabilities;
+        } catch (const NumericalError& e) {
+            const std::string message = e.what();
+            EXPECT_NE(message.find("1000000 iterations"), std::string::npos) << message;
+            EXPECT_NE(message.find("residual"), std::string::npos) << message;
+        }
+    }
 }
 
 TEST(HittingTimes, StreamingTimeToFirstApOverflowShrinksWithAwakePeriod) {

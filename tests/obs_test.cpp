@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "ctmc/absorption.hpp"
 #include "ctmc/ctmc.hpp"
 #include "ctmc/solve.hpp"
 #include "exp/experiment.hpp"
@@ -75,7 +76,7 @@ TEST(ObsJson, NumbersRoundTripAndNonFiniteBecomesNull) {
 
 TEST(ObsJson, ValidatorAcceptsValidDocuments) {
     for (const char* text :
-         {"{}", "[]", "null", "true", "-1.5e-3", "\"a\\u00e9\"",
+         {"{}", "[]", "null", "true", "-1.5e-3", "[1e999, -1e-999]", "\"a\\u00e9\"",
           R"({"a": [1, 2, {"b": null}], "c": "x\n"})"}) {
         std::string error;
         EXPECT_TRUE(obs::json_valid(text, &error)) << text << ": " << error;
@@ -409,6 +410,23 @@ TEST(ObsDiagnostics, IterativeSolveRecordsResidualHistory) {
     std::string error;
     EXPECT_TRUE(obs::json_valid(diagnostics.json(), &error)) << error;
     EXPECT_NE(diagnostics.json().find("\"gauss_seidel\""), std::string::npos);
+}
+
+TEST(ObsDiagnostics, IterativeHittingTimesAreCountedAsGaussSeidel) {
+    ctmc::Ctmc chain(5);
+    for (ctmc::TangibleId i = 0; i + 1 < 5; ++i) {
+        chain.add_rate(i, i + 1, 2.0);
+        chain.add_rate(i + 1, i, 3.0);
+    }
+    std::vector<char> targets(5, 0);
+    targets[4] = 1;
+    const std::uint64_t solves = obs::counter("ctmc.solve.gauss_seidel").value();
+    const std::uint64_t observed =
+        obs::histogram("ctmc.solve.iterations").snapshot().count;
+    const auto h = ctmc::expected_hitting_times(chain, targets, /*dense_threshold=*/0);
+    ASSERT_EQ(h.size(), 5u);
+    EXPECT_EQ(obs::counter("ctmc.solve.gauss_seidel").value(), solves + 1);
+    EXPECT_EQ(obs::histogram("ctmc.solve.iterations").snapshot().count, observed + 1);
 }
 
 TEST(ObsDiagnostics, ResidualHistoryIsThinnedNotUnbounded) {

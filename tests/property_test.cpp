@@ -5,6 +5,7 @@
 
 #include "adl/compose.hpp"
 #include "bisim/equivalence.hpp"
+#include "ctmc/absorption.hpp"
 #include "ctmc/ctmc.hpp"
 #include "ctmc/reward.hpp"
 #include "ctmc/solve.hpp"
@@ -68,6 +69,17 @@ TEST_P(RandomChainSolvers, SteadyStateSatisfiesBalanceEquations) {
     EXPECT_NEAR(total, 1.0, 1e-12);
     for (ctmc::TangibleId s = 0; s < chain.num_states(); ++s) {
         EXPECT_NEAR(inflow[s], pi[s] * chain.exit_rate(s), 1e-9) << "state " << s;
+    }
+}
+
+TEST_P(RandomChainSolvers, IterativeHittingTimesAgreeWithDense) {
+    const ctmc::Ctmc chain = random_irreducible_chain(GetParam(), 20 + GetParam() % 17);
+    std::vector<char> targets(chain.num_states(), 0);
+    targets[static_cast<std::size_t>(GetParam()) % chain.num_states()] = 1;
+    const auto dense = ctmc::expected_hitting_times(chain, targets, chain.num_states());
+    const auto iterative = ctmc::expected_hitting_times(chain, targets, 0);
+    for (std::size_t i = 0; i < dense.size(); ++i) {
+        EXPECT_NEAR(iterative[i], dense[i], 1e-8 * dense[i]) << "state " << i;
     }
 }
 
