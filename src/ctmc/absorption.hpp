@@ -21,15 +21,18 @@ namespace dpma::ctmc {
 ///    (including absorbing non-target states);
 ///  * otherwise the unique solution of  h(s) = 1/E(s) + sum_t P(s,t) h(t).
 ///
-/// Solved directly (dense Gaussian elimination with partial pivoting) up to
-/// \p dense_threshold unknown states, by Gauss–Seidel above (relative
-/// stopping rule 1e-12, at most 10^6 sweeps; NumericalError beyond).
+/// Solved by dense Gaussian elimination with partial pivoting up to
+/// \p dense_threshold unknown states, and above it by the direct sparse
+/// elimination in index order (GTH-style pivots, no subtraction; see
+/// DESIGN.md §5), which throws NumericalError when its factor would exceed
+/// 2^25 entries.  Both are traced as span "ctmc.hitting" and counted as
+/// ctmc.solve.dense_elimination / ctmc.solve.sparse_elimination.
 [[nodiscard]] std::vector<double> expected_hitting_times(
     const Ctmc& chain, const std::vector<char>& targets,
     std::size_t dense_threshold = kDenseThreshold);
 
 /// Probability of reaching the target set at all, per state (1 for targets),
-/// by Gauss–Seidel with the same stopping rule and sweep cap.
+/// by the same direct sparse elimination at every size.
 [[nodiscard]] std::vector<double> hitting_probabilities(const Ctmc& chain,
                                                         const std::vector<char>& targets);
 

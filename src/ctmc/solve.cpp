@@ -16,26 +16,6 @@
 namespace dpma::ctmc {
 namespace {
 
-/// Count one finished solve in the registry and close out \p diagnostics.
-void finish_solve(SolveDiagnostics* diagnostics, const char* method,
-                  std::size_t states, std::size_t iterations, double residual) {
-    obs::counter(std::string("ctmc.solve.") + method).add();
-    if (iterations > 0) {
-        obs::histogram("ctmc.solve.iterations").observe(static_cast<double>(iterations));
-    }
-    if (diagnostics != nullptr) {
-        diagnostics->method = method;
-        diagnostics->states = states;
-        diagnostics->iterations = iterations;
-        diagnostics->final_residual = residual;
-    }
-    if (obs::log_enabled(obs::LogLevel::Debug)) {
-        obs::logf(obs::LogLevel::Debug,
-                  "solve: %s on %zu states, %zu iterations, residual %g", method,
-                  states, iterations, residual);
-    }
-}
-
 void normalize(std::vector<double>& pi) {
     KahanSum sum;
     for (double p : pi) sum.add(p);
@@ -53,6 +33,25 @@ double max_abs_diff(const std::vector<double>& a, const std::vector<double>& b) 
 }
 
 }  // namespace
+
+void record_solve(SolveDiagnostics* diagnostics, const char* method, std::size_t states,
+                  std::size_t iterations, double residual) {
+    obs::counter(std::string("ctmc.solve.") + method).add();
+    if (iterations > 0) {
+        obs::histogram("ctmc.solve.iterations").observe(static_cast<double>(iterations));
+    }
+    if (diagnostics != nullptr) {
+        diagnostics->method = method;
+        diagnostics->states = states;
+        diagnostics->iterations = iterations;
+        diagnostics->final_residual = residual;
+    }
+    if (obs::log_enabled(obs::LogLevel::Debug)) {
+        obs::logf(obs::LogLevel::Debug,
+                  "solve: %s on %zu states, %zu iterations, residual %g", method,
+                  states, iterations, residual);
+    }
+}
 
 Csr adjacency(const Ctmc& chain, bool transposed) {
     const std::size_t n = chain.num_states();
@@ -126,7 +125,7 @@ void gauss_seidel(const Csr& a, const std::vector<double>& b,
         }
         if (diagnostics != nullptr) diagnostics->record_residual(change);
         if (change <= tolerance * scale) {
-            finish_solve(diagnostics, "gauss_seidel", n, iter + 1, change);
+            record_solve(diagnostics, "gauss_seidel", n, iter + 1, change);
             return;
         }
     }
@@ -227,7 +226,7 @@ std::vector<double> steady_state_gth(const Ctmc& chain) {
         pi[k] = sum.value();
     }
     normalize(pi);
-    finish_solve(nullptr, "gth", n, 0, 0.0);
+    record_solve(nullptr, "gth", n, 0, 0.0);
     return pi;
 }
 
@@ -271,7 +270,7 @@ std::vector<double> steady_state_power(const Ctmc& chain, const SolveOptions& op
         pi.swap(next);
         if (diag != nullptr) diag->record_residual(diff);
         if (diff < options.tolerance) {
-            finish_solve(diag, "power", n, iter + 1, diff);
+            record_solve(diag, "power", n, iter + 1, diff);
             return pi;
         }
     }

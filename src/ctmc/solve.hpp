@@ -41,7 +41,8 @@ private:
 
 /// Up to this many states the direct dense methods (GTH for steady state,
 /// Gaussian elimination for hitting times) solve a chain; above it the
-/// sparse Gauss–Seidel kernel does.
+/// sparse ones do (Gauss–Seidel for steady state, the direct elimination of
+/// sparse.hpp for hitting times).
 inline constexpr std::size_t kDenseThreshold = 1500;
 
 struct SolveOptions {

@@ -7,6 +7,7 @@
 #include "core/error.hpp"
 #include "ctmc/absorption.hpp"
 #include "ctmc/ctmc.hpp"
+#include "ctmc/sparse.hpp"
 #include "models/streaming.hpp"
 
 namespace dpma::ctmc {
@@ -79,7 +80,7 @@ TEST(HittingTimes, PossibleEscapeMakesExpectationInfinite) {
     EXPECT_TRUE(std::isinf(h[2]));
 }
 
-TEST(HittingTimes, DenseAndIterativeAgree) {
+TEST(HittingTimes, DenseAndSparseAgree) {
     Ctmc chain(12);
     for (TangibleId i = 0; i + 1 < 12; ++i) {
         chain.add_rate(i, i + 1, 1.0 + i * 0.3);
@@ -88,9 +89,9 @@ TEST(HittingTimes, DenseAndIterativeAgree) {
     std::vector<char> targets(12, 0);
     targets[11] = 1;
     const auto dense = expected_hitting_times(chain, targets, 1500);
-    const auto iterative = expected_hitting_times(chain, targets, 0);
+    const auto sparse = expected_hitting_times(chain, targets, 0);
     for (std::size_t i = 0; i < 12; ++i) {
-        EXPECT_NEAR(dense[i], iterative[i], 1e-6 * (1.0 + dense[i]));
+        EXPECT_NEAR(dense[i], sparse[i], 1e-12 * dense[i]);
     }
 }
 
@@ -123,26 +124,46 @@ TEST(HittingProbabilities, CertainWhenNoTrapExists) {
     EXPECT_NEAR(p[1], 1.0, 1e-9);
 }
 
-// Leaving {0, 1} for the target takes ~1e12 visits, so neither iterative
-// solve can converge within its sweep cap; both must say so, with the count
-// and the residual, instead of returning the unconverged iterate.
-TEST(HittingProbabilities, NonConvergenceIsAnError) {
+// Leaving {0, 1} for the target takes ~1e12 visits, which no sweep-based
+// solve survives; the direct elimination only ever adds non-negative terms,
+// so it meets the closed forms h1 = 2/eps, h0 = h1 + 1 and p = 1 to rounding.
+TEST(HittingProbabilities, StiffChainIsSolvedExactly) {
+    const double eps = 1e-12;
     Ctmc chain(3);
     chain.add_rate(0, 1, 1.0);
     chain.add_rate(1, 0, 1.0);
-    chain.add_rate(1, 2, 1e-12);
+    chain.add_rate(1, 2, eps);
     const std::vector<char> targets{0, 0, 1};
-    for (const bool probabilities : {true, false}) {
-        try {
-            (void)(probabilities ? hitting_probabilities(chain, targets)
-                                 : expected_hitting_times(chain, targets, 0));
-            ADD_FAILURE() << "no NumericalError, probabilities=" << probabilities;
-        } catch (const NumericalError& e) {
-            const std::string message = e.what();
-            EXPECT_NE(message.find("1000000 iterations"), std::string::npos) << message;
-            EXPECT_NE(message.find("residual"), std::string::npos) << message;
-        }
+    const auto h = expected_hitting_times(chain, targets, 0);
+    EXPECT_NEAR(h[0], 2.0 / eps + 1.0, 1e-12 * h[0]);
+    EXPECT_NEAR(h[1], 2.0 / eps, 1e-12 * h[1]);
+    EXPECT_DOUBLE_EQ(h[2], 0.0);
+    const auto p = hitting_probabilities(chain, targets);
+    for (const double value : p) EXPECT_NEAR(value, 1.0, 1e-12);
+}
+
+TEST(HittingTimes, FactorBeyondTheBudgetOrAZeroPivotIsAnError) {
+    // A birth-death chain keeps one upper entry per row: 11 in all.
+    Ctmc chain(12);
+    for (TangibleId i = 0; i + 1 < 12; ++i) {
+        chain.add_rate(i, i + 1, 1.0);
+        chain.add_rate(i + 1, i, 2.0);
     }
+    const Csr a = adjacency(chain, false);
+    std::vector<double> leak(12, 0.0);
+    leak[11] = 1.0;
+    EXPECT_EQ(eliminate(a, leak, std::vector<double>(12, 1.0)).factor_entries, 11u);
+    try {
+        (void)eliminate(a, leak, std::vector<double>(12, 1.0), /*budget=*/4);
+        ADD_FAILURE() << "no NumericalError";
+    } catch (const NumericalError& e) {
+        const std::string message = e.what();
+        EXPECT_NE(message.find("12 states"), std::string::npos) << message;
+        EXPECT_NE(message.find("more than 4 factor entries"), std::string::npos) << message;
+    }
+    // Without a leak the chain is closed: no state can leave, no pivot is positive.
+    EXPECT_THROW((void)eliminate(a, std::vector<double>(12, 0.0), std::vector<double>(12, 1.0)),
+                 NumericalError);
 }
 
 TEST(HittingTimes, StreamingTimeToFirstApOverflowShrinksWithAwakePeriod) {

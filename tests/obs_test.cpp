@@ -412,7 +412,7 @@ TEST(ObsDiagnostics, IterativeSolveRecordsResidualHistory) {
     EXPECT_NE(diagnostics.json().find("\"gauss_seidel\""), std::string::npos);
 }
 
-TEST(ObsDiagnostics, IterativeHittingTimesAreCountedAsGaussSeidel) {
+TEST(ObsDiagnostics, HittingTimesAreCountedByMethod) {
     ctmc::Ctmc chain(5);
     for (ctmc::TangibleId i = 0; i + 1 < 5; ++i) {
         chain.add_rate(i, i + 1, 2.0);
@@ -420,13 +420,27 @@ TEST(ObsDiagnostics, IterativeHittingTimesAreCountedAsGaussSeidel) {
     }
     std::vector<char> targets(5, 0);
     targets[4] = 1;
-    const std::uint64_t solves = obs::counter("ctmc.solve.gauss_seidel").value();
+    const std::uint64_t sparse = obs::counter("ctmc.solve.sparse_elimination").value();
+    const std::uint64_t dense = obs::counter("ctmc.solve.dense_elimination").value();
     const std::uint64_t observed =
         obs::histogram("ctmc.solve.iterations").snapshot().count;
-    const auto h = ctmc::expected_hitting_times(chain, targets, /*dense_threshold=*/0);
-    ASSERT_EQ(h.size(), 5u);
-    EXPECT_EQ(obs::counter("ctmc.solve.gauss_seidel").value(), solves + 1);
-    EXPECT_EQ(obs::histogram("ctmc.solve.iterations").snapshot().count, observed + 1);
+    obs::clear_trace();
+    obs::set_tracing(true);
+    ASSERT_EQ(ctmc::expected_hitting_times(chain, targets, /*dense_threshold=*/0).size(), 5u);
+    obs::set_tracing(false);
+#if !defined(DPMA_OBS_DISABLED)
+    const std::string trace = obs::trace_json();
+    EXPECT_NE(trace.find("\"ctmc.hitting\""), std::string::npos) << trace;
+    EXPECT_NE(trace.find("\"factor_entries\""), std::string::npos) << trace;
+#endif
+    obs::clear_trace();
+    EXPECT_EQ(obs::counter("ctmc.solve.sparse_elimination").value(), sparse + 1);
+    ASSERT_EQ(ctmc::expected_hitting_times(chain, targets).size(), 5u);
+    EXPECT_EQ(obs::counter("ctmc.solve.dense_elimination").value(), dense + 1);
+    ASSERT_EQ(ctmc::hitting_probabilities(chain, targets).size(), 5u);
+    EXPECT_EQ(obs::counter("ctmc.solve.sparse_elimination").value(), sparse + 2);
+    // Direct solves have no iterations to report.
+    EXPECT_EQ(obs::histogram("ctmc.solve.iterations").snapshot().count, observed);
 }
 
 TEST(ObsDiagnostics, ResidualHistoryIsThinnedNotUnbounded) {

@@ -112,7 +112,11 @@
 /// hardware_concurrency); results are identical for every jobs count.
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -263,6 +267,54 @@ bool flag(std::vector<std::string>& args, const std::string& name) {
             return true;
         }
     }
+    return false;
+}
+
+/// Strict full-string double parse; rejects trailing garbage.
+bool parse_double(const std::string& text, double* out) {
+    char* end = nullptr;
+    *out = std::strtod(text.c_str(), &end);
+    return end != text.c_str() && *end == '\0';
+}
+
+/// Strict full-string base-10 unsigned parse; rejects a sign, trailing
+/// garbage and values beyond 64 bits.
+bool parse_unsigned(const std::string& text, std::uint64_t* out) {
+    if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0) return false;
+    errno = 0;
+    char* end = nullptr;
+    *out = std::strtoull(text.c_str(), &end, 10);
+    return errno == 0 && *end == '\0';
+}
+
+/// Prints a usage error of \p command and returns the usage exit code (2):
+/// a bad command-line value is a usage error, not an analysis failure.
+int usage_error(const char* command, const std::string& message) {
+    std::fprintf(stderr, "dpma_cli: %s: %s\n", command, message.c_str());
+    return 2;
+}
+
+/// Pulls `--name value` out of \p args (\p fallback when absent) and parses
+/// it strictly as a number; false after a usage error naming the flag.
+bool number_option(std::vector<std::string>& args, const char* command, const char* name,
+                   const char* fallback, double* out) {
+    const std::string text = option(args, name, fallback);
+    if (parse_double(text, out)) return true;
+    usage_error(command, std::string(name) + " wants a number, got '" + text + "'");
+    return false;
+}
+
+/// As number_option, for an integer in [lo, hi].
+bool count_option(std::vector<std::string>& args, const char* command, const char* name,
+                  const char* fallback, std::uint64_t lo, std::uint64_t hi,
+                  std::uint64_t* out) {
+    const std::string text = option(args, name, fallback);
+    if (parse_unsigned(text, out) && *out >= lo && *out <= hi) return true;
+    const std::string range = hi == UINT64_MAX ? ">= " + std::to_string(lo)
+                                               : "in [" + std::to_string(lo) + ", " +
+                                                     std::to_string(hi) + "]";
+    usage_error(command,
+                std::string(name) + " wants an integer " + range + ", got '" + text + "'");
     return false;
 }
 
@@ -572,14 +624,15 @@ int cmd_solve(const std::string& model_path, const std::string& measures_path,
 
 int cmd_simulate(const std::string& model_path, const std::string& measures_path,
                  std::vector<std::string> args) {
-    const double horizon = std::strtod(option(args, "--horizon", "10000").c_str(), nullptr);
-    const double warmup = std::strtod(option(args, "--warmup", "0").c_str(), nullptr);
-    const int reps = std::atoi(option(args, "--reps", "10").c_str());
-    const auto seed =
-        static_cast<std::uint64_t>(std::strtoull(option(args, "--seed", "1").c_str(),
-                                                 nullptr, 10));
-    const double confidence =
-        std::strtod(option(args, "--confidence", "0.90").c_str(), nullptr);
+    double horizon = 0.0, warmup = 0.0, confidence = 0.0;
+    std::uint64_t reps = 0, seed = 0;
+    if (!number_option(args, "simulate", "--horizon", "10000", &horizon) ||
+        !number_option(args, "simulate", "--warmup", "0", &warmup) ||
+        !number_option(args, "simulate", "--confidence", "0.90", &confidence) ||
+        !count_option(args, "simulate", "--reps", "10", 1, INT_MAX, &reps) ||
+        !count_option(args, "simulate", "--seed", "1", 0, UINT64_MAX, &seed)) {
+        return 2;
+    }
     if (!args.empty()) usage();
 
     const adl::ArchiType archi = load_archi(model_path);
@@ -593,10 +646,10 @@ int cmd_simulate(const std::string& model_path, const std::string& measures_path
     // Replications fan out over DPMA_JOBS workers; estimates are
     // bit-identical to the serial path for any jobs count.
     exp::ThreadPool pool;
-    const auto estimates =
-        exp::simulate_replications(simulator, options, reps, confidence, pool);
+    const auto estimates = exp::simulate_replications(
+        simulator, options, static_cast<int>(reps), confidence, pool);
     std::printf("simulated %d replications of horizon %g (warmup %g), %.0f%% CIs\n",
-                reps, horizon, warmup, confidence * 100.0);
+                static_cast<int>(reps), horizon, warmup, confidence * 100.0);
     for (std::size_t m = 0; m < measures.size(); ++m) {
         std::printf("%-24s = %.8g ± %.3g\n", measures[m].name.c_str(),
                     estimates[m].mean, estimates[m].half_width);
@@ -679,15 +732,15 @@ FaultToleranceArgs parse_fault_tolerance(std::vector<std::string>& args) {
 int cmd_sweep(const std::string& model_path, const std::string& measures_path,
               std::vector<std::string> args) {
     const std::string param = option(args, "--param", "");
-    const std::string jobs_text = option(args, "--jobs", "0");
+    std::uint64_t jobs = 0;
+    if (!count_option(args, "sweep", "--jobs", "0", 0, UINT64_MAX, &jobs)) return 2;
     const std::string json_path = option(args, "--json", "");
     const std::string csv_path = option(args, "--csv", "");
     FaultToleranceArgs fault_tolerance;
     try {
         fault_tolerance = parse_fault_tolerance(args);
     } catch (const Error& e) {
-        std::fprintf(stderr, "dpma_cli: sweep: %s\n", e.what());
-        return 2;
+        return usage_error("sweep", e.what());
     }
     const bool precheck = flag(args, "--precheck");
     if (param.empty() || !args.empty()) usage();
@@ -706,17 +759,15 @@ int cmd_sweep(const std::string& model_path, const std::string& measures_path,
     const std::string instance = target.substr(0, dot);
     const std::string action = target.substr(dot + 1);
     const auto range = split(param.substr(eq + 1), ':');
-    if (range.size() != 3) usage();
-    const double lo = std::strtod(range[0].c_str(), nullptr);
-    const double hi = std::strtod(range[1].c_str(), nullptr);
-    const long steps = std::atol(range[2].c_str());
-    if (!(lo > 0.0) || !(hi >= lo) || steps < 1) {
-        throw Error("--param range must satisfy 0 < lo <= hi, steps >= 1");
+    double lo = 0.0, hi = 0.0;
+    std::uint64_t steps = 0;
+    if (range.size() != 3 || !parse_double(range[0], &lo) || !parse_double(range[1], &hi) ||
+        !parse_unsigned(range[2], &steps)) {
+        return usage_error("sweep", "--param wants instance.action=lo:hi:steps, got '" +
+                                        param + "'");
     }
-    char* jobs_end = nullptr;
-    const auto jobs = static_cast<std::size_t>(std::strtoul(jobs_text.c_str(), &jobs_end, 10));
-    if (jobs_end == jobs_text.c_str() || *jobs_end != '\0') {
-        throw Error("--jobs needs a non-negative integer, got '" + jobs_text + "'");
+    if (!(lo > 0.0) || !(hi >= lo) || !std::isfinite(hi) || steps < 1) {
+        return usage_error("sweep", "--param range must satisfy 0 < lo <= hi, steps >= 1");
     }
 
     const adl::ArchiType archi = load_archi(model_path);
@@ -753,16 +804,16 @@ int cmd_sweep(const std::string& model_path, const std::string& measures_path,
     };
 
     exp::RunOptions run_options;
-    run_options.jobs = jobs;
+    run_options.jobs = static_cast<std::size_t>(jobs);
     run_options.retries = fault_tolerance.retries;
     run_options.checkpoint_path = fault_tolerance.checkpoint_path;
     run_options.resume = fault_tolerance.resume;
     const exp::RunOutcome outcome = exp::run_sweep(experiment, run_options);
     const exp::ResultSet& results = outcome.results;
 
-    std::printf("sweep of exponential rate %s over [%g, %g], %ld points, jobs=%zu\n",
-                target.c_str(), lo, hi, steps,
-                jobs == 0 ? exp::default_jobs() : jobs);
+    std::printf("sweep of exponential rate %s over [%g, %g], %zu points, jobs=%zu\n",
+                target.c_str(), lo, hi, static_cast<std::size_t>(steps),
+                jobs == 0 ? exp::default_jobs() : run_options.jobs);
     std::printf("%-16s", "rate");
     for (const std::string& m : results.measures()) std::printf(" %-18s", m.c_str());
     std::printf("\n");
@@ -783,29 +834,17 @@ int cmd_sweep(const std::string& model_path, const std::string& measures_path,
     return sweep_status(outcome, fault_tolerance.checkpoint_path);
 }
 
-/// Strict full-string double parse; rejects trailing garbage.
-bool parse_double(const std::string& text, double* out) {
-    char* end = nullptr;
-    *out = std::strtod(text.c_str(), &end);
-    return end != text.c_str() && *end == '\0';
-}
-
-/// Prints a lifetime usage error and returns the usage exit code (2): the
-/// battery parameters are command-line arguments, so a bad value is a usage
-/// error, not an analysis failure.
-int lifetime_usage_error(const std::string& message) {
-    std::fprintf(stderr, "dpma_cli: lifetime: %s\n", message.c_str());
-    return 2;
-}
-
 int cmd_lifetime(const std::string& system, std::vector<std::string> args) {
     const std::string battery_name = option(args, "--battery", "kibam");
     const std::string capacity_text = option(args, "--capacity", "1000:4000:4");
     const std::string control_text = option(args, "--control", "-1");
-    const std::string reps_text = option(args, "--reps", "5");
-    const std::string seed_text = option(args, "--seed", "1");
     const std::string confidence_text = option(args, "--confidence", "0.95");
-    const std::string jobs_text = option(args, "--jobs", "0");
+    std::uint64_t reps = 0, seed = 0, jobs = 0;
+    if (!count_option(args, "lifetime", "--reps", "5", 1, INT_MAX, &reps) ||
+        !count_option(args, "lifetime", "--seed", "1", 0, UINT64_MAX, &seed) ||
+        !count_option(args, "lifetime", "--jobs", "0", 0, UINT64_MAX, &jobs)) {
+        return 2;
+    }
     const std::string horizon_text = option(args, "--horizon-factor", "8");
     const std::string peukert_exp_text = option(args, "--peukert-exponent", "1.2");
     const std::string peukert_ref_text = option(args, "--peukert-ref", "1");
@@ -818,23 +857,23 @@ int cmd_lifetime(const std::string& system, std::vector<std::string> args) {
     try {
         fault_tolerance = parse_fault_tolerance(args);
     } catch (const Error& e) {
-        return lifetime_usage_error(e.what());
+        return usage_error("lifetime", e.what());
     }
     if (!args.empty()) usage();
     if (format != "text" && format != "json") {
-        return lifetime_usage_error("--format wants text or json, got '" + format + "'");
+        return usage_error("lifetime", "--format wants text or json, got '" + format + "'");
     }
 
     battery::StudyOptions options;
     options.system = system;
     if (system != "rpc" && system != "streaming") {
-        return lifetime_usage_error("unknown system '" + system +
-                                    "' (expected rpc or streaming)");
+        return usage_error("lifetime",
+                           "unknown system '" + system + "' (expected rpc or streaming)");
     }
     try {
         options.battery.kind = battery::BatteryParams::kind_from(battery_name);
     } catch (const Error& e) {
-        return lifetime_usage_error(e.what());
+        return usage_error("lifetime", e.what());
     }
 
     // --capacity lo:hi:steps (linear; steps == 1 keeps just lo).
@@ -844,13 +883,13 @@ int cmd_lifetime(const std::string& system, std::vector<std::string> args) {
     if (range.size() != 3 || !parse_double(range[0], &lo) ||
         !parse_double(range[1], &hi) || !parse_double(range[2], &steps_value) ||
         steps_value != std::floor(steps_value)) {
-        return lifetime_usage_error("--capacity wants lo:hi:steps, got '" +
-                                    capacity_text + "'");
+        return usage_error("lifetime",
+                           "--capacity wants lo:hi:steps, got '" + capacity_text + "'");
     }
     const auto steps = static_cast<long>(steps_value);
     if (!std::isfinite(lo) || lo <= 0.0 || !std::isfinite(hi) || hi < lo || steps < 1) {
-        return lifetime_usage_error(
-            "--capacity range must satisfy 0 < lo <= hi, steps >= 1");
+        return usage_error("lifetime",
+                           "--capacity range must satisfy 0 < lo <= hi, steps >= 1");
     }
     const exp::Axis capacity_axis =
         exp::Axis::linspace("capacity", lo, hi, static_cast<std::size_t>(steps));
@@ -874,28 +913,12 @@ int cmd_lifetime(const std::string& system, std::vector<std::string> args) {
     };
     for (const NumericArg& arg : numeric) {
         if (!parse_double(*arg.text, arg.target)) {
-            return lifetime_usage_error(std::string(arg.name) +
-                                        " wants a number, got '" + *arg.text + "'");
+            return usage_error("lifetime", std::string(arg.name) + " wants a number, got '" +
+                                               *arg.text + "'");
         }
     }
-    char* end = nullptr;
-    const long reps = std::strtol(reps_text.c_str(), &end, 10);
-    if (end == reps_text.c_str() || *end != '\0' || reps < 1) {
-        return lifetime_usage_error("--reps wants a positive integer, got '" +
-                                    reps_text + "'");
-    }
     options.replications = static_cast<int>(reps);
-    options.base_seed =
-        static_cast<std::uint64_t>(std::strtoull(seed_text.c_str(), &end, 10));
-    if (end == seed_text.c_str() || *end != '\0') {
-        return lifetime_usage_error("--seed wants an unsigned integer, got '" +
-                                    seed_text + "'");
-    }
-    const auto jobs = std::strtoul(jobs_text.c_str(), &end, 10);
-    if (end == jobs_text.c_str() || *end != '\0') {
-        return lifetime_usage_error("--jobs wants a non-negative integer, got '" +
-                                    jobs_text + "'");
-    }
+    options.base_seed = seed;
     options.jobs = static_cast<std::size_t>(jobs);
     options.retries = fault_tolerance.retries;
     options.checkpoint_path = fault_tolerance.checkpoint_path;
@@ -903,7 +926,7 @@ int cmd_lifetime(const std::string& system, std::vector<std::string> args) {
     try {
         options.validate();
     } catch (const Error& e) {
-        return lifetime_usage_error(e.what());
+        return usage_error("lifetime", e.what());
     }
 
     exp::install_shutdown_handler();
@@ -935,35 +958,18 @@ int cmd_lifetime(const std::string& system, std::vector<std::string> args) {
 
 /// `report` — the perf-regression gate over two run records.
 int cmd_report(const std::string& old_path, std::vector<std::string> args) {
-    const std::string threshold_text = option(args, "--threshold", "1.20");
-    const std::string confidence_text = option(args, "--confidence", "0.95");
-    const std::string resamples_text = option(args, "--resamples", "2000");
-    const std::string seed_text = option(args, "--seed", "42");
-    if (args.size() != 1) usage();
-    const std::string new_path = args[0];
-
     exp::RegressOptions options;
-    if (!parse_double(threshold_text, &options.threshold) ||
-        !parse_double(confidence_text, &options.confidence)) {
-        std::fprintf(stderr, "dpma_cli: report: --threshold/--confidence want "
-                             "numbers\n");
-        return 2;
-    }
-    char* end = nullptr;
-    const long resamples = std::strtol(resamples_text.c_str(), &end, 10);
-    if (end == resamples_text.c_str() || *end != '\0' || resamples < 1) {
-        std::fprintf(stderr, "dpma_cli: report: --resamples wants a positive "
-                             "integer, got '%s'\n", resamples_text.c_str());
+    std::uint64_t resamples = 0;
+    if (!number_option(args, "report", "--threshold", "1.20", &options.threshold) ||
+        !number_option(args, "report", "--confidence", "0.95", &options.confidence) ||
+        !count_option(args, "report", "--resamples", "2000", 1, INT_MAX, &resamples) ||
+        !count_option(args, "report", "--seed", "42", 0, UINT64_MAX, &options.seed)) {
         return 2;
     }
     options.resamples = static_cast<int>(resamples);
-    options.seed = static_cast<std::uint64_t>(
-        std::strtoull(seed_text.c_str(), &end, 10));
-    if (end == seed_text.c_str() || *end != '\0') {
-        std::fprintf(stderr, "dpma_cli: report: --seed wants an unsigned "
-                             "integer, got '%s'\n", seed_text.c_str());
-        return 2;
-    }
+    if (args.size() != 1) usage();
+    const std::string new_path = args[0];
+
     try {
         options.validate();
     } catch (const Error& e) {
