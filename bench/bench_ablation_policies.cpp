@@ -18,28 +18,23 @@
 #include "ctmc/ctmc.hpp"
 #include "ctmc/reward.hpp"
 #include "ctmc/solve.hpp"
-#include "sim/gsmp.hpp"
+#include "models/specs.hpp"
+#include "models/variants.hpp"
 
 namespace {
 
 using namespace dpma;
 using namespace dpma::bench;
 
-RpcPoint solve_rpc(const models::rpc::Config& config) {
-    const adl::ComposedModel model = models::rpc::compose(config);
+RpcPoint solve_rpc(const adl::ComposedModel& model) {
+    static const std::vector<adl::Measure> measures = models::measures("rpc_measures.msr");
     const ctmc::MarkovModel markov = ctmc::build_markov(model);
     const auto pi = ctmc::steady_state(markov.chain);
-    const auto measures = models::rpc::measures();
-    RpcPoint point;
-    point.throughput =
-        ctmc::evaluate_measure(markov, model, pi, measures[models::rpc::kThroughput]);
-    point.energy_rate =
-        ctmc::evaluate_measure(markov, model, pi, measures[models::rpc::kEnergyRate]);
-    const double waiting =
-        ctmc::evaluate_measure(markov, model, pi, measures[models::rpc::kWaitingProb]);
-    point.waiting_per_request = waiting / point.throughput;
-    point.energy_per_request = point.energy_rate / point.throughput;
-    return point;
+    std::vector<double> values;
+    for (const adl::Measure& m : measures) {
+        values.push_back(ctmc::evaluate_measure(markov, model, pi, m));
+    }
+    return rpc_point_from(values, {});
 }
 
 void ablate_policy() {
@@ -50,12 +45,10 @@ void ablate_policy() {
     // DPM's restarted one generate the same CTMC transition (the shutdown
     // can only synchronise while the server is idle, and the exponential
     // distribution is memoryless), so the steady-state measures coincide.
+    const adl::ArchiType rpc = models::archi("rpc_revised_markov.aem");
     {
-        models::rpc::Config idle = models::rpc::markovian(5.0, true);
-        models::rpc::Config trivial = idle;
-        trivial.policy = models::rpc::DpmPolicy::Trivial;
-        const RpcPoint a = solve_rpc(idle);
-        const RpcPoint b = solve_rpc(trivial);
+        const RpcPoint a = solve_rpc(adl::compose(rpc));
+        const RpcPoint b = solve_rpc(adl::compose(models::with_trivial_dpm(rpc)));
         std::printf(
             "Markov check: energy/request idle=%.6f trivial=%.6f (identical by\n"
             "memorylessness — the policy distinction only exists with\n"
@@ -72,13 +65,13 @@ void ablate_policy() {
     Table table("shutdown-while-busy (Trivial DPM, Markov)",
                 {"period_ms", "epr_idle_only", "epr_busy_too", "tput_idle_only",
                  "tput_busy_too", "wait_busy_too"});
+    const adl::ComposedModel idle_only = adl::compose(models::with_trivial_dpm(rpc));
+    const adl::ComposedModel busy_too = adl::compose(models::with_trivial_dpm(rpc, true));
     for (const double period : {1.0, 2.0, 5.0, 10.0, 20.0}) {
-        models::rpc::Config idle_only = models::rpc::markovian(period, true);
-        idle_only.policy = models::rpc::DpmPolicy::Trivial;
-        models::rpc::Config busy_too = idle_only;
-        busy_too.shutdown_when_busy = true;
-        const RpcPoint a = solve_rpc(idle_only);
-        const RpcPoint b = solve_rpc(busy_too);
+        const RpcPoint a =
+            solve_rpc(exp::with_delay(idle_only, models::kDpm, "send_shutdown", period));
+        const RpcPoint b =
+            solve_rpc(exp::with_delay(busy_too, models::kDpm, "send_shutdown", period));
         table.add_row({period, a.energy_per_request, b.energy_per_request,
                        a.throughput, b.throughput, b.waiting_per_request});
     }
@@ -93,10 +86,9 @@ void ablate_client_timeout() {
     std::printf("== Ablation 2: client resend timeout (rpc, Markov, DPM t=5ms) ==\n");
     Table table("client timeout sweep",
                 {"timeout_ms", "throughput", "wait_per_req", "epr"});
+    const adl::ComposedModel rpc = adl::compose(models::archi("rpc_revised_markov.aem"));
     for (const double timeout : {0.5, 1.0, 2.0, 4.0, 8.0}) {
-        models::rpc::Config config = models::rpc::markovian(5.0, true);
-        config.params.client_timeout = timeout;
-        const RpcPoint p = solve_rpc(config);
+        const RpcPoint p = solve_rpc(exp::with_delay(rpc, "C", "expire_timeout", timeout));
         table.add_row({timeout, p.throughput, p.waiting_per_request,
                        p.energy_per_request});
     }
@@ -110,25 +102,19 @@ void ablate_wakeup_power() {
     std::printf("== Ablation 3: NIC wake-up transient power (streaming, Markov) ==\n");
     Table table("energy/frame for awake=100ms under different wake-up powers",
                 {"p_waking", "epf_dpm", "epf_nodpm", "saving_pct"});
+    const adl::ArchiType streaming = models::archi("streaming_markov.aem");
+    const adl::ComposedModel with = adl::compose(streaming);
+    const adl::ComposedModel without = adl::compose(models::without_dpm(streaming));
+    const std::vector<adl::Measure> measures = models::measures("streaming_measures.msr");
+    const adl::Measure& frames = measures[models::measure_index(measures, "frames_received")];
+    adl::Measure energy = measures[models::measure_index(measures, "nic_energy")];
     for (const double power : {1.0, 1.5, 3.0, 6.0, 12.0}) {
-        models::streaming::Config with = models::streaming::markovian(100.0, true);
-        with.params.power_waking = power;
-        models::streaming::Config without = models::streaming::markovian(100.0, false);
-        without.params.power_waking = power;
-
-        const auto solve = [](const models::streaming::Config& config) {
-            const adl::ComposedModel model = models::streaming::compose(config);
+        energy.clauses[2].reward = power;  // IN_STATE(NIC, NIC_WakingUp)
+        const auto solve = [&](const adl::ComposedModel& model) {
             const ctmc::MarkovModel markov = ctmc::build_markov(model);
             const auto pi = ctmc::steady_state(markov.chain);
-            const auto measures = models::streaming::measures();
-            // Rebuild the energy measure with the configured wake-up power.
-            adl::Measure energy = measures[models::streaming::kEnergyRate];
-            energy.clauses[2] = adl::state_reward_in("NIC", "NIC_WakingUp",
-                                                     config.params.power_waking);
-            const double rate = ctmc::evaluate_measure(markov, model, pi, energy);
-            const double frames = ctmc::evaluate_measure(
-                markov, model, pi, measures[models::streaming::kFramesReceived]);
-            return rate / frames;
+            return ctmc::evaluate_measure(markov, model, pi, energy) /
+                   ctmc::evaluate_measure(markov, model, pi, frames);
         };
         const double epf_dpm = solve(with);
         const double epf_nodpm = solve(without);
@@ -146,9 +132,10 @@ void first_passage_to_overflow() {
         "== Ablation 4: expected time to the first AP-buffer overflow ==\n");
     Table table("first-passage analysis on the streaming Markov model",
                 {"awake_ms", "E[T_overflow]_ms", "P(doze)"});
+    const adl::ComposedModel streaming = adl::compose(models::archi("streaming_markov.aem"));
     for (const double period : {50.0, 100.0, 200.0, 400.0, 800.0}) {
         const adl::ComposedModel model =
-            models::streaming::compose(models::streaming::markovian(period, true));
+            exp::with_delay(streaming, models::kDpm, "send_wakeup", period);
         const ctmc::MarkovModel markov = ctmc::build_markov(model);
 
         const auto full_mask =

@@ -23,6 +23,8 @@
 #include "bench/harness.hpp"
 #include "ctmc/solve.hpp"
 #include "exp/runner.hpp"
+#include "models/specs.hpp"
+#include "models/variants.hpp"
 
 int main(int argc, char** argv) {
     using namespace dpma;
@@ -56,13 +58,13 @@ int main(int argc, char** argv) {
     // capacity / E[power], so the ratio is the steady-power ratio — exactly
     // what the fluid column of an *ideal* study would report, recovered here
     // from the Markovian models directly (capacity-independent).
-    const auto measures = models::rpc::measures();
-    const auto steady_power = [&measures](bool dpm) {
+    const auto measures = models::measures("rpc_measures.msr");
+    const adl::Measure& energy = measures[models::measure_index(measures, "energy")];
+    const auto steady_power = [&energy](bool dpm) {
         const adl::ComposedModel model =
-            models::rpc::compose(models::rpc::markovian(10.0, dpm));
+            models::compose_point("rpc_revised_markov.aem", "send_shutdown", 10.0, dpm);
         const ctmc::MarkovModel markov = ctmc::build_markov(model);
-        const std::vector<double> power = battery::tangible_power(
-            markov, model, measures[models::rpc::kEnergyRate]);
+        const std::vector<double> power = battery::tangible_power(markov, model, energy);
         const std::vector<double> pi = ctmc::steady_state(markov.chain);
         double mean = 0.0;
         for (std::size_t s = 0; s < pi.size(); ++s) mean += pi[s] * power[s];

@@ -12,9 +12,8 @@
 #include "ctmc/ctmc.hpp"
 #include "lts/ops.hpp"
 #include "ctmc/solve.hpp"
-#include "models/rpc.hpp"
 #include "models/specs.hpp"
-#include "models/streaming.hpp"
+#include "models/variants.hpp"
 #include "noninterference/noninterference.hpp"
 #include "obs/trace.hpp"
 #include "sim/gsmp.hpp"
@@ -23,29 +22,44 @@ namespace {
 
 using namespace dpma;
 
+adl::ComposedModel compose_spec(std::string_view file_name) {
+    return adl::compose(models::archi(file_name));
+}
+
+/// The streaming system with both buffers of the given capacity.
+adl::ComposedModel compose_streaming(long capacity) {
+    return adl::compose(
+        models::with_capacity(models::archi("streaming_markov.aem"), {"AP", "B"}, capacity));
+}
+
+const std::vector<adl::Measure>& rpc_measures() {
+    static const std::vector<adl::Measure> measures = models::measures("rpc_measures.msr");
+    return measures;
+}
+
 void BM_ComposeRpcMarkov(benchmark::State& state) {
-    const auto config = models::rpc::markovian(5.0, true);
+    const adl::ArchiType archi = models::archi("rpc_revised_markov.aem");
     for (auto _ : state) {
-        benchmark::DoNotOptimize(models::rpc::compose(config));
+        benchmark::DoNotOptimize(adl::compose(archi));
     }
 }
 BENCHMARK(BM_ComposeRpcMarkov);
 
 void BM_ComposeStreamingMarkov(benchmark::State& state) {
-    const auto config = models::streaming::markovian(100.0, true);
+    const adl::ArchiType archi = models::archi("streaming_markov.aem");
     for (auto _ : state) {
-        benchmark::DoNotOptimize(models::streaming::compose(config));
+        benchmark::DoNotOptimize(adl::compose(archi));
     }
-    state.SetItemsProcessed(state.iterations() *
-                            models::streaming::compose(config).graph.num_states());
+    state.SetItemsProcessed(state.iterations() * adl::compose(archi).graph.num_states());
 }
 BENCHMARK(BM_ComposeStreamingMarkov);
 
 void BM_NoninterferenceRpcRevised(benchmark::State& state) {
-    const auto model = models::rpc::compose(models::rpc::revised_functional());
+    const adl::ArchiType archi = models::archi("rpc_revised_markov.aem");
+    const auto model = adl::compose(archi);
+    const auto high = models::high_action_labels(archi);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(noninterference::check_dpm_transparency(
-            model, models::rpc::high_action_labels(), "C"));
+        benchmark::DoNotOptimize(noninterference::check_dpm_transparency(model, high, "C"));
     }
 }
 BENCHMARK(BM_NoninterferenceRpcRevised);
@@ -55,7 +69,7 @@ BENCHMARK(BM_NoninterferenceRpcRevised);
 /// a `--precheck` adds before composition — it must stay far below the
 /// composition+check it can save.
 void BM_FlowAnalyzeStreaming(benchmark::State& state) {
-    const std::string_view spec = models::streaming_markov_spec();
+    const std::string_view spec = models::spec("streaming_markov.aem");
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             analysis::flow::analyze_text(spec, "streaming_markov.aem"));
@@ -64,19 +78,17 @@ void BM_FlowAnalyzeStreaming(benchmark::State& state) {
 BENCHMARK(BM_FlowAnalyzeStreaming);
 
 void BM_NoninterferenceStreaming(benchmark::State& state) {
-    const auto model =
-        models::streaming::compose(models::streaming::functional(state.range(0)));
+    const auto model = compose_streaming(state.range(0));
+    const auto high = models::high_action_labels(models::archi("streaming_markov.aem"));
     for (auto _ : state) {
-        benchmark::DoNotOptimize(noninterference::check_dpm_transparency(
-            model, models::streaming::high_action_labels(), "C"));
+        benchmark::DoNotOptimize(noninterference::check_dpm_transparency(model, high, "C"));
     }
     state.SetLabel(std::to_string(model.graph.num_states()) + " states");
 }
 BENCHMARK(BM_NoninterferenceStreaming)->Arg(2)->Arg(3);
 
 void BM_BuildMarkovStreaming(benchmark::State& state) {
-    const auto model =
-        models::streaming::compose(models::streaming::markovian(100.0, true));
+    const auto model = compose_spec("streaming_markov.aem");
     for (auto _ : state) {
         benchmark::DoNotOptimize(ctmc::build_markov(model));
     }
@@ -84,7 +96,7 @@ void BM_BuildMarkovStreaming(benchmark::State& state) {
 BENCHMARK(BM_BuildMarkovStreaming);
 
 void BM_SteadyStateGth(benchmark::State& state) {
-    const auto model = models::rpc::compose(models::rpc::markovian(5.0, true));
+    const auto model = compose_spec("rpc_revised_markov.aem");
     const auto markov = ctmc::build_markov(model);
     for (auto _ : state) {
         benchmark::DoNotOptimize(ctmc::steady_state_gth(markov.chain));
@@ -94,8 +106,7 @@ void BM_SteadyStateGth(benchmark::State& state) {
 BENCHMARK(BM_SteadyStateGth);
 
 void BM_SteadyStateGaussSeidelStreaming(benchmark::State& state) {
-    const auto model =
-        models::streaming::compose(models::streaming::markovian(100.0, true));
+    const auto model = compose_spec("streaming_markov.aem");
     const auto markov = ctmc::build_markov(model);
     for (auto _ : state) {
         benchmark::DoNotOptimize(ctmc::steady_state_gauss_seidel(markov.chain));
@@ -105,8 +116,8 @@ void BM_SteadyStateGaussSeidelStreaming(benchmark::State& state) {
 BENCHMARK(BM_SteadyStateGaussSeidelStreaming);
 
 void BM_SimulateRpcGeneral(benchmark::State& state) {
-    const auto model = models::rpc::compose(models::rpc::general(5.0, true));
-    const sim::Simulator simulator(model, models::rpc::measures());
+    const auto model = compose_spec("rpc_general.aem");
+    const sim::Simulator simulator(model, rpc_measures());
     sim::SimOptions options;
     options.horizon = 5000.0;
     std::uint64_t seed = 1;
@@ -128,8 +139,8 @@ BENCHMARK(BM_SimulateRpcGeneral);
 // immediate-heavy model exercising the compiled immediate tables.
 
 void BM_SimulateMarkovFastPath(benchmark::State& state) {
-    const auto model = models::rpc::compose(models::rpc::markovian(5.0, true));
-    const sim::Simulator simulator(model, models::rpc::measures());
+    const auto model = compose_spec("rpc_revised_markov.aem");
+    const sim::Simulator simulator(model, rpc_measures());
     sim::SimOptions options;
     options.horizon = 5000.0;
     std::uint64_t seed = 1;
@@ -146,8 +157,8 @@ void BM_SimulateMarkovFastPath(benchmark::State& state) {
 BENCHMARK(BM_SimulateMarkovFastPath);
 
 void BM_SimulateMarkovClocked(benchmark::State& state) {
-    const auto model = models::rpc::compose(models::rpc::markovian(5.0, true));
-    const sim::Simulator simulator(model, models::rpc::measures());
+    const auto model = compose_spec("rpc_revised_markov.aem");
+    const sim::Simulator simulator(model, rpc_measures());
     sim::SimOptions options;
     options.horizon = 5000.0;
     options.markov_fast_path = false;
@@ -167,8 +178,9 @@ BENCHMARK(BM_SimulateMarkovClocked);
 void BM_SimulateImmediateHeavy(benchmark::State& state) {
     // Immediate shutdown (timeout 0): every idle period fires an immediate
     // transition, so the run alternates timed and immediate events.
-    const auto model = models::rpc::compose(models::rpc::markovian(0.0, true));
-    const sim::Simulator simulator(model, models::rpc::measures());
+    const auto model =
+        models::compose_point("rpc_revised_markov.aem", "send_shutdown", 0.0, true);
+    const sim::Simulator simulator(model, rpc_measures());
     sim::SimOptions options;
     options.horizon = 5000.0;
     std::uint64_t seed = 1;
@@ -212,7 +224,7 @@ BENCHMARK(BM_SpanEnabled);
 
 void BM_SolveInstrumentedOff(benchmark::State& state) {
     obs::set_tracing(false);
-    const auto model = models::rpc::compose(models::rpc::markovian(5.0, true));
+    const auto model = compose_spec("rpc_revised_markov.aem");
     const auto markov = ctmc::build_markov(model);
     for (auto _ : state) {
         benchmark::DoNotOptimize(ctmc::steady_state(markov.chain));
@@ -222,7 +234,7 @@ void BM_SolveInstrumentedOff(benchmark::State& state) {
 BENCHMARK(BM_SolveInstrumentedOff);
 
 void BM_WeakBisimQuotient(benchmark::State& state) {
-    const auto model = models::rpc::compose(models::rpc::revised_functional());
+    const auto model = compose_spec("rpc_revised_markov.aem");
     const lts::Lts hidden = lts::hide(
         model.graph,
         [&] {
@@ -283,7 +295,7 @@ BENCHMARK(BM_SaturateTauDenseChain);
 void BM_SaturateNoninterferenceView(benchmark::State& state) {
     // The saturation input the Sect. 3 checks actually produce: the revised
     // rpc system with everything but the low interface hidden.
-    const auto model = models::rpc::compose(models::rpc::revised_functional());
+    const auto model = compose_spec("rpc_revised_markov.aem");
     lts::ActionSet hide;
     for (auto a : adl::actions_of_instance(model, "DPM")) hide.insert(a);
     const lts::Lts hidden =
@@ -297,7 +309,7 @@ void BM_SaturateNoninterferenceView(benchmark::State& state) {
 BENCHMARK(BM_SaturateNoninterferenceView);
 
 void BM_RefineStrongSaturated(benchmark::State& state) {
-    const auto model = models::rpc::compose(models::rpc::revised_functional());
+    const auto model = compose_spec("rpc_revised_markov.aem");
     lts::ActionSet hide;
     for (auto a : adl::actions_of_instance(model, "DPM")) hide.insert(a);
     const lts::Lts sat = lts::saturate(lts::collapse_tau_sccs(
@@ -311,8 +323,7 @@ void BM_RefineStrongSaturated(benchmark::State& state) {
 BENCHMARK(BM_RefineStrongSaturated);
 
 void BM_CsrFreeze(benchmark::State& state) {
-    const auto model =
-        models::streaming::compose(models::streaming::functional(5));
+    const auto model = compose_streaming(5);
     for (auto _ : state) {
         lts::Lts copy = model.graph;  // copies are thawed; freeze from scratch
         copy.freeze();

@@ -11,8 +11,8 @@
 
 #include "bench/harness.hpp"
 #include "bisim/hml.hpp"
-#include "models/rpc.hpp"
-#include "models/streaming.hpp"
+#include "models/specs.hpp"
+#include "models/variants.hpp"
 #include "noninterference/noninterference.hpp"
 
 namespace {
@@ -20,8 +20,11 @@ namespace {
 using namespace dpma;
 using Clock = std::chrono::steady_clock;
 
-void report(const char* name, const adl::ComposedModel& model,
-            const std::vector<std::string>& high, bool expect_pass) {
+/// The functional phase of a shipped spec: composed as is (the check ignores
+/// rates), with the DPM's command attachments as the high actions.
+void report(const char* name, const adl::ArchiType& archi, bool expect_pass) {
+    const adl::ComposedModel model = adl::compose(archi);
+    const std::vector<std::string> high = models::high_action_labels(archi);
     const auto t0 = Clock::now();
     const auto result = noninterference::check_dpm_transparency(model, high, "C");
     const double ms =
@@ -42,24 +45,19 @@ int main(int argc, char** argv) {
     const dpma::bench::ScopedObservation observation("sect3_noninterference", argc, argv);
     std::printf("== Sect. 3: noninterference analysis of the DPM ==\n\n");
 
-    report("rpc simplified (2.3)",
-           models::rpc::compose(models::rpc::simplified_functional()),
-           models::rpc::high_action_labels(), /*expect_pass=*/false);
-
-    report("rpc revised (3.1)",
-           models::rpc::compose(models::rpc::revised_functional()),
-           models::rpc::high_action_labels(), /*expect_pass=*/true);
-
-    report("streaming, buffers=3 (3.2)",
-           models::streaming::compose(models::streaming::functional(3)),
-           models::streaming::high_action_labels(), /*expect_pass=*/true);
+    const adl::ArchiType untimed = models::archi("rpc_untimed.aem");
+    const adl::ArchiType streaming = models::archi("streaming_markov.aem");
+    report("rpc simplified (2.3)", untimed, /*expect_pass=*/false);
+    report("rpc revised (3.1)", models::archi("rpc_revised_markov.aem"),
+           /*expect_pass=*/true);
+    report("streaming, buffers=3 (3.2)", models::with_capacity(streaming, {"AP", "B"}, 3),
+           /*expect_pass=*/true);
 
     // The buffers=5 system is the expensive case; reduced-effort runs
     // (DPMA_BENCH_SCALE < 1, e.g. the perf_smoke ctest) skip it.
     if (bench::effort_scale() >= 1.0) {
         report("streaming, buffers=5 (3.2)",
-               models::streaming::compose(models::streaming::functional(5)),
-               models::streaming::high_action_labels(), /*expect_pass=*/true);
+               models::with_capacity(streaming, {"AP", "B"}, 5), /*expect_pass=*/true);
     } else {
         std::printf("streaming, buffers=5 (3.2)   skipped (DPMA_BENCH_SCALE < 1)\n");
     }
@@ -69,12 +67,12 @@ int main(int argc, char** argv) {
     // simplified system's defect: the DPM-induced deadlock removes no trace,
     // it only removes *futures*.  The comparison below demonstrates it.
     std::printf("\n== bisimulation-based vs trace-based noninterference ==\n");
-    const adl::ComposedModel simplified =
-        models::rpc::compose(models::rpc::simplified_functional());
-    const auto bisim_verdict = noninterference::check_dpm_transparency(
-        simplified, models::rpc::high_action_labels(), "C");
-    const auto trace_verdict = noninterference::check_dpm_trace_transparency(
-        simplified, models::rpc::high_action_labels(), "C");
+    const adl::ComposedModel simplified = adl::compose(untimed);
+    const std::vector<std::string> high = models::high_action_labels(untimed);
+    const auto bisim_verdict =
+        noninterference::check_dpm_transparency(simplified, high, "C");
+    const auto trace_verdict =
+        noninterference::check_dpm_trace_transparency(simplified, high, "C");
     std::printf(
         "simplified rpc: weak-bisimulation check: %s ; weak-trace check: %s\n"
         "(the deadlock the DPM introduces is a branching-time phenomenon —\n"

@@ -13,6 +13,8 @@
 #include "core/stats_math.hpp"
 #include "exp/pool.hpp"
 #include "exp/runner.hpp"
+#include "models/specs.hpp"
+#include "models/variants.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/batch_means.hpp"
@@ -21,9 +23,44 @@
 namespace dpma::bench {
 namespace {
 
-/// Reference rate point the cached sweep skeletons are composed at; any
-/// strictly positive value works, each point overwrites the rate anyway.
-constexpr double kSkeletonTimeout = 1.0;
+/// The shipped specs of the two paper case studies and the DPM action each
+/// figure sweeps (the rpc shutdown timeout, the streaming awake period).
+struct Family {
+    const char* markov_spec;
+    const char* general_spec;
+    const char* swept_action;
+};
+constexpr Family kRpc{"rpc_revised_markov.aem", "rpc_general.aem", "send_shutdown"};
+constexpr Family kStreaming{"streaming_markov.aem", "streaming_general.aem", "send_wakeup"};
+
+const std::vector<adl::Measure>& rpc_measures() {
+    static const std::vector<adl::Measure> measures = models::measures("rpc_measures.msr");
+    return measures;
+}
+
+const std::vector<adl::Measure>& streaming_measures() {
+    static const std::vector<adl::Measure> measures =
+        models::measures("streaming_measures.msr");
+    return measures;
+}
+
+/// Positions in rpc_measures(), looked up by name once.
+struct RpcIndex {
+    std::size_t throughput = models::measure_index(rpc_measures(), "throughput");
+    std::size_t waiting = models::measure_index(rpc_measures(), "waiting");
+    std::size_t energy = models::measure_index(rpc_measures(), "energy");
+};
+
+/// Positions in streaming_measures(), looked up by name once.
+struct StreamingIndex {
+    std::size_t energy = models::measure_index(streaming_measures(), "nic_energy");
+    std::size_t frames = models::measure_index(streaming_measures(), "frames_received");
+    std::size_t ap_loss = models::measure_index(streaming_measures(), "ap_loss");
+    std::size_t b_loss = models::measure_index(streaming_measures(), "b_loss");
+    std::size_t miss = models::measure_index(streaming_measures(), "miss");
+    std::size_t hits = models::measure_index(streaming_measures(), "hits");
+    std::size_t generated = models::measure_index(streaming_measures(), "generated");
+};
 
 /// Replaces every exponential rate of the composed graph by an explicitly
 /// general exponential distribution: the Fig. 5 cross-validation runs the
@@ -107,55 +144,22 @@ std::vector<sim::BatchEstimate> replication_convergence(
     return convergence;
 }
 
-std::string point_key(const char* family, bool dpm, double value) {
-    return std::string(family) + (dpm ? "/dpm/" : "/nodpm/") + format_fixed(value, 6);
+std::string point_key(const char* spec, bool dpm, double delay) {
+    return dpm ? std::string(spec) + "/dpm/" + format_fixed(delay, 6)
+               : std::string(spec) + "/nodpm";
 }
 
-/// Composed rpc model for one sweep point, via the cached skeleton when the
-/// timeout only changes a rate (timeout > 0 with DPM) and from scratch —
-/// also cached — when it changes the structure (immediate shutdown) or when
-/// the family ignores it (NO-DPM).
-std::shared_ptr<const adl::ComposedModel> rpc_point_model(bool general, bool dpm,
-                                                          double timeout) {
-    const char* family = general ? "rpc/general" : "rpc/markov";
-    const std::string key =
-        dpm ? point_key(family, true, timeout) : std::string(family) + "/nodpm";
-    return figure_cache().composed(key, [&] {
-        const auto config = general ? models::rpc::general(timeout, dpm)
-                                    : models::rpc::markovian(timeout, dpm);
-        if (!dpm || timeout <= 0.0) return models::rpc::compose(config);
+/// Composed model for one sweep point, cached under point_key(): the cached
+/// spec with the swept DPM action retimed to \p delay (immediate when
+/// <= 0), or the spec without the DPM's commands, which ignores the delay.
+std::shared_ptr<const adl::ComposedModel> point_model(const char* spec,
+                                                      const char* action, bool dpm,
+                                                      double delay) {
+    return figure_cache().composed(point_key(spec, dpm, delay), [&] {
+        if (!dpm) return adl::compose(models::without_dpm(models::archi(spec)));
         const auto skeleton = figure_cache().composed(
-            std::string(family) + "/skeleton", [&] {
-                return models::rpc::compose(general
-                                                ? models::rpc::general(kSkeletonTimeout, true)
-                                                : models::rpc::markovian(kSkeletonTimeout, true));
-            });
-        return general ? exp::with_dist(*skeleton, "DPM", "send_shutdown",
-                                        Dist::deterministic(timeout))
-                       : exp::with_exp_rate(*skeleton, "DPM", "send_shutdown",
-                                            1.0 / timeout);
-    });
-}
-
-/// Composed general streaming model for one sweep point.  The awake period
-/// only parameterises the DPM's deterministic send_wakeup delay, so points
-/// with DPM and period > 0 patch one cached skeleton (same reachable state
-/// space, bit-identical to composing from scratch); NO-DPM ignores the
-/// period entirely and period <= 0 is left to the from-scratch composer.
-std::shared_ptr<const adl::ComposedModel> streaming_general_point_model(bool dpm,
-                                                                        double period) {
-    const std::string key = dpm ? point_key("streaming/general", true, period)
-                                : std::string("streaming/general/nodpm");
-    return figure_cache().composed(key, [&] {
-        if (!dpm || period <= 0.0) {
-            return models::streaming::compose(models::streaming::general(period, dpm));
-        }
-        const auto skeleton = figure_cache().composed("streaming/general/skeleton", [] {
-            return models::streaming::compose(
-                models::streaming::general(kSkeletonTimeout, true));
-        });
-        return exp::with_dist(*skeleton, "DPM", "send_wakeup",
-                              Dist::deterministic(period));
+            spec, [&] { return adl::compose(models::archi(spec)); });
+        return exp::with_delay(*skeleton, models::kDpm, action, delay);
     });
 }
 
@@ -284,79 +288,80 @@ ScopedObservation::~ScopedObservation() {
 
 RpcPoint rpc_point_from(const std::vector<double>& values,
                         const std::vector<double>& half_widths) {
+    static const RpcIndex at;
     RpcPoint point;
-    point.throughput = values[models::rpc::kThroughput];
-    point.energy_rate = values[models::rpc::kEnergyRate];
+    point.throughput = values[at.throughput];
+    point.energy_rate = values[at.energy];
     if (point.throughput > 0.0) {
-        point.waiting_per_request = values[models::rpc::kWaitingProb] / point.throughput;
+        point.waiting_per_request = values[at.waiting] / point.throughput;
         point.energy_per_request = point.energy_rate / point.throughput;
     }
     if (!half_widths.empty()) {
-        point.throughput_hw = half_widths[models::rpc::kThroughput];
-        point.energy_rate_hw = half_widths[models::rpc::kEnergyRate];
+        point.throughput_hw = half_widths[at.throughput];
+        point.energy_rate_hw = half_widths[at.energy];
     }
     return point;
 }
 
 StreamingPoint streaming_point_from(const std::vector<double>& values,
                                     const std::vector<double>& half_widths) {
-    namespace ms = models::streaming;
+    static const StreamingIndex at;
     StreamingPoint point;
-    const double fetches = values[ms::kMiss] + values[ms::kHits];
-    if (values[ms::kFramesReceived] > 0.0) {
-        point.energy_per_frame = values[ms::kEnergyRate] / values[ms::kFramesReceived];
+    const double fetches = values[at.miss] + values[at.hits];
+    if (values[at.frames] > 0.0) {
+        point.energy_per_frame = values[at.energy] / values[at.frames];
         if (!half_widths.empty()) {
-            point.energy_per_frame_hw =
-                half_widths[ms::kEnergyRate] / values[ms::kFramesReceived];
+            point.energy_per_frame_hw = half_widths[at.energy] / values[at.frames];
         }
     }
-    if (values[ms::kGenerated] > 0.0) {
-        point.loss = (values[ms::kApLoss] + values[ms::kBLoss]) / values[ms::kGenerated];
+    if (values[at.generated] > 0.0) {
+        point.loss = (values[at.ap_loss] + values[at.b_loss]) / values[at.generated];
     }
     if (fetches > 0.0) {
-        point.miss = values[ms::kMiss] / fetches;
-        point.quality = values[ms::kHits] / fetches;
+        point.miss = values[at.miss] / fetches;
+        point.quality = values[at.hits] / fetches;
     }
     return point;
 }
 
 RpcPoint rpc_markov_point(double shutdown_timeout, bool dpm) {
-    const adl::ComposedModel model =
-        models::rpc::compose(models::rpc::markovian(shutdown_timeout, dpm));
-    return rpc_point_from(solve_measures(model, models::rpc::measures()), {});
+    const adl::ComposedModel model = models::compose_point(
+        kRpc.markov_spec, kRpc.swept_action, shutdown_timeout, dpm);
+    return rpc_point_from(solve_measures(model, rpc_measures()), {});
 }
 
 RpcPoint rpc_general_point(double shutdown_timeout, bool dpm, int replications,
                            double horizon, std::uint64_t seed, exp::ThreadPool* pool) {
-    const adl::ComposedModel model =
-        models::rpc::compose(models::rpc::general(shutdown_timeout, dpm));
-    const SimulatedValues sim = simulate_measures(
-        model, models::rpc::measures(), replications, 500.0, horizon, seed, pool);
+    const adl::ComposedModel model = models::compose_point(
+        kRpc.general_spec, kRpc.swept_action, shutdown_timeout, dpm);
+    const SimulatedValues sim = simulate_measures(model, rpc_measures(), replications,
+                                                  500.0, horizon, seed, pool);
     return rpc_point_from(sim.means, sim.half_widths);
 }
 
 RpcPoint rpc_general_exp_point(double shutdown_timeout, bool dpm, int replications,
                                double horizon, std::uint64_t seed,
                                exp::ThreadPool* pool) {
-    adl::ComposedModel model =
-        models::rpc::compose(models::rpc::markovian(shutdown_timeout, dpm));
+    adl::ComposedModel model = models::compose_point(kRpc.markov_spec, kRpc.swept_action,
+                                                     shutdown_timeout, dpm);
     exponentialize(model);
-    const SimulatedValues sim = simulate_measures(
-        model, models::rpc::measures(), replications, 500.0, horizon, seed, pool);
+    const SimulatedValues sim = simulate_measures(model, rpc_measures(), replications,
+                                                  500.0, horizon, seed, pool);
     return rpc_point_from(sim.means, sim.half_widths);
 }
 
 StreamingPoint streaming_markov_point(double awake_period, bool dpm) {
-    const adl::ComposedModel model =
-        models::streaming::compose(models::streaming::markovian(awake_period, dpm));
-    return streaming_point_from(solve_measures(model, models::streaming::measures()), {});
+    const adl::ComposedModel model = models::compose_point(
+        kStreaming.markov_spec, kStreaming.swept_action, awake_period, dpm);
+    return streaming_point_from(solve_measures(model, streaming_measures()), {});
 }
 
 StreamingPoint streaming_general_point(double awake_period, bool dpm, int replications,
                                        double horizon, std::uint64_t seed,
                                        exp::ThreadPool* pool) {
-    const auto model = streaming_general_point_model(dpm, awake_period);
-    const SimulatedValues sim = simulate_measures(*model, models::streaming::measures(),
+    const auto model = point_model(kStreaming.general_spec, kStreaming.swept_action, dpm,
+                                   awake_period);
+    const SimulatedValues sim = simulate_measures(*model, streaming_measures(),
                                                   replications, 3000.0, horizon, seed,
                                                   pool);
     return streaming_point_from(sim.means, sim.half_widths);
@@ -366,13 +371,12 @@ exp::Experiment rpc_markov_experiment(std::vector<double> timeouts, bool dpm) {
     exp::Experiment experiment;
     experiment.name = dpm ? "fig3_rpc_markov_dpm" : "fig3_rpc_markov_nodpm";
     experiment.grid.axis(exp::Axis::list("timeout_ms", std::move(timeouts)));
-    experiment.measures = measure_names(models::rpc::measures());
+    experiment.measures = measure_names(rpc_measures());
     experiment.eval = [dpm](const exp::Point& point, const exp::PointContext&) {
         const double timeout = point.at("timeout_ms");
-        const auto model = rpc_point_model(false, dpm, timeout);
-        const std::string key =
-            dpm ? point_key("rpc/markov", true, timeout) : "rpc/markov/nodpm";
-        return solve_cached(model, key, models::rpc::measures());
+        const auto model = point_model(kRpc.markov_spec, kRpc.swept_action, dpm, timeout);
+        return solve_cached(model, point_key(kRpc.markov_spec, dpm, timeout),
+                            rpc_measures());
     };
     return experiment;
 }
@@ -382,12 +386,13 @@ exp::Experiment rpc_general_experiment(std::vector<double> timeouts, bool dpm,
     exp::Experiment experiment;
     experiment.name = dpm ? "fig3_rpc_general_dpm" : "fig3_rpc_general_nodpm";
     experiment.grid.axis(exp::Axis::list("timeout_ms", std::move(timeouts)));
-    experiment.measures = measure_names(models::rpc::measures());
+    experiment.measures = measure_names(rpc_measures());
     experiment.eval = [dpm, replications, horizon](const exp::Point& point,
                                                    const exp::PointContext& context) {
         const double timeout = point.at("timeout_ms");
-        const auto model = rpc_point_model(true, dpm, timeout);
-        const sim::Simulator simulator(*model, models::rpc::measures());
+        const auto model =
+            point_model(kRpc.general_spec, kRpc.swept_action, dpm, timeout);
+        const sim::Simulator simulator(*model, rpc_measures());
         sim::SimOptions options;
         options.warmup = 500.0;
         options.horizon = horizon * effort_scale();
@@ -402,7 +407,7 @@ exp::Experiment rpc_general_experiment(std::vector<double> timeouts, bool dpm,
         }
         result.diagnostics =
             sim::convergence_json(replication_convergence(estimates, 0.90),
-                                  measure_names(models::rpc::measures()));
+                                  measure_names(rpc_measures()));
         return result;
     };
     return experiment;
@@ -433,23 +438,13 @@ exp::Experiment streaming_markov_experiment(std::vector<double> periods, bool dp
     exp::Experiment experiment;
     experiment.name = dpm ? "fig4_streaming_markov_dpm" : "fig4_streaming_markov_nodpm";
     experiment.grid.axis(exp::Axis::list("awake_ms", std::move(periods)));
-    experiment.measures = measure_names(models::streaming::measures());
+    experiment.measures = measure_names(streaming_measures());
     experiment.eval = [dpm](const exp::Point& point, const exp::PointContext&) {
         const double period = point.at("awake_ms");
-        const std::string key =
-            dpm ? point_key("streaming/markov", true, period) : "streaming/markov/nodpm";
-        const auto model = figure_cache().composed(key, [&] {
-            if (!dpm || period <= 0.0) {
-                return models::streaming::compose(models::streaming::markovian(period, dpm));
-            }
-            const auto skeleton =
-                figure_cache().composed("streaming/markov/skeleton", [] {
-                    return models::streaming::compose(
-                        models::streaming::markovian(kSkeletonTimeout, true));
-                });
-            return exp::with_exp_rate(*skeleton, "DPM", "send_wakeup", 1.0 / period);
-        });
-        return solve_cached(model, key, models::streaming::measures());
+        const auto model =
+            point_model(kStreaming.markov_spec, kStreaming.swept_action, dpm, period);
+        return solve_cached(model, point_key(kStreaming.markov_spec, dpm, period),
+                            streaming_measures());
     };
     return experiment;
 }

@@ -22,8 +22,6 @@
 #include "exp/experiment.hpp"
 #include "exp/pool.hpp"
 #include "exp/report.hpp"
-#include "models/rpc.hpp"
-#include "models/streaming.hpp"
 #include "obs/run_report.hpp"
 
 namespace dpma::bench {
@@ -105,7 +103,7 @@ struct RpcPoint {
 };
 
 /// Derives the paper's per-request quantities from the raw measure values
-/// (indexed by models::rpc::MeasureIndex); half_widths may be empty.
+/// (in the order of specs/rpc_measures.msr); half_widths may be empty.
 [[nodiscard]] RpcPoint rpc_point_from(const std::vector<double>& values,
                                       const std::vector<double>& half_widths);
 
@@ -132,8 +130,8 @@ struct StreamingPoint {
     double energy_per_frame_hw = 0.0;
 };
 
-/// Derives the four metrics from the raw measure values (indexed by
-/// models::streaming::MeasureIndex); half_widths may be empty.
+/// Derives the four metrics from the raw measure values (in the order of
+/// specs/streaming_measures.msr); half_widths may be empty.
 [[nodiscard]] StreamingPoint streaming_point_from(const std::vector<double>& values,
                                                   const std::vector<double>& half_widths);
 
@@ -145,13 +143,11 @@ struct StreamingPoint {
                                                      exp::ThreadPool* pool = nullptr);
 
 // Engine-based figure sweeps.  Each experiment's measures are the raw
-// measure names of the model family (models::rpc::measures() /
-// models::streaming::measures()); use rpc_point_from / streaming_point_from
-// on a record's values to recover the plotted quantities.  All three cache
-// the composed state space in figure_cache() and patch the swept rate per
-// point (timeout <= 0 changes the structure — the shutdown becomes
-// immediate — so those points compose from scratch, once, and are cached
-// too).
+// measure names of the model family (specs/rpc_measures.msr /
+// specs/streaming_measures.msr); use rpc_point_from / streaming_point_from
+// on a record's values to recover the plotted quantities.  All of them
+// cache the composed spec in figure_cache() and retime the swept DPM action
+// per point (exp::with_delay; timeout <= 0 makes it immediate).
 
 /// Fig. 3 left: analytic sweep of the Markovian rpc model over axis
 /// "timeout_ms".

@@ -32,13 +32,20 @@
 
 #include "battery/coupling.hpp"
 #include "ctmc/ctmc.hpp"
-#include "models/rpc.hpp"
+#include "models/specs.hpp"
+#include "models/variants.hpp"
 #include "sim/gsmp.hpp"
 
 namespace {
 
 using namespace dpma;
-namespace mr = models::rpc;
+
+/// The rpc measures (specs/rpc_measures.msr) and the positions read here.
+struct RpcMeasures {
+    std::vector<adl::Measure> all = models::measures("rpc_measures.msr");
+    std::size_t throughput = models::measure_index(all, "throughput");
+    std::size_t energy = models::measure_index(all, "energy");
+};
 
 struct Row {
     battery::CtmcLifetime bounds;      ///< analytic, Markovian model
@@ -47,26 +54,27 @@ struct Row {
 
 Row analyse(const battery::BatteryParams& params, double shutdown_timeout, bool dpm) {
     // Analytic bounds from the Markovian phase.
-    const adl::ComposedModel markov_model =
-        mr::compose(mr::markovian(shutdown_timeout, dpm));
+    const adl::ComposedModel markov_model = models::compose_point(
+        "rpc_revised_markov.aem", "send_shutdown", shutdown_timeout, dpm);
     const ctmc::MarkovModel markov = ctmc::build_markov(markov_model);
-    const auto measures = mr::measures();
+    const RpcMeasures measures;
     Row row;
     row.bounds = battery::ctmc_lifetime(markov, markov_model,
-                                        measures[mr::kEnergyRate], params);
+                                        measures.all[measures.energy], params);
 
     // Trajectory replay on the general model.  The censoring horizon scales
     // with this configuration's own fluid estimate — not with the NO-DPM
     // power — so a long-lived DPM run is not silently truncated.
     const adl::ComposedModel general_model =
-        mr::compose(mr::general(shutdown_timeout, dpm));
-    const sim::Simulator simulator(general_model, measures);
+        models::compose_point("rpc_general.aem", "send_shutdown", shutdown_timeout, dpm);
+    const sim::Simulator simulator(general_model, measures.all);
     battery::ReplayOptions replay;
     replay.horizon = 8.0 * row.bounds.fluid;
     replay.seed = 99;
     replay.replications = 10;
     replay.confidence = 0.90;
-    row.replay = battery::simulate_lifetime(simulator, mr::kEnergyRate, params, replay);
+    row.replay =
+        battery::simulate_lifetime(simulator, measures.energy, params, replay);
     return row;
 }
 
@@ -98,6 +106,7 @@ int main() {
         std::printf("--- %s battery ---\n", params.kind_name());
         std::printf("%-8s %11s %13s %23s %10s %9s\n", "config", "fluid [s]",
                     "refined [s]", "simulated [s] (90%CI)", "requests", "censored");
+        const std::size_t throughput = RpcMeasures{}.throughput;
         double lifetimes[2] = {0.0, 0.0};
         for (const bool dpm : {false, true}) {
             const Row row = analyse(params, shutdown_timeout, dpm);
@@ -107,7 +116,7 @@ int main() {
                         dpm ? "DPM" : "NO-DPM", row.bounds.fluid / 1000.0,
                         row.bounds.refined / 1000.0, row.replay.mean / 1000.0,
                         row.replay.half_width / 1000.0,
-                        row.replay.mean_totals[mr::kThroughput], row.replay.censored);
+                        row.replay.mean_totals[throughput], row.replay.censored);
         }
         ratios[kind_index++] = lifetimes[1] / lifetimes[0];
         std::printf("DPM/NO-DPM lifetime ratio: %.3f\n\n",

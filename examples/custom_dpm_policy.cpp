@@ -6,88 +6,69 @@
 /// The policy implemented here is a duty-cycling DPM: instead of arming the
 /// shutdown timer in every idle period, it arms it only every N-th idle
 /// period, bounding how often the server pays the wake-up transient.  We
-/// assemble the architecture manually from the rpc element types plus our
-/// own DPM element type, run the noninterference check, and sweep N on the
+/// write our DPM element type in Æmilia, swap it into the shipped rpc
+/// architecture, run the noninterference check, and sweep N on the
 /// Markovian model.
 
 #include <cstdio>
 
 #include "adl/compose.hpp"
 #include "adl/measure.hpp"
+#include "aemilia/parser.hpp"
 #include "ctmc/ctmc.hpp"
 #include "ctmc/reward.hpp"
 #include "ctmc/solve.hpp"
-#include "models/builder.hpp"
-#include "models/rpc.hpp"
+#include "models/specs.hpp"
+#include "models/variants.hpp"
 #include "noninterference/noninterference.hpp"
 
 namespace {
 
 using namespace dpma;
-using models::act;
-using models::alt;
-using models::cmp_eq;
-using models::cmp_lt;
-using models::lit;
-using models::plus;
-using models::pvar;
 
 /// A DPM that arms its shutdown timer only on every `limit`-th idle
 /// notification (the revised server alternates busy/idle notifications
 /// strictly, so "idle notices seen" counts completed service cycles).
-/// Written exactly the way the built-in policies are: a parameterised
-/// behaviour.
-adl::ElemType counting_dpm(double shutdown_timeout) {
-    adl::ElemType type;
-    type.name = "DPM_Type";
-    adl::BehaviorDef counting{"Counting_DPM", {"seen", "limit"}, {}};
-    const auto seen = [] { return pvar(0, "seen"); };
-    const auto limit = [] { return pvar(1, "limit"); };
+/// Written in Æmilia like the shipped policies, as a parameterised
+/// behaviour, inside a one-instance architecture that only carries it.
+constexpr const char* kCountingDpm = R"(
+ARCHI_TYPE Counting_DPM_Carrier(void)
 
-    // Idle notification: count up while below the threshold...
-    counting.alternatives.push_back(
-        alt({act("receive_idle_notice", lts::RatePassive{})}, "Counting_DPM",
-            {plus(seen(), lit(1)), limit()},
-            cmp_lt(plus(seen(), lit(1)), limit())));
-    // ... and arm once the threshold is reached.
-    counting.alternatives.push_back(
-        alt({act("receive_idle_notice", lts::RatePassive{})}, "Armed_DPM",
-            {limit()}, cmp_eq(plus(seen(), lit(1)), limit())));
-    // Busy notifications are absorbed without resetting the cycle count.
-    counting.alternatives.push_back(
-        alt({act("receive_busy_notice", lts::RatePassive{})}, "Counting_DPM",
-            {seen(), limit()}));
+ARCHI_ELEM_TYPES
 
-    adl::BehaviorDef armed{"Armed_DPM", {"limit"}, {}};
-    armed.alternatives.push_back(
-        alt({act("send_shutdown", lts::RateExp{1.0 / shutdown_timeout})},
-            "Counting_DPM", {lit(0), pvar(0, "limit")}));
-    armed.alternatives.push_back(
-        alt({act("receive_busy_notice", lts::RatePassive{})}, "Armed_DPM",
-            {pvar(0, "limit")}));
-    armed.alternatives.push_back(
-        alt({act("receive_idle_notice", lts::RatePassive{})}, "Armed_DPM",
-            {pvar(0, "limit")}));
+ELEM_TYPE DPM_Type(void)
+  BEHAVIOR
+    Counting_DPM(integer seen, integer limit; void) = choice {
+      cond(seen + 1 < limit) ->
+        <receive_idle_notice, _> . Counting_DPM(seen + 1, limit),
+      cond(seen + 1 == limit) ->
+        <receive_idle_notice, _> . Armed_DPM(limit),
+      <receive_busy_notice, _> . Counting_DPM(seen, limit)
+    };
+    Armed_DPM(integer limit; void) = choice {
+      <send_shutdown, exp(0.2)> . Counting_DPM(0, limit),
+      <receive_busy_notice, _> . Armed_DPM(limit),
+      <receive_idle_notice, _> . Armed_DPM(limit)
+    }
+  INPUT_INTERACTIONS UNI receive_busy_notice; receive_idle_notice
+  OUTPUT_INTERACTIONS UNI send_shutdown
 
-    type.behaviors = {std::move(counting), std::move(armed)};
-    type.input_interactions = {"receive_busy_notice", "receive_idle_notice"};
-    type.output_interactions = {"send_shutdown"};
-    return type;
-}
+ARCHI_TOPOLOGY
+  ARCHI_ELEM_INSTANCES
+    DPM : DPM_Type(0, 1)
+END
+)";
 
-/// Swap the DPM element type of the stock rpc architecture for ours.
-adl::ArchiType with_counting_dpm(models::rpc::Config config, double timeout,
-                                 int threshold) {
-    adl::ArchiType archi = models::rpc::build(config);
+/// The shipped revised rpc architecture (5 ms shutdown timeout) with our DPM
+/// element type in place of the idle-timeout one.
+adl::ArchiType with_counting_dpm(int threshold) {
+    adl::ArchiType archi = models::archi("rpc_revised_markov.aem");
+    const adl::ElemType counting = aemilia::parse_archi_type(kCountingDpm).elem_types[0];
     for (adl::ElemType& type : archi.elem_types) {
-        if (type.name == "DPM_Type") {
-            type = counting_dpm(timeout);
-        }
+        if (type.name == "DPM_Type") type = counting;
     }
     for (adl::Instance& inst : archi.instances) {
-        if (inst.name == "DPM") {
-            inst.args = {0, threshold};
-        }
+        if (inst.name == models::kDpm) inst.args = {0, threshold};
     }
     return archi;
 }
@@ -97,26 +78,13 @@ adl::ArchiType with_counting_dpm(models::rpc::Config config, double timeout,
 int main() {
     std::printf("== custom DPM policy: shutdown after N consecutive idles ==\n\n");
 
-    // Functional phase first, as the methodology prescribes.
+    // Functional phase first, as the methodology prescribes.  The check
+    // ignores rates, so the timed architecture is checked as is.
     {
-        models::rpc::Config config = models::rpc::revised_functional();
-        adl::ArchiType archi = with_counting_dpm(config, 5.0, 3);
-        // Functional phase: erase the exponential timer.
-        for (adl::ElemType& type : archi.elem_types) {
-            if (type.name != "DPM_Type") continue;
-            for (adl::BehaviorDef& b : type.behaviors) {
-                for (adl::Alternative& a : b.alternatives) {
-                    for (adl::Action& action : a.actions) {
-                        if (action.name == "send_shutdown") {
-                            action.rate = lts::RateUnspecified{};
-                        }
-                    }
-                }
-            }
-        }
+        const adl::ArchiType archi = with_counting_dpm(3);
         const adl::ComposedModel model = adl::compose(archi);
         const auto verdict = noninterference::check_dpm_transparency(
-            model, models::rpc::high_action_labels(), "C");
+            model, models::high_action_labels(archi), "C");
         std::printf("noninterference of the counting DPM: %s (%zu states)\n\n",
                     verdict.noninterfering ? "PASS" : "FAIL",
                     model.graph.num_states());
@@ -125,19 +93,17 @@ int main() {
     // Markovian phase: sweep the idle-count threshold.
     std::printf("%12s %12s %12s %12s\n", "threshold N", "throughput", "wait/req",
                 "energy/req");
-    const auto measures = models::rpc::measures();
+    const auto measures = models::measures("rpc_measures.msr");
+    const auto& throughput = measures[models::measure_index(measures, "throughput")];
+    const auto& waiting = measures[models::measure_index(measures, "waiting")];
+    const auto& energy_rate = measures[models::measure_index(measures, "energy")];
     for (const int threshold : {1, 2, 3, 5, 8}) {
-        const adl::ArchiType archi =
-            with_counting_dpm(models::rpc::markovian(5.0, true), 5.0, threshold);
-        const adl::ComposedModel model = adl::compose(archi);
+        const adl::ComposedModel model = adl::compose(with_counting_dpm(threshold));
         const ctmc::MarkovModel markov = ctmc::build_markov(model);
         const auto pi = ctmc::steady_state(markov.chain);
-        const double tput = ctmc::evaluate_measure(
-            markov, model, pi, measures[models::rpc::kThroughput]);
-        const double wait = ctmc::evaluate_measure(
-            markov, model, pi, measures[models::rpc::kWaitingProb]);
-        const double energy = ctmc::evaluate_measure(
-            markov, model, pi, measures[models::rpc::kEnergyRate]);
+        const double tput = ctmc::evaluate_measure(markov, model, pi, throughput);
+        const double wait = ctmc::evaluate_measure(markov, model, pi, waiting);
+        const double energy = ctmc::evaluate_measure(markov, model, pi, energy_rate);
         std::printf("%12d %12.6f %12.4f %12.4f\n", threshold, tput, wait / tput,
                     energy / tput);
     }

@@ -19,26 +19,37 @@
 #include "ctmc/reward.hpp"
 #include "ctmc/solve.hpp"
 #include "lts/ops.hpp"
-#include "models/rpc.hpp"
+#include "models/specs.hpp"
+#include "models/variants.hpp"
 #include "noninterference/noninterference.hpp"
 #include "sim/gsmp.hpp"
 
 namespace {
 
 using namespace dpma;
-namespace mr = models::rpc;
+
+constexpr const char* kRevised = "rpc_revised_markov.aem";
+
+/// The rpc measures (specs/rpc_measures.msr) and the positions read here.
+struct RpcMeasures {
+    std::vector<adl::Measure> all = models::measures("rpc_measures.msr");
+    std::size_t throughput = models::measure_index(all, "throughput");
+    std::size_t waiting = models::measure_index(all, "waiting");
+    std::size_t energy = models::measure_index(all, "energy");
+};
 
 void step1_functional() {
     std::printf("--- Step 1: functional phase ---------------------------------\n");
 
     // 1a. The naive system: blocking client, trivial DPM, shutdown anywhere.
-    const adl::ComposedModel naive = mr::compose(mr::simplified_functional(), true);
+    const adl::ArchiType untimed = models::archi("rpc_untimed.aem");
+    const adl::ComposedModel naive = adl::compose(untimed);
     std::printf("simplified system: %zu states, %zu deadlock state(s)\n",
                 naive.graph.num_states(),
                 lts::deadlock_states(naive.graph).size());
 
     const auto verdict = noninterference::check_dpm_transparency(
-        naive, mr::high_action_labels(), "C");
+        naive, models::high_action_labels(untimed), "C");
     std::printf("noninterference: %s\n",
                 verdict.noninterfering ? "PASS" : "FAIL (as in Sect. 3.1)");
     if (!verdict.noninterfering) {
@@ -50,10 +61,12 @@ void step1_functional() {
             "server down mid-service and the blocking client waits forever.\n");
     }
 
-    // 1b. The revision suggested by the diagnostic.
-    const adl::ComposedModel revised = mr::compose(mr::revised_functional(), true);
+    // 1b. The revision suggested by the diagnostic.  The functional phase
+    // reads the timed spec as is: the check ignores rates.
+    const adl::ArchiType revised_archi = models::archi(kRevised);
+    const adl::ComposedModel revised = adl::compose(revised_archi);
     const auto verdict2 = noninterference::check_dpm_transparency(
-        revised, mr::high_action_labels(), "C");
+        revised, models::high_action_labels(revised_archi), "C");
     std::printf(
         "\nrevised system (client timeout + idle-only shutdowns): %zu states, "
         "noninterference: %s\n\n",
@@ -62,27 +75,25 @@ void step1_functional() {
 
 void step2_markovian() {
     std::printf("--- Step 2: Markovian phase -----------------------------------\n");
-    const auto measures = mr::measures();
-
+    const RpcMeasures m;
     std::printf("%10s %12s %12s %12s\n", "timeout", "throughput", "wait/req",
                 "energy/req");
     for (const double timeout : {0.0, 5.0, 10.0, 25.0}) {
-        const adl::ComposedModel model = mr::compose(mr::markovian(timeout, true));
+        const adl::ComposedModel model =
+            models::compose_point(kRevised, "send_shutdown", timeout, true);
         const ctmc::MarkovModel markov = ctmc::build_markov(model);
         const auto pi = ctmc::steady_state(markov.chain);
         const double tput =
-            ctmc::evaluate_measure(markov, model, pi, measures[mr::kThroughput]);
-        const double wait =
-            ctmc::evaluate_measure(markov, model, pi, measures[mr::kWaitingProb]);
-        const double energy =
-            ctmc::evaluate_measure(markov, model, pi, measures[mr::kEnergyRate]);
+            ctmc::evaluate_measure(markov, model, pi, m.all[m.throughput]);
+        const double wait = ctmc::evaluate_measure(markov, model, pi, m.all[m.waiting]);
+        const double energy = ctmc::evaluate_measure(markov, model, pi, m.all[m.energy]);
         std::printf("%10.1f %12.6f %12.4f %12.4f\n", timeout, tput, wait / tput,
                     energy / tput);
     }
 
     // Transient: how quickly does P(server sleeping) reach its long-run
     // value after a cold start?  (uniformisation, Sect. "further use")
-    const adl::ComposedModel model = mr::compose(mr::markovian(5.0, true));
+    const adl::ComposedModel model = adl::compose(models::archi(kRevised));
     const ctmc::MarkovModel markov = ctmc::build_markov(model);
     const auto pi_inf = ctmc::steady_state(markov.chain);
     const double sleep_inf = ctmc::state_probability(
@@ -100,11 +111,11 @@ void step2_markovian() {
 
 void step3_general() {
     std::printf("--- Step 3: general phase -------------------------------------\n");
-    const auto measures = mr::measures();
-
+    const RpcMeasures m;
     // 3a. Validation (Sect. 5.1): simulate the Markov model's distributions.
     {
-        adl::ComposedModel model = mr::compose(mr::markovian(5.0, true));
+        const adl::ComposedModel markov_model = adl::compose(models::archi(kRevised));
+        adl::ComposedModel model = markov_model;
         for (lts::StateId s = 0; s < model.graph.num_states(); ++s) {
             const auto out = model.graph.out(s);
             for (std::size_t k = 0; k < out.size(); ++k) {
@@ -114,14 +125,12 @@ void step3_general() {
                 }
             }
         }
-        const ctmc::MarkovModel markov =
-            ctmc::build_markov(mr::compose(mr::markovian(5.0, true)));
+        const ctmc::MarkovModel markov = ctmc::build_markov(markov_model);
         const auto pi = ctmc::steady_state(markov.chain);
-        const double exact = ctmc::evaluate_measure(
-            markov, mr::compose(mr::markovian(5.0, true)), pi,
-            measures[mr::kEnergyRate]);
+        const double exact =
+            ctmc::evaluate_measure(markov, markov_model, pi, m.all[m.energy]);
 
-        const sim::Simulator simulator(model, measures);
+        const sim::Simulator simulator(model, m.all);
         sim::SimOptions options;
         options.warmup = 500.0;
         options.horizon = 20000.0;
@@ -129,23 +138,23 @@ void step3_general() {
         const auto est = sim::simulate_replications(simulator, options, 30, 0.90);
         std::printf(
             "validation: energy rate exact=%.5f vs simulated(exp)=%.5f ± %.5f\n",
-            exact, est[mr::kEnergyRate].mean, est[mr::kEnergyRate].half_width);
+            exact, est[m.energy].mean, est[m.energy].half_width);
     }
 
     // 3b. The realistic model: deterministic timings, Gaussian channel.
     for (const double timeout : {5.0, 11.3, 20.0}) {
-        const adl::ComposedModel model = mr::compose(mr::general(timeout, true));
-        const sim::Simulator simulator(model, measures);
+        const adl::ComposedModel model =
+            models::compose_point("rpc_general.aem", "send_shutdown", timeout, true);
+        const sim::Simulator simulator(model, m.all);
         sim::SimOptions options;
         options.warmup = 500.0;
         options.horizon = 20000.0;
         options.seed = 21;
         const auto est = sim::simulate_replications(simulator, options, 20, 0.90);
-        const double tput = est[mr::kThroughput].mean;
+        const double tput = est[m.throughput].mean;
         std::printf(
             "general t=%5.1f: throughput=%.6f  wait/req=%.3f ms  energy/req=%.3f\n",
-            timeout, tput, est[mr::kWaitingProb].mean / tput,
-            est[mr::kEnergyRate].mean / tput);
+            timeout, tput, est[m.waiting].mean / tput, est[m.energy].mean / tput);
     }
     std::printf(
         "(note the bimodal behaviour: t=11.3 sits in the counterproductive\n"

@@ -3,9 +3,9 @@
 /// \file model.hpp
 /// The architectural model: element types (AETs) with behaviours, instances
 /// and UNI attachments — a faithful in-memory form of the Æmilia
-/// specifications used throughout the paper.  Models are built either
-/// programmatically (see dpma::models) or by the Æmilia parser
-/// (dpma::aemilia).
+/// specifications used throughout the paper.  Models come from the Æmilia
+/// parser (dpma::aemilia; the case studies are the shipped specs embedded
+/// in dpma::models) or are assembled in code, as small test models are.
 
 #include <string>
 #include <vector>

@@ -32,7 +32,8 @@
 /// closed form to machine precision.
 ///
 /// Units follow the models: time in milliseconds, power in reward units per
-/// msec (the energy measures of models::rpc / models::streaming), charge in
+/// msec (the energy measures of specs/rpc_measures.msr and
+/// specs/streaming_measures.msr), charge in
 /// reward units.
 
 #include <limits>

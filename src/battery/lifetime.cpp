@@ -9,8 +9,8 @@
 #include "core/stats_math.hpp"
 #include "ctmc/solve.hpp"
 #include "exp/runner.hpp"
-#include "models/rpc.hpp"
-#include "models/streaming.hpp"
+#include "models/specs.hpp"
+#include "models/variants.hpp"
 #include "sim/gsmp.hpp"
 
 namespace dpma::battery {
@@ -37,26 +37,30 @@ struct StudyContext {
     }
 };
 
+/// A study system: its shipped spec and measure set, the DPM action the
+/// control parameter retimes with its default value, and the measures read
+/// as power and as "served".
+struct System {
+    const char* spec;
+    const char* measures;
+    const char* control_action;
+    double default_control;
+    const char* power;
+    const char* served;
+};
+constexpr System kRpc{"rpc_revised_markov.aem", "rpc_measures.msr", "send_shutdown",
+                      10.0, "energy", "throughput"};
+constexpr System kStreaming{"streaming_markov.aem", "streaming_measures.msr",
+                            "send_wakeup", 100.0, "nic_energy", "hits"};
+
 void build_system(SystemContext& out, const StudyOptions& options, bool dpm) {
-    std::vector<adl::Measure> measures;
-    if (options.system == "rpc") {
-        const double timeout = options.control < 0.0
-                                   ? models::rpc::Params{}.shutdown_timeout
-                                   : options.control;
-        out.model = models::rpc::compose(models::rpc::markovian(timeout, dpm));
-        measures = models::rpc::measures();
-        out.power_measure = models::rpc::kEnergyRate;
-        out.served_measure = models::rpc::kThroughput;
-    } else {
-        const double period = options.control < 0.0
-                                  ? models::streaming::Params{}.awake_period
-                                  : options.control;
-        out.model =
-            models::streaming::compose(models::streaming::markovian(period, dpm));
-        measures = models::streaming::measures();
-        out.power_measure = models::streaming::kEnergyRate;
-        out.served_measure = models::streaming::kHits;
-    }
+    const System& system = options.system == "rpc" ? kRpc : kStreaming;
+    const double control =
+        options.control < 0.0 ? system.default_control : options.control;
+    out.model = models::compose_point(system.spec, system.control_action, control, dpm);
+    std::vector<adl::Measure> measures = models::measures(system.measures);
+    out.power_measure = models::measure_index(measures, system.power);
+    out.served_measure = models::measure_index(measures, system.served);
     out.simulator = std::make_unique<sim::Simulator>(out.model, std::move(measures));
 
     const ctmc::MarkovModel markov = ctmc::build_markov(out.model);

@@ -123,4 +123,24 @@ adl::ComposedModel with_dist(const adl::ComposedModel& model,
         });
 }
 
+adl::ComposedModel with_delay(const adl::ComposedModel& model,
+                              const std::string& instance, const std::string& action,
+                              double delay) {
+    return patch_matching(
+        model, instance, action,
+        [&](lts::ActionId a, lts::Rate& transition_rate) {
+            if (!lts::is_timed(transition_rate)) {
+                throw ModelError("transition " + model.graph.actions()->name(a) +
+                                 " is neither exponential nor general; cannot retime it");
+            }
+            if (delay <= 0.0) {
+                transition_rate = lts::RateImmediate{1, 1.0};
+            } else if (lts::is_exponential(transition_rate)) {
+                transition_rate = lts::RateExp{1.0 / delay};
+            } else {
+                transition_rate = lts::RateGeneral{Dist::deterministic(delay)};
+            }
+        });
+}
+
 }  // namespace dpma::exp

@@ -87,4 +87,14 @@ private:
                                            const std::string& instance,
                                            const std::string& action, const Dist& dist);
 
+/// Either phase: retimes every matching transition to a mean delay of
+/// \p delay — rate 1/delay if it is exponential, det(delay) if it is general
+/// — or makes it immediate (priority 1, weight 1) when \p delay <= 0.  The
+/// immediate form still keeps the reachable state space, because composition
+/// applies no maximal progress (adl/compose.hpp).  Same matching rules;
+/// matches must be exponential or general.
+[[nodiscard]] adl::ComposedModel with_delay(const adl::ComposedModel& model,
+                                            const std::string& instance,
+                                            const std::string& action, double delay);
+
 }  // namespace dpma::exp

@@ -1,32 +1,28 @@
 #pragma once
 
 /// \file specs.hpp
-/// The case-study models in the Æmilia *surface syntax*, embedded at build
-/// time from the authoritative files in specs/.  They demonstrate the
-/// parser end-to-end and are cross-checked against the programmatic
-/// builders in the test suite (strong bisimilarity for the untimed spec,
-/// measure agreement for the Markovian ones).
+/// The shipped specifications in the Æmilia surface syntax: every
+/// specs/*.aem architecture and specs/*.msr measure set, embedded at build
+/// time.  They are the only source of the case-study models; the variants
+/// the experiments need (no DPM, other timings, other capacities) are edits
+/// of these (variants.hpp).
 
 #include <string_view>
+#include <vector>
+
+#include "adl/measure.hpp"
+#include "adl/model.hpp"
 
 namespace dpma::models {
 
-/// Sect. 2.3: the simplified rpc system, untimed (fails noninterference).
-[[nodiscard]] std::string_view rpc_untimed_spec();
+/// Text of the shipped file \p file_name, e.g. "rpc_revised_markov.aem".
+/// Throws Error for a name that is not in specs/.
+[[nodiscard]] std::string_view spec(std::string_view file_name);
 
-/// Sect. 3.1/4.1: the revised rpc system with Markovian rates (timeout 5 ms).
-[[nodiscard]] std::string_view rpc_revised_markov_spec();
+/// The parsed architecture of the shipped file \p file_name.
+[[nodiscard]] adl::ArchiType archi(std::string_view file_name);
 
-/// Sect. 2.2/4.2: the streaming system with Markovian rates (awake 100 ms).
-[[nodiscard]] std::string_view streaming_markov_spec();
-
-/// Sect. 5.2: the revised rpc system with general (det/normal) delays.
-[[nodiscard]] std::string_view rpc_general_spec();
-
-/// The disk case study with Markovian rates (idle timeout 500 ms).
-[[nodiscard]] std::string_view disk_markov_spec();
-
-/// Sect. 4.1: the rpc measure definitions in the companion language.
-[[nodiscard]] std::string_view rpc_measures_spec();
+/// The parsed measure set of the shipped file \p file_name.
+[[nodiscard]] std::vector<adl::Measure> measures(std::string_view file_name);
 
 }  // namespace dpma::models

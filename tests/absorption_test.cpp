@@ -8,7 +8,7 @@
 #include "ctmc/absorption.hpp"
 #include "ctmc/ctmc.hpp"
 #include "ctmc/sparse.hpp"
-#include "models/streaming.hpp"
+#include "models/variants.hpp"
 
 namespace dpma::ctmc {
 namespace {
@@ -172,7 +172,7 @@ TEST(HittingTimes, StreamingTimeToFirstApOverflowShrinksWithAwakePeriod) {
     // the Markovian model, from the initial state.
     const auto analyse = [](double period) {
         const adl::ComposedModel model =
-            models::streaming::compose(models::streaming::markovian(period, true));
+            models::compose_point("streaming_markov.aem", "send_wakeup", period, true);
         const MarkovModel markov = build_markov(model);
         const auto full_mask =
             adl::state_mask(model, adl::InStatePredicate{"AP", "AP_Buffer(10,"});

@@ -6,20 +6,10 @@
 #include "adl/model.hpp"
 #include "core/error.hpp"
 #include "lts/ops.hpp"
-#include "models/builder.hpp"
 
 namespace dpma::adl {
 namespace {
 
-using models::act;
-using models::alt;
-using models::cmp_eq;
-using models::cmp_gt;
-using models::cmp_lt;
-using models::lit;
-using models::minus;
-using models::plus;
-using models::pvar;
 
 TEST(Expr, EvaluatesArithmetic) {
     const long params[] = {7, 3};
@@ -55,8 +45,9 @@ TEST(Expr, ToStringIsReadable) {
 
 TEST(BoolExpr, ComparisonsAndConnectives) {
     const long params[] = {5};
-    const auto lt5 = cmp_lt(pvar(), lit(5));
-    const auto eq5 = cmp_eq(pvar(), lit(5));
+    const auto n = Expr::param(0, "n");
+    const auto lt5 = BoolExpr::compare(BoolExpr::CmpOp::Lt, n, Expr::constant(5));
+    const auto eq5 = BoolExpr::compare(BoolExpr::CmpOp::Eq, n, Expr::constant(5));
     EXPECT_FALSE(lt5->eval(params));
     EXPECT_TRUE(eq5->eval(params));
     EXPECT_TRUE(BoolExpr::disj(lt5, eq5)->eval(params));
@@ -64,8 +55,6 @@ TEST(BoolExpr, ComparisonsAndConnectives) {
     EXPECT_TRUE(BoolExpr::negate(lt5)->eval(params));
     EXPECT_TRUE(BoolExpr::always_true()->eval(params));
 }
-
-lts::Rate RateGen_passive() { return lts::RatePassive{}; }
 
 /// A minimal two-component system: a producer handing items to a consumer.
 ArchiType producer_consumer(lts::Rate produce_rate, lts::Rate hand_rate) {
@@ -75,15 +64,16 @@ ArchiType producer_consumer(lts::Rate produce_rate, lts::Rate hand_rate) {
     ElemType producer;
     producer.name = "Producer_Type";
     producer.behaviors = {
-        BehaviorDef{"Making", {}, {alt({act("produce", produce_rate)}, "Handing")}},
-        BehaviorDef{"Handing", {}, {alt({act("hand_over", hand_rate)}, "Making")}},
+        BehaviorDef{"Making", {}, {{nullptr, {{"produce", produce_rate}}, {"Handing", {}}}}},
+        BehaviorDef{"Handing", {}, {{nullptr, {{"hand_over", hand_rate}}, {"Making", {}}}}},
     };
     producer.output_interactions = {"hand_over"};
 
     ElemType consumer;
     consumer.name = "Consumer_Type";
     consumer.behaviors = {
-        BehaviorDef{"Waiting", {}, {alt({act("take", RateGen_passive())}, "Waiting")}},
+        BehaviorDef{"Waiting", {},
+                    {{nullptr, {{"take", lts::RatePassive{}}}, {"Waiting", {}}}}},
     };
     consumer.input_interactions = {"take"};
 
@@ -107,7 +97,8 @@ TEST(Validate, RejectsUnknownBehaviourInvocation) {
 
 TEST(Validate, RejectsArityMismatch) {
     ArchiType archi = producer_consumer(lts::RateExp{1.0}, lts::RateImmediate{});
-    archi.elem_types[0].behaviors[0].alternatives[0].continuation.args.push_back(lit(3));
+    archi.elem_types[0].behaviors[0].alternatives[0].continuation.args.push_back(
+        Expr::constant(3));
     EXPECT_THROW(validate(archi), ModelError);
 }
 
@@ -145,12 +136,17 @@ TEST(LocalLts, UnfoldsParameterisedBuffer) {
     ElemType buffer;
     buffer.name = "Buffer_Type";
     BehaviorDef def{"Buf", {"n", "cap"}, {}};
-    def.alternatives.push_back(alt({act("put", lts::RatePassive{})}, "Buf",
-                                   {plus(pvar(0, "n"), lit(1)), pvar(1, "cap")},
-                                   cmp_lt(pvar(0, "n"), pvar(1, "cap"))));
-    def.alternatives.push_back(alt({act("get", lts::RatePassive{})}, "Buf",
-                                   {minus(pvar(0, "n"), lit(1)), pvar(1, "cap")},
-                                   cmp_gt(pvar(0, "n"), lit(0))));
+    const auto n = Expr::param(0, "n");
+    const auto cap = Expr::param(1, "cap");
+    const auto one = Expr::constant(1);
+    // cond(n < cap) -> <put, _> . Buf(n + 1, cap)
+    def.alternatives.push_back({BoolExpr::compare(BoolExpr::CmpOp::Lt, n, cap),
+                                {{"put", lts::RatePassive{}}},
+                                {"Buf", {Expr::binary(Expr::Kind::Add, n, one), cap}}});
+    // cond(n > 0) -> <get, _> . Buf(n - 1, cap)
+    def.alternatives.push_back({BoolExpr::compare(BoolExpr::CmpOp::Gt, n, Expr::constant(0)),
+                                {{"get", lts::RatePassive{}}},
+                                {"Buf", {Expr::binary(Expr::Kind::Sub, n, one), cap}}});
     buffer.behaviors = {def};
     buffer.input_interactions = {"put", "get"};
 
@@ -167,8 +163,10 @@ TEST(LocalLts, GuardsAgainstUnboundedParameters) {
     ElemType counter;
     counter.name = "Counter_Type";
     BehaviorDef def{"Count", {"n"}, {}};
+    const auto n_plus_1 =
+        Expr::binary(Expr::Kind::Add, Expr::param(0, "n"), Expr::constant(1));
     def.alternatives.push_back(
-        alt({act("tick", lts::RateExp{1.0})}, "Count", {plus(pvar(0, "n"), lit(1))}));
+        {nullptr, {{"tick", lts::RateExp{1.0}}}, {"Count", {n_plus_1}}});
     counter.behaviors = {def};
 
     lts::ActionTable actions;

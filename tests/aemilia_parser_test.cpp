@@ -5,7 +5,7 @@
 #include "aemilia/parser.hpp"
 #include "bisim/equivalence.hpp"
 #include "core/error.hpp"
-#include "models/rpc.hpp"
+#include "models/specs.hpp"
 
 namespace dpma::aemilia {
 namespace {
@@ -133,13 +133,12 @@ TEST(Parser, ParsesThePaperRpcSpecification) {
     EXPECT_EQ(server->output_interactions.size(), 1u);
 }
 
-TEST(Parser, ParsedSpecIsBisimilarToTheProgrammaticModel) {
-    // The parsed paper spec and the C++ builder must produce strongly
-    // bisimilar global systems (they are the same model).
+TEST(Parser, ParsedSpecIsBisimilarToTheShippedSpec) {
+    // The paper's text above and the shipped specs/rpc_untimed.aem must
+    // produce strongly bisimilar global systems (they are the same model).
     const adl::ComposedModel parsed =
         adl::compose(parse_archi_type(kRpcUntimed));
-    const adl::ComposedModel built =
-        models::rpc::compose(models::rpc::simplified_functional());
+    const adl::ComposedModel built = adl::compose(models::archi("rpc_untimed.aem"));
     const auto eq = bisim::strongly_bisimilar(parsed.graph, built.graph);
     EXPECT_TRUE(eq.equivalent);
 }

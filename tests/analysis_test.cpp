@@ -99,7 +99,8 @@ const SpecPair kShippedSpecs[] = {
     {"rpc_revised_markov.aem", "rpc_measures.msr"},
     {"rpc_general.aem", "rpc_measures.msr"},
     {"disk_markov.aem", "disk_measures.msr"},
-    {"streaming_markov.aem", nullptr},
+    {"streaming_markov.aem", "streaming_measures.msr"},
+    {"streaming_general.aem", "streaming_measures.msr"},
 };
 
 TEST(LintGolden, ShippedSpecificationsAreLintClean) {

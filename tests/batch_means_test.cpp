@@ -7,15 +7,12 @@
 #include "ctmc/ctmc.hpp"
 #include "ctmc/reward.hpp"
 #include "ctmc/solve.hpp"
-#include "models/builder.hpp"
-#include "models/rpc.hpp"
+#include "models/specs.hpp"
 #include "sim/batch_means.hpp"
 
 namespace dpma::sim {
 namespace {
 
-using models::act;
-using models::alt;
 
 adl::ArchiType two_phase_exp(double work_rate, double rest_rate) {
     adl::ArchiType archi;
@@ -23,8 +20,10 @@ adl::ArchiType two_phase_exp(double work_rate, double rest_rate) {
     adl::ElemType t;
     t.name = "T";
     t.behaviors = {
-        adl::BehaviorDef{"Working", {}, {alt({act("finish", lts::RateExp{work_rate})}, "Resting")}},
-        adl::BehaviorDef{"Resting", {}, {alt({act("restart", lts::RateExp{rest_rate})}, "Working")}},
+        adl::BehaviorDef{"Working", {},
+            {{nullptr, {{"finish", lts::RateExp{work_rate}}}, {"Resting", {}}}}},
+        adl::BehaviorDef{"Resting", {},
+            {{nullptr, {{"restart", lts::RateExp{rest_rate}}}, {"Working", {}}}}},
     };
     archi.elem_types = {t};
     archi.instances = {adl::Instance{"X", "T", {}}};
@@ -61,9 +60,13 @@ TEST(BatchMeans, BatchesPartitionTheHorizonExactly) {
     t.name = "T";
     t.behaviors = {
         adl::BehaviorDef{"Working", {},
-            {alt({act("finish", lts::RateGeneral{Dist::deterministic(2.0)})}, "Resting")}},
+            {{nullptr,
+              {{"finish", lts::RateGeneral{Dist::deterministic(2.0)}}},
+              {"Resting", {}}}}},
         adl::BehaviorDef{"Resting", {},
-            {alt({act("restart", lts::RateGeneral{Dist::deterministic(3.0)})}, "Working")}},
+            {{nullptr,
+              {{"restart", lts::RateGeneral{Dist::deterministic(3.0)}}},
+              {"Working", {}}}}},
     };
     archi.elem_types = {t};
     archi.instances = {adl::Instance{"X", "T", {}}};
@@ -82,8 +85,8 @@ TEST(BatchMeans, BatchesPartitionTheHorizonExactly) {
 
 TEST(BatchMeans, AgreesWithReplicationsOnTheRpcModel) {
     const adl::ComposedModel model =
-        models::rpc::compose(models::rpc::general(5.0, true));
-    const Simulator simulator(model, models::rpc::measures());
+        adl::compose(models::archi("rpc_general.aem"));
+    const Simulator simulator(model, models::measures("rpc_measures.msr"));
 
     BatchOptions batch_options;
     batch_options.warmup = 500.0;

@@ -12,8 +12,8 @@
 #include "ctmc/ctmc.hpp"
 #include "ctmc/solve.hpp"
 #include "exp/report.hpp"
-#include "models/builder.hpp"
-#include "models/rpc.hpp"
+#include "models/specs.hpp"
+#include "models/variants.hpp"
 #include "sim/gsmp.hpp"
 
 namespace dpma::battery {
@@ -237,8 +237,8 @@ adl::ArchiType cell_system() {
     adl::ElemType cell;
     cell.name = "Cell_Type";
     cell.behaviors = {
-        adl::BehaviorDef{"On", {}, {models::alt({models::act("work", lts::RateExp{1.0})}, "Off")}},
-        adl::BehaviorDef{"Off", {}, {models::alt({models::act("rest", lts::RateExp{2.0})}, "On")}},
+        adl::BehaviorDef{"On", {}, {{nullptr, {{"work", lts::RateExp{1.0}}}, {"Off", {}}}}},
+        adl::BehaviorDef{"Off", {}, {{nullptr, {{"rest", lts::RateExp{2.0}}}, {"On", {}}}}},
     };
     adl::ArchiType archi;
     archi.name = "Cell";
@@ -339,16 +339,23 @@ TEST(Replay, MeasureTotalsStopAtTheDepletionInstant) {
 // Markovian coupling
 // ---------------------------------------------------------------------------
 
+/// The Markovian rpc model at a 10 ms shutdown timeout.
+adl::ComposedModel rpc_model(bool dpm) {
+    return models::compose_point("rpc_revised_markov.aem", "send_shutdown", 10.0, dpm);
+}
+
+adl::Measure rpc_energy() {
+    const auto measures = models::measures("rpc_measures.msr");
+    return measures[models::measure_index(measures, "energy")];
+}
+
 TEST(CtmcBounds, IdealFluidIsCapacityOverSteadyPower) {
-    const adl::ComposedModel model =
-        models::rpc::compose(models::rpc::markovian(10.0, true));
+    const adl::ComposedModel model = rpc_model(true);
     const ctmc::MarkovModel markov = ctmc::build_markov(model);
-    const auto measures = models::rpc::measures();
 
     BatteryParams params;
     params.capacity = 5000.0;
-    const CtmcLifetime bounds = ctmc_lifetime(
-        markov, model, measures[models::rpc::kEnergyRate], params);
+    const CtmcLifetime bounds = ctmc_lifetime(markov, model, rpc_energy(), params);
     EXPECT_GT(bounds.steady_power, 0.0);
     EXPECT_NEAR(bounds.fluid, params.capacity / bounds.steady_power,
                 1e-9 * bounds.fluid);
@@ -370,15 +377,12 @@ TEST(CtmcBounds, RefinedCapturesTheColdStartForTheDpmServer) {
     // power exceeds the steady-state power; under an ideal battery the
     // refined lifetime must come out at or below the fluid bound, and both
     // must be finite and positive.
-    const adl::ComposedModel model =
-        models::rpc::compose(models::rpc::markovian(10.0, true));
+    const adl::ComposedModel model = rpc_model(true);
     const ctmc::MarkovModel markov = ctmc::build_markov(model);
-    const auto measures = models::rpc::measures();
 
     BatteryParams params;
     params.capacity = 300.0;  // small: the cold-start window matters
-    const CtmcLifetime bounds = ctmc_lifetime(
-        markov, model, measures[models::rpc::kEnergyRate], params);
+    const CtmcLifetime bounds = ctmc_lifetime(markov, model, rpc_energy(), params);
     EXPECT_GT(bounds.refined, 0.0);
     EXPECT_TRUE(std::isfinite(bounds.refined));
     EXPECT_LE(bounds.refined, bounds.fluid * (1.0 + 1e-9));
@@ -470,15 +474,12 @@ TEST(Study, KibamAmplifiesTheDpmLifetimeGapBeyondTheFluidPrediction) {
     // Ideal-battery prediction of the gap: lifetimes ~ capacity / power, so
     // the ratio is the steady-power ratio — recover it from the kibam fluid
     // columns' underlying powers via capacity / fluid of an *ideal* battery.
-    const adl::ComposedModel nodpm =
-        models::rpc::compose(models::rpc::markovian(10.0, false));
-    const adl::ComposedModel dpm =
-        models::rpc::compose(models::rpc::markovian(10.0, true));
-    const auto measures = models::rpc::measures();
+    const adl::ComposedModel nodpm = rpc_model(false);
+    const adl::ComposedModel dpm = rpc_model(true);
+    const adl::Measure energy = rpc_energy();
     const auto steady_power = [&](const adl::ComposedModel& model) {
         const ctmc::MarkovModel markov = ctmc::build_markov(model);
-        const auto power = tangible_power(markov, model,
-                                          measures[models::rpc::kEnergyRate]);
+        const auto power = tangible_power(markov, model, energy);
         const auto pi = ctmc::steady_state(markov.chain);
         double mean = 0.0;
         for (std::size_t s = 0; s < pi.size(); ++s) mean += pi[s] * power[s];

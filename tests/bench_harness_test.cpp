@@ -6,6 +6,8 @@
 #include "ctmc/ctmc.hpp"
 #include "ctmc/reward.hpp"
 #include "ctmc/solve.hpp"
+#include "models/specs.hpp"
+#include "models/variants.hpp"
 
 namespace dpma::bench {
 namespace {
@@ -25,15 +27,14 @@ TEST(EffortScale, DefaultsToOneAndParsesTheEnvironment) {
 TEST(Harness, RpcMarkovPointMatchesDirectSolve) {
     const RpcPoint point = rpc_markov_point(5.0, true);
 
-    const adl::ComposedModel model =
-        models::rpc::compose(models::rpc::markovian(5.0, true));
+    const adl::ComposedModel model = adl::compose(models::archi("rpc_revised_markov.aem"));
     const ctmc::MarkovModel markov = ctmc::build_markov(model);
     const auto pi = ctmc::steady_state(markov.chain);
-    const auto measures = models::rpc::measures();
-    const double tput = ctmc::evaluate_measure(markov, model, pi,
-                                               measures[models::rpc::kThroughput]);
-    const double energy = ctmc::evaluate_measure(markov, model, pi,
-                                                 measures[models::rpc::kEnergyRate]);
+    const auto measures = models::measures("rpc_measures.msr");
+    const double tput = ctmc::evaluate_measure(
+        markov, model, pi, measures[models::measure_index(measures, "throughput")]);
+    const double energy = ctmc::evaluate_measure(
+        markov, model, pi, measures[models::measure_index(measures, "energy")]);
     EXPECT_DOUBLE_EQ(point.throughput, tput);
     EXPECT_DOUBLE_EQ(point.energy_per_request, energy / tput);
     EXPECT_EQ(point.throughput_hw, 0.0);  // analytic: no CI

@@ -7,13 +7,10 @@
 #include "ctmc/ctmc.hpp"
 #include "ctmc/reward.hpp"
 #include "ctmc/solve.hpp"
-#include "models/builder.hpp"
 
 namespace dpma::ctmc {
 namespace {
 
-using models::act;
-using models::alt;
 
 /// Birth-death chain of n states: up-rate lambda, down-rate mu.
 Ctmc birth_death(std::size_t n, double lambda, double mu) {
@@ -243,15 +240,16 @@ adl::ArchiType vanishing_model(double p_left, int priority_right) {
     t.name = "T";
     t.behaviors = {
         adl::BehaviorDef{"Start", {},
-            {alt({act("step", lts::RateExp{1.0})}, "Choice")}},
+            {{nullptr, {{"step", lts::RateExp{1.0}}}, {"Choice", {}}}}},
         adl::BehaviorDef{"Choice", {},
-            {alt({act("go_left", lts::RateImmediate{1, p_left})}, "Left"),
-             alt({act("go_right", lts::RateImmediate{priority_right, 1.0 - p_left})},
-                 "Right")}},
+            {{nullptr, {{"go_left", lts::RateImmediate{1, p_left}}}, {"Left", {}}},
+             {nullptr,
+              {{"go_right", lts::RateImmediate{priority_right, 1.0 - p_left}}},
+              {"Right", {}}}}},
         adl::BehaviorDef{"Left", {},
-            {alt({act("reset_l", lts::RateExp{2.0})}, "Start")}},
+            {{nullptr, {{"reset_l", lts::RateExp{2.0}}}, {"Start", {}}}}},
         adl::BehaviorDef{"Right", {},
-            {alt({act("reset_r", lts::RateExp{4.0})}, "Start")}},
+            {{nullptr, {{"reset_r", lts::RateExp{4.0}}}, {"Start", {}}}}},
     };
     archi.elem_types = {t};
     archi.instances = {adl::Instance{"X", "T", {}}};
@@ -323,8 +321,8 @@ TEST(BuildMarkov, DetectsImmediateCycles) {
     adl::ElemType t;
     t.name = "T";
     t.behaviors = {
-        adl::BehaviorDef{"A", {}, {alt({act("ping", lts::RateImmediate{}) }, "B")}},
-        adl::BehaviorDef{"B", {}, {alt({act("pong", lts::RateImmediate{}) }, "A")}},
+        adl::BehaviorDef{"A", {}, {{nullptr, {{"ping", lts::RateImmediate{}}}, {"B", {}}}}},
+        adl::BehaviorDef{"B", {}, {{nullptr, {{"pong", lts::RateImmediate{}}}, {"A", {}}}}},
     };
     archi.elem_types = {t};
     archi.instances = {adl::Instance{"X", "T", {}}};
@@ -338,8 +336,8 @@ TEST(BuildMarkov, DetectsDeadlocks) {
     adl::ElemType t;
     t.name = "T";
     t.behaviors = {
-        adl::BehaviorDef{"A", {}, {alt({act("once", lts::RateExp{1.0})}, "B")}},
-        adl::BehaviorDef{"B", {}, {alt({act("blocked", lts::RatePassive{})}, "B")}},
+        adl::BehaviorDef{"A", {}, {{nullptr, {{"once", lts::RateExp{1.0}}}, {"B", {}}}}},
+        adl::BehaviorDef{"B", {}, {{nullptr, {{"blocked", lts::RatePassive{}}}, {"B", {}}}}},
     };
     t.input_interactions = {"blocked"};
     archi.elem_types = {t};

@@ -17,7 +17,7 @@
 #include "exp/pool.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
-#include "models/rpc.hpp"
+#include "models/specs.hpp"
 #include "sim/gsmp.hpp"
 #include "sim/rng.hpp"
 
@@ -167,9 +167,8 @@ TEST(Runner, SimulationSweepBitIdenticalAcrossJobCounts) {
 
 TEST(Runner, ParallelReplicationsMatchSerialBitForBit) {
     unsetenv("DPMA_BENCH_SCALE");
-    const adl::ComposedModel model =
-        models::rpc::compose(models::rpc::general(5.0, true));
-    const sim::Simulator simulator(model, models::rpc::measures());
+    const adl::ComposedModel model = adl::compose(models::archi("rpc_general.aem"));
+    const sim::Simulator simulator(model, models::measures("rpc_measures.msr"));
     sim::SimOptions options;
     options.warmup = 100.0;
     options.horizon = 1000.0;
@@ -187,9 +186,7 @@ TEST(Runner, ParallelReplicationsMatchSerialBitForBit) {
 
 TEST(Cache, CountsHitsAndMissesAndSharesInstances) {
     ModelCache cache;
-    const auto build = [] {
-        return models::rpc::compose(models::rpc::markovian(5.0, true));
-    };
+    const auto build = [] { return adl::compose(models::archi("rpc_revised_markov.aem")); };
     const auto first = cache.composed("rpc", build);
     const auto second = cache.composed("rpc", build);
     EXPECT_EQ(first.get(), second.get());
@@ -205,15 +202,25 @@ TEST(Cache, CountsHitsAndMissesAndSharesInstances) {
 }
 
 TEST(Cache, PatchedSkeletonSolvesIdenticallyToFullCompose) {
-    const adl::ComposedModel skeleton =
-        models::rpc::compose(models::rpc::markovian(1.0, true));
+    // The spec composes at a 5 ms shutdown timeout; rewrite its literal to
+    // 4 ms for the directly composed reference.
+    adl::ArchiType at_4ms = models::archi("rpc_revised_markov.aem");
+    for (adl::ElemType& type : at_4ms.elem_types) {
+        for (adl::BehaviorDef& behavior : type.behaviors) {
+            for (adl::Alternative& alt : behavior.alternatives) {
+                for (adl::Action& action : alt.actions) {
+                    if (action.name == "send_shutdown") action.rate = lts::RateExp{1.0 / 4.0};
+                }
+            }
+        }
+    }
+    const adl::ComposedModel skeleton = adl::compose(models::archi("rpc_revised_markov.aem"));
     const adl::ComposedModel patched =
         with_exp_rate(skeleton, "DPM", "send_shutdown", 1.0 / 4.0);
-    const adl::ComposedModel direct =
-        models::rpc::compose(models::rpc::markovian(4.0, true));
+    const adl::ComposedModel direct = adl::compose(at_4ms);
     ASSERT_EQ(patched.graph.num_states(), direct.graph.num_states());
 
-    const auto measures = models::rpc::measures();
+    const auto measures = models::measures("rpc_measures.msr");
     const ctmc::MarkovModel mp = ctmc::build_markov(patched);
     const ctmc::MarkovModel md = ctmc::build_markov(direct);
     const auto pip = ctmc::steady_state(mp.chain);
@@ -225,13 +232,47 @@ TEST(Cache, PatchedSkeletonSolvesIdenticallyToFullCompose) {
     }
 }
 
+TEST(Cache, WithDelayRetimesEitherPhaseOrMakesImmediate) {
+    const adl::ComposedModel markov_model =
+        adl::compose(models::archi("rpc_revised_markov.aem"));
+    const adl::ComposedModel general_model = adl::compose(models::archi("rpc_general.aem"));
+    const auto shutdown_rates = [](const adl::ComposedModel& model) {
+        const std::vector<char> mask =
+            adl::action_mask(model, adl::EnabledPredicate{"DPM", "send_shutdown"});
+        std::vector<lts::Rate> rates;
+        for (lts::StateId s = 0; s < model.graph.num_states(); ++s) {
+            for (const lts::Transition& t : model.graph.out(s)) {
+                if (mask[t.action]) rates.push_back(t.rate);
+            }
+        }
+        return rates;
+    };
+    for (const lts::Rate& rate :
+         shutdown_rates(with_delay(markov_model, "DPM", "send_shutdown", 4.0))) {
+        EXPECT_EQ(rate, lts::Rate{lts::RateExp{0.25}});
+    }
+    for (const lts::Rate& rate :
+         shutdown_rates(with_delay(general_model, "DPM", "send_shutdown", 4.0))) {
+        EXPECT_EQ(rate, lts::Rate{lts::RateGeneral{Dist::deterministic(4.0)}});
+    }
+    const adl::ComposedModel immediate = with_delay(markov_model, "DPM", "send_shutdown", 0.0);
+    const std::vector<lts::Rate> rates = shutdown_rates(immediate);
+    ASSERT_FALSE(rates.empty());
+    for (const lts::Rate& rate : rates) {
+        EXPECT_EQ(rate, (lts::Rate{lts::RateImmediate{1, 1.0}}));
+    }
+    EXPECT_EQ(immediate.graph.num_states(), markov_model.graph.num_states());
+    // An immediate transition has no delay left to retime.
+    EXPECT_THROW((void)with_delay(immediate, "DPM", "send_shutdown", 5.0), ModelError);
+    EXPECT_THROW((void)with_delay(markov_model, "DPM", "no_such_action", 5.0), ModelError);
+}
+
 TEST(Cache, PatchRefusesMissingOrNonExponentialTargets) {
     const adl::ComposedModel markov_model =
-        models::rpc::compose(models::rpc::markovian(5.0, true));
+        adl::compose(models::archi("rpc_revised_markov.aem"));
     EXPECT_THROW((void)with_exp_rate(markov_model, "DPM", "no_such_action", 2.0),
                  ModelError);
-    const adl::ComposedModel general_model =
-        models::rpc::compose(models::rpc::general(5.0, true));
+    const adl::ComposedModel general_model = adl::compose(models::archi("rpc_general.aem"));
     // In the general model the shutdown is deterministic, not exponential.
     EXPECT_THROW((void)with_exp_rate(general_model, "DPM", "send_shutdown", 2.0),
                  ModelError);

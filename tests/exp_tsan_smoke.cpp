@@ -30,7 +30,6 @@
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "lts/ops.hpp"
-#include "models/builder.hpp"
 #include "sim/gsmp.hpp"
 
 namespace {
@@ -43,8 +42,8 @@ adl::ArchiType cell_system() {
     adl::ElemType cell;
     cell.name = "Cell_Type";
     cell.behaviors = {
-        adl::BehaviorDef{"On", {}, {models::alt({models::act("work", lts::RateExp{1.0})}, "Off")}},
-        adl::BehaviorDef{"Off", {}, {models::alt({models::act("rest", lts::RateExp{2.0})}, "On")}},
+        adl::BehaviorDef{"On", {}, {{nullptr, {{"work", lts::RateExp{1.0}}}, {"Off", {}}}}},
+        adl::BehaviorDef{"Off", {}, {{nullptr, {{"rest", lts::RateExp{2.0}}}, {"On", {}}}}},
     };
     adl::ArchiType archi;
     archi.name = "Smoke";

@@ -111,7 +111,8 @@ const SpecPair kShippedSpecs[] = {
     {"rpc_revised_markov.aem", "rpc_measures.msr"},
     {"rpc_general.aem", "rpc_measures.msr"},
     {"disk_markov.aem", "disk_measures.msr"},
-    {"streaming_markov.aem", nullptr},
+    {"streaming_markov.aem", "streaming_measures.msr"},
+    {"streaming_general.aem", "streaming_measures.msr"},
 };
 
 TEST(FlowGolden, ShippedSpecificationsAreAnalyzeClean) {
@@ -146,6 +147,9 @@ const TransparencyCase kTransparencyCases[] = {
     {"rpc_general.aem", {"DPM.send_shutdown#S.receive_shutdown"}, "C", true},
     {"disk_markov.aem", {"DPM.send_shutdown#D.receive_shutdown"}, "SINK", true},
     {"streaming_markov.aem",
+     {"DPM.send_shutdown#NIC.receive_shutdown", "DPM.send_wakeup#NIC.receive_wakeup"},
+     "C", true},
+    {"streaming_general.aem",
      {"DPM.send_shutdown#NIC.receive_shutdown", "DPM.send_wakeup#NIC.receive_wakeup"},
      "C", true},
 };

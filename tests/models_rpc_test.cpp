@@ -1,3 +1,7 @@
+// The rpc case study (specs/rpc_untimed.aem, specs/rpc_revised_markov.aem,
+// specs/rpc_general.aem): its functional verdicts and the Sect. 4.1 trends
+// of its Markovian phase.
+
 #include <gtest/gtest.h>
 
 #include "bisim/hml.hpp"
@@ -5,10 +9,11 @@
 #include "ctmc/reward.hpp"
 #include "ctmc/solve.hpp"
 #include "lts/ops.hpp"
-#include "models/rpc.hpp"
+#include "models/specs.hpp"
+#include "models/variants.hpp"
 #include "noninterference/noninterference.hpp"
 
-namespace dpma::models::rpc {
+namespace dpma::models {
 namespace {
 
 struct Solved {
@@ -17,43 +22,48 @@ struct Solved {
     double energy;
 };
 
-Solved solve(const Config& config) {
-    const adl::ComposedModel model = compose(config);
+/// The Markovian rpc model at shutdown timeout \p timeout, with or without
+/// the DPM's commands.
+adl::ComposedModel markovian(double timeout, bool dpm) {
+    return compose_point("rpc_revised_markov.aem", "send_shutdown", timeout, dpm);
+}
+
+Solved solve(const adl::ComposedModel& model) {
     const ctmc::MarkovModel markov = ctmc::build_markov(model);
     const auto pi = ctmc::steady_state(markov.chain);
-    const auto ms = measures();
-    return Solved{
-        ctmc::evaluate_measure(markov, model, pi, ms[kThroughput]),
-        ctmc::evaluate_measure(markov, model, pi, ms[kWaitingProb]),
-        ctmc::evaluate_measure(markov, model, pi, ms[kEnergyRate]),
+    const auto ms = measures("rpc_measures.msr");
+    const auto value = [&](const char* name) {
+        return ctmc::evaluate_measure(markov, model, pi, ms[measure_index(ms, name)]);
     };
+    return Solved{value("throughput"), value("waiting"), value("energy")};
 }
 
-TEST(RpcStructure, SimplifiedArchitectureValidates) {
-    EXPECT_NO_THROW(adl::validate(build(simplified_functional())));
-}
-
-TEST(RpcStructure, RevisedArchitectureValidates) {
-    EXPECT_NO_THROW(adl::validate(build(revised_functional())));
+noninterference::Result check(const adl::ArchiType& archi) {
+    return noninterference::check_dpm_transparency(adl::compose(archi),
+                                                   high_action_labels(archi), "C");
 }
 
 TEST(RpcStructure, SimplifiedFunctionalModelHasDeadlocks) {
     // The defect of Sect. 3.1: the DPM can kill an in-service request and
     // the blocking client waits forever.  The deadlock is visible already
     // in the raw state graph.
-    const adl::ComposedModel model = compose(simplified_functional());
+    const adl::ComposedModel model = adl::compose(archi("rpc_untimed.aem"));
     EXPECT_FALSE(lts::deadlock_states(model.graph).empty());
 }
 
 TEST(RpcStructure, RevisedFunctionalModelIsDeadlockFree) {
-    const adl::ComposedModel model = compose(revised_functional());
+    const adl::ComposedModel model = adl::compose(archi("rpc_revised_markov.aem"));
     EXPECT_TRUE(lts::deadlock_states(model.graph).empty());
 }
 
+TEST(RpcStructure, HighActionsAreTheDpmCommand) {
+    EXPECT_EQ(high_action_labels(archi("rpc_revised_markov.aem")),
+              std::vector<std::string>{"DPM.send_shutdown#S.receive_shutdown"});
+    EXPECT_TRUE(high_action_labels(without_dpm(archi("rpc_revised_markov.aem"))).empty());
+}
+
 TEST(RpcNoninterference, SimplifiedSystemFails) {
-    const adl::ComposedModel model = compose(simplified_functional());
-    const auto result = noninterference::check_dpm_transparency(
-        model, high_action_labels(), "C");
+    const auto result = check(archi("rpc_untimed.aem"));
     EXPECT_FALSE(result.noninterfering);
     ASSERT_NE(result.formula, nullptr);
     // The paper's diagnostic: a weak send after which no result can ever be
@@ -66,26 +76,20 @@ TEST(RpcNoninterference, SimplifiedSystemFails) {
 }
 
 TEST(RpcNoninterference, RevisedSystemPasses) {
-    const adl::ComposedModel model = compose(revised_functional());
-    const auto result = noninterference::check_dpm_transparency(
-        model, high_action_labels(), "C");
+    // The functional phase is the timed spec composed as is.
+    const auto result = check(archi("rpc_revised_markov.aem"));
     EXPECT_TRUE(result.noninterfering);
+    EXPECT_EQ(result.hidden_states, 546u);
 }
 
 TEST(RpcNoninterference, RevisedWithTrivialDpmStillPasses) {
     // The trivial DPM can only fire when the server listens (idle states),
     // so the revised server remains transparent even under it.
-    Config config = revised_functional();
-    config.policy = DpmPolicy::Trivial;
-    const adl::ComposedModel model = compose(config);
-    const auto result = noninterference::check_dpm_transparency(
-        model, high_action_labels(), "C");
-    EXPECT_TRUE(result.noninterfering);
+    EXPECT_TRUE(check(with_trivial_dpm(archi("rpc_revised_markov.aem"))).noninterfering);
 }
 
 TEST(RpcMarkov, ChainIsModestAndSolvable) {
-    const adl::ComposedModel model = compose(markovian(5.0, true));
-    const ctmc::MarkovModel markov = ctmc::build_markov(model);
+    const ctmc::MarkovModel markov = ctmc::build_markov(markovian(5.0, true));
     EXPECT_GT(markov.chain.num_states(), 10u);
     EXPECT_LT(markov.chain.num_states(), 500u);
     const auto pi = ctmc::steady_state(markov.chain);
@@ -133,13 +137,6 @@ TEST(RpcMarkov, ShorterTimeoutMeansLargerImpact) {
     EXPECT_LT(t10.throughput, t25.throughput);
 }
 
-TEST(RpcMarkov, NoDpmConfigurationIsTimeoutIndependent) {
-    const Solved a = solve(markovian(1.0, false));
-    const Solved b = solve(markovian(20.0, false));
-    EXPECT_NEAR(a.throughput, b.throughput, 1e-12);
-    EXPECT_NEAR(a.energy, b.energy, 1e-12);
-}
-
 TEST(RpcMarkov, ImmediateShutdownIsTheExtremeCase) {
     // timeout = 0 (shutdown as soon as idle) gives the lowest energy and
     // the highest waiting time of the sweep.
@@ -150,7 +147,7 @@ TEST(RpcMarkov, ImmediateShutdownIsTheExtremeCase) {
 }
 
 TEST(RpcMarkov, ServerStateProbabilitiesSumToOne) {
-    const adl::ComposedModel model = compose(markovian(5.0, true));
+    const adl::ComposedModel model = markovian(5.0, true);
     const ctmc::MarkovModel markov = ctmc::build_markov(model);
     const auto pi = ctmc::steady_state(markov.chain);
     double total = 0.0;
@@ -164,43 +161,29 @@ TEST(RpcMarkov, ServerStateProbabilitiesSumToOne) {
 }
 
 TEST(RpcMarkov, SleepFractionGrowsWithShorterTimeout) {
-    const adl::ComposedModel m2 = compose(markovian(2.0, true));
-    const ctmc::MarkovModel k2 = ctmc::build_markov(m2);
-    const auto pi2 = ctmc::steady_state(k2.chain);
-    const double sleep2 = ctmc::state_probability(
-        k2, m2, pi2, adl::InStatePredicate{"S", "Sleeping_Server"});
-
-    const adl::ComposedModel m20 = compose(markovian(20.0, true));
-    const ctmc::MarkovModel k20 = ctmc::build_markov(m20);
-    const auto pi20 = ctmc::steady_state(k20.chain);
-    const double sleep20 = ctmc::state_probability(
-        k20, m20, pi20, adl::InStatePredicate{"S", "Sleeping_Server"});
-
-    EXPECT_GT(sleep2, sleep20);
-    EXPECT_GT(sleep2, 0.0);
+    const auto sleep_fraction = [](double timeout) {
+        const adl::ComposedModel model = markovian(timeout, true);
+        const ctmc::MarkovModel markov = ctmc::build_markov(model);
+        const auto pi = ctmc::steady_state(markov.chain);
+        return ctmc::state_probability(markov, model, pi,
+                                       adl::InStatePredicate{"S", "Sleeping_Server"});
+    };
+    EXPECT_GT(sleep_fraction(2.0), sleep_fraction(20.0));
+    EXPECT_GT(sleep_fraction(2.0), 0.0);
 }
 
-TEST(RpcGeneral, BuildsWithGeneralRates) {
-    const adl::ComposedModel model = compose(general(5.0, true));
+TEST(RpcGeneral, SpecCarriesGeneralRatesOnly) {
+    const adl::ComposedModel model = adl::compose(archi("rpc_general.aem"));
     bool has_general = false;
     for (lts::StateId s = 0; s < model.graph.num_states(); ++s) {
         for (const lts::Transition& t : model.graph.out(s)) {
             if (lts::is_general(t.rate)) has_general = true;
+            EXPECT_FALSE(lts::is_exponential(t.rate));
             EXPECT_FALSE(std::holds_alternative<lts::RateUnspecified>(t.rate));
         }
     }
     EXPECT_TRUE(has_general);
 }
 
-TEST(RpcConfig, CanonicalConfigsHaveDocumentedShape) {
-    EXPECT_TRUE(simplified_functional().simplified);
-    EXPECT_EQ(simplified_functional().phase, Phase::Functional);
-    EXPECT_FALSE(revised_functional().simplified);
-    EXPECT_EQ(markovian(3.0, true).policy, DpmPolicy::IdleTimeout);
-    EXPECT_EQ(markovian(3.0, false).policy, DpmPolicy::None);
-    EXPECT_EQ(general(3.0, true).phase, Phase::General);
-    EXPECT_DOUBLE_EQ(markovian(7.5, true).params.shutdown_timeout, 7.5);
-}
-
 }  // namespace
-}  // namespace dpma::models::rpc
+}  // namespace dpma::models

@@ -1,87 +1,100 @@
+// The streaming case study (specs/streaming_markov.aem,
+// specs/streaming_general.aem, specs/streaming_measures.msr): transparency
+// of the PSP DPM and the Sect. 4.2 trends of its Markovian phase.
+
 #include <gtest/gtest.h>
 
 #include "ctmc/ctmc.hpp"
 #include "ctmc/reward.hpp"
 #include "ctmc/solve.hpp"
 #include "lts/ops.hpp"
-#include "models/streaming.hpp"
+#include "models/specs.hpp"
+#include "models/variants.hpp"
 #include "noninterference/noninterference.hpp"
 
-namespace dpma::models::streaming {
+namespace dpma::models {
 namespace {
 
 struct Solved {
+    std::vector<adl::Measure> measures;
     std::vector<double> values;
 
+    [[nodiscard]] double at(const char* name) const {
+        return values[measure_index(measures, name)];
+    }
     [[nodiscard]] double energy_per_frame() const {
-        return values[kEnergyRate] / values[kFramesReceived];
+        return at("nic_energy") / at("frames_received");
     }
     [[nodiscard]] double loss() const {
-        return (values[kApLoss] + values[kBLoss]) / values[kGenerated];
+        return (at("ap_loss") + at("b_loss")) / at("generated");
     }
-    [[nodiscard]] double miss() const {
-        return values[kMiss] / (values[kMiss] + values[kHits]);
-    }
+    [[nodiscard]] double miss() const { return at("miss") / (at("miss") + at("hits")); }
     [[nodiscard]] double quality() const {
-        return values[kHits] / (values[kMiss] + values[kHits]);
+        return at("hits") / (at("miss") + at("hits"));
     }
 };
 
-Solved solve(const Config& config) {
-    const adl::ComposedModel model = compose(config);
+/// The Markovian streaming model at awake period \p period.
+adl::ComposedModel markovian(double period, bool dpm) {
+    return compose_point("streaming_markov.aem", "send_wakeup", period, dpm);
+}
+
+/// The functional phase: the timed spec with both buffers cut to \p capacity.
+adl::ArchiType functional(long capacity) {
+    return with_capacity(archi("streaming_markov.aem"), {"AP", "B"}, capacity);
+}
+
+Solved solve(const adl::ComposedModel& model) {
     const ctmc::MarkovModel markov = ctmc::build_markov(model);
     const auto pi = ctmc::steady_state(markov.chain);
-    Solved out;
-    for (const auto& m : measures()) {
+    Solved out{measures("streaming_measures.msr"), {}};
+    for (const auto& m : out.measures) {
         out.values.push_back(ctmc::evaluate_measure(markov, model, pi, m));
     }
     return out;
 }
 
-TEST(StreamingStructure, ArchitectureValidates) {
-    EXPECT_NO_THROW(adl::validate(build(functional())));
-    EXPECT_NO_THROW(adl::validate(build(markovian(100.0, true))));
+TEST(StreamingStructure, MeasureSetHasThePrimitiveMeasuresInOrder) {
+    std::vector<std::string> names;
+    for (const adl::Measure& m : measures("streaming_measures.msr")) names.push_back(m.name);
+    EXPECT_EQ(names, (std::vector<std::string>{"nic_energy", "frames_received", "ap_loss",
+                                               "b_loss", "miss", "hits", "generated"}));
 }
 
 TEST(StreamingStructure, FunctionalModelIsDeadlockFree) {
-    const adl::ComposedModel model = compose(functional(2));
-    EXPECT_TRUE(lts::deadlock_states(model.graph).empty());
+    EXPECT_TRUE(lts::deadlock_states(adl::compose(functional(2)).graph).empty());
 }
 
 TEST(StreamingStructure, MarkovianModelIsDeadlockFree) {
-    const adl::ComposedModel model = compose(markovian(100.0, true));
-    EXPECT_TRUE(lts::deadlock_states(model.graph).empty());
+    EXPECT_TRUE(lts::deadlock_states(markovian(100.0, true).graph).empty());
 }
 
 TEST(StreamingStructure, BufferCapacityBoundsStateSpace) {
-    const adl::ComposedModel small = compose(functional(1));
-    const adl::ComposedModel large = compose(functional(3));
+    const adl::ComposedModel small = adl::compose(functional(1));
+    const adl::ComposedModel large = adl::compose(functional(3));
     EXPECT_LT(small.graph.num_states(), large.graph.num_states());
 }
 
-TEST(StreamingStructure, RejectsNonPositiveCapacities) {
-    Config config = functional(0);
-    EXPECT_THROW((void)build(config), Error);
+TEST(StreamingStructure, PerformanceModelsKeepThePapersBufferCapacity) {
+    for (const char* spec : {"streaming_markov.aem", "streaming_general.aem"}) {
+        const adl::ArchiType a = archi(spec);
+        EXPECT_EQ(a.find_instance("AP")->args, (std::vector<long>{0, 10})) << spec;
+        EXPECT_EQ(a.find_instance("B")->args, (std::vector<long>{0, 10})) << spec;
+    }
 }
 
 TEST(StreamingNoninterference, PspDpmIsTransparent) {
     // Sect. 3.2: the streaming functional model satisfies noninterference.
-    const adl::ComposedModel model = compose(functional(2));
-    const auto result = noninterference::check_dpm_transparency(
-        model, high_action_labels(), "C");
-    EXPECT_TRUE(result.noninterfering);
-}
-
-TEST(StreamingNoninterference, TransparencyHoldsForLargerBuffers) {
-    const adl::ComposedModel model = compose(functional(3));
-    const auto result = noninterference::check_dpm_transparency(
-        model, high_action_labels(), "C");
-    EXPECT_TRUE(result.noninterfering);
+    for (const long capacity : {2L, 3L}) {
+        const adl::ArchiType a = functional(capacity);
+        const auto result = noninterference::check_dpm_transparency(
+            adl::compose(a), high_action_labels(a), "C");
+        EXPECT_TRUE(result.noninterfering) << "capacity " << capacity;
+    }
 }
 
 TEST(StreamingMarkov, SolvableAndNormalised) {
-    const adl::ComposedModel model = compose(markovian(100.0, true));
-    const ctmc::MarkovModel markov = ctmc::build_markov(model);
+    const ctmc::MarkovModel markov = ctmc::build_markov(markovian(100.0, true));
     const auto pi = ctmc::steady_state(markov.chain);
     double total = 0.0;
     for (double p : pi) total += p;
@@ -115,6 +128,7 @@ TEST(StreamingMarkov, LongerAwakePeriodDegradesQuality) {
 TEST(StreamingMarkov, QualityAndMissAreComplementary) {
     const Solved s = solve(markovian(100.0, true));
     EXPECT_NEAR(s.quality() + s.miss(), 1.0, 1e-9);
+    EXPECT_GE(s.loss(), 0.0);
 }
 
 TEST(StreamingMarkov, ModerateAwakePeriodSavesMostEnergyCheaply) {
@@ -128,17 +142,10 @@ TEST(StreamingMarkov, ModerateAwakePeriodSavesMostEnergyCheaply) {
     EXPECT_LT(no_dpm.quality() - with.quality(), 0.05);
 }
 
-TEST(StreamingMarkov, NoDpmIsPeriodIndependent) {
-    const Solved a = solve(markovian(50.0, false));
-    const Solved b = solve(markovian(700.0, false));
-    EXPECT_NEAR(a.energy_per_frame(), b.energy_per_frame(), 1e-9);
-    EXPECT_NEAR(a.quality(), b.quality(), 1e-9);
-}
-
 TEST(StreamingMarkov, FlowConservationAtTheNic) {
     // Frames received by the NIC = frames forwarded to B (the NIC never
     // drops), which in turn bounds the client's hit rate.
-    const adl::ComposedModel model = compose(markovian(100.0, true));
+    const adl::ComposedModel model = markovian(100.0, true);
     const ctmc::MarkovModel markov = ctmc::build_markov(model);
     const auto pi = ctmc::steady_state(markov.chain);
     const auto freq = ctmc::action_frequencies(markov, model, pi);
@@ -149,7 +156,7 @@ TEST(StreamingMarkov, FlowConservationAtTheNic) {
 }
 
 TEST(StreamingMarkov, GeneratedSplitsIntoDeliveredAndLost) {
-    const adl::ComposedModel model = compose(markovian(200.0, true));
+    const adl::ComposedModel model = markovian(200.0, true);
     const ctmc::MarkovModel markov = ctmc::build_markov(model);
     const auto pi = ctmc::steady_state(markov.chain);
     const auto freq = ctmc::action_frequencies(markov, model, pi);
@@ -164,8 +171,8 @@ TEST(StreamingMarkov, GeneratedSplitsIntoDeliveredAndLost) {
     EXPECT_NEAR(generated, ap_drop + channel_lost + b_drop + served, 1e-8);
 }
 
-TEST(StreamingGeneral, BuildsWithGeneralRates) {
-    const adl::ComposedModel model = compose(general(100.0, true));
+TEST(StreamingGeneral, SpecCarriesGeneralRates) {
+    const adl::ComposedModel model = adl::compose(archi("streaming_general.aem"));
     bool has_general = false;
     for (lts::StateId s = 0; s < model.graph.num_states(); ++s) {
         for (const lts::Transition& t : model.graph.out(s)) {
@@ -175,16 +182,5 @@ TEST(StreamingGeneral, BuildsWithGeneralRates) {
     EXPECT_TRUE(has_general);
 }
 
-TEST(StreamingConfig, CanonicalConfigsHaveDocumentedShape) {
-    EXPECT_EQ(functional().phase, Phase::Functional);
-    EXPECT_EQ(functional(4).params.ap_capacity, 4);
-    EXPECT_EQ(markovian(250.0, true).params.awake_period, 250.0);
-    EXPECT_FALSE(markovian(250.0, false).with_dpm);
-    EXPECT_EQ(general(250.0, true).phase, Phase::General);
-    // The performance models keep the paper's buffer capacity of 10.
-    EXPECT_EQ(markovian(100.0, true).params.ap_capacity, 10);
-    EXPECT_EQ(markovian(100.0, true).params.b_capacity, 10);
-}
-
 }  // namespace
-}  // namespace dpma::models::streaming
+}  // namespace dpma::models

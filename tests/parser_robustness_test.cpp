@@ -31,7 +31,7 @@ void expect_span(const ModelError& error) {
 class ParserMutation : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParserMutation, CorruptedSpecificationsFailGracefully) {
-    const std::string pristine{models::rpc_untimed_spec()};
+    const std::string pristine{models::spec("rpc_untimed.aem")};
     std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) * 2654435761u + 99);
     std::uniform_int_distribution<std::size_t> position(0, pristine.size() - 1);
     const char garbage[] = {'@', '$', '(', ')', '<', '.', ';', 'x', '0', '}'};
@@ -61,7 +61,7 @@ TEST_P(ParserMutation, CorruptedSpecificationsFailGracefully) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserMutation, ::testing::Range(0, 6));
 
 TEST(ParserRobustness, TruncationsOfTheSpecFailGracefully) {
-    const std::string pristine{models::rpc_untimed_spec()};
+    const std::string pristine{models::spec("rpc_untimed.aem")};
     for (std::size_t cut = 0; cut < pristine.size(); cut += 97) {
         try {
             (void)parse_archi_type(pristine.substr(0, cut));

@@ -10,8 +10,9 @@
 #include "ctmc/reward.hpp"
 #include "ctmc/solve.hpp"
 #include "lts/ops.hpp"
-#include "models/rpc.hpp"
-#include "models/streaming.hpp"
+#include "exp/cache.hpp"
+#include "models/specs.hpp"
+#include "models/variants.hpp"
 #include "noninterference/noninterference.hpp"
 
 namespace dpma {
@@ -144,31 +145,46 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomLtsProperties, ::testing::Range(0, 15));
 
 // ----------------------------------------------------- model-level sweeps
 
+/// Solves \p model and evaluates the measures named \p names of \p msr.
+std::vector<double> solve(const adl::ComposedModel& model, const char* msr,
+                          std::initializer_list<const char*> names) {
+    const ctmc::MarkovModel markov = ctmc::build_markov(model);
+    const auto pi = ctmc::steady_state(markov.chain);
+    const auto ms = models::measures(msr);
+    std::vector<double> values;
+    for (const char* name : names) {
+        values.push_back(ctmc::evaluate_measure(markov, model, pi,
+                                                ms[models::measure_index(ms, name)]));
+    }
+    return values;
+}
+
+adl::ComposedModel rpc_markov(double timeout, bool dpm) {
+    return models::compose_point("rpc_revised_markov.aem", "send_shutdown", timeout, dpm);
+}
+
+/// The streaming spec with buffer capacities \p ap and \p b.
+adl::ArchiType streaming(long ap, long b) {
+    return models::with_capacity(
+        models::with_capacity(models::archi("streaming_markov.aem"), {"AP"}, ap), {"B"}, b);
+}
+
 class RpcTimeoutSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(RpcTimeoutSweep, DpmSavesEnergyAndNeverGainsThroughput) {
     const double timeout = GetParam();
-    const auto solve = [](const models::rpc::Config& config) {
-        const adl::ComposedModel model = models::rpc::compose(config);
-        const ctmc::MarkovModel markov = ctmc::build_markov(model);
-        const auto pi = ctmc::steady_state(markov.chain);
-        const auto ms = models::rpc::measures();
-        const double tput = ctmc::evaluate_measure(markov, model, pi,
-                                                   ms[models::rpc::kThroughput]);
-        const double energy = ctmc::evaluate_measure(markov, model, pi,
-                                                     ms[models::rpc::kEnergyRate]);
-        return std::make_pair(tput, energy / tput);
+    const auto per_request = [](const adl::ComposedModel& model) {
+        const auto v = solve(model, "rpc_measures.msr", {"throughput", "energy"});
+        return std::make_pair(v[0], v[1] / v[0]);
     };
-    const auto [tput_dpm, epr_dpm] = solve(models::rpc::markovian(timeout, true));
-    const auto [tput_base, epr_base] = solve(models::rpc::markovian(timeout, false));
+    const auto [tput_dpm, epr_dpm] = per_request(rpc_markov(timeout, true));
+    const auto [tput_base, epr_base] = per_request(rpc_markov(timeout, false));
     EXPECT_LT(epr_dpm, epr_base) << "timeout " << timeout;
     EXPECT_LT(tput_dpm, tput_base) << "timeout " << timeout;
 }
 
 TEST_P(RpcTimeoutSweep, ChainIsIrreducibleAfterTransientRemoval) {
-    const adl::ComposedModel model =
-        models::rpc::compose(models::rpc::markovian(GetParam(), true));
-    const ctmc::MarkovModel markov = ctmc::build_markov(model);
+    const ctmc::MarkovModel markov = ctmc::build_markov(rpc_markov(GetParam(), true));
     const auto bottoms = ctmc::bottom_sccs(markov.chain);
     EXPECT_EQ(bottoms.size(), 1u);
 }
@@ -179,43 +195,26 @@ INSTANTIATE_TEST_SUITE_P(Timeouts, RpcTimeoutSweep,
 class StreamingCapacitySweep : public ::testing::TestWithParam<long> {};
 
 TEST_P(StreamingCapacitySweep, NoninterferenceHoldsAtEveryCapacity) {
-    const adl::ComposedModel model =
-        models::streaming::compose(models::streaming::functional(GetParam()));
+    const adl::ArchiType archi = streaming(GetParam(), GetParam());
     const auto verdict = noninterference::check_dpm_transparency(
-        model, models::streaming::high_action_labels(), "C");
+        adl::compose(archi), models::high_action_labels(archi), "C");
     EXPECT_TRUE(verdict.noninterfering) << "capacity " << GetParam();
 }
 
 TEST_P(StreamingCapacitySweep, ModelsAreDeadlockFreeAtEveryCapacity) {
-    const adl::ComposedModel functional =
-        models::streaming::compose(models::streaming::functional(GetParam()));
-    EXPECT_TRUE(lts::deadlock_states(functional.graph).empty());
-
-    models::streaming::Config markov = models::streaming::markovian(100.0, true);
-    markov.params.ap_capacity = GetParam();
-    markov.params.b_capacity = GetParam();
-    const adl::ComposedModel timed = models::streaming::compose(markov);
+    const adl::ComposedModel timed = adl::compose(streaming(GetParam(), GetParam()));
     EXPECT_TRUE(lts::deadlock_states(timed.graph).empty());
 }
 
 TEST_P(StreamingCapacitySweep, LargerClientBufferNeverHurtsQuality) {
-    models::streaming::Config small = models::streaming::markovian(200.0, true);
-    small.params.b_capacity = GetParam();
-    models::streaming::Config large = small;
-    large.params.b_capacity = GetParam() + 2;
-
-    const auto quality = [](const models::streaming::Config& config) {
-        const adl::ComposedModel model = models::streaming::compose(config);
-        const ctmc::MarkovModel markov = ctmc::build_markov(model);
-        const auto pi = ctmc::steady_state(markov.chain);
-        const auto ms = models::streaming::measures();
-        const double hits = ctmc::evaluate_measure(markov, model, pi,
-                                                   ms[models::streaming::kHits]);
-        const double miss = ctmc::evaluate_measure(markov, model, pi,
-                                                   ms[models::streaming::kMiss]);
-        return hits / (hits + miss);
+    const auto quality = [](long b) {
+        const adl::ComposedModel model = exp::with_delay(
+            adl::compose(streaming(10, b)), models::kDpm, "send_wakeup", 200.0);
+        const auto v = solve(model, "streaming_measures.msr", {"hits", "miss"});
+        return v[0] / (v[0] + v[1]);
     };
-    EXPECT_LE(quality(small), quality(large) + 1e-9) << "capacity " << GetParam();
+    EXPECT_LE(quality(GetParam()), quality(GetParam() + 2) + 1e-9)
+        << "capacity " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, StreamingCapacitySweep,
@@ -227,8 +226,7 @@ TEST(ComposedInvariants, VanishingEliminationConservesProbabilityFlow) {
     // For every tangible state, the outgoing rates of the eliminated chain
     // must sum to the state's total timed rate in the raw graph (probability
     // is only redistributed, never created or destroyed).
-    const adl::ComposedModel model =
-        models::rpc::compose(models::rpc::markovian(5.0, true));
+    const adl::ComposedModel model = adl::compose(models::archi("rpc_revised_markov.aem"));
     const ctmc::MarkovModel markov = ctmc::build_markov(model);
     for (ctmc::TangibleId t = 0; t < markov.chain.num_states(); ++t) {
         const lts::StateId s = markov.orig_of[t];
@@ -247,8 +245,7 @@ TEST(ComposedInvariants, VanishingEliminationConservesProbabilityFlow) {
 }
 
 TEST(ComposedInvariants, EveryGlobalActionInvolvesDeclaredInstances) {
-    const adl::ComposedModel model =
-        models::streaming::compose(models::streaming::markovian(100.0, true));
+    const adl::ComposedModel model = adl::compose(models::archi("streaming_markov.aem"));
     const auto& table = *model.graph.actions();
     for (Symbol a = 1; a < table.size(); ++a) {  // 0 is tau
         const std::string& label = table.name(a);

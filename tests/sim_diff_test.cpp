@@ -21,17 +21,14 @@
 #include "adl/measure.hpp"
 #include "core/error.hpp"
 #include "core/stats_math.hpp"
-#include "models/builder.hpp"
-#include "models/rpc.hpp"
-#include "models/streaming.hpp"
+#include "models/specs.hpp"
+#include "models/variants.hpp"
 #include "sim/gsmp.hpp"
 #include "sim/rng.hpp"
 
 namespace dpma::sim {
 namespace {
 
-using models::act;
-using models::alt;
 
 // ---------------------------------------------------------------------------
 // Reference scheduler: the retired per-run implementation, verbatim except
@@ -312,29 +309,34 @@ struct Family {
     double horizon;
 };
 
+Family family(const char* name, adl::ComposedModel model, const char* msr,
+              const char* energy, double horizon) {
+    std::vector<adl::Measure> measures = models::measures(msr);
+    const std::size_t energy_measure = models::measure_index(measures, energy);
+    return {name, std::move(model), std::move(measures), energy_measure, horizon};
+}
+
 std::vector<Family> shipped_families() {
+    const auto rpc = [](const char* spec, double timeout) {
+        return models::compose_point(spec, "send_shutdown", timeout, true);
+    };
+    const adl::ArchiType streaming = models::archi("streaming_general.aem");
     std::vector<Family> families;
-    families.push_back({"rpc_markov_dpm",
-                        models::rpc::compose(models::rpc::markovian(40.0, true)),
-                        models::rpc::measures(), models::rpc::kEnergyRate, 4000.0});
-    families.push_back({"rpc_markov_immediate_shutdown",
-                        models::rpc::compose(models::rpc::markovian(0.0, true)),
-                        models::rpc::measures(), models::rpc::kEnergyRate, 4000.0});
-    families.push_back({"rpc_general_dpm",
-                        models::rpc::compose(models::rpc::general(40.0, true)),
-                        models::rpc::measures(), models::rpc::kEnergyRate, 4000.0});
-    families.push_back(
-        {"streaming_markov_dpm",
-         models::streaming::compose(models::streaming::markovian(100.0, true)),
-         models::streaming::measures(), models::streaming::kEnergyRate, 20000.0});
-    families.push_back(
-        {"streaming_general_dpm",
-         models::streaming::compose(models::streaming::general(100.0, true)),
-         models::streaming::measures(), models::streaming::kEnergyRate, 20000.0});
-    families.push_back(
-        {"streaming_general_nodpm",
-         models::streaming::compose(models::streaming::general(100.0, false)),
-         models::streaming::measures(), models::streaming::kEnergyRate, 20000.0});
+    families.push_back(family("rpc_markov_dpm", rpc("rpc_revised_markov.aem", 40.0),
+                              "rpc_measures.msr", "energy", 4000.0));
+    families.push_back(family("rpc_markov_immediate_shutdown",
+                              rpc("rpc_revised_markov.aem", 0.0), "rpc_measures.msr",
+                              "energy", 4000.0));
+    families.push_back(family("rpc_general_dpm", rpc("rpc_general.aem", 40.0),
+                              "rpc_measures.msr", "energy", 4000.0));
+    families.push_back(family("streaming_markov_dpm",
+                              adl::compose(models::archi("streaming_markov.aem")),
+                              "streaming_measures.msr", "nic_energy", 20000.0));
+    families.push_back(family("streaming_general_dpm", adl::compose(streaming),
+                              "streaming_measures.msr", "nic_energy", 20000.0));
+    families.push_back(family("streaming_general_nodpm",
+                              adl::compose(models::without_dpm(streaming)),
+                              "streaming_measures.msr", "nic_energy", 20000.0));
     return families;
 }
 
@@ -481,11 +483,12 @@ TEST(SimDiff, ObservedTrajectoriesMatchReference) {
 
 TEST(SimDiff, FastPathIsDeterministicAndEligibleOnlyForMarkovModels) {
     const adl::ComposedModel markov =
-        models::rpc::compose(models::rpc::markovian(40.0, true));
+        models::compose_point("rpc_revised_markov.aem", "send_shutdown", 40.0, true);
     const adl::ComposedModel general =
-        models::rpc::compose(models::rpc::general(40.0, true));
-    const Simulator fast(markov, models::rpc::measures());
-    const Simulator slow(general, models::rpc::measures());
+        models::compose_point("rpc_general.aem", "send_shutdown", 40.0, true);
+    const auto measures = models::measures("rpc_measures.msr");
+    const Simulator fast(markov, measures);
+    const Simulator slow(general, measures);
     EXPECT_TRUE(fast.fast_path_eligible());
     EXPECT_FALSE(slow.fast_path_eligible());
 
@@ -516,11 +519,12 @@ adl::ArchiType zero_weight_immediates() {
     adl::ElemType t;
     t.name = "T";
     t.behaviors = {
-        adl::BehaviorDef{"Start", {}, {alt({act("step", lts::RateExp{1.0})}, "Choice")}},
+        adl::BehaviorDef{"Start", {},
+                         {{nullptr, {{"step", lts::RateExp{1.0}}}, {"Choice", {}}}}},
         adl::BehaviorDef{"Choice",
                          {},
-                         {alt({act("left", lts::RateImmediate{1, 0.0})}, "Start"),
-                          alt({act("right", lts::RateImmediate{1, 0.0})}, "Start")}},
+                         {{nullptr, {{"left", lts::RateImmediate{1, 0.0}}}, {"Start", {}}},
+                          {nullptr, {{"right", lts::RateImmediate{1, 0.0}}}, {"Start", {}}}}},
     };
     archi.elem_types = {t};
     archi.instances = {adl::Instance{"X", "T", {}}};

@@ -7,15 +7,12 @@
 #include "lts/dot.hpp"
 #include "bisim/equivalence.hpp"
 #include "lts/ops.hpp"
-#include "models/builder.hpp"
-#include "models/rpc.hpp"
+#include "models/specs.hpp"
 #include "sim/gsmp.hpp"
 
 namespace dpma::sim {
 namespace {
 
-using models::act;
-using models::alt;
 
 /// Deterministic work/rest cycle with unit power while working.
 adl::ArchiType cycle_model(double work, double rest) {
@@ -25,11 +22,13 @@ adl::ArchiType cycle_model(double work, double rest) {
     t.name = "T";
     t.behaviors = {
         adl::BehaviorDef{"Working", {},
-            {alt({act("finish", lts::RateGeneral{Dist::deterministic(work)})},
-                 "Resting")}},
+            {{nullptr,
+              {{"finish", lts::RateGeneral{Dist::deterministic(work)}}},
+              {"Resting", {}}}}},
         adl::BehaviorDef{"Resting", {},
-            {alt({act("restart", lts::RateGeneral{Dist::deterministic(rest)})},
-                 "Working")}},
+            {{nullptr,
+              {{"restart", lts::RateGeneral{Dist::deterministic(rest)}}},
+              {"Working", {}}}}},
     };
     archi.elem_types = {t};
     archi.instances = {adl::Instance{"X", "T", {}}};
@@ -98,9 +97,9 @@ TEST(RunUntil, DepletionEstimateMatchesFluidLimitForLargeCapacity) {
     t.name = "T";
     t.behaviors = {
         adl::BehaviorDef{"Working", {},
-            {alt({act("finish", lts::RateExp{1.0})}, "Resting")}},
+            {{nullptr, {{"finish", lts::RateExp{1.0}}}, {"Resting", {}}}}},
         adl::BehaviorDef{"Resting", {},
-            {alt({act("restart", lts::RateExp{2.0})}, "Working")}},
+            {{nullptr, {{"restart", lts::RateExp{2.0}}}, {"Working", {}}}}},
     };
     archi.elem_types = {t};
     archi.instances = {adl::Instance{"X", "T", {}}};
@@ -118,9 +117,8 @@ TEST(RunUntil, DepletionEstimateMatchesFluidLimitForLargeCapacity) {
 }
 
 TEST(Trace, RecordsTimeOrderedEventsWithValidLabels) {
-    const adl::ComposedModel model =
-        models::rpc::compose(models::rpc::general(5.0, true));
-    const Simulator simulator(model, models::rpc::measures());
+    const adl::ComposedModel model = adl::compose(models::archi("rpc_general.aem"));
+    const Simulator simulator(model, models::measures("rpc_measures.msr"));
     SimOptions options;
     options.horizon = 200.0;
     options.seed = 3;
@@ -138,9 +136,8 @@ TEST(Trace, RecordsTimeOrderedEventsWithValidLabels) {
 }
 
 TEST(Trace, WarmupEventsAreExcluded) {
-    const adl::ComposedModel model =
-        models::rpc::compose(models::rpc::general(5.0, true));
-    const Simulator simulator(model, models::rpc::measures());
+    const adl::ComposedModel model = adl::compose(models::archi("rpc_general.aem"));
+    const Simulator simulator(model, models::measures("rpc_measures.msr"));
     SimOptions options;
     options.warmup = 100.0;
     options.horizon = 100.0;
@@ -220,8 +217,7 @@ TEST(CollapseTauSccs, KeepsVisibleSelfLoops) {
 }
 
 TEST(CollapseTauSccs, PreservesWeakBisimilarity) {
-    const adl::ComposedModel model =
-        models::rpc::compose(models::rpc::revised_functional());
+    const adl::ComposedModel model = adl::compose(models::archi("rpc_revised_markov.aem"));
     lts::ActionSet dpm_actions;
     for (auto a : adl::actions_of_instance(model, "DPM")) dpm_actions.insert(a);
     const lts::Lts hidden = lts::hide(model.graph, dpm_actions);

@@ -7,15 +7,12 @@
 #include "ctmc/ctmc.hpp"
 #include "ctmc/reward.hpp"
 #include "ctmc/solve.hpp"
-#include "models/builder.hpp"
 #include "sim/gsmp.hpp"
 #include "sim/rng.hpp"
 
 namespace dpma::sim {
 namespace {
 
-using models::act;
-using models::alt;
 
 TEST(Rng, IsDeterministicPerSeed) {
     Rng a(123), b(123), c(124);
@@ -97,8 +94,8 @@ adl::ArchiType two_phase(lts::Rate work, lts::Rate rest) {
     adl::ElemType t;
     t.name = "T";
     t.behaviors = {
-        adl::BehaviorDef{"Working", {}, {alt({act("finish", work)}, "Resting")}},
-        adl::BehaviorDef{"Resting", {}, {alt({act("restart", rest)}, "Working")}},
+        adl::BehaviorDef{"Working", {}, {{nullptr, {{"finish", work}}, {"Resting", {}}}}},
+        adl::BehaviorDef{"Resting", {}, {{nullptr, {{"restart", rest}}, {"Working", {}}}}},
     };
     archi.elem_types = {t};
     archi.instances = {adl::Instance{"X", "T", {}}};
@@ -174,8 +171,8 @@ TEST(Simulator, DetectsImmediateLivelock) {
     adl::ElemType t;
     t.name = "T";
     t.behaviors = {
-        adl::BehaviorDef{"A", {}, {alt({act("ping", lts::RateImmediate{})}, "B")}},
-        adl::BehaviorDef{"B", {}, {alt({act("pong", lts::RateImmediate{})}, "A")}},
+        adl::BehaviorDef{"A", {}, {{nullptr, {{"ping", lts::RateImmediate{}}}, {"B", {}}}}},
+        adl::BehaviorDef{"B", {}, {{nullptr, {{"pong", lts::RateImmediate{}}}, {"A", {}}}}},
     };
     archi.elem_types = {t};
     archi.instances = {adl::Instance{"X", "T", {}}};
@@ -193,8 +190,8 @@ TEST(Simulator, DeadlockedModelSpendsAllTimeInSink) {
     adl::ElemType t;
     t.name = "T";
     t.behaviors = {
-        adl::BehaviorDef{"Go", {}, {alt({act("once", lts::RateExp{100.0})}, "Stop")}},
-        adl::BehaviorDef{"Stop", {}, {alt({act("in", lts::RatePassive{})}, "Stop")}},
+        adl::BehaviorDef{"Go", {}, {{nullptr, {{"once", lts::RateExp{100.0}}}, {"Stop", {}}}}},
+        adl::BehaviorDef{"Stop", {}, {{nullptr, {{"in", lts::RatePassive{}}}, {"Stop", {}}}}},
     };
     t.input_interactions = {"in"};  // unattached: Stop deadlocks
     archi.elem_types = {t};
@@ -216,10 +213,10 @@ TEST(Simulator, ImmediatePrioritiesPreemptLowerOnes) {
     adl::ElemType t;
     t.name = "T";
     t.behaviors = {
-        adl::BehaviorDef{"S", {}, {alt({act("tick", lts::RateExp{1.0})}, "Pick")}},
+        adl::BehaviorDef{"S", {}, {{nullptr, {{"tick", lts::RateExp{1.0}}}, {"Pick", {}}}}},
         adl::BehaviorDef{"Pick", {},
-            {alt({act("low", lts::RateImmediate{1, 1.0})}, "S"),
-             alt({act("high", lts::RateImmediate{2, 1.0})}, "S")}},
+            {{nullptr, {{"low", lts::RateImmediate{1, 1.0}}}, {"S", {}}},
+             {nullptr, {{"high", lts::RateImmediate{2, 1.0}}}, {"S", {}}}}},
     };
     archi.elem_types = {t};
     archi.instances = {adl::Instance{"X", "T", {}}};
@@ -241,10 +238,10 @@ TEST(Simulator, ImmediateWeightsSplitProportionally) {
     adl::ElemType t;
     t.name = "T";
     t.behaviors = {
-        adl::BehaviorDef{"S", {}, {alt({act("tick", lts::RateExp{1.0})}, "Pick")}},
+        adl::BehaviorDef{"S", {}, {{nullptr, {{"tick", lts::RateExp{1.0}}}, {"Pick", {}}}}},
         adl::BehaviorDef{"Pick", {},
-            {alt({act("rare", lts::RateImmediate{1, 0.1})}, "S"),
-             alt({act("common", lts::RateImmediate{1, 0.9})}, "S")}},
+            {{nullptr, {{"rare", lts::RateImmediate{1, 0.1}}}, {"S", {}}},
+             {nullptr, {{"common", lts::RateImmediate{1, 0.9}}}, {"S", {}}}}},
     };
     archi.elem_types = {t};
     archi.instances = {adl::Instance{"X", "T", {}}};

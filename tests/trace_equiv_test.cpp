@@ -4,8 +4,8 @@
 #include "bisim/trace_equiv.hpp"
 #include "core/error.hpp"
 #include "lts/ops.hpp"
-#include "models/rpc.hpp"
-#include "models/streaming.hpp"
+#include "models/specs.hpp"
+#include "models/variants.hpp"
 #include "noninterference/noninterference.hpp"
 
 namespace dpma::bisim {
@@ -148,40 +148,36 @@ TEST(TraceEquiv, PairBudgetIsEnforced) {
     EXPECT_THROW((void)weakly_trace_equivalent(a, b, 1), NumericalError);
 }
 
+/// Both verdicts on a shipped architecture, its DPM commands as high actions.
+std::pair<bool, bool> bisim_and_trace_verdicts(const adl::ArchiType& archi) {
+    const adl::ComposedModel model = adl::compose(archi);
+    const std::vector<std::string> high = models::high_action_labels(archi);
+    return {noninterference::check_dpm_transparency(model, high, "C").noninterfering,
+            noninterference::check_dpm_trace_transparency(model, high, "C").noninterfering};
+}
+
 TEST(Snni, SimplifiedRpcPassesTraceCheckButFailsBisimulationCheck) {
     // The headline separation: the DPM-induced deadlock of Sect. 3.1 is a
     // branching-time phenomenon.  The trace-based SNNI property is blind to
     // it; the paper's weak-bisimulation check catches it.
-    const adl::ComposedModel model =
-        models::rpc::compose(models::rpc::simplified_functional());
-    const auto bisim_verdict = noninterference::check_dpm_transparency(
-        model, models::rpc::high_action_labels(), "C");
-    const auto trace_verdict = noninterference::check_dpm_trace_transparency(
-        model, models::rpc::high_action_labels(), "C");
-    EXPECT_FALSE(bisim_verdict.noninterfering);
-    EXPECT_TRUE(trace_verdict.noninterfering);
+    const auto [bisim_ok, trace_ok] =
+        bisim_and_trace_verdicts(models::archi("rpc_untimed.aem"));
+    EXPECT_FALSE(bisim_ok);
+    EXPECT_TRUE(trace_ok);
 }
 
 TEST(Snni, RevisedRpcPassesBothChecks) {
-    const adl::ComposedModel model =
-        models::rpc::compose(models::rpc::revised_functional());
-    EXPECT_TRUE(noninterference::check_dpm_transparency(
-                    model, models::rpc::high_action_labels(), "C")
-                    .noninterfering);
-    EXPECT_TRUE(noninterference::check_dpm_trace_transparency(
-                    model, models::rpc::high_action_labels(), "C")
-                    .noninterfering);
+    const auto [bisim_ok, trace_ok] =
+        bisim_and_trace_verdicts(models::archi("rpc_revised_markov.aem"));
+    EXPECT_TRUE(bisim_ok);
+    EXPECT_TRUE(trace_ok);
 }
 
 TEST(Snni, StreamingPassesBothChecks) {
-    const adl::ComposedModel model =
-        models::streaming::compose(models::streaming::functional(2));
-    EXPECT_TRUE(noninterference::check_dpm_transparency(
-                    model, models::streaming::high_action_labels(), "C")
-                    .noninterfering);
-    EXPECT_TRUE(noninterference::check_dpm_trace_transparency(
-                    model, models::streaming::high_action_labels(), "C")
-                    .noninterfering);
+    const auto [bisim_ok, trace_ok] = bisim_and_trace_verdicts(
+        models::with_capacity(models::archi("streaming_markov.aem"), {"AP", "B"}, 2));
+    EXPECT_TRUE(bisim_ok);
+    EXPECT_TRUE(trace_ok);
 }
 
 TEST(Snni, TraceCheckStillCatchesNewLowBehaviour) {

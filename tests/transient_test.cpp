@@ -8,7 +8,7 @@
 #include "ctmc/reward.hpp"
 #include "ctmc/solve.hpp"
 #include "core/error.hpp"
-#include "models/rpc.hpp"
+#include "models/specs.hpp"
 
 namespace dpma::ctmc {
 namespace {
@@ -73,8 +73,7 @@ TEST(TransientRpc, SleepProbabilityRampsUpTowardsSteadyState) {
     // ramps up towards its steady-state value (with a tiny damped
     // overshoot near convergence, so monotonicity is asserted only up to a
     // small slack).
-    const adl::ComposedModel model =
-        models::rpc::compose(models::rpc::markovian(5.0, true));
+    const adl::ComposedModel model = adl::compose(models::archi("rpc_revised_markov.aem"));
     const MarkovModel markov = build_markov(model);
     double previous = -1.0;
     double last = 0.0;
@@ -93,8 +92,7 @@ TEST(TransientRpc, SleepProbabilityRampsUpTowardsSteadyState) {
 }
 
 TEST(TransientRpc, InitialDistributionIsRespected) {
-    const adl::ComposedModel model =
-        models::rpc::compose(models::rpc::markovian(5.0, true));
+    const adl::ComposedModel model = adl::compose(models::archi("rpc_revised_markov.aem"));
     const MarkovModel markov = build_markov(model);
     const auto pi0 = transient(markov.chain, markov.initial_distribution, 0.0);
     double mass_on_initial = 0.0;
@@ -198,8 +196,7 @@ TEST(AccumulatedReward, ColdStartEnergyOfTheRpcServer) {
     // Energy spent in the first 50 ms from a cold start exceeds the
     // steady-state rate times 50 ms (the server has not started sleeping
     // yet, so it burns idle/busy power the whole time).
-    const adl::ComposedModel model =
-        models::rpc::compose(models::rpc::markovian(5.0, true));
+    const adl::ComposedModel model = adl::compose(models::archi("rpc_revised_markov.aem"));
     const MarkovModel markov = build_markov(model);
     std::vector<double> rewards(markov.chain.num_states(), 0.0);
     const auto add_mask = [&](const char* prefix, double watts) {

@@ -6,8 +6,8 @@
 #include "ctmc/ctmc.hpp"
 #include "ctmc/reward.hpp"
 #include "ctmc/solve.hpp"
-#include "models/rpc.hpp"
-#include "models/streaming.hpp"
+#include "models/specs.hpp"
+#include "models/variants.hpp"
 #include "sim/gsmp.hpp"
 
 namespace dpma {
@@ -29,16 +29,22 @@ adl::ComposedModel exponentialized(adl::ComposedModel model) {
     return model;
 }
 
+/// The value named \p name in \p values, measured by \p measures.
+double value(const std::vector<adl::Measure>& measures, const std::vector<double>& values,
+             const char* name) {
+    return values[models::measure_index(measures, name)];
+}
+
 TEST(Validation, RpcSimulatorReproducesMarkovMeasures) {
     // Fig. 5 as a test: all three rpc measures, simulated with exponential
     // distributions, must match the exact CTMC values.
-    const auto config = models::rpc::markovian(5.0, true);
-    const adl::ComposedModel exact_model = models::rpc::compose(config);
+    const adl::ComposedModel exact_model =
+        adl::compose(models::archi("rpc_revised_markov.aem"));
     const ctmc::MarkovModel markov = ctmc::build_markov(exact_model);
     const auto pi = ctmc::steady_state(markov.chain);
-    const auto measures = models::rpc::measures();
+    const auto measures = models::measures("rpc_measures.msr");
 
-    const adl::ComposedModel sim_model = exponentialized(models::rpc::compose(config));
+    const adl::ComposedModel sim_model = exponentialized(exact_model);
     const sim::Simulator simulator(sim_model, measures);
     sim::SimOptions options;
     options.warmup = 500.0;
@@ -56,14 +62,12 @@ TEST(Validation, RpcSimulatorReproducesMarkovMeasures) {
 }
 
 TEST(Validation, StreamingSimulatorReproducesMarkovMeasures) {
-    const auto config = models::streaming::markovian(100.0, true);
-    const adl::ComposedModel exact_model = models::streaming::compose(config);
+    const adl::ComposedModel exact_model = adl::compose(models::archi("streaming_markov.aem"));
     const ctmc::MarkovModel markov = ctmc::build_markov(exact_model);
     const auto pi = ctmc::steady_state(markov.chain);
-    const auto measures = models::streaming::measures();
+    const auto measures = models::measures("streaming_measures.msr");
 
-    const adl::ComposedModel sim_model =
-        exponentialized(models::streaming::compose(config));
+    const adl::ComposedModel sim_model = exponentialized(exact_model);
     const sim::Simulator simulator(sim_model, measures);
     sim::SimOptions options;
     options.warmup = 5000.0;
@@ -90,16 +94,19 @@ struct RpcDerived {
 
 RpcDerived simulate_rpc_general(double timeout, bool dpm) {
     const adl::ComposedModel model =
-        models::rpc::compose(models::rpc::general(timeout, dpm));
-    const sim::Simulator simulator(model, models::rpc::measures());
+        models::compose_point("rpc_general.aem", "send_shutdown", timeout, dpm);
+    const auto measures = models::measures("rpc_measures.msr");
+    const sim::Simulator simulator(model, measures);
     sim::SimOptions options;
     options.warmup = 500.0;
     options.horizon = 15000.0;
     options.seed = 4321 + static_cast<std::uint64_t>(timeout * 10);
     const auto est = sim::simulate_replications(simulator, options, 10, 0.90);
-    const double tput = est[models::rpc::kThroughput].mean;
-    return RpcDerived{tput, est[models::rpc::kWaitingProb].mean / tput,
-                      est[models::rpc::kEnergyRate].mean / tput};
+    std::vector<double> means;
+    for (const sim::Estimate& e : est) means.push_back(e.mean);
+    const double tput = value(measures, means, "throughput");
+    return RpcDerived{tput, value(measures, means, "waiting") / tput,
+                      value(measures, means, "energy") / tput};
 }
 
 TEST(PaperShapes, RpcGeneralIsBimodalAroundTheIdlePeriod) {
@@ -133,10 +140,12 @@ TEST(PaperShapes, RpcGeneralDpmCounterproductiveNearIdlePeriod) {
 TEST(PaperShapes, StreamingGeneralTransparentAt100ms) {
     // Sect. 5.3: awake period 100 ms saves >50% NIC energy with no extra
     // frame loss and no extra misses relative to NO-DPM.
-    const auto run = [](bool dpm) {
+    const auto ms = models::measures("streaming_measures.msr");
+    const adl::ArchiType general = models::archi("streaming_general.aem");
+    const auto run = [&](bool dpm) {
         const adl::ComposedModel model =
-            models::streaming::compose(models::streaming::general(100.0, dpm));
-        const sim::Simulator simulator(model, models::streaming::measures());
+            adl::compose(dpm ? general : models::without_dpm(general));
+        const sim::Simulator simulator(model, ms);
         sim::SimOptions options;
         options.warmup = 3000.0;
         options.horizon = 80000.0;
@@ -148,42 +157,43 @@ TEST(PaperShapes, StreamingGeneralTransparentAt100ms) {
     };
     const auto base = run(false);
     const auto with = run(true);
-    namespace ms = models::streaming;
+    const auto at = [&](const std::vector<double>& v, const char* name) {
+        return value(ms, v, name);
+    };
 
-    const double epf_base = base[ms::kEnergyRate] / base[ms::kFramesReceived];
-    const double epf_with = with[ms::kEnergyRate] / with[ms::kFramesReceived];
+    const double epf_base = at(base, "nic_energy") / at(base, "frames_received");
+    const double epf_with = at(with, "nic_energy") / at(with, "frames_received");
     EXPECT_LT(epf_with, 0.5 * epf_base);  // >50% saving
 
-    const double loss_with = (with[ms::kApLoss] + with[ms::kBLoss]) / with[ms::kGenerated];
+    const double loss_with =
+        (at(with, "ap_loss") + at(with, "b_loss")) / at(with, "generated");
     EXPECT_LT(loss_with, 1e-4);  // no loss at 100 ms
 
-    const double miss_base = base[ms::kMiss] / (base[ms::kMiss] + base[ms::kHits]);
-    const double miss_with = with[ms::kMiss] / (with[ms::kMiss] + with[ms::kHits]);
+    const double miss_base = at(base, "miss") / (at(base, "miss") + at(base, "hits"));
+    const double miss_with = at(with, "miss") / (at(with, "miss") + at(with, "hits"));
     EXPECT_LT(miss_with, miss_base + 0.01);  // no extra misses
 }
 
 TEST(PaperShapes, StreamingMarkovEnergyFallsAndQualityDegrades) {
     // Fig. 4 monotonicity pins on the exact CTMC solution.
-    const auto solve = [](double period) {
+    const auto ms = models::measures("streaming_measures.msr");
+    const auto solve = [&](double period) {
         const adl::ComposedModel model =
-            models::streaming::compose(models::streaming::markovian(period, true));
+            models::compose_point("streaming_markov.aem", "send_wakeup", period, true);
         const ctmc::MarkovModel markov = ctmc::build_markov(model);
         const auto pi = ctmc::steady_state(markov.chain);
         std::vector<double> v;
-        for (const auto& m : models::streaming::measures()) {
-            v.push_back(ctmc::evaluate_measure(markov, model, pi, m));
-        }
+        for (const auto& m : ms) v.push_back(ctmc::evaluate_measure(markov, model, pi, m));
         return v;
     };
-    namespace ms = models::streaming;
     const auto p25 = solve(25.0);
     const auto p100 = solve(100.0);
     const auto p400 = solve(400.0);
-    const auto epf = [](const std::vector<double>& v) {
-        return v[ms::kEnergyRate] / v[ms::kFramesReceived];
+    const auto epf = [&](const std::vector<double>& v) {
+        return value(ms, v, "nic_energy") / value(ms, v, "frames_received");
     };
-    const auto quality = [](const std::vector<double>& v) {
-        return v[ms::kHits] / (v[ms::kHits] + v[ms::kMiss]);
+    const auto quality = [&](const std::vector<double>& v) {
+        return value(ms, v, "hits") / (value(ms, v, "hits") + value(ms, v, "miss"));
     };
     EXPECT_GT(epf(p25), epf(p100));
     EXPECT_GT(epf(p100), epf(p400));

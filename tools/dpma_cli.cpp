@@ -711,22 +711,22 @@ struct FaultToleranceArgs {
     int retries = 0;
 };
 
-FaultToleranceArgs parse_fault_tolerance(std::vector<std::string>& args) {
-    FaultToleranceArgs out;
-    out.checkpoint_path = option(args, "--checkpoint", "");
-    out.resume = flag(args, "--resume");
-    const std::string retries_text = option(args, "--retries", "0");
-    char* end = nullptr;
-    const long retries = std::strtol(retries_text.c_str(), &end, 10);
-    if (end == retries_text.c_str() || *end != '\0' || retries < 0) {
-        throw Error("--retries wants a non-negative integer, got '" + retries_text +
-                    "'");
+/// False after a usage error of \p command.  --retries stops at INT_MAX - 1:
+/// the runner makes retries + 1 attempts per point.
+bool parse_fault_tolerance(std::vector<std::string>& args, const char* command,
+                           FaultToleranceArgs* out) {
+    out->checkpoint_path = option(args, "--checkpoint", "");
+    out->resume = flag(args, "--resume");
+    std::uint64_t retries = 0;
+    if (!count_option(args, command, "--retries", "0", 0, INT_MAX - 1, &retries)) {
+        return false;
     }
-    out.retries = static_cast<int>(retries);
-    if (out.resume && out.checkpoint_path.empty()) {
-        throw Error("--resume requires --checkpoint PATH");
+    out->retries = static_cast<int>(retries);
+    if (out->resume && out->checkpoint_path.empty()) {
+        usage_error(command, "--resume requires --checkpoint PATH");
+        return false;
     }
-    return out;
+    return true;
 }
 
 int cmd_sweep(const std::string& model_path, const std::string& measures_path,
@@ -737,11 +737,7 @@ int cmd_sweep(const std::string& model_path, const std::string& measures_path,
     const std::string json_path = option(args, "--json", "");
     const std::string csv_path = option(args, "--csv", "");
     FaultToleranceArgs fault_tolerance;
-    try {
-        fault_tolerance = parse_fault_tolerance(args);
-    } catch (const Error& e) {
-        return usage_error("sweep", e.what());
-    }
+    if (!parse_fault_tolerance(args, "sweep", &fault_tolerance)) return 2;
     const bool precheck = flag(args, "--precheck");
     if (param.empty() || !args.empty()) usage();
     // From here on Ctrl-C / SIGTERM means "stop dispatching, drain, write
@@ -854,11 +850,7 @@ int cmd_lifetime(const std::string& system, std::vector<std::string> args) {
     const std::string json_path = option(args, "--json", "");
     const std::string csv_path = option(args, "--csv", "");
     FaultToleranceArgs fault_tolerance;
-    try {
-        fault_tolerance = parse_fault_tolerance(args);
-    } catch (const Error& e) {
-        return usage_error("lifetime", e.what());
-    }
+    if (!parse_fault_tolerance(args, "lifetime", &fault_tolerance)) return 2;
     if (!args.empty()) usage();
     if (format != "text" && format != "json") {
         return usage_error("lifetime", "--format wants text or json, got '" + format + "'");
@@ -879,20 +871,18 @@ int cmd_lifetime(const std::string& system, std::vector<std::string> args) {
     // --capacity lo:hi:steps (linear; steps == 1 keeps just lo).
     const auto range = split(capacity_text, ':');
     double lo = 0.0, hi = 0.0;
-    double steps_value = 0.0;
+    std::uint64_t steps = 0;
     if (range.size() != 3 || !parse_double(range[0], &lo) ||
-        !parse_double(range[1], &hi) || !parse_double(range[2], &steps_value) ||
-        steps_value != std::floor(steps_value)) {
+        !parse_double(range[1], &hi) || !parse_unsigned(range[2], &steps)) {
         return usage_error("lifetime",
                            "--capacity wants lo:hi:steps, got '" + capacity_text + "'");
     }
-    const auto steps = static_cast<long>(steps_value);
     if (!std::isfinite(lo) || lo <= 0.0 || !std::isfinite(hi) || hi < lo || steps < 1) {
         return usage_error("lifetime",
                            "--capacity range must satisfy 0 < lo <= hi, steps >= 1");
     }
     const exp::Axis capacity_axis =
-        exp::Axis::linspace("capacity", lo, hi, static_cast<std::size_t>(steps));
+        exp::Axis::linspace("capacity", lo, hi, steps);
     options.capacities = capacity_axis.values;
 
     // Every numeric battery/study parameter must parse and pass validate();
