@@ -6,6 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "analysis/flow/analyze.hpp"
 #include "bisim/equivalence.hpp"
 #include "bisim/partition.hpp"
@@ -87,13 +89,29 @@ void BM_NoninterferenceStreaming(benchmark::State& state) {
 }
 BENCHMARK(BM_NoninterferenceStreaming)->Arg(2)->Arg(3);
 
-void BM_BuildMarkovStreaming(benchmark::State& state) {
-    const auto model = compose_spec("streaming_markov.aem");
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(ctmc::build_markov(model));
-    }
+/// Runs \p body once per benchmark iteration and reports the wall time per
+/// iteration divided by \p states as the "ns/state" counter.
+template <typename Body>
+void time_per_state(benchmark::State& state, std::size_t states, Body&& body) {
+    const auto start = std::chrono::steady_clock::now();
+    for (auto _ : state) body();
+    const std::chrono::duration<double, std::nano> elapsed =
+        std::chrono::steady_clock::now() - start;
+    state.counters["ns/state"] =
+        elapsed.count() /
+        (static_cast<double>(state.iterations()) * static_cast<double>(states));
 }
-BENCHMARK(BM_BuildMarkovStreaming);
+
+/// Vanishing-state elimination on the streaming system at buffer capacity
+/// Arg (10 is the shipped spec; 16 gives 43k composed states), per composed
+/// state.
+void BM_BuildMarkovStreaming(benchmark::State& state) {
+    const auto model = compose_streaming(state.range(0));
+    time_per_state(state, model.graph.num_states(),
+                   [&] { benchmark::DoNotOptimize(ctmc::build_markov(model)); });
+    state.SetLabel(std::to_string(model.graph.num_states()) + " states");
+}
+BENCHMARK(BM_BuildMarkovStreaming)->Arg(10)->Arg(16)->Unit(benchmark::kMillisecond);
 
 void BM_SteadyStateGth(benchmark::State& state) {
     const auto model = compose_spec("rpc_revised_markov.aem");
@@ -108,9 +126,9 @@ BENCHMARK(BM_SteadyStateGth);
 void BM_SteadyStateGaussSeidelStreaming(benchmark::State& state) {
     const auto model = compose_spec("streaming_markov.aem");
     const auto markov = ctmc::build_markov(model);
-    for (auto _ : state) {
+    time_per_state(state, markov.chain.num_states(), [&] {
         benchmark::DoNotOptimize(ctmc::steady_state_gauss_seidel(markov.chain));
-    }
+    });
     state.SetLabel(std::to_string(markov.chain.num_states()) + " states");
 }
 BENCHMARK(BM_SteadyStateGaussSeidelStreaming);

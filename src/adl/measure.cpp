@@ -44,33 +44,33 @@ RewardClause trans_reward(std::string instance, std::string action, double rewar
                         EnabledPredicate{std::move(instance), std::move(action)}, reward};
 }
 
-std::vector<char> state_mask(const ComposedModel& model, const Predicate& predicate) {
-    const std::size_t n = model.graph.num_states();
-    std::vector<char> mask(n, 0);
-    if (const auto* enabled = std::get_if<EnabledPredicate>(&predicate)) {
-        // Precompute which labels involve the instance.action pair.
-        const auto labels = action_mask(model, predicate);
-        for (lts::StateId s = 0; s < n; ++s) {
-            for (const lts::Transition& t : model.graph.out(s)) {
-                if (labels[t.action]) {
-                    mask[s] = 1;
-                    break;
-                }
-            }
-        }
-        (void)enabled;
-        return mask;
+StateTest::StateTest(const ComposedModel& model, const Predicate& predicate)
+    : model_(&model), enabled_(std::holds_alternative<EnabledPredicate>(predicate)) {
+    if (enabled_) {
+        labels_ = action_mask(model, predicate);
+        return;
     }
     const auto& in_state = std::get<InStatePredicate>(predicate);
-    const std::size_t idx = model.instance_index(in_state.instance);
-    const auto& names = model.local_state_names[idx];
-    std::vector<char> local_mask(names.size(), 0);
+    instance_ = model.instance_index(in_state.instance);
+    const auto& names = model.local_state_names[instance_];
+    local_.assign(names.size(), 0);
     for (std::size_t i = 0; i < names.size(); ++i) {
-        local_mask[i] = starts_with(names[i], in_state.state_prefix) ? 1 : 0;
+        local_[i] = starts_with(names[i], in_state.state_prefix) ? 1 : 0;
     }
-    for (lts::StateId s = 0; s < n; ++s) {
-        mask[s] = local_mask[model.local_state(s, idx)];
+}
+
+bool StateTest::operator()(lts::StateId state) const {
+    if (!enabled_) return local_[model_->local_state(state, instance_)] != 0;
+    for (const lts::Transition& t : model_->graph.out(state)) {
+        if (labels_[t.action]) return true;
     }
+    return false;
+}
+
+std::vector<char> state_mask(const ComposedModel& model, const Predicate& predicate) {
+    const StateTest test(model, predicate);
+    std::vector<char> mask(model.graph.num_states(), 0);
+    for (lts::StateId s = 0; s < mask.size(); ++s) mask[s] = test(s) ? 1 : 0;
     return mask;
 }
 

@@ -64,7 +64,26 @@ struct Measure {
 [[nodiscard]] RewardClause trans_reward(std::string instance, std::string action,
                                         double reward);
 
-/// Per-state membership mask of a (state-target) predicate.
+/// A (state-target) predicate prepared against one composed model and then
+/// evaluated one state at a time: ENABLED scans the state's transitions for
+/// a matching label, IN_STATE looks up the instance's local state.  For
+/// callers that only need some states (e.g. the tangible ones).
+class StateTest {
+public:
+    StateTest(const ComposedModel& model, const Predicate& predicate);
+
+    [[nodiscard]] bool operator()(lts::StateId state) const;
+
+private:
+    const ComposedModel* model_;
+    bool enabled_;              ///< ENABLED (else IN_STATE)
+    std::vector<char> labels_;  ///< ENABLED: matching action labels
+    std::vector<char> local_;   ///< IN_STATE: matching local states of instance_
+    std::size_t instance_ = 0;
+};
+
+/// Per-state membership mask of a (state-target) predicate: StateTest over
+/// every composed state.
 [[nodiscard]] std::vector<char> state_mask(const ComposedModel& model,
                                            const Predicate& predicate);
 

@@ -177,7 +177,7 @@ std::vector<double> expected_hitting_times(const Ctmc& chain,
 
     // h(s) is finite iff the target is hit with probability 1 from s, i.e.
     // iff s cannot reach any state from which the target is unreachable.
-    const Csr incoming = adjacency(chain, true);
+    const Csr incoming = transpose(chain);
     const std::vector<char> reachable = reach(incoming, targets);
     std::vector<char> traps(n, 0);
     for (TangibleId s = 0; s < n; ++s) traps[s] = !targets[s] && !reachable[s];
@@ -213,7 +213,7 @@ std::vector<double> hitting_probabilities(const Ctmc& chain,
     DPMA_REQUIRE(targets.size() == n, "target mask does not match the chain");
     DPMA_NAMED_SPAN(span, "ctmc.hitting", "solve");
     // p(s) = sum_t P(s,t) p(t); p = 1 on targets, 0 where they are unreachable.
-    const std::vector<char> reachable = reach(adjacency(chain, true), targets);
+    const std::vector<char> reachable = reach(transpose(chain), targets);
     std::vector<char> unknown(n, 0);
     std::vector<double> result(n, 0.0);
     for (TangibleId s = 0; s < n; ++s) {

@@ -1,9 +1,8 @@
 #include "ctmc/ctmc.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
-#include <unordered_map>
+#include <string>
 
 #include "core/error.hpp"
 #include "obs/metrics.hpp"
@@ -12,51 +11,100 @@
 namespace dpma::ctmc {
 namespace {
 
-/// Maximal-progress filtered immediate branches of a composed state; empty
-/// when the state has no immediate transitions (i.e. is tangible).
-std::vector<VanishingBranch> immediate_branches(const lts::Lts::CsrView& csr,
-                                                lts::StateId state) {
-    int best_priority = std::numeric_limits<int>::min();
-    double total_weight = 0.0;
-    for (const lts::Transition& t : csr.out(state)) {
-        if (const auto* imm = std::get_if<lts::RateImmediate>(&t.rate)) {
-            if (imm->priority > best_priority) {
-                best_priority = imm->priority;
-                total_weight = 0.0;
-            }
-            if (imm->priority == best_priority) total_weight += imm->weight;
+/// A sparse vector over tangible states summed in place: a dense slot per
+/// state plus the touched states in first-seen order, so draining costs
+/// only what was added.
+class Accumulator {
+public:
+    explicit Accumulator(std::size_t num_states) : slot_(num_states, kNoTangible) {}
+
+    void add(TangibleId state, double value) {
+        TangibleId& slot = slot_[state];
+        if (slot == kNoTangible) {
+            slot = static_cast<TangibleId>(states_.size());
+            states_.push_back(state);
+            values_.push_back(value);
+        } else {
+            values_[slot] += value;
         }
     }
-    std::vector<VanishingBranch> branches;
-    if (total_weight <= 0.0) return branches;
-    for (const lts::Transition& t : csr.out(state)) {
-        if (const auto* imm = std::get_if<lts::RateImmediate>(&t.rate)) {
-            // Zero-weight branches can never fire; dropping them keeps
-            // degenerate parameterisations (e.g. loss probability 0) legal.
-            if (imm->priority == best_priority && imm->weight > 0.0) {
-                branches.push_back(
-                    VanishingBranch{t.target, imm->weight / total_weight, t.action});
-            }
+
+    /// Hands every (state, sum) to \p sink in first-seen order and clears.
+    template <typename Sink>
+    void drain(Sink&& sink) {
+        for (std::size_t i = 0; i < states_.size(); ++i) {
+            slot_[states_[i]] = kNoTangible;
+            sink(states_[i], values_[i]);
         }
+        states_.clear();
+        values_.clear();
     }
-    return branches;
+
+private:
+    std::vector<TangibleId> slot_;
+    std::vector<TangibleId> states_;
+    std::vector<double> values_;
+};
+
+void check_rate(const adl::ComposedModel& model, const lts::Transition& t) {
+    if (std::holds_alternative<lts::RateUnspecified>(t.rate)) {
+        throw ModelError("transition " + model.graph.actions()->name(t.action) +
+                         " has no rate: functional models cannot be solved as CTMCs");
+    }
+    if (lts::is_passive(t.rate)) {
+        throw ModelError("passive transition " + model.graph.actions()->name(t.action) +
+                         " survived composition (unattached interaction?)");
+    }
+    if (lts::is_general(t.rate)) {
+        throw ModelError("generally distributed transition " +
+                         model.graph.actions()->name(t.action) +
+                         " in a Markovian model; use the simulator instead");
+    }
 }
 
 }  // namespace
 
-void Ctmc::add_rate(TangibleId from, TangibleId to, double rate) {
-    DPMA_REQUIRE(from < rows_.size() && to < rows_.size(), "CTMC state out of range");
-    DPMA_REQUIRE(rate > 0.0, "CTMC rates must be positive");
-    if (from == to) return;  // self-loops do not affect the CTMC dynamics
-    for (RateEntry& e : rows_[from]) {
-        if (e.target == to) {
-            e.rate += rate;
-            exit_[from] += rate;
-            return;
+Ctmc::Ctmc(std::size_t num_states, const std::vector<Triplet>& rates) {
+    // Counting sort by source (stable), then merge each row's targets.
+    std::vector<std::size_t> start(num_states + 1, 0);
+    for (const Triplet& r : rates) {
+        DPMA_REQUIRE(r.from < num_states && r.to < num_states, "CTMC state out of range");
+        DPMA_REQUIRE(r.rate > 0.0, "CTMC rates must be positive");
+        ++start[r.from + 1];
+    }
+    for (std::size_t s = 0; s < num_states; ++s) start[s + 1] += start[s];
+    std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+    std::vector<RateEntry> sorted(rates.size());
+    for (const Triplet& r : rates) sorted[fill[r.from]++] = RateEntry{r.to, r.rate};
+
+    Accumulator row(num_states);
+    std::vector<std::size_t> row_start{0};
+    std::vector<RateEntry> entries;
+    for (TangibleId s = 0; s < num_states; ++s) {
+        for (std::size_t k = start[s]; k < start[s + 1]; ++k) {
+            if (sorted[k].target != s) row.add(sorted[k].target, sorted[k].rate);
+        }
+        row.drain([&](TangibleId t, double rate) { entries.push_back(RateEntry{t, rate}); });
+        row_start.push_back(entries.size());
+    }
+    *this = Ctmc(std::move(row_start), std::move(entries));
+}
+
+Ctmc::Ctmc(std::vector<std::size_t> row_start, std::vector<RateEntry> entries)
+    : row_start_(std::move(row_start)), entries_(std::move(entries)) {
+    DPMA_REQUIRE(!row_start_.empty() && row_start_.front() == 0 &&
+                     row_start_.back() == entries_.size(),
+                 "CTMC rows do not cover the entries");
+    const std::size_t n = num_states();
+    exit_.assign(n, 0.0);
+    for (TangibleId s = 0; s < n; ++s) {
+        DPMA_REQUIRE(row_start_[s] <= row_start_[s + 1], "CTMC rows out of order");
+        for (const RateEntry& e : row(s)) {
+            DPMA_REQUIRE(e.target < n && e.target != s, "CTMC entry out of range or a self-loop");
+            DPMA_REQUIRE(e.rate > 0.0, "CTMC rates must be positive");
+            exit_[s] += e.rate;
         }
     }
-    rows_[from].push_back(RateEntry{to, rate});
-    exit_[from] += rate;
 }
 
 double Ctmc::max_exit_rate() const {
@@ -71,100 +119,129 @@ MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing) 
     span.arg("states", static_cast<double>(n));
     MarkovModel out;
     out.tangible_of.assign(n, kNoTangible);
-    out.vanishing_branches.resize(n);
+    out.branch_start.reserve(n + 1);
+    out.branch_start.push_back(0);
     const lts::Lts::CsrView& csr = model.graph.csr();
 
-    // Classify states and sanity-check rates.
+    // Pass 1: check the rates, apply maximal progress and normalise the
+    // surviving immediate weights.  A state without a positive-weight
+    // immediate branch is tangible.
     for (lts::StateId s = 0; s < n; ++s) {
+        int best_priority = std::numeric_limits<int>::min();
+        double total_weight = 0.0;
         for (const lts::Transition& t : csr.out(s)) {
-            if (std::holds_alternative<lts::RateUnspecified>(t.rate)) {
-                throw ModelError(
-                    "transition " + model.graph.actions()->name(t.action) +
-                    " has no rate: functional models cannot be solved as CTMCs");
-            }
-            if (lts::is_passive(t.rate)) {
-                throw ModelError("passive transition " +
-                                 model.graph.actions()->name(t.action) +
-                                 " survived composition (unattached interaction?)");
-            }
-            if (lts::is_general(t.rate)) {
-                throw ModelError("generally distributed transition " +
-                                 model.graph.actions()->name(t.action) +
-                                 " in a Markovian model; use the simulator instead");
+            check_rate(model, t);
+            if (const auto* imm = std::get_if<lts::RateImmediate>(&t.rate)) {
+                if (imm->priority > best_priority) {
+                    best_priority = imm->priority;
+                    total_weight = 0.0;
+                }
+                if (imm->priority == best_priority) total_weight += imm->weight;
             }
         }
-        out.vanishing_branches[s] = immediate_branches(csr, s);
-        if (out.vanishing_branches[s].empty()) {
+        if (total_weight > 0.0) {
+            for (const lts::Transition& t : csr.out(s)) {
+                const auto* imm = std::get_if<lts::RateImmediate>(&t.rate);
+                // Zero-weight branches can never fire; dropping them keeps
+                // degenerate parameterisations (e.g. loss probability 0) legal.
+                if (imm != nullptr && imm->priority == best_priority && imm->weight > 0.0) {
+                    out.branches.push_back(
+                        VanishingBranch{t.target, t.action, imm->weight / total_weight});
+                }
+            }
+        } else {
             out.tangible_of[s] = static_cast<TangibleId>(out.orig_of.size());
             out.orig_of.push_back(s);
         }
+        out.branch_start.push_back(out.branches.size());
     }
+    const std::size_t num_tangible = out.orig_of.size();
+    const std::size_t num_vanishing = n - num_tangible;
 
-    // Topologically order the vanishing subgraph; reject immediate cycles.
+    // Pass 2: Kahn's topological order of the vanishing subgraph (FIFO, the
+    // order itself is the queue); an immediate cycle leaves states unordered.
     {
-        std::vector<int> indegree(n, 0);
-        std::vector<lts::StateId> vanishing;
+        std::vector<std::uint32_t> indegree(n, 0);
+        for (const VanishingBranch& b : out.branches) {
+            if (!out.is_tangible(b.target)) ++indegree[b.target];
+        }
+        std::vector<lts::StateId>& order = out.vanishing_topo_order;
+        order.reserve(num_vanishing);
         for (lts::StateId s = 0; s < n; ++s) {
-            if (out.is_tangible(s)) continue;
-            vanishing.push_back(s);
-            for (const VanishingBranch& b : out.vanishing_branches[s]) {
-                if (!out.is_tangible(b.target)) ++indegree[b.target];
-            }
+            if (!out.is_tangible(s) && indegree[s] == 0) order.push_back(s);
         }
-        std::deque<lts::StateId> ready;
-        for (lts::StateId s : vanishing) {
-            if (indegree[s] == 0) ready.push_back(s);
-        }
-        while (!ready.empty()) {
-            const lts::StateId s = ready.front();
-            ready.pop_front();
-            out.vanishing_topo_order.push_back(s);
-            for (const VanishingBranch& b : out.vanishing_branches[s]) {
+        for (std::size_t i = 0; i < order.size(); ++i) {
+            for (const VanishingBranch& b : out.branches_of(order[i])) {
                 if (!out.is_tangible(b.target) && --indegree[b.target] == 0) {
-                    ready.push_back(b.target);
+                    order.push_back(b.target);
                 }
             }
         }
-        if (out.vanishing_topo_order.size() != vanishing.size()) {
+        if (order.size() != num_vanishing) {
             throw NumericalError(
                 "immediate-action cycle detected: the model lets time stand "
                 "still forever (check immediate self-triggering loops)");
         }
     }
 
-    // reach[v]: distribution over tangible states entered from vanishing v.
-    // Computed in reverse topological order so successors are ready.
-    std::vector<std::unordered_map<lts::StateId, double>> reach(n);
-    for (auto it = out.vanishing_topo_order.rbegin();
-         it != out.vanishing_topo_order.rend(); ++it) {
+    // Pass 3: the distribution over tangible states entered from each
+    // vanishing v, in reverse topological order so successors are ready:
+    // pool entries [reach_begin[v], reach_end[v]).  A certain single branch
+    // to another vanishing state shares that state's entries.
+    std::vector<std::size_t> reach_begin(n, 0);
+    std::vector<std::size_t> reach_end(n, 0);
+    std::vector<TangibleId> pool_state;
+    std::vector<double> pool_prob;
+    Accumulator acc(num_tangible);
+    const auto pool_add = [&](TangibleId g, double p) {
+        pool_state.push_back(g);
+        pool_prob.push_back(p);
+    };
+    for (auto it = out.vanishing_topo_order.rbegin(); it != out.vanishing_topo_order.rend();
+         ++it) {
         const lts::StateId v = *it;
-        auto& dist = reach[v];
-        for (const VanishingBranch& b : out.vanishing_branches[v]) {
+        const std::span<const VanishingBranch> branches = out.branches_of(v);
+        if (branches.size() == 1 && branches[0].probability == 1.0 &&
+            !out.is_tangible(branches[0].target)) {
+            reach_begin[v] = reach_begin[branches[0].target];
+            reach_end[v] = reach_end[branches[0].target];
+            continue;
+        }
+        for (const VanishingBranch& b : branches) {
             if (out.is_tangible(b.target)) {
-                dist[b.target] += b.probability;
-            } else {
-                for (const auto& [g, p] : reach[b.target]) {
-                    dist[g] += b.probability * p;
-                }
+                acc.add(out.tangible_of[b.target], b.probability);
+                continue;
+            }
+            for (std::size_t k = reach_begin[b.target]; k < reach_end[b.target]; ++k) {
+                acc.add(pool_state[k], b.probability * pool_prob[k]);
             }
         }
+        reach_begin[v] = pool_state.size();
+        acc.drain(pool_add);
+        reach_end[v] = pool_state.size();
     }
 
-    // Assemble the tangible CTMC.
-    Ctmc chain(out.orig_of.size());
-    for (TangibleId t = 0; t < out.orig_of.size(); ++t) {
+    // Pass 4: the tangible generator, row by row.
+    std::vector<std::size_t> row_start;
+    row_start.reserve(num_tangible + 1);
+    row_start.push_back(0);
+    std::vector<RateEntry> entries;
+    for (TangibleId t = 0; t < num_tangible; ++t) {
         const lts::StateId s = out.orig_of[t];
         bool has_timed = false;
         for (const lts::Transition& tr : csr.out(s)) {
             const auto* exp_rate = std::get_if<lts::RateExp>(&tr.rate);
             if (exp_rate == nullptr) continue;  // tangible => no immediates enabled
             has_timed = true;
+            const double rate = exp_rate->rate;
+            DPMA_REQUIRE(rate > 0.0, "CTMC rates must be positive");
             if (out.is_tangible(tr.target)) {
-                chain.add_rate(t, out.tangible_of[tr.target], exp_rate->rate);
-            } else {
-                for (const auto& [g, p] : reach[tr.target]) {
-                    chain.add_rate(t, out.tangible_of[g], exp_rate->rate * p);
-                }
+                const TangibleId g = out.tangible_of[tr.target];
+                if (g != t) acc.add(g, rate);  // self-loops do not affect the dynamics
+                continue;
+            }
+            for (std::size_t k = reach_begin[tr.target]; k < reach_end[tr.target]; ++k) {
+                if (pool_state[k] != t) acc.add(pool_state[k], rate * pool_prob[k]);
             }
         }
         if (!has_timed && !allow_absorbing) {
@@ -173,13 +250,19 @@ MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing) 
                                   ? "state " + std::to_string(s)
                                   : model.graph.state_name(s)));
         }
+        acc.drain([&](TangibleId g, double rate) { entries.push_back(RateEntry{g, rate}); });
+        row_start.push_back(entries.size());
     }
-    out.chain = std::move(chain);
+    const std::size_t num_entries = entries.size();
+    out.chain = Ctmc(std::move(row_start), std::move(entries));
 
     obs::counter("ctmc.builds").add();
-    obs::counter("ctmc.tangible_states").add(out.orig_of.size());
-    obs::counter("ctmc.vanishing_eliminated").add(n - out.orig_of.size());
-    span.arg("tangible", static_cast<double>(out.orig_of.size()));
+    obs::counter("ctmc.tangible_states").add(num_tangible);
+    obs::counter("ctmc.vanishing_eliminated").add(num_vanishing);
+    obs::counter("ctmc.generator_entries").add(num_entries);
+    span.arg("tangible", static_cast<double>(num_tangible));
+    span.arg("vanishing", static_cast<double>(num_vanishing));
+    span.arg("generator_entries", static_cast<double>(num_entries));
 
     // Initial distribution.
     const lts::StateId init = model.graph.initial();
@@ -187,8 +270,8 @@ MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing) 
     if (out.is_tangible(init)) {
         out.initial_distribution.emplace_back(out.tangible_of[init], 1.0);
     } else {
-        for (const auto& [g, p] : reach[init]) {
-            out.initial_distribution.emplace_back(out.tangible_of[g], p);
+        for (std::size_t k = reach_begin[init]; k < reach_end[init]; ++k) {
+            out.initial_distribution.emplace_back(pool_state[k], pool_prob[k]);
         }
     }
     return out;

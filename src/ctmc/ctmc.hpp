@@ -11,6 +11,7 @@
 /// on immediate transitions — once the steady-state vector is known.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "adl/compose.hpp"
@@ -29,22 +30,44 @@ struct RateEntry {
     double rate;
 };
 
-/// Sparse CTMC.  Diagonal entries are implicit (exit rates).
+/// Sparse CTMC in compressed-row form: row s is one contiguous slice of a
+/// single RateEntry array, with distinct targets and no self-loop.
+/// Diagonal entries are implicit (exit rates).
 class Ctmc {
 public:
-    explicit Ctmc(std::size_t num_states) : rows_(num_states), exit_(num_states, 0.0) {}
+    /// One rate of a chain under construction: `rate` from `from` to `to`.
+    struct Triplet {
+        TangibleId from;
+        TangibleId to;
+        double rate;
+    };
 
-    void add_rate(TangibleId from, TangibleId to, double rate);
+    Ctmc() = default;
 
-    [[nodiscard]] std::size_t num_states() const noexcept { return rows_.size(); }
-    [[nodiscard]] const std::vector<RateEntry>& row(TangibleId s) const { return rows_[s]; }
+    /// Chain over \p num_states states with the given rates.  Parallel rates
+    /// between one pair are summed in the order given, self-loops are dropped
+    /// (they do not affect the dynamics), and every rate must be positive.
+    /// Each row lists its targets in first-seen order.
+    explicit Ctmc(std::size_t num_states, const std::vector<Triplet>& rates = {});
+
+    /// Chain from finished rows: row s is entries[row_start[s] ..
+    /// row_start[s+1]), with distinct targets, no self-loop and positive
+    /// rates (checked, except distinctness).  Exit rates are the row sums.
+    Ctmc(std::vector<std::size_t> row_start, std::vector<RateEntry> entries);
+
+    [[nodiscard]] std::size_t num_states() const noexcept { return row_start_.size() - 1; }
+    [[nodiscard]] std::size_t num_entries() const noexcept { return entries_.size(); }
+    [[nodiscard]] std::span<const RateEntry> row(TangibleId s) const {
+        return {entries_.data() + row_start_[s], entries_.data() + row_start_[s + 1]};
+    }
     [[nodiscard]] double exit_rate(TangibleId s) const { return exit_[s]; }
 
     /// Largest exit rate (uniformisation constant baseline).
     [[nodiscard]] double max_exit_rate() const;
 
 private:
-    std::vector<std::vector<RateEntry>> rows_;
+    std::vector<std::size_t> row_start_{0};
+    std::vector<RateEntry> entries_;
     std::vector<double> exit_;
 };
 
@@ -52,23 +75,25 @@ private:
 /// weight normalisation.
 struct VanishingBranch {
     lts::StateId target;    ///< composed-graph state id
-    double probability;     ///< branch probability (weights normalised)
     lts::ActionId action;   ///< label, for transition rewards
+    double probability;     ///< branch probability (weights normalised)
 };
 
 /// Result of extracting a CTMC from a composed model.
 struct MarkovModel {
-    Ctmc chain{0};
+    Ctmc chain;
 
     /// tangible_of[g] = dense CTMC index of composed state g, or kNoTangible.
     std::vector<TangibleId> tangible_of;
     /// orig_of[t] = composed-graph state id of CTMC state t.
     std::vector<lts::StateId> orig_of;
 
-    /// For every vanishing composed state, its normalised immediate branches
-    /// (empty vector for tangible states).  The vanishing subgraph is acyclic
-    /// (checked during construction).
-    std::vector<std::vector<VanishingBranch>> vanishing_branches;
+    /// The normalised immediate branches of every composed state, flat: those
+    /// of state g are branches[branch_start[g] .. branch_start[g+1]), none
+    /// for a tangible state.  The vanishing subgraph is acyclic (checked
+    /// during construction).
+    std::vector<std::size_t> branch_start;
+    std::vector<VanishingBranch> branches;
 
     /// Vanishing states in a topological order of the vanishing subgraph
     /// (sources first); used to propagate visit frequencies.
@@ -81,6 +106,9 @@ struct MarkovModel {
     [[nodiscard]] bool is_tangible(lts::StateId g) const {
         return tangible_of[g] != kNoTangible;
     }
+    [[nodiscard]] std::span<const VanishingBranch> branches_of(lts::StateId g) const {
+        return {branches.data() + branch_start[g], branches.data() + branch_start[g + 1]};
+    }
 };
 
 /// Extracts the CTMC.  Requirements checked:
@@ -90,6 +118,13 @@ struct MarkovModel {
 ///  * the vanishing subgraph (after maximal progress) has no cycles;
 ///  * every tangible state has at least one outgoing timed transition
 ///    unless \p allow_absorbing is true.
+///
+/// Elimination is a few flat passes over the frozen CSR view: classify and
+/// normalise the branches, order the vanishing states (Kahn), compute each
+/// vanishing state's distribution over the tangible states it enters in
+/// reverse topological order, then assemble the generator row by row.  Each
+/// distribution and row is summed in first-seen transition order, so the
+/// result is the same on every standard library.
 [[nodiscard]] MarkovModel build_markov(const adl::ComposedModel& model,
                                        bool allow_absorbing = false);
 

@@ -15,9 +15,10 @@ std::vector<double> action_frequencies(const MarkovModel& markov,
     std::vector<double> vanishing_entry(model.graph.num_states(), 0.0);
 
     // Timed transitions out of tangible states.
+    const lts::Lts::CsrView& csr = model.graph.csr();
     for (TangibleId t = 0; t < markov.orig_of.size(); ++t) {
         const lts::StateId s = markov.orig_of[t];
-        for (const lts::Transition& tr : model.graph.out(s)) {
+        for (const lts::Transition& tr : csr.out(s)) {
             const auto* exp_rate = std::get_if<lts::RateExp>(&tr.rate);
             if (exp_rate == nullptr) continue;
             const double f = pi[t] * exp_rate->rate;
@@ -32,7 +33,7 @@ std::vector<double> action_frequencies(const MarkovModel& markov,
     for (lts::StateId v : markov.vanishing_topo_order) {
         const double entry = vanishing_entry[v];
         if (entry == 0.0) continue;
-        for (const VanishingBranch& b : markov.vanishing_branches[v]) {
+        for (const VanishingBranch& b : markov.branches_of(v)) {
             const double f = entry * b.probability;
             freq[b.action] += f;
             if (!markov.is_tangible(b.target)) {
@@ -46,10 +47,11 @@ std::vector<double> action_frequencies(const MarkovModel& markov,
 double state_probability(const MarkovModel& markov, const adl::ComposedModel& model,
                          const std::vector<double>& pi,
                          const adl::Predicate& predicate) {
-    const std::vector<char> mask = adl::state_mask(model, predicate);
+    // Only tangible states carry mass, so only they are tested.
+    const adl::StateTest holds(model, predicate);
     KahanSum sum;
     for (TangibleId t = 0; t < markov.orig_of.size(); ++t) {
-        if (mask[markov.orig_of[t]]) sum.add(pi[t]);
+        if (holds(markov.orig_of[t])) sum.add(pi[t]);
     }
     return sum.value();
 }

@@ -53,12 +53,12 @@ void record_solve(SolveDiagnostics* diagnostics, const char* method, std::size_t
     }
 }
 
-Csr adjacency(const Ctmc& chain, bool transposed) {
+Csr transpose(const Ctmc& chain) {
     const std::size_t n = chain.num_states();
     Csr out;
     out.start.assign(n + 1, 0);
     for (TangibleId s = 0; s < n; ++s) {
-        for (const RateEntry& e : chain.row(s)) ++out.start[(transposed ? e.target : s) + 1];
+        for (const RateEntry& e : chain.row(s)) ++out.start[e.target + 1];
     }
     for (std::size_t i = 0; i < n; ++i) out.start[i + 1] += out.start[i];
     out.col.resize(out.start[n]);
@@ -66,8 +66,8 @@ Csr adjacency(const Ctmc& chain, bool transposed) {
     std::vector<std::size_t> fill(out.start.begin(), out.start.end() - 1);
     for (TangibleId s = 0; s < n; ++s) {
         for (const RateEntry& e : chain.row(s)) {
-            const std::size_t k = fill[transposed ? e.target : s]++;
-            out.col[k] = transposed ? s : e.target;
+            const std::size_t k = fill[e.target]++;
+            out.col[k] = s;
             out.val[k] = e.rate;
         }
     }
@@ -134,18 +134,6 @@ void gauss_seidel(const Csr& a, const std::vector<double>& b,
     throw NumericalError("Gauss-Seidel did not converge within " +
                          std::to_string(max_iterations) + " iterations (residual " +
                          residual + ")");
-}
-
-bool is_irreducible(const Ctmc& chain) {
-    const std::size_t n = chain.num_states();
-    if (n == 0) return false;
-    std::vector<char> origin(n, 0);
-    origin[0] = 1;
-    const auto all = [](const std::vector<char>& seen) {
-        return std::all_of(seen.begin(), seen.end(), [](char c) { return c != 0; });
-    };
-    return all(reach(adjacency(chain, false), origin)) &&
-           all(reach(adjacency(chain, true), origin));
 }
 
 void SolveDiagnostics::record_residual(double residual) {
@@ -239,7 +227,7 @@ std::vector<double> steady_state_gauss_seidel(const Ctmc& chain,
     std::vector<double> exit(n);
     for (TangibleId s = 0; s < n; ++s) exit[s] = chain.exit_rate(s);
     std::vector<double> pi(n, 1.0 / static_cast<double>(n));
-    gauss_seidel(adjacency(chain, true), {}, exit, pi, /*normalise=*/true,
+    gauss_seidel(transpose(chain), {}, exit, pi, /*normalise=*/true,
                  options.tolerance, options.max_iterations, options.diagnostics);
     return pi;
 }
@@ -278,31 +266,40 @@ std::vector<double> steady_state_power(const Ctmc& chain, const SolveOptions& op
                          std::to_string(options.max_iterations) + " iterations");
 }
 
-std::vector<std::vector<TangibleId>> bottom_sccs(const Ctmc& chain) {
+namespace {
+
+/// Strongly connected components (iterative Tarjan): the component of every
+/// state and the number of components.
+struct Components {
+    std::vector<int> of;
+    int count = 0;
+};
+
+Components strong_components(const Ctmc& chain) {
     const std::size_t n = chain.num_states();
-    // Iterative Tarjan.
     std::vector<int> index(n, -1);
     std::vector<int> lowlink(n, 0);
     std::vector<char> on_stack(n, 0);
     std::vector<TangibleId> stack;
-    std::vector<int> scc_of(n, -1);
+    Components out;
+    out.of.assign(n, -1);
     int next_index = 0;
-    int num_sccs = 0;
 
     struct Frame {
         TangibleId v;
         std::size_t child = 0;
     };
+    std::vector<Frame> frames;
     for (TangibleId root = 0; root < n; ++root) {
         if (index[root] != -1) continue;
-        std::vector<Frame> frames{{root, 0}};
+        frames.push_back(Frame{root, 0});
         index[root] = lowlink[root] = next_index++;
         stack.push_back(root);
         on_stack[root] = 1;
         while (!frames.empty()) {
             Frame& frame = frames.back();
             const TangibleId v = frame.v;
-            const auto& row = chain.row(v);
+            const auto row = chain.row(v);
             if (frame.child < row.size()) {
                 const TangibleId w = row[frame.child++].target;
                 if (index[w] == -1) {
@@ -320,10 +317,10 @@ std::vector<std::vector<TangibleId>> bottom_sccs(const Ctmc& chain) {
                     const TangibleId w = stack.back();
                     stack.pop_back();
                     on_stack[w] = 0;
-                    scc_of[w] = num_sccs;
+                    out.of[w] = out.count;
                     if (w == v) break;
                 }
-                ++num_sccs;
+                ++out.count;
             }
             frames.pop_back();
             if (!frames.empty()) {
@@ -332,19 +329,30 @@ std::vector<std::vector<TangibleId>> bottom_sccs(const Ctmc& chain) {
             }
         }
     }
+    return out;
+}
 
+}  // namespace
+
+bool is_irreducible(const Ctmc& chain) {
+    return chain.num_states() > 0 && strong_components(chain).count == 1;
+}
+
+std::vector<std::vector<TangibleId>> bottom_sccs(const Ctmc& chain) {
+    const std::size_t n = chain.num_states();
+    const Components scc = strong_components(chain);
     // A SCC is "bottom" when no member has an edge leaving it.
-    std::vector<char> is_bottom(static_cast<std::size_t>(num_sccs), 1);
+    std::vector<char> is_bottom(static_cast<std::size_t>(scc.count), 1);
     for (TangibleId v = 0; v < n; ++v) {
         for (const RateEntry& e : chain.row(v)) {
-            if (scc_of[e.target] != scc_of[v]) {
-                is_bottom[static_cast<std::size_t>(scc_of[v])] = 0;
+            if (scc.of[e.target] != scc.of[v]) {
+                is_bottom[static_cast<std::size_t>(scc.of[v])] = 0;
             }
         }
     }
-    std::vector<std::vector<TangibleId>> out(static_cast<std::size_t>(num_sccs));
+    std::vector<std::vector<TangibleId>> out(static_cast<std::size_t>(scc.count));
     for (TangibleId v = 0; v < n; ++v) {
-        out[static_cast<std::size_t>(scc_of[v])].push_back(v);
+        out[static_cast<std::size_t>(scc.of[v])].push_back(v);
     }
     std::vector<std::vector<TangibleId>> bottoms;
     for (std::size_t c = 0; c < out.size(); ++c) {
@@ -384,9 +392,6 @@ std::vector<double> steady_state(const Ctmc& chain, const SolveOptions& options)
     DPMA_NAMED_SPAN(span, "ctmc.solve", "solve");
     span.arg("states", static_cast<double>(chain.num_states()));
     obs::counter("ctmc.solve.calls").add();
-    if (is_irreducible(chain)) {
-        return steady_state_irreducible(chain, options);
-    }
     const auto bottoms = bottom_sccs(chain);
     if (bottoms.size() != 1) {
         throw NumericalError(
@@ -395,19 +400,26 @@ std::vector<double> steady_state(const Ctmc& chain, const SolveOptions& options)
             "initial state (is the model deadlock-free?)");
     }
     const std::vector<TangibleId>& recurrent = bottoms.front();
+    if (recurrent.size() == chain.num_states()) {
+        return steady_state_irreducible(chain, options);
+    }
+    span.arg("recurrent", static_cast<double>(recurrent.size()));
+    // The recurrent rows, sliced out and renumbered (no edge leaves them).
     std::vector<TangibleId> dense_of(chain.num_states(), kNoTangible);
     for (std::size_t i = 0; i < recurrent.size(); ++i) {
         dense_of[recurrent[i]] = static_cast<TangibleId>(i);
     }
-    Ctmc sub(recurrent.size());
-    for (std::size_t i = 0; i < recurrent.size(); ++i) {
-        for (const RateEntry& e : chain.row(recurrent[i])) {
-            DPMA_ASSERT(dense_of[e.target] != kNoTangible,
-                        "edge leaves a bottom SCC");
-            sub.add_rate(static_cast<TangibleId>(i), dense_of[e.target], e.rate);
+    std::vector<std::size_t> row_start{0};
+    std::vector<RateEntry> entries;
+    for (const TangibleId s : recurrent) {
+        for (const RateEntry& e : chain.row(s)) {
+            DPMA_ASSERT(dense_of[e.target] != kNoTangible, "edge leaves a bottom SCC");
+            entries.push_back(RateEntry{dense_of[e.target], e.rate});
         }
+        row_start.push_back(entries.size());
     }
-    const std::vector<double> sub_pi = steady_state_irreducible(sub, options);
+    const std::vector<double> sub_pi = steady_state_irreducible(
+        Ctmc(std::move(row_start), std::move(entries)), options);
     std::vector<double> pi(chain.num_states(), 0.0);
     for (std::size_t i = 0; i < recurrent.size(); ++i) {
         pi[recurrent[i]] = sub_pi[i];

@@ -54,8 +54,8 @@ struct SolveOptions {
     SolveDiagnostics* diagnostics = nullptr;
 };
 
-/// True when every state can reach every other state (checked via forward
-/// and backward reachability from state 0).
+/// True when every state can reach every other state (the chain is one
+/// strongly connected component).
 [[nodiscard]] bool is_irreducible(const Ctmc& chain);
 
 /// Bottom strongly connected components (recurrent classes) of the chain.
@@ -66,9 +66,10 @@ struct SolveOptions {
 /// threshold, Gauss–Seidel (with power-iteration fallback) above.
 ///
 /// Chains with transient states (e.g. a client's one-shot prebuffering
-/// delay) are handled by restricting to the recurrent class: the chain must
-/// have exactly one bottom SCC, which receives all the probability mass;
-/// transient states get probability zero.  Multiple bottom SCCs raise
+/// delay) are handled by restricting to the recurrent class (its rows,
+/// sliced out of the chain; the ctmc.solve span records its size as
+/// `recurrent`): the chain must have exactly one bottom SCC, which receives
+/// all the probability mass; transient states get probability zero.  Multiple bottom SCCs raise
 /// NumericalError (the long-run behaviour would depend on the initial state).
 [[nodiscard]] std::vector<double> steady_state(const Ctmc& chain,
                                                const SolveOptions& options = {});

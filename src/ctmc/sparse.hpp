@@ -24,10 +24,10 @@ struct Csr {
     [[nodiscard]] std::size_t rows() const noexcept { return start.size() - 1; }
 };
 
-/// The chain's rate matrix as CSR.  Row s lists (t, rate(s,t)); when
-/// \p transposed, row t lists (s, rate(s,t)) with s ascending — the incoming
-/// rates the balance equations sum over.
-[[nodiscard]] Csr adjacency(const Ctmc& chain, bool transposed);
+/// The chain's transposed rate matrix: row t lists (s, rate(s,t)) with s
+/// ascending — the incoming rates the balance equations sum over.  (The
+/// chain's own rows are already compressed; read them through Ctmc::row.)
+[[nodiscard]] Csr transpose(const Ctmc& chain);
 
 /// Marks every state reachable from a seed (seed[s] != 0) along the rows
 /// of \p graph: breadth-first, seeds included.

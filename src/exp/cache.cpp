@@ -1,5 +1,6 @@
 #include "exp/cache.hpp"
 
+#include <cmath>
 #include <variant>
 
 #include "adl/measure.hpp"
@@ -97,7 +98,10 @@ void ModelCache::clear() {
 adl::ComposedModel with_exp_rate(const adl::ComposedModel& model,
                                  const std::string& instance,
                                  const std::string& action, double rate) {
-    DPMA_REQUIRE(rate > 0.0, "exponential rate must be > 0");
+    if (!std::isfinite(rate) || !(rate > 0.0)) {
+        throw ModelError("exponential rate of " + instance + "." + action +
+                         " must be finite and > 0, got " + std::to_string(rate));
+    }
     return patch_matching(
         model, instance, action,
         [&](lts::ActionId a, lts::Rate& transition_rate) {
@@ -126,6 +130,10 @@ adl::ComposedModel with_dist(const adl::ComposedModel& model,
 adl::ComposedModel with_delay(const adl::ComposedModel& model,
                               const std::string& instance, const std::string& action,
                               double delay) {
+    if (!std::isfinite(delay)) {
+        throw ModelError("delay of " + instance + "." + action + " must be finite, got " +
+                         std::to_string(delay));
+    }
     return patch_matching(
         model, instance, action,
         [&](lts::ActionId a, lts::Rate& transition_rate) {

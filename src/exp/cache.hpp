@@ -73,9 +73,10 @@ private:
 /// in measure ENABLED predicates) replaced by \p rate.  The reachable state
 /// space is unchanged — an exponential transition is enabled whatever its
 /// rate — which is what lets a sweep patch a cached skeleton instead of
-/// recomposing.  Throws ModelError when nothing matches or a matching
-/// transition is not exponential (patching an immediate or deterministic
-/// transition could change the structure, so it is refused).
+/// recomposing.  Throws ModelError when \p rate is not finite and positive,
+/// when nothing matches, or when a matching transition is not exponential
+/// (patching an immediate or deterministic transition could change the
+/// structure, so it is refused).
 [[nodiscard]] adl::ComposedModel with_exp_rate(const adl::ComposedModel& model,
                                                const std::string& instance,
                                                const std::string& action, double rate);
@@ -92,7 +93,7 @@ private:
 /// — or makes it immediate (priority 1, weight 1) when \p delay <= 0.  The
 /// immediate form still keeps the reachable state space, because composition
 /// applies no maximal progress (adl/compose.hpp).  Same matching rules;
-/// matches must be exponential or general.
+/// matches must be exponential or general, and \p delay must be finite.
 [[nodiscard]] adl::ComposedModel with_delay(const adl::ComposedModel& model,
                                             const std::string& instance,
                                             const std::string& action, double delay);

@@ -18,8 +18,8 @@ struct SpanRecord {
     std::uint64_t start_ns;
     std::uint64_t duration_ns;
     std::uint32_t tid;
-    const char* arg_keys[2];
-    double arg_values[2];
+    std::array<const char*, Span::kMaxArgs> arg_keys;
+    std::array<double, Span::kMaxArgs> arg_values;
 };
 
 /// Keep a long sweep visible but bound memory: ~1M records = ~80 MB worst
@@ -84,7 +84,7 @@ Span::Span(const char* name, const char* category) noexcept
 
 void Span::arg(const char* key, double value) noexcept {
     if (!active_) return;
-    for (std::size_t i = 0; i < 2; ++i) {
+    for (std::size_t i = 0; i < kMaxArgs; ++i) {
         if (arg_keys_[i] == nullptr) {
             arg_keys_[i] = key;
             arg_values_[i] = value;
@@ -107,8 +107,8 @@ Span::~Span() {
                       start_ns_,
                       end_ns - start_ns_,
                       thread_tid(),
-                      {arg_keys_[0], arg_keys_[1]},
-                      {arg_values_[0], arg_values_[1]}};
+                      arg_keys_,
+                      arg_values_};
     t.records.push_back(record);
 }
 
@@ -137,7 +137,7 @@ std::string trace_json() {
                ", \"pid\": 1, \"tid\": " + std::to_string(r.tid);
         if (r.arg_keys[0] != nullptr) {
             out += ", \"args\": {";
-            for (int a = 0; a < 2 && r.arg_keys[a] != nullptr; ++a) {
+            for (std::size_t a = 0; a < Span::kMaxArgs && r.arg_keys[a] != nullptr; ++a) {
                 if (a > 0) out += ", ";
                 out += json_quote(r.arg_keys[a]) + ": " + json_number(r.arg_values[a]);
             }

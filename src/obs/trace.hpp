@@ -25,6 +25,8 @@
 /// DPMA_OBS=OFF) turns the DPMA_SPAN macros into nothing for overhead
 /// experiments; the library API stays available but records nothing.
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -64,17 +66,19 @@ public:
     Span(const Span&) = delete;
     Span& operator=(const Span&) = delete;
 
-    /// Attaches up to two numeric annotations, rendered into the event's
-    /// "args" object (extra calls beyond two are ignored).  No-op when the
-    /// span was constructed with tracing disabled.
+    static constexpr std::size_t kMaxArgs = 4;
+
+    /// Attaches up to kMaxArgs numeric annotations, rendered into the
+    /// event's "args" object (extra calls are ignored).  No-op when the span
+    /// was constructed with tracing disabled.
     void arg(const char* key, double value) noexcept;
 
 private:
     const char* name_;
     const char* category_;
     std::uint64_t start_ns_ = 0;
-    const char* arg_keys_[2] = {nullptr, nullptr};
-    double arg_values_[2] = {0.0, 0.0};
+    std::array<const char*, kMaxArgs> arg_keys_{};
+    std::array<double, kMaxArgs> arg_values_{};
     bool active_;
 };
 

@@ -14,8 +14,7 @@ namespace dpma::ctmc {
 namespace {
 
 TEST(HittingTimes, SingleStepExponential) {
-    Ctmc chain(2);
-    chain.add_rate(0, 1, 4.0);
+    const Ctmc chain(2, {{0, 1, 4.0}});
     const std::vector<char> targets{0, 1};
     const auto h = expected_hitting_times(chain, targets);
     EXPECT_DOUBLE_EQ(h[1], 0.0);
@@ -24,10 +23,7 @@ TEST(HittingTimes, SingleStepExponential) {
 
 TEST(HittingTimes, PureBirthChainSumsStageMeans) {
     // 0 ->(1) 1 ->(2) 2 ->(4) 3: expected total = 1 + 1/2 + 1/4.
-    Ctmc chain(4);
-    chain.add_rate(0, 1, 1.0);
-    chain.add_rate(1, 2, 2.0);
-    chain.add_rate(2, 3, 4.0);
+    const Ctmc chain(4, {{0, 1, 1.0}, {1, 2, 2.0}, {2, 3, 4.0}});
     const std::vector<char> targets{0, 0, 0, 1};
     const auto h = expected_hitting_times(chain, targets);
     EXPECT_NEAR(h[0], 1.75, 1e-12);
@@ -40,10 +36,7 @@ TEST(HittingTimes, BacktrackingChainMatchesClosedForm) {
     // 0 ->(a) 1, 1 ->(b) goal, 1 ->(c) 0.
     // h1 = 1/(b+c) + c/(b+c) h0 ; h0 = 1/a + h1.
     const double a = 2.0, b = 1.0, c = 3.0;
-    Ctmc chain(3);
-    chain.add_rate(0, 1, a);
-    chain.add_rate(1, 2, b);
-    chain.add_rate(1, 0, c);
+    const Ctmc chain(3, {{0, 1, a}, {1, 2, b}, {1, 0, c}});
     const std::vector<char> targets{0, 0, 1};
     const auto h = expected_hitting_times(chain, targets);
     const double h0 = ((1.0 / (b + c)) + (c / (b + c)) * (1.0 / a)) / (b / (b + c)) +
@@ -57,9 +50,7 @@ TEST(HittingTimes, BacktrackingChainMatchesClosedForm) {
 }
 
 TEST(HittingTimes, UnreachableTargetIsInfinite) {
-    Ctmc chain(3);
-    chain.add_rate(0, 1, 1.0);
-    chain.add_rate(1, 0, 1.0);
+    const Ctmc chain(3, {{0, 1, 1.0}, {1, 0, 1.0}});
     // state 2 is the target but nothing reaches it.
     const std::vector<char> targets{0, 0, 1};
     const auto h = expected_hitting_times(chain, targets);
@@ -71,9 +62,10 @@ TEST(HittingTimes, UnreachableTargetIsInfinite) {
 TEST(HittingTimes, PossibleEscapeMakesExpectationInfinite) {
     // 0 can go to the target or to an absorbing trap: P(hit) < 1 => infinite
     // expected hitting time.
-    Ctmc chain(3);
-    chain.add_rate(0, 1, 1.0);  // target
-    chain.add_rate(0, 2, 1.0);  // trap (absorbing)
+    const Ctmc chain(3, {
+        {0, 1, 1.0},  // target
+        {0, 2, 1.0},  // trap (absorbing)
+    });
     const std::vector<char> targets{0, 1, 0};
     const auto h = expected_hitting_times(chain, targets);
     EXPECT_TRUE(std::isinf(h[0]));
@@ -81,11 +73,12 @@ TEST(HittingTimes, PossibleEscapeMakesExpectationInfinite) {
 }
 
 TEST(HittingTimes, DenseAndSparseAgree) {
-    Ctmc chain(12);
+    std::vector<Ctmc::Triplet> rates;
     for (TangibleId i = 0; i + 1 < 12; ++i) {
-        chain.add_rate(i, i + 1, 1.0 + i * 0.3);
-        chain.add_rate(i + 1, i, 0.7);
+        rates.push_back({i, i + 1, 1.0 + i * 0.3});
+        rates.push_back({i + 1, i, 0.7});
     }
+    const Ctmc chain(12, rates);
     std::vector<char> targets(12, 0);
     targets[11] = 1;
     const auto dense = expected_hitting_times(chain, targets, 1500);
@@ -96,16 +89,16 @@ TEST(HittingTimes, DenseAndSparseAgree) {
 }
 
 TEST(HittingTimes, RejectsEmptyTargetSet) {
-    Ctmc chain(2);
-    chain.add_rate(0, 1, 1.0);
+    const Ctmc chain(2, {{0, 1, 1.0}});
     EXPECT_THROW((void)expected_hitting_times(chain, {0, 0}), Error);
     EXPECT_THROW((void)expected_hitting_times(chain, {0}), Error);
 }
 
 TEST(HittingProbabilities, SplitBetweenTargetAndTrap) {
-    Ctmc chain(3);
-    chain.add_rate(0, 1, 3.0);  // target with rate 3
-    chain.add_rate(0, 2, 1.0);  // trap with rate 1
+    const Ctmc chain(3, {
+        {0, 1, 3.0},  // target with rate 3
+        {0, 2, 1.0},  // trap with rate 1
+    });
     const std::vector<char> targets{0, 1, 0};
     const auto p = hitting_probabilities(chain, targets);
     EXPECT_NEAR(p[0], 0.75, 1e-10);
@@ -114,10 +107,7 @@ TEST(HittingProbabilities, SplitBetweenTargetAndTrap) {
 }
 
 TEST(HittingProbabilities, CertainWhenNoTrapExists) {
-    Ctmc chain(3);
-    chain.add_rate(0, 1, 1.0);
-    chain.add_rate(1, 0, 5.0);
-    chain.add_rate(1, 2, 1.0);
+    const Ctmc chain(3, {{0, 1, 1.0}, {1, 0, 5.0}, {1, 2, 1.0}});
     const std::vector<char> targets{0, 0, 1};
     const auto p = hitting_probabilities(chain, targets);
     EXPECT_NEAR(p[0], 1.0, 1e-9);
@@ -129,10 +119,7 @@ TEST(HittingProbabilities, CertainWhenNoTrapExists) {
 // so it meets the closed forms h1 = 2/eps, h0 = h1 + 1 and p = 1 to rounding.
 TEST(HittingProbabilities, StiffChainIsSolvedExactly) {
     const double eps = 1e-12;
-    Ctmc chain(3);
-    chain.add_rate(0, 1, 1.0);
-    chain.add_rate(1, 0, 1.0);
-    chain.add_rate(1, 2, eps);
+    const Ctmc chain(3, {{0, 1, 1.0}, {1, 0, 1.0}, {1, 2, eps}});
     const std::vector<char> targets{0, 0, 1};
     const auto h = expected_hitting_times(chain, targets, 0);
     EXPECT_NEAR(h[0], 2.0 / eps + 1.0, 1e-12 * h[0]);
@@ -143,13 +130,15 @@ TEST(HittingProbabilities, StiffChainIsSolvedExactly) {
 }
 
 TEST(HittingTimes, FactorBeyondTheBudgetOrAZeroPivotIsAnError) {
-    // A birth-death chain keeps one upper entry per row: 11 in all.
-    Ctmc chain(12);
+    // A birth-death chain (here its transpose) keeps one upper entry per
+    // row: 11 in all.
+    std::vector<Ctmc::Triplet> rates;
     for (TangibleId i = 0; i + 1 < 12; ++i) {
-        chain.add_rate(i, i + 1, 1.0);
-        chain.add_rate(i + 1, i, 2.0);
+        rates.push_back({i, i + 1, 1.0});
+        rates.push_back({i + 1, i, 2.0});
     }
-    const Csr a = adjacency(chain, false);
+    const Ctmc chain(12, rates);
+    const Csr a = transpose(chain);
     std::vector<double> leak(12, 0.0);
     leak[11] = 1.0;
     EXPECT_EQ(eliminate(a, leak, std::vector<double>(12, 1.0)).factor_entries, 11u);

@@ -1,0 +1,510 @@
+/// \file ctmc_build_diff_test.cpp
+/// Differential tests for the vanishing-state elimination (ctmc::build_markov):
+/// the flat CSR build is compared against the retired map-based builder, kept
+/// here verbatim as a standalone reference (one hash map of reach
+/// probabilities per composed state, generator entries appended through a
+/// linear duplicate search).  On every shipped Markov spec, on the streaming
+/// model across buffer capacities, on the elimination fixtures and on seeded
+/// random architectures, both must classify the same states, agree on the
+/// branch tables, and produce the same initial distribution, generator
+/// entries and exit rates to 1e-12 relative.  Not bit for bit: the reference
+/// summed each exit rate in hash-map iteration order, the new build sums in
+/// first-seen transition order.  Failing models must fail the same way.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <deque>
+#include <filesystem>
+#include <limits>
+#include <map>
+#include <random>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "adl/compose.hpp"
+#include "core/error.hpp"
+#include "ctmc/ctmc.hpp"
+#include "ctmc_fixtures.hpp"
+#include "models/specs.hpp"
+#include "models/variants.hpp"
+
+#ifndef DPMA_SPECS_DIR
+#error "DPMA_SPECS_DIR must point at the shipped specs/ directory"
+#endif
+
+namespace dpma::ctmc {
+namespace {
+
+// ---------------------------------------------------------------------------
+// Reference: the retired builder, verbatim except that the chain keeps its
+// per-row vectors locally instead of in Ctmc.
+// ---------------------------------------------------------------------------
+
+struct RefChain {
+    std::vector<std::vector<RateEntry>> rows;
+    std::vector<double> exit;
+
+    explicit RefChain(std::size_t n) : rows(n), exit(n, 0.0) {}
+
+    void add_rate(TangibleId from, TangibleId to, double rate) {
+        DPMA_REQUIRE(from < rows.size() && to < rows.size(), "CTMC state out of range");
+        DPMA_REQUIRE(rate > 0.0, "CTMC rates must be positive");
+        if (from == to) return;  // self-loops do not affect the CTMC dynamics
+        for (RateEntry& e : rows[from]) {
+            if (e.target == to) {
+                e.rate += rate;
+                exit[from] += rate;
+                return;
+            }
+        }
+        rows[from].push_back(RateEntry{to, rate});
+        exit[from] += rate;
+    }
+};
+
+struct RefModel {
+    RefChain chain{0};
+    std::vector<TangibleId> tangible_of;
+    std::vector<lts::StateId> orig_of;
+    std::vector<std::vector<VanishingBranch>> vanishing_branches;
+    std::vector<lts::StateId> vanishing_topo_order;
+    std::vector<std::pair<TangibleId, double>> initial_distribution;
+
+    [[nodiscard]] bool is_tangible(lts::StateId g) const {
+        return tangible_of[g] != kNoTangible;
+    }
+};
+
+std::vector<VanishingBranch> ref_immediate_branches(const lts::Lts::CsrView& csr,
+                                                    lts::StateId state) {
+    int best_priority = std::numeric_limits<int>::min();
+    double total_weight = 0.0;
+    for (const lts::Transition& t : csr.out(state)) {
+        if (const auto* imm = std::get_if<lts::RateImmediate>(&t.rate)) {
+            if (imm->priority > best_priority) {
+                best_priority = imm->priority;
+                total_weight = 0.0;
+            }
+            if (imm->priority == best_priority) total_weight += imm->weight;
+        }
+    }
+    std::vector<VanishingBranch> branches;
+    if (total_weight <= 0.0) return branches;
+    for (const lts::Transition& t : csr.out(state)) {
+        if (const auto* imm = std::get_if<lts::RateImmediate>(&t.rate)) {
+            if (imm->priority == best_priority && imm->weight > 0.0) {
+                branches.push_back(
+                    VanishingBranch{t.target, t.action, imm->weight / total_weight});
+            }
+        }
+    }
+    return branches;
+}
+
+RefModel ref_build_markov(const adl::ComposedModel& model, bool allow_absorbing = false) {
+    const std::size_t n = model.graph.num_states();
+    RefModel out;
+    out.tangible_of.assign(n, kNoTangible);
+    out.vanishing_branches.resize(n);
+    const lts::Lts::CsrView& csr = model.graph.csr();
+
+    for (lts::StateId s = 0; s < n; ++s) {
+        for (const lts::Transition& t : csr.out(s)) {
+            if (std::holds_alternative<lts::RateUnspecified>(t.rate)) {
+                throw ModelError("transition has no rate");
+            }
+            if (lts::is_passive(t.rate)) {
+                throw ModelError("passive transition survived composition");
+            }
+            if (lts::is_general(t.rate)) {
+                throw ModelError("generally distributed transition");
+            }
+        }
+        out.vanishing_branches[s] = ref_immediate_branches(csr, s);
+        if (out.vanishing_branches[s].empty()) {
+            out.tangible_of[s] = static_cast<TangibleId>(out.orig_of.size());
+            out.orig_of.push_back(s);
+        }
+    }
+
+    {
+        std::vector<int> indegree(n, 0);
+        std::vector<lts::StateId> vanishing;
+        for (lts::StateId s = 0; s < n; ++s) {
+            if (out.is_tangible(s)) continue;
+            vanishing.push_back(s);
+            for (const VanishingBranch& b : out.vanishing_branches[s]) {
+                if (!out.is_tangible(b.target)) ++indegree[b.target];
+            }
+        }
+        std::deque<lts::StateId> ready;
+        for (lts::StateId s : vanishing) {
+            if (indegree[s] == 0) ready.push_back(s);
+        }
+        while (!ready.empty()) {
+            const lts::StateId s = ready.front();
+            ready.pop_front();
+            out.vanishing_topo_order.push_back(s);
+            for (const VanishingBranch& b : out.vanishing_branches[s]) {
+                if (!out.is_tangible(b.target) && --indegree[b.target] == 0) {
+                    ready.push_back(b.target);
+                }
+            }
+        }
+        if (out.vanishing_topo_order.size() != vanishing.size()) {
+            throw NumericalError("immediate-action cycle detected");
+        }
+    }
+
+    std::vector<std::unordered_map<lts::StateId, double>> reach(n);
+    for (auto it = out.vanishing_topo_order.rbegin();
+         it != out.vanishing_topo_order.rend(); ++it) {
+        const lts::StateId v = *it;
+        auto& dist = reach[v];
+        for (const VanishingBranch& b : out.vanishing_branches[v]) {
+            if (out.is_tangible(b.target)) {
+                dist[b.target] += b.probability;
+            } else {
+                for (const auto& [g, p] : reach[b.target]) {
+                    dist[g] += b.probability * p;
+                }
+            }
+        }
+    }
+
+    RefChain chain(out.orig_of.size());
+    for (TangibleId t = 0; t < out.orig_of.size(); ++t) {
+        const lts::StateId s = out.orig_of[t];
+        bool has_timed = false;
+        for (const lts::Transition& tr : csr.out(s)) {
+            const auto* exp_rate = std::get_if<lts::RateExp>(&tr.rate);
+            if (exp_rate == nullptr) continue;
+            has_timed = true;
+            if (out.is_tangible(tr.target)) {
+                chain.add_rate(t, out.tangible_of[tr.target], exp_rate->rate);
+            } else {
+                for (const auto& [g, p] : reach[tr.target]) {
+                    chain.add_rate(t, out.tangible_of[g], exp_rate->rate * p);
+                }
+            }
+        }
+        if (!has_timed && !allow_absorbing) {
+            throw ModelError("absorbing tangible state found (deadlock)");
+        }
+    }
+    out.chain = std::move(chain);
+
+    const lts::StateId init = model.graph.initial();
+    DPMA_REQUIRE(init != lts::kNoState, "composed model has no initial state");
+    if (out.is_tangible(init)) {
+        out.initial_distribution.emplace_back(out.tangible_of[init], 1.0);
+    } else {
+        for (const auto& [g, p] : reach[init]) {
+            out.initial_distribution.emplace_back(out.tangible_of[g], p);
+        }
+    }
+    return out;
+}
+
+// ---------------------------------------------------------------------------
+// Comparison
+// ---------------------------------------------------------------------------
+
+void expect_close(double got, double want, const std::string& what) {
+    EXPECT_LE(std::abs(got - want), 1e-12 * std::abs(want)) << what << ": " << got
+                                                            << " vs " << want;
+}
+
+std::map<TangibleId, double> as_map(const std::vector<std::pair<TangibleId, double>>& pairs) {
+    std::map<TangibleId, double> out;
+    for (const auto& [state, p] : pairs) {
+        EXPECT_TRUE(out.emplace(state, p).second) << "duplicate state " << state;
+    }
+    return out;
+}
+
+void expect_same_maps(const std::map<TangibleId, double>& got,
+                      const std::map<TangibleId, double>& want, const std::string& what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (const auto& [state, value] : want) {
+        const auto it = got.find(state);
+        ASSERT_NE(it, got.end()) << what << ": missing state " << state;
+        expect_close(it->second, value, what + " state " + std::to_string(state));
+    }
+}
+
+/// The order lists every vanishing state once, and every branch between two
+/// vanishing states points forward in it.
+void expect_topological(const MarkovModel& markov) {
+    std::vector<std::size_t> position(markov.tangible_of.size(), SIZE_MAX);
+    for (std::size_t i = 0; i < markov.vanishing_topo_order.size(); ++i) {
+        const lts::StateId v = markov.vanishing_topo_order[i];
+        ASSERT_FALSE(markov.is_tangible(v)) << "tangible state " << v << " in the order";
+        ASSERT_EQ(position[v], SIZE_MAX) << "state " << v << " ordered twice";
+        position[v] = i;
+    }
+    ASSERT_EQ(markov.vanishing_topo_order.size(),
+              markov.tangible_of.size() - markov.orig_of.size());
+    for (const lts::StateId v : markov.vanishing_topo_order) {
+        for (const VanishingBranch& b : markov.branches_of(v)) {
+            if (!markov.is_tangible(b.target)) {
+                EXPECT_LT(position[v], position[b.target]) << v << " -> " << b.target;
+            }
+        }
+    }
+}
+
+enum class Outcome { Ok, ModelError, NumericalError, OtherError };
+
+template <typename Build>
+Outcome outcome_of(Build&& build) {
+    try {
+        build();
+        return Outcome::Ok;
+    } catch (const ModelError&) {
+        return Outcome::ModelError;
+    } catch (const NumericalError&) {
+        return Outcome::NumericalError;
+    } catch (const Error&) {
+        return Outcome::OtherError;
+    }
+}
+
+/// Builds \p model both ways and compares; returns the shared outcome.
+Outcome compare_builds(const adl::ComposedModel& model, const std::string& label,
+                       bool allow_absorbing = false) {
+    SCOPED_TRACE(label);
+    RefModel ref;
+    MarkovModel got;
+    const Outcome want = outcome_of([&] { ref = ref_build_markov(model, allow_absorbing); });
+    const Outcome have = outcome_of([&] { got = build_markov(model, allow_absorbing); });
+    EXPECT_EQ(static_cast<int>(have), static_cast<int>(want));
+    if (want != Outcome::Ok || have != Outcome::Ok) return want;
+
+    EXPECT_EQ(got.tangible_of, ref.tangible_of);
+    EXPECT_EQ(got.orig_of, ref.orig_of);
+    const std::size_t n = model.graph.num_states();
+    EXPECT_EQ(got.branch_start.size(), n + 1);
+    for (lts::StateId g = 0; g < n; ++g) {
+        const auto branches = got.branches_of(g);
+        const auto& want_branches = ref.vanishing_branches[g];
+        EXPECT_EQ(branches.size(), want_branches.size()) << "state " << g;
+        if (branches.size() != want_branches.size()) continue;
+        for (std::size_t i = 0; i < branches.size(); ++i) {
+            EXPECT_EQ(branches[i].target, want_branches[i].target);
+            EXPECT_EQ(branches[i].action, want_branches[i].action);
+            EXPECT_EQ(branches[i].probability, want_branches[i].probability);
+        }
+    }
+    expect_topological(got);
+    expect_same_maps(as_map(got.initial_distribution), as_map(ref.initial_distribution),
+                     "initial distribution");
+
+    const Ctmc& chain = got.chain;
+    EXPECT_EQ(chain.num_states(), ref.chain.rows.size());
+    if (chain.num_states() != ref.chain.rows.size()) return want;
+    for (TangibleId t = 0; t < chain.num_states(); ++t) {
+        std::vector<std::pair<TangibleId, double>> row;
+        for (const RateEntry& e : chain.row(t)) row.emplace_back(e.target, e.rate);
+        std::vector<std::pair<TangibleId, double>> want_row;
+        for (const RateEntry& e : ref.chain.rows[t]) want_row.emplace_back(e.target, e.rate);
+        expect_same_maps(as_map(row), as_map(want_row), "row " + std::to_string(t));
+        expect_close(chain.exit_rate(t), ref.chain.exit[t], "exit " + std::to_string(t));
+    }
+    return want;
+}
+
+// ---------------------------------------------------------------------------
+// Models
+// ---------------------------------------------------------------------------
+
+TEST(BuildDiff, EveryShippedMarkovSpec) {
+    namespace fs = std::filesystem;
+    std::size_t checked = 0;
+    for (const auto& entry : fs::directory_iterator(DPMA_SPECS_DIR)) {
+        const std::string name = entry.path().filename().string();
+        if (!name.ends_with("_markov.aem")) continue;
+        const adl::ComposedModel model = adl::compose(models::archi(name));
+        EXPECT_EQ(compare_builds(model, name), Outcome::Ok);
+        ++checked;
+    }
+    EXPECT_GE(checked, 3u);
+}
+
+TEST(BuildDiff, StreamingAcrossBufferCapacities) {
+    const adl::ArchiType streaming = models::archi("streaming_markov.aem");
+    for (const long ap : {1L, 4L, 10L, 16L}) {
+        for (const long client : {1L, 4L, 10L, 16L}) {
+            const adl::ComposedModel model = adl::compose(models::with_capacity(
+                models::with_capacity(streaming, {"AP"}, ap), {"B"}, client));
+            EXPECT_EQ(compare_builds(model, "streaming AP " + std::to_string(ap) + ", B " +
+                                                std::to_string(client)),
+                      Outcome::Ok);
+        }
+    }
+}
+
+TEST(BuildDiff, EliminationFixtures) {
+    for (const double p_left : {0.0, 0.25, 0.5, 1.0}) {
+        for (const int priority_right : {0, 1, 5}) {
+            const adl::ComposedModel model = adl::compose(vanishing_model(p_left, priority_right));
+            const Outcome outcome = compare_builds(
+                model, "vanishing " + std::to_string(p_left) + "/" + std::to_string(priority_right));
+            // When the top priority carries no weight, Choice counts as
+            // tangible and, with no timed way out, absorbing.
+            const bool top_weightless = (p_left == 0.0 && priority_right < 1) ||
+                                        (p_left == 1.0 && priority_right > 1);
+            EXPECT_EQ(outcome, top_weightless ? Outcome::ModelError : Outcome::Ok)
+                << p_left << "/" << priority_right;
+        }
+    }
+    // Initial state vanishing: the initial distribution is pushed through.
+    adl::ArchiType archi = vanishing_model(0.25, 1);
+    std::swap(archi.elem_types[0].behaviors[0], archi.elem_types[0].behaviors[1]);
+    EXPECT_EQ(compare_builds(adl::compose(archi), "vanishing initial"), Outcome::Ok);
+    EXPECT_EQ(compare_builds(adl::compose(deadlock_model()), "deadlock", true), Outcome::Ok);
+}
+
+// ---------------------------------------------------------------------------
+// Error paths and elimination semantics, pinned on the new build
+// ---------------------------------------------------------------------------
+
+TEST(BuildDiff, ErrorPaths) {
+    EXPECT_EQ(compare_builds(adl::compose(livelock_model()), "livelock"),
+              Outcome::NumericalError);
+    EXPECT_EQ(compare_builds(adl::compose(deadlock_model()), "deadlock"), Outcome::ModelError);
+
+    const auto with_step_rate = [](lts::Rate rate) {
+        adl::ArchiType archi = vanishing_model(0.5, 1);
+        archi.elem_types[0].behaviors[0].alternatives[0].actions[0].rate = std::move(rate);
+        return adl::compose(archi);
+    };
+    EXPECT_EQ(compare_builds(with_step_rate(lts::RateUnspecified{}), "unspecified"),
+              Outcome::ModelError);
+    EXPECT_EQ(compare_builds(with_step_rate(lts::RatePassive{}), "passive"),
+              Outcome::ModelError);
+    EXPECT_EQ(compare_builds(with_step_rate(lts::RateGeneral{Dist::deterministic(1.0)}),
+                             "general"),
+              Outcome::ModelError);
+}
+
+TEST(BuildDiff, ZeroWeightBranchesAreDropped) {
+    // p_left = 0: go_left has weight 0 and must not appear as a branch.
+    const adl::ComposedModel model = adl::compose(vanishing_model(0.0, 1));
+    const MarkovModel markov = build_markov(model);
+    const Symbol left = model.graph.actions()->find("X.go_left");
+    ASSERT_NE(left, kNoSymbol);
+    ASSERT_EQ(markov.vanishing_topo_order.size(), 1u);
+    const auto branches = markov.branches_of(markov.vanishing_topo_order[0]);
+    ASSERT_EQ(branches.size(), 1u);
+    EXPECT_NE(branches[0].action, left);
+    EXPECT_EQ(branches[0].probability, 1.0);
+    // Left is never entered, so Start only leads to Right.
+    const TangibleId start = markov.tangible_of[model.graph.initial()];
+    ASSERT_EQ(markov.chain.row(start).size(), 1u);
+    EXPECT_EQ(markov.chain.row(start)[0].rate, 1.0);
+}
+
+TEST(BuildDiff, LowerPriorityImmediatesArePreEmpted) {
+    // go_right at priority 5 pre-empts go_left (priority 1) whatever the weights.
+    const adl::ComposedModel model = adl::compose(vanishing_model(0.75, 5));
+    const MarkovModel markov = build_markov(model);
+    const Symbol right = model.graph.actions()->find("X.go_right");
+    ASSERT_EQ(markov.vanishing_topo_order.size(), 1u);
+    const auto branches = markov.branches_of(markov.vanishing_topo_order[0]);
+    ASSERT_EQ(branches.size(), 1u);
+    EXPECT_EQ(branches[0].action, right);
+    EXPECT_EQ(branches[0].probability, 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded random architectures
+// ---------------------------------------------------------------------------
+
+/// Two or three instances of random element types.  Behaviours mix
+/// exponential and immediate alternatives (priorities 1-2, weights including
+/// 0); immediates mostly move to later behaviours, so most models are
+/// solvable, but some seeds close immediate cycles or dead ends.  With two or
+/// more instances, instance 0 drives instance 1 through one attachment
+/// (active exponential or immediate output, passive input).
+/// "<prefix><i>", e.g. "B3".
+std::string indexed(const char* prefix, int i) {
+    std::string out = prefix;
+    out += std::to_string(i);
+    return out;
+}
+
+adl::ArchiType random_archi(int seed) {
+    std::mt19937_64 rng(static_cast<std::uint64_t>(seed) * 2654435761u + 17);
+    const auto uniform = [&](int lo, int hi) {
+        return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    const auto chance = [&](double p) { return std::bernoulli_distribution(p)(rng); };
+    const double weights[] = {0.0, 0.5, 1.0, 3.0};
+
+    adl::ArchiType archi;
+    archi.name = indexed("Random", seed);
+    const int num_instances = uniform(1, 3);
+    for (int i = 0; i < num_instances; ++i) {
+        adl::ElemType type;
+        type.name = indexed("T", i);
+        const int num_behaviors = uniform(2, 5);
+        for (int b = 0; b < num_behaviors; ++b) {
+            adl::BehaviorDef behavior{indexed("B", b), {}, {}};
+            const int num_alternatives = uniform(1, 3);
+            for (int a = 0; a < num_alternatives; ++a) {
+                const bool immediate = b + 1 < num_behaviors && chance(0.45);
+                int next = uniform(0, num_behaviors - 1);
+                lts::Rate rate = lts::RateExp{0.5 + 0.5 * uniform(0, 7)};
+                if (immediate) {
+                    rate = lts::RateImmediate{uniform(1, 2), weights[uniform(0, 3)]};
+                    if (!chance(0.05)) next = uniform(b + 1, num_behaviors - 1);
+                }
+                const std::string action = indexed("a", b) + indexed("_", a);
+                behavior.alternatives.push_back(
+                    {nullptr, {{action, rate}}, {indexed("B", next), {}}});
+            }
+            type.behaviors.push_back(std::move(behavior));
+        }
+        // The last behaviour always has a timed way out.
+        type.behaviors.back().alternatives.push_back(
+            {nullptr, {{"tick", lts::RateExp{1.0}}}, {"B0", {}}});
+        archi.elem_types.push_back(std::move(type));
+        archi.instances.push_back(
+            adl::Instance{indexed("I", i), indexed("T", i), {}});
+    }
+    if (num_instances >= 2) {
+        adl::ElemType& sender = archi.elem_types[0];
+        adl::ElemType& receiver = archi.elem_types[1];
+        const lts::Rate send = chance(0.5) ? lts::Rate{lts::RateExp{2.0}}
+                                           : lts::Rate{lts::RateImmediate{1, 1.0}};
+        sender.behaviors.back().alternatives.push_back(
+            {nullptr, {{"send", send}}, {"B0", {}}});
+        sender.output_interactions = {"send"};
+        const int at = uniform(0, static_cast<int>(receiver.behaviors.size()) - 1);
+        receiver.behaviors[static_cast<std::size_t>(at)].alternatives.push_back(
+            {nullptr, {{"recv", lts::RatePassive{}}}, {"B0", {}}});
+        receiver.input_interactions = {"recv"};
+        archi.attachments.push_back(adl::Attachment{"I0", "send", "I1", "recv"});
+    }
+    return archi;
+}
+
+TEST(BuildDiff, FiftySeededRandomArchitectures) {
+    std::size_t solvable = 0;
+    for (int seed = 0; seed < 50; ++seed) {
+        const adl::ComposedModel model = adl::compose(random_archi(seed));
+        const std::string label = "random seed " + std::to_string(seed);
+        const Outcome outcome = compare_builds(model, label);
+        if (outcome == Outcome::Ok) ++solvable;
+        compare_builds(model, label + " (absorbing allowed)", /*allow_absorbing=*/true);
+    }
+    // Most seeds are solvable; the rest exercise the error agreement.
+    EXPECT_GE(solvable, 25u);
+}
+
+}  // namespace
+}  // namespace dpma::ctmc

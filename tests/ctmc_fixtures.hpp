@@ -1,0 +1,70 @@
+#pragma once
+
+/// \file ctmc_fixtures.hpp
+/// Small architectures for the vanishing-state elimination tests
+/// (ctmc_test, ctmc_build_diff_test).
+
+#include "adl/model.hpp"
+#include "lts/rate.hpp"
+
+namespace dpma::ctmc {
+
+/// A timed step into an immediate probabilistic branch: go_left with weight
+/// \p p_left at priority 1, go_right with weight 1 - p_left at
+/// \p priority_right.
+inline adl::ArchiType vanishing_model(double p_left, int priority_right) {
+    adl::ArchiType archi;
+    archi.name = "Vanishing";
+    adl::ElemType t;
+    t.name = "T";
+    t.behaviors = {
+        adl::BehaviorDef{"Start", {},
+            {{nullptr, {{"step", lts::RateExp{1.0}}}, {"Choice", {}}}}},
+        adl::BehaviorDef{"Choice", {},
+            {{nullptr, {{"go_left", lts::RateImmediate{1, p_left}}}, {"Left", {}}},
+             {nullptr,
+              {{"go_right", lts::RateImmediate{priority_right, 1.0 - p_left}}},
+              {"Right", {}}}}},
+        adl::BehaviorDef{"Left", {},
+            {{nullptr, {{"reset_l", lts::RateExp{2.0}}}, {"Start", {}}}}},
+        adl::BehaviorDef{"Right", {},
+            {{nullptr, {{"reset_r", lts::RateExp{4.0}}}, {"Start", {}}}}},
+    };
+    archi.elem_types = {t};
+    archi.instances = {adl::Instance{"X", "T", {}}};
+    return archi;
+}
+
+/// Two immediate actions triggering each other: time stands still.
+inline adl::ArchiType livelock_model() {
+    adl::ArchiType archi;
+    archi.name = "Livelock";
+    adl::ElemType t;
+    t.name = "T";
+    t.behaviors = {
+        adl::BehaviorDef{"A", {}, {{nullptr, {{"ping", lts::RateImmediate{}}}, {"B", {}}}}},
+        adl::BehaviorDef{"B", {}, {{nullptr, {{"pong", lts::RateImmediate{}}}, {"A", {}}}}},
+    };
+    archi.elem_types = {t};
+    archi.instances = {adl::Instance{"X", "T", {}}};
+    return archi;
+}
+
+/// One timed step into a state whose only action is an unattached input:
+/// an absorbing tangible state.
+inline adl::ArchiType deadlock_model() {
+    adl::ArchiType archi;
+    archi.name = "Dead";
+    adl::ElemType t;
+    t.name = "T";
+    t.behaviors = {
+        adl::BehaviorDef{"A", {}, {{nullptr, {{"once", lts::RateExp{1.0}}}, {"B", {}}}}},
+        adl::BehaviorDef{"B", {}, {{nullptr, {{"blocked", lts::RatePassive{}}}, {"B", {}}}}},
+    };
+    t.input_interactions = {"blocked"};
+    archi.elem_types = {t};
+    archi.instances = {adl::Instance{"X", "T", {}}};
+    return archi;
+}
+
+}  // namespace dpma::ctmc

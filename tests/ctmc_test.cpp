@@ -7,6 +7,7 @@
 #include "ctmc/ctmc.hpp"
 #include "ctmc/reward.hpp"
 #include "ctmc/solve.hpp"
+#include "ctmc_fixtures.hpp"
 
 namespace dpma::ctmc {
 namespace {
@@ -14,12 +15,12 @@ namespace {
 
 /// Birth-death chain of n states: up-rate lambda, down-rate mu.
 Ctmc birth_death(std::size_t n, double lambda, double mu) {
-    Ctmc chain(n);
+    std::vector<Ctmc::Triplet> rates;
     for (TangibleId i = 0; i + 1 < n; ++i) {
-        chain.add_rate(i, i + 1, lambda);
-        chain.add_rate(i + 1, i, mu);
+        rates.push_back({i, i + 1, lambda});
+        rates.push_back({i + 1, i, mu});
     }
-    return chain;
+    return Ctmc(n, rates);
 }
 
 /// Analytic M/M/1/K distribution: pi_i proportional to rho^i.
@@ -35,31 +36,25 @@ std::vector<double> mm1k(std::size_t n, double rho) {
 }
 
 TEST(Ctmc, AccumulatesParallelRates) {
-    Ctmc chain(2);
-    chain.add_rate(0, 1, 1.0);
-    chain.add_rate(0, 1, 2.5);
+    const Ctmc chain(2, {{0, 1, 1.0}, {0, 1, 2.5}});
     ASSERT_EQ(chain.row(0).size(), 1u);
     EXPECT_DOUBLE_EQ(chain.row(0)[0].rate, 3.5);
     EXPECT_DOUBLE_EQ(chain.exit_rate(0), 3.5);
 }
 
 TEST(Ctmc, IgnoresSelfLoops) {
-    Ctmc chain(1);
-    chain.add_rate(0, 0, 5.0);
+    const Ctmc chain(1, {{0, 0, 5.0}});
     EXPECT_TRUE(chain.row(0).empty());
     EXPECT_DOUBLE_EQ(chain.exit_rate(0), 0.0);
 }
 
 TEST(Ctmc, RejectsNonPositiveRates) {
-    Ctmc chain(2);
-    EXPECT_THROW(chain.add_rate(0, 1, 0.0), Error);
-    EXPECT_THROW(chain.add_rate(0, 1, -1.0), Error);
+    EXPECT_THROW((Ctmc(2, {{0, 1, 0.0}})), Error);
+    EXPECT_THROW((Ctmc(2, {{0, 1, -1.0}})), Error);
 }
 
 TEST(SteadyState, TwoStateClosedForm) {
-    Ctmc chain(2);
-    chain.add_rate(0, 1, 3.0);
-    chain.add_rate(1, 0, 1.0);
+    const Ctmc chain(2, {{0, 1, 3.0}, {1, 0, 1.0}});
     const auto pi = steady_state(chain);
     EXPECT_NEAR(pi[0], 0.25, 1e-12);
     EXPECT_NEAR(pi[1], 0.75, 1e-12);
@@ -116,10 +111,7 @@ TEST(SteadyState, SatisfiesGlobalBalance) {
 
 TEST(SteadyState, TransientPrefixGetsZeroMass) {
     // 0 -> 1 <-> 2: state 0 is transient.
-    Ctmc chain(3);
-    chain.add_rate(0, 1, 1.0);
-    chain.add_rate(1, 2, 2.0);
-    chain.add_rate(2, 1, 2.0);
+    const Ctmc chain(3, {{0, 1, 1.0}, {1, 2, 2.0}, {2, 1, 2.0}});
     const auto pi = steady_state(chain);
     EXPECT_DOUBLE_EQ(pi[0], 0.0);
     EXPECT_NEAR(pi[1], 0.5, 1e-12);
@@ -127,29 +119,30 @@ TEST(SteadyState, TransientPrefixGetsZeroMass) {
 }
 
 TEST(SteadyState, TwoRecurrentClassesAreRejected) {
-    Ctmc chain(4);
-    chain.add_rate(0, 1, 1.0);  // class {1}
-    chain.add_rate(0, 2, 1.0);  // class {2,3}
-    chain.add_rate(2, 3, 1.0);
-    chain.add_rate(3, 2, 1.0);
+    const Ctmc chain(4, {
+        {0, 1, 1.0},  // class {1}
+        {0, 2, 1.0},  // class {2,3}
+        {2, 3, 1.0},
+        {3, 2, 1.0},
+    });
     EXPECT_THROW((void)steady_state(chain), NumericalError);
 }
 
 TEST(BottomSccs, IdentifiesRecurrentClasses) {
-    Ctmc chain(5);
-    chain.add_rate(0, 1, 1.0);
-    chain.add_rate(1, 2, 1.0);
-    chain.add_rate(2, 1, 1.0);  // {1,2} bottom
-    chain.add_rate(0, 3, 1.0);
-    chain.add_rate(3, 4, 1.0);
-    chain.add_rate(4, 3, 1.0);  // {3,4} bottom
+    const Ctmc chain(5, {
+        {0, 1, 1.0},
+        {1, 2, 1.0},
+        {2, 1, 1.0},  // {1,2} bottom
+        {0, 3, 1.0},
+        {3, 4, 1.0},
+        {4, 3, 1.0},  // {3,4} bottom
+    });
     const auto bottoms = bottom_sccs(chain);
     EXPECT_EQ(bottoms.size(), 2u);
 }
 
 TEST(BottomSccs, AbsorbingStateIsItsOwnClass) {
-    Ctmc chain(2);
-    chain.add_rate(0, 1, 1.0);
+    const Ctmc chain(2, {{0, 1, 1.0}});
     const auto bottoms = bottom_sccs(chain);
     ASSERT_EQ(bottoms.size(), 1u);
     ASSERT_EQ(bottoms[0].size(), 1u);
@@ -157,22 +150,15 @@ TEST(BottomSccs, AbsorbingStateIsItsOwnClass) {
 }
 
 TEST(Irreducibility, DetectsBothDirections) {
-    Ctmc ring(3);
-    ring.add_rate(0, 1, 1.0);
-    ring.add_rate(1, 2, 1.0);
-    ring.add_rate(2, 0, 1.0);
+    const Ctmc ring(3, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 0, 1.0}});
     EXPECT_TRUE(is_irreducible(ring));
 
-    Ctmc line(3);
-    line.add_rate(0, 1, 1.0);
-    line.add_rate(1, 2, 1.0);
+    const Ctmc line(3, {{0, 1, 1.0}, {1, 2, 1.0}});
     EXPECT_FALSE(is_irreducible(line));
 }
 
 TEST(Transient, ConvergesToSteadyState) {
-    Ctmc chain(2);
-    chain.add_rate(0, 1, 1.0);
-    chain.add_rate(1, 0, 2.0);
+    const Ctmc chain(2, {{0, 1, 1.0}, {1, 0, 2.0}});
     const auto pi = transient(chain, {{0, 1.0}}, 200.0);
     EXPECT_NEAR(pi[0], 2.0 / 3.0, 1e-9);
     EXPECT_NEAR(pi[1], 1.0 / 3.0, 1e-9);
@@ -181,19 +167,14 @@ TEST(Transient, ConvergesToSteadyState) {
 TEST(Transient, MatchesTwoStateClosedForm) {
     // P(in 1 at t) = (lambda/(lambda+mu)) (1 - exp(-(lambda+mu) t))
     const double lambda = 1.5, mu = 0.5, t = 0.7;
-    Ctmc chain(2);
-    chain.add_rate(0, 1, lambda);
-    chain.add_rate(1, 0, mu);
+    const Ctmc chain(2, {{0, 1, lambda}, {1, 0, mu}});
     const auto pi = transient(chain, {{0, 1.0}}, t);
     const double expect = lambda / (lambda + mu) * (1.0 - std::exp(-(lambda + mu) * t));
     EXPECT_NEAR(pi[1], expect, 1e-9);
 }
 
 TEST(Transient, TimeZeroReturnsInitialDistribution) {
-    Ctmc chain(3);
-    chain.add_rate(0, 1, 1.0);
-    chain.add_rate(1, 2, 1.0);
-    chain.add_rate(2, 0, 1.0);
+    const Ctmc chain(3, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 0, 1.0}});
     const auto pi = transient(chain, {{1, 0.4}, {2, 0.6}}, 0.0);
     EXPECT_DOUBLE_EQ(pi[0], 0.0);
     EXPECT_NEAR(pi[1], 0.4, 1e-12);
@@ -229,31 +210,6 @@ TEST(PoissonWeights, MatchesLgammaFormulaUpTo1e5) {
         // The stream sums to 1 like a probability distribution should.
         EXPECT_NEAR(cumulative, 1.0, 1e-9) << "lt=" << lt;
     }
-}
-
-/// A small architecture exercising vanishing-state elimination: a timed
-/// step into an immediate probabilistic branch.
-adl::ArchiType vanishing_model(double p_left, int priority_right) {
-    adl::ArchiType archi;
-    archi.name = "Vanishing";
-    adl::ElemType t;
-    t.name = "T";
-    t.behaviors = {
-        adl::BehaviorDef{"Start", {},
-            {{nullptr, {{"step", lts::RateExp{1.0}}}, {"Choice", {}}}}},
-        adl::BehaviorDef{"Choice", {},
-            {{nullptr, {{"go_left", lts::RateImmediate{1, p_left}}}, {"Left", {}}},
-             {nullptr,
-              {{"go_right", lts::RateImmediate{priority_right, 1.0 - p_left}}},
-              {"Right", {}}}}},
-        adl::BehaviorDef{"Left", {},
-            {{nullptr, {{"reset_l", lts::RateExp{2.0}}}, {"Start", {}}}}},
-        adl::BehaviorDef{"Right", {},
-            {{nullptr, {{"reset_r", lts::RateExp{4.0}}}, {"Start", {}}}}},
-    };
-    archi.elem_types = {t};
-    archi.instances = {adl::Instance{"X", "T", {}}};
-    return archi;
 }
 
 TEST(BuildMarkov, EliminatesVanishingStates) {
@@ -316,33 +272,12 @@ TEST(BuildMarkov, RejectsGeneralDistributions) {
 }
 
 TEST(BuildMarkov, DetectsImmediateCycles) {
-    adl::ArchiType archi;
-    archi.name = "Livelock";
-    adl::ElemType t;
-    t.name = "T";
-    t.behaviors = {
-        adl::BehaviorDef{"A", {}, {{nullptr, {{"ping", lts::RateImmediate{}}}, {"B", {}}}}},
-        adl::BehaviorDef{"B", {}, {{nullptr, {{"pong", lts::RateImmediate{}}}, {"A", {}}}}},
-    };
-    archi.elem_types = {t};
-    archi.instances = {adl::Instance{"X", "T", {}}};
-    const adl::ComposedModel model = adl::compose(archi);
+    const adl::ComposedModel model = adl::compose(livelock_model());
     EXPECT_THROW((void)build_markov(model), NumericalError);
 }
 
 TEST(BuildMarkov, DetectsDeadlocks) {
-    adl::ArchiType archi;
-    archi.name = "Dead";
-    adl::ElemType t;
-    t.name = "T";
-    t.behaviors = {
-        adl::BehaviorDef{"A", {}, {{nullptr, {{"once", lts::RateExp{1.0}}}, {"B", {}}}}},
-        adl::BehaviorDef{"B", {}, {{nullptr, {{"blocked", lts::RatePassive{}}}, {"B", {}}}}},
-    };
-    t.input_interactions = {"blocked"};
-    archi.elem_types = {t};
-    archi.instances = {adl::Instance{"X", "T", {}}};
-    const adl::ComposedModel model = adl::compose(archi);
+    const adl::ComposedModel model = adl::compose(deadlock_model());
     EXPECT_THROW((void)build_markov(model), ModelError);
     EXPECT_NO_THROW((void)build_markov(model, /*allow_absorbing=*/true));
 }

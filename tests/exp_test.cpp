@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -283,6 +284,28 @@ TEST(Cache, PatchRefusesMissingOrNonExponentialTargets) {
     EXPECT_NO_THROW((void)with_dist(general_model, "DPM", "send_shutdown",
                                     Dist::deterministic(7.0)));
     EXPECT_NO_THROW((void)with_exp_rate(markov_model, "DPM", "send_shutdown", 2.0));
+}
+
+TEST(Cache, PatchRefusesNonFiniteValues) {
+    const adl::ComposedModel markov_model =
+        adl::compose(models::archi("rpc_revised_markov.aem"));
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const auto expect_refused = [](const auto& patch) {
+        try {
+            (void)patch();
+            ADD_FAILURE() << "no ModelError";
+        } catch (const ModelError& e) {
+            EXPECT_NE(std::string(e.what()).find("DPM.send_shutdown"), std::string::npos)
+                << e.what();
+        }
+    };
+    for (const double bad : {inf, -inf, nan, 0.0, -1.0}) {
+        expect_refused([&] { return with_exp_rate(markov_model, "DPM", "send_shutdown", bad); });
+    }
+    for (const double bad : {inf, -inf, nan}) {
+        expect_refused([&] { return with_delay(markov_model, "DPM", "send_shutdown", bad); });
+    }
 }
 
 ResultSet demo_results() {

@@ -5,14 +5,17 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "adl/compose.hpp"
 #include "core/error.hpp"
 #include "ctmc/absorption.hpp"
 #include "ctmc/ctmc.hpp"
 #include "ctmc/solve.hpp"
+#include "ctmc_fixtures.hpp"
 #include "exp/experiment.hpp"
 #include "exp/report.hpp"
 #include "obs/json.hpp"
@@ -387,14 +390,54 @@ TEST(ObsTrace, DisabledSpanOverheadIsBounded) {
     EXPECT_LT(elapsed.count() / kIterations, 1.0);
 }
 
+/// Args of the first traced span named \p name (null when absent).
+const obs::Json* span_args(const obs::Json& trace, std::string_view name) {
+    const obs::Json* events = trace.find("traceEvents");
+    if (events == nullptr) return nullptr;
+    for (const obs::Json& event : events->array) {
+        if (event.string_at("name") == name) return event.find("args");
+    }
+    return nullptr;
+}
+
+TEST(ObsTrace, BuildAndSolveSpansCarryTheirSizes) {
+    const adl::ComposedModel model = adl::compose(ctmc::vanishing_model(0.25, 1));
+    const std::uint64_t entries_before = obs::counter("ctmc.generator_entries").value();
+    obs::clear_trace();
+    obs::set_tracing(true);
+    const ctmc::MarkovModel markov = ctmc::build_markov(model);
+    // 0 -> 1 <-> 2: state 0 is transient, the recurrent class has 2 states.
+    (void)ctmc::steady_state(ctmc::Ctmc(3, {{0, 1, 1.0}, {1, 2, 2.0}, {2, 1, 2.0}}));
+    obs::set_tracing(false);
+    // Start, Left and Right are tangible, Choice is vanishing; Start enters
+    // Left and Right through it, and each of them returns to Start.
+    EXPECT_EQ(markov.chain.num_entries(), 4u);
+    EXPECT_EQ(obs::counter("ctmc.generator_entries").value(), entries_before + 4);
+#if !defined(DPMA_OBS_DISABLED)
+    const obs::Json trace = obs::json_parse(obs::trace_json());
+    const obs::Json* build = span_args(trace, "ctmc.build_markov");
+    ASSERT_NE(build, nullptr);
+    EXPECT_EQ(build->number_at("states"), 4.0);
+    EXPECT_EQ(build->number_at("tangible"), 3.0);
+    EXPECT_EQ(build->number_at("vanishing"), 1.0);
+    EXPECT_EQ(build->number_at("generator_entries"), 4.0);
+    const obs::Json* solve = span_args(trace, "ctmc.solve");
+    ASSERT_NE(solve, nullptr);
+    EXPECT_EQ(solve->number_at("states"), 3.0);
+    EXPECT_EQ(solve->number_at("recurrent"), 2.0);
+#endif
+    obs::clear_trace();
+}
+
 // ------------------------------------------------------------ diagnostics
 
 TEST(ObsDiagnostics, IterativeSolveRecordsResidualHistory) {
-    ctmc::Ctmc chain(6);
+    std::vector<ctmc::Ctmc::Triplet> rates;
     for (ctmc::TangibleId i = 0; i + 1 < 6; ++i) {
-        chain.add_rate(i, i + 1, 2.0);
-        chain.add_rate(i + 1, i, 3.0);
+        rates.push_back({i, i + 1, 2.0});
+        rates.push_back({i + 1, i, 3.0});
     }
+    const ctmc::Ctmc chain(6, rates);
     ctmc::SolveDiagnostics diagnostics;
     ctmc::SolveOptions options;
     options.diagnostics = &diagnostics;
@@ -413,11 +456,12 @@ TEST(ObsDiagnostics, IterativeSolveRecordsResidualHistory) {
 }
 
 TEST(ObsDiagnostics, HittingTimesAreCountedByMethod) {
-    ctmc::Ctmc chain(5);
+    std::vector<ctmc::Ctmc::Triplet> rates;
     for (ctmc::TangibleId i = 0; i + 1 < 5; ++i) {
-        chain.add_rate(i, i + 1, 2.0);
-        chain.add_rate(i + 1, i, 3.0);
+        rates.push_back({i, i + 1, 2.0});
+        rates.push_back({i + 1, i, 3.0});
     }
+    const ctmc::Ctmc chain(5, rates);
     std::vector<char> targets(5, 0);
     targets[4] = 1;
     const std::uint64_t sparse = obs::counter("ctmc.solve.sparse_elimination").value();
@@ -455,10 +499,7 @@ TEST(ObsDiagnostics, ResidualHistoryIsThinnedNotUnbounded) {
 }
 
 TEST(ObsDiagnostics, DenseSolveReportsGth) {
-    ctmc::Ctmc chain(3);
-    chain.add_rate(0, 1, 1.0);
-    chain.add_rate(1, 2, 1.0);
-    chain.add_rate(2, 0, 1.0);
+    const ctmc::Ctmc chain(3, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 0, 1.0}});
     ctmc::SolveDiagnostics diagnostics;
     ctmc::SolveOptions options;
     options.diagnostics = &diagnostics;

@@ -26,21 +26,21 @@ ctmc::Ctmc random_irreducible_chain(int seed, std::size_t n) {
     std::mt19937_64 rng(static_cast<std::uint64_t>(seed) * 7919 + 13);
     std::uniform_real_distribution<double> rate(0.1, 5.0);
     std::uniform_int_distribution<std::size_t> pick(0, n - 1);
-    ctmc::Ctmc chain(n);
+    std::vector<ctmc::Ctmc::Triplet> rates;
     // A ring guarantees irreducibility; extra random edges add structure.
     for (std::size_t i = 0; i < n; ++i) {
-        chain.add_rate(static_cast<ctmc::TangibleId>(i),
-                       static_cast<ctmc::TangibleId>((i + 1) % n), rate(rng));
+        rates.push_back({static_cast<ctmc::TangibleId>(i),
+                         static_cast<ctmc::TangibleId>((i + 1) % n), rate(rng)});
     }
     for (std::size_t e = 0; e < 3 * n; ++e) {
         const std::size_t from = pick(rng);
         const std::size_t to = pick(rng);
         if (from != to) {
-            chain.add_rate(static_cast<ctmc::TangibleId>(from),
-                           static_cast<ctmc::TangibleId>(to), rate(rng));
+            rates.push_back({static_cast<ctmc::TangibleId>(from),
+                             static_cast<ctmc::TangibleId>(to), rate(rng)});
         }
     }
-    return chain;
+    return ctmc::Ctmc(n, rates);
 }
 
 TEST_P(RandomChainSolvers, AllThreeSolversAgree) {

@@ -16,14 +16,14 @@ namespace {
 Ctmc random_chain(int seed, std::size_t n) {
     std::mt19937_64 rng(static_cast<std::uint64_t>(seed) * 31337 + 5);
     std::uniform_real_distribution<double> rate(0.2, 3.0);
-    Ctmc chain(n);
+    std::vector<Ctmc::Triplet> rates;
     for (std::size_t i = 0; i < n; ++i) {
-        chain.add_rate(static_cast<TangibleId>(i),
-                       static_cast<TangibleId>((i + 1) % n), rate(rng));
-        chain.add_rate(static_cast<TangibleId>(i),
-                       static_cast<TangibleId>((i + n / 2) % n), rate(rng));
+        rates.push_back({static_cast<TangibleId>(i),
+                         static_cast<TangibleId>((i + 1) % n), rate(rng)});
+        rates.push_back({static_cast<TangibleId>(i),
+                         static_cast<TangibleId>((i + n / 2) % n), rate(rng)});
     }
-    return chain;
+    return Ctmc(n, rates);
 }
 
 class TransientProperties : public ::testing::TestWithParam<int> {};
@@ -131,8 +131,9 @@ TEST(TransientEdges, AbsorbingOnlyChainIsAFixedPoint) {
 
 TEST(TransientEdges, AbsorptionMatchesTheExponentialClosedForm) {
     const double a = 0.6;
-    Ctmc chain(2);
-    chain.add_rate(0, 1, a);  // state 1 is absorbing
+    const Ctmc chain(2, {
+        {0, 1, a},  // state 1 is absorbing
+    });
     for (const double t : {0.1, 0.5, 3.0, 50.0}) {
         const auto pi = transient(chain, {{0, 1.0}}, t);
         EXPECT_NEAR(pi[1], 1.0 - std::exp(-a * t), 1e-10) << "t=" << t;
@@ -170,9 +171,7 @@ TEST(AccumulatedReward, TwoStateClosedForm) {
     // 0 -(a)-> 1 absorbing-ish? use 0 <-> 1 and integrate P(in 0).
     // P(X_s = 0 | X_0 = 0) = mu/(a+mu) + a/(a+mu) e^{-(a+mu)s}
     const double a = 1.2, mu = 0.7, t = 2.3;
-    Ctmc chain(2);
-    chain.add_rate(0, 1, a);
-    chain.add_rate(1, 0, mu);
+    const Ctmc chain(2, {{0, 1, a}, {1, 0, mu}});
     const std::vector<double> rewards{1.0, 0.0};  // reward = indicator of 0
     const double value = accumulated_reward(chain, {{0, 1.0}}, rewards, t);
     const double s = a + mu;
@@ -239,9 +238,7 @@ TEST(AccumulatedReward, AbsorbingChainAccruesItsStateRewardLinearly) {
 }
 
 TEST(AccumulatedReward, RejectsMismatchedRewardVector) {
-    Ctmc chain(2);
-    chain.add_rate(0, 1, 1.0);
-    chain.add_rate(1, 0, 1.0);
+    const Ctmc chain(2, {{0, 1, 1.0}, {1, 0, 1.0}});
     EXPECT_THROW((void)accumulated_reward(chain, {{0, 1.0}}, {1.0}, 1.0), Error);
 }
 
