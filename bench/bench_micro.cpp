@@ -87,7 +87,7 @@ void BM_NoninterferenceStreaming(benchmark::State& state) {
     }
     state.SetLabel(std::to_string(model.graph.num_states()) + " states");
 }
-BENCHMARK(BM_NoninterferenceStreaming)->Arg(2)->Arg(3);
+BENCHMARK(BM_NoninterferenceStreaming)->Arg(2)->Arg(3)->Arg(10);
 
 /// Runs \p body once per benchmark iteration and reports the wall time per
 /// iteration divided by \p states as the "ns/state" counter.

@@ -53,14 +53,10 @@ int main(int argc, char** argv) {
     report("streaming, buffers=3 (3.2)", models::with_capacity(streaming, {"AP", "B"}, 3),
            /*expect_pass=*/true);
 
-    // The buffers=5 system is the expensive case; reduced-effort runs
-    // (DPMA_BENCH_SCALE < 1, e.g. the perf_smoke ctest) skip it.
-    if (bench::effort_scale() >= 1.0) {
-        report("streaming, buffers=5 (3.2)",
-               models::with_capacity(streaming, {"AP", "B"}, 5), /*expect_pass=*/true);
-    } else {
-        std::printf("streaming, buffers=5 (3.2)   skipped (DPMA_BENCH_SCALE < 1)\n");
-    }
+    report("streaming, buffers=5 (3.2)", models::with_capacity(streaming, {"AP", "B"}, 5),
+           /*expect_pass=*/true);
+    report("streaming, buffers=10 (3.2)",
+           models::with_capacity(streaming, {"AP", "B"}, 10), /*expect_pass=*/true);
 
     // Why weak bisimulation and not trace equivalence?  The trace-based
     // noninterference property (SNNI, Focardi–Gorrieri [7]) is blind to the

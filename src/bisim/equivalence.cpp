@@ -74,36 +74,15 @@ FormulaPtr distinguish(const lts::Lts& model, const RefinementResult& refinement
                                hml_and(std::move(conjuncts))));
 }
 
-EquivalenceResult check(const lts::Lts& lhs, const lts::Lts& rhs, bool weak) {
-    DPMA_SPAN(weak ? "bisim.weak_check" : "bisim.strong_check", "bisim");
-    DPMA_REQUIRE(lhs.initial() != lts::kNoState && rhs.initial() != lts::kNoState,
-                 "equivalence check needs rooted systems");
-    lts::UnionResult merged = lts::disjoint_union(lhs, rhs);
-    lts::StateId init_lhs = merged.initial_lhs;
-    lts::StateId init_rhs = merged.initial_rhs;
-
-    lts::Lts system;
-    if (weak) {
-        // Collapsing tau-SCCs first is sound (mutually tau-reachable states
-        // are weakly bisimilar) and keeps the saturation small even when
-        // almost every action is hidden, as in the noninterference checks.
-        lts::TauCollapseResult collapsed = lts::collapse_tau_sccs(merged.combined);
-        init_lhs = collapsed.representative_of[init_lhs];
-        init_rhs = collapsed.representative_of[init_rhs];
-        if (init_lhs == init_rhs) {
-            return EquivalenceResult{true, nullptr};
-        }
-        system = lts::saturate(collapsed.collapsed);
-    } else {
-        system = std::move(merged.combined);
-    }
-
+/// Strong check of two states of one system, with a formula on failure.
+EquivalenceResult check_states(const lts::Lts& system, lts::StateId lhs, lts::StateId rhs,
+                               bool weak_modality) {
     const RefinementResult refinement = refine_strong(system);
     EquivalenceResult result;
-    result.equivalent = refinement.same_block(init_lhs, init_rhs);
+    result.equivalent = refinement.same_block(lhs, rhs);
     if (!result.equivalent) {
         result.distinguishing =
-            distinguishing_formula(system, refinement, init_lhs, init_rhs, weak);
+            distinguishing_formula(system, refinement, lhs, rhs, weak_modality);
     }
     return result;
 }
@@ -120,11 +99,37 @@ FormulaPtr distinguishing_formula(const lts::Lts& model,
 }
 
 EquivalenceResult strongly_bisimilar(const lts::Lts& lhs, const lts::Lts& rhs) {
-    return check(lhs, rhs, /*weak=*/false);
+    DPMA_SPAN("bisim.strong_check", "bisim");
+    const lts::UnionResult merged = lts::disjoint_union(lhs, rhs);
+    return check_states(merged.combined, merged.initial_lhs, merged.initial_rhs,
+                        /*weak_modality=*/false);
 }
 
 EquivalenceResult weakly_bisimilar(const lts::Lts& lhs, const lts::Lts& rhs) {
-    return check(lhs, rhs, /*weak=*/true);
+    DPMA_SPAN("bisim.weak_check", "bisim");
+    const lts::UnionResult merged = lts::disjoint_union(lhs, rhs);
+    // Mutually tau-reachable states are weakly bisimilar, so collapsing the
+    // tau-SCCs is sound; it also leaves tau edges descending in id, which
+    // refine_branching needs.
+    const lts::TauCollapseResult collapsed = lts::collapse_tau_sccs(merged.combined);
+    const lts::StateId root_lhs = collapsed.representative_of[merged.initial_lhs];
+    const lts::StateId root_rhs = collapsed.representative_of[merged.initial_rhs];
+    if (root_lhs == root_rhs) return EquivalenceResult{true, nullptr};
+
+    // Branching bisimilarity implies weak bisimilarity, and it needs no
+    // saturation: a shared block settles the check.
+    const std::vector<BlockId> branching = refine_branching(collapsed.collapsed);
+    if (branching[root_lhs] == branching[root_rhs]) return EquivalenceResult{true, nullptr};
+
+    // Otherwise decide on the quotient, whose states are branching-, hence
+    // weakly, bisimilar to their members: only that small system is
+    // saturated.  It has no tau self-loops (see quotient), so it needs no
+    // second collapse.  A weak formula built on it holds on the original
+    // roots too, because weak modal formulas are invariant under weak
+    // bisimilarity.
+    const lts::Lts reduced = lts::saturate(quotient(collapsed.collapsed, branching));
+    return check_states(reduced, branching[root_lhs], branching[root_rhs],
+                        /*weak_modality=*/true);
 }
 
 }  // namespace dpma::bisim

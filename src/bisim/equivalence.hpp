@@ -4,7 +4,9 @@
 /// Strong and weak bisimulation equivalence checking of two rooted LTSs,
 /// with distinguishing-formula generation on failure.  Weak bisimilarity is
 /// decided as strong bisimilarity of the weak saturations (tau-reflexive
-/// closure), the textbook reduction also used by TwoTowers.
+/// closure), the textbook reduction also used by TwoTowers, after the union
+/// has been reduced modulo branching bisimilarity so that only its quotient
+/// is saturated.
 
 #include <string>
 

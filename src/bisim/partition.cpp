@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <unordered_set>
 
 #include "core/error.hpp"
@@ -24,15 +26,117 @@ inline std::uint64_t pack_entry(lts::ActionId action, BlockId block) noexcept {
 /// FNV-1a over the packed entries of a signature with extra avalanching;
 /// collisions are resolved by comparing the arena slices, so correctness
 /// never depends on hash quality.
-inline std::uint64_t hash_sig(const std::uint64_t* data, std::uint32_t len) noexcept {
-    std::uint64_t h = 0xcbf29ce484222325ull ^ len;
-    for (std::uint32_t i = 0; i < len; ++i) {
-        h ^= data[i];
+inline std::uint64_t hash_sig(std::span<const std::uint64_t> sig) noexcept {
+    std::uint64_t h = 0xcbf29ce484222325ull ^ sig.size();
+    for (const std::uint64_t entry : sig) {
+        h ^= entry;
         h *= 0x100000001b3ull;
         h ^= h >> 29;
     }
     return h;
 }
+
+/// Partition of the states 0..n-1 into blocks, shared by the strong and the
+/// branching refiner: each computes per-state signatures its own way and
+/// hands them to split().  The members of each block form a contiguous
+/// segment of `members_`, kept in stable order across splits, so numbering
+/// new blocks by first-state occurrence is deterministic.
+class BlockSplitter {
+public:
+    explicit BlockSplitter(std::size_t n)
+        : block_(n, 0), members_(n), seg_begin_{0}, seg_end_{static_cast<std::uint32_t>(n)} {
+        for (lts::StateId s = 0; s < n; ++s) members_[s] = s;
+        seg_begin_.reserve(n);
+        seg_end_.reserve(n);
+    }
+
+    [[nodiscard]] const std::vector<BlockId>& blocks() const noexcept { return block_; }
+    [[nodiscard]] std::size_t num_blocks() const noexcept { return seg_begin_.size(); }
+
+    /// Groups the members of every block in \p affected (ascending ids) by
+    /// \p sig_of(state), a std::span<const std::uint64_t> that stays valid
+    /// for the whole call.  Groups are numbered by first occurrence (open
+    /// addressing on the hash, slice compares on collision); the first keeps
+    /// the block id and later ones get fresh sequential ids.  Appends every
+    /// state that changed block to \p moved.
+    template <typename SigOf>
+    void split(std::span<const BlockId> affected, const SigOf& sig_of,
+               std::vector<lts::StateId>& moved) {
+        for (const BlockId b : affected) {
+            const std::uint32_t lo = seg_begin_[b];
+            const std::uint32_t hi = seg_end_[b];
+            const std::uint32_t count = hi - lo;
+            if (count <= 1) continue;
+
+            std::size_t cap = 16;
+            while (cap < static_cast<std::size_t>(count) * 2) cap <<= 1;
+            slot_.assign(cap, 0);
+            group_rep_.clear();
+            group_count_.clear();
+            group_of_.resize(count);
+            for (std::uint32_t i = 0; i < count; ++i) {
+                const lts::StateId s = members_[lo + i];
+                const std::span<const std::uint64_t> sig = sig_of(s);
+                std::size_t pos = hash_sig(sig) & (cap - 1);
+                while (true) {
+                    if (slot_[pos] == 0) {
+                        slot_[pos] = static_cast<std::uint32_t>(group_rep_.size()) + 1;
+                        group_of_[i] = static_cast<std::uint32_t>(group_rep_.size());
+                        group_rep_.push_back(s);
+                        group_count_.push_back(1);
+                        break;
+                    }
+                    const std::uint32_t g = slot_[pos] - 1;
+                    if (std::ranges::equal(sig, sig_of(group_rep_[g]))) {
+                        group_of_[i] = g;
+                        ++group_count_[g];
+                        break;
+                    }
+                    pos = (pos + 1) & (cap - 1);
+                }
+            }
+            const auto num_groups = static_cast<std::uint32_t>(group_rep_.size());
+            if (num_groups <= 1) continue;
+
+            group_id_.resize(num_groups);
+            group_cursor_.assign(num_groups + 1, 0);
+            for (std::uint32_t g = 0; g < num_groups; ++g) {
+                group_cursor_[g + 1] = group_cursor_[g] + group_count_[g];
+            }
+            group_id_[0] = b;
+            seg_end_[b] = lo + group_count_[0];
+            for (std::uint32_t g = 1; g < num_groups; ++g) {
+                group_id_[g] = static_cast<BlockId>(seg_begin_.size());
+                seg_begin_.push_back(lo + group_cursor_[g]);
+                seg_end_.push_back(lo + group_cursor_[g + 1]);
+            }
+            seg_scratch_.assign(members_.begin() + lo, members_.begin() + hi);
+            for (std::uint32_t i = 0; i < count; ++i) {
+                const std::uint32_t g = group_of_[i];
+                const lts::StateId s = seg_scratch_[i];
+                members_[lo + group_cursor_[g]++] = s;
+                if (g != 0) {
+                    block_[s] = group_id_[g];
+                    moved.push_back(s);
+                }
+            }
+        }
+    }
+
+private:
+    std::vector<BlockId> block_;
+    std::vector<lts::StateId> members_;
+    std::vector<std::uint32_t> seg_begin_;
+    std::vector<std::uint32_t> seg_end_;
+    // Grouping scratch, reused across blocks and rounds.
+    std::vector<std::uint32_t> slot_;
+    std::vector<lts::StateId> group_rep_;
+    std::vector<std::uint32_t> group_count_;
+    std::vector<std::uint32_t> group_of_;
+    std::vector<BlockId> group_id_;
+    std::vector<std::uint32_t> group_cursor_;
+    std::vector<lts::StateId> seg_scratch_;
+};
 
 /// Process-wide pool for signature computation (jobs == 0 callers).  Sized
 /// by DPMA_JOBS / hardware once; refine calls may nest inside experiment
@@ -107,17 +211,8 @@ RefinementResult refine_strong(const lts::Lts& model, std::size_t jobs) {
     std::vector<std::uint32_t> sig_len(n, 0);
     std::vector<char> sig_changed(n, 0);
 
-    // Partition state: block id per state, plus the members of each block as
-    // a contiguous segment of `members` (kept in stable order across splits
-    // so numbering by first-state occurrence is deterministic).
-    std::vector<BlockId> cur(n, 0);
-    std::vector<lts::StateId> members(n);
-    for (lts::StateId s = 0; s < n; ++s) members[s] = s;
-    std::vector<std::uint32_t> seg_begin{0};
-    std::vector<std::uint32_t> seg_end{static_cast<std::uint32_t>(n)};
-    seg_begin.reserve(n);
-    seg_end.reserve(n);
-    std::size_t num_blocks = 1;
+    BlockSplitter partition(n);
+    const std::vector<BlockId>& cur = partition.blocks();
 
     std::vector<lts::StateId> dirty(n);
     for (lts::StateId s = 0; s < n; ++s) dirty[s] = s;
@@ -198,14 +293,9 @@ RefinementResult refine_strong(const lts::Lts& model, std::size_t jobs) {
         }
     };
 
-    // Per-block grouping scratch (reused across rounds).
-    std::vector<std::uint32_t> slot;
-    std::vector<lts::StateId> group_rep;
-    std::vector<std::uint32_t> group_count;
-    std::vector<std::uint32_t> group_of;
-    std::vector<BlockId> group_id;
-    std::vector<std::uint32_t> group_cursor;
-    std::vector<lts::StateId> seg_scratch;
+    const auto sig_of = [&](lts::StateId s) {
+        return std::span<const std::uint64_t>(sig_data.data() + off[s], sig_len[s]);
+    };
     std::vector<BlockId> affected;
     std::vector<lts::StateId> newly_changed;
 
@@ -242,73 +332,7 @@ RefinementResult refine_strong(const lts::Lts& model, std::size_t jobs) {
         for (const BlockId b : affected) block_affected[b] = 0;
 
         newly_changed.clear();
-        for (const BlockId b : affected) {
-            const std::uint32_t lo = seg_begin[b];
-            const std::uint32_t hi = seg_end[b];
-            const std::uint32_t count = hi - lo;
-            if (count <= 1) continue;
-
-            // Group the members by signature, groups numbered in order of
-            // first occurrence (open addressing, arena-slice compares).
-            std::size_t cap = 16;
-            while (cap < static_cast<std::size_t>(count) * 2) cap <<= 1;
-            slot.assign(cap, 0);
-            group_rep.clear();
-            group_count.clear();
-            group_of.resize(count);
-            for (std::uint32_t i = 0; i < count; ++i) {
-                const lts::StateId s = members[lo + i];
-                std::size_t pos =
-                    hash_sig(sig_data.data() + off[s], sig_len[s]) & (cap - 1);
-                while (true) {
-                    if (slot[pos] == 0) {
-                        slot[pos] = static_cast<std::uint32_t>(group_rep.size()) + 1;
-                        group_of[i] = static_cast<std::uint32_t>(group_rep.size());
-                        group_rep.push_back(s);
-                        group_count.push_back(1);
-                        break;
-                    }
-                    const std::uint32_t g = slot[pos] - 1;
-                    const lts::StateId r = group_rep[g];
-                    if (sig_len[r] == sig_len[s] &&
-                        std::equal(sig_data.begin() + off[s],
-                                   sig_data.begin() + off[s] + sig_len[s],
-                                   sig_data.begin() + off[r])) {
-                        group_of[i] = g;
-                        ++group_count[g];
-                        break;
-                    }
-                    pos = (pos + 1) & (cap - 1);
-                }
-            }
-            const auto num_groups = static_cast<std::uint32_t>(group_rep.size());
-            if (num_groups <= 1) continue;
-
-            // Stable split: the first-occurrence group keeps id b, later
-            // groups get fresh sequential ids.
-            group_id.resize(num_groups);
-            group_cursor.assign(num_groups + 1, 0);
-            for (std::uint32_t g = 0; g < num_groups; ++g) {
-                group_cursor[g + 1] = group_cursor[g] + group_count[g];
-            }
-            group_id[0] = b;
-            seg_end[b] = lo + group_count[0];
-            for (std::uint32_t g = 1; g < num_groups; ++g) {
-                group_id[g] = static_cast<BlockId>(num_blocks++);
-                seg_begin.push_back(lo + group_cursor[g]);
-                seg_end.push_back(lo + group_cursor[g + 1]);
-            }
-            seg_scratch.assign(members.begin() + lo, members.begin() + hi);
-            for (std::uint32_t i = 0; i < count; ++i) {
-                const std::uint32_t g = group_of[i];
-                const lts::StateId s = seg_scratch[i];
-                members[lo + group_cursor[g]++] = s;
-                if (g != 0) {
-                    cur[s] = group_id[g];
-                    newly_changed.push_back(s);
-                }
-            }
-        }
+        partition.split(affected, sig_of, newly_changed);
 
         if (newly_changed.empty()) break;
         result.rounds.push_back(cur);
@@ -336,20 +360,79 @@ RefinementResult refine_strong(const lts::Lts& model, std::size_t jobs) {
     return result;
 }
 
-lts::Lts quotient(const lts::Lts& model, const RefinementResult& refinement) {
+std::vector<BlockId> refine_branching(const lts::Lts& model) {
+    const std::size_t n = model.num_states();
+    DPMA_NAMED_SPAN(span, "bisim.branching", "bisim");
+    span.arg("states", static_cast<double>(n));
+    if (n == 0) return {};
+    const lts::ActionId tau = model.actions()->tau();
+    const lts::Lts::CsrView& csr = model.csr();
+    for (lts::StateId s = 0; s < n; ++s) {
+        for (const lts::Transition& t : csr.out(s)) {
+            DPMA_REQUIRE(t.action != tau || t.target < s,
+                         "refine_branching needs tau transitions to descend in id");
+        }
+    }
+
+    BlockSplitter partition(n);
+    const std::vector<BlockId>& block = partition.blocks();
+    // This round's signatures, appended in ascending state order: state s
+    // owns arena[sig_off[s] .. sig_off[s+1]), sorted and deduplicated.
+    std::vector<std::uint64_t> arena;
+    std::vector<std::size_t> sig_off(n + 1, 0);
+    const auto sig_of = [&](lts::StateId s) {
+        return std::span<const std::uint64_t>(arena.data() + sig_off[s],
+                                              sig_off[s + 1] - sig_off[s]);
+    };
+    std::vector<std::uint64_t> entries;
+    std::vector<BlockId> all_blocks;
+    std::vector<lts::StateId> moved;
+    std::size_t rounds = 0;
+    while (true) {
+        arena.clear();
+        for (lts::StateId s = 0; s < n; ++s) {
+            entries.clear();
+            for (const lts::Transition& t : csr.out(s)) {
+                if (t.action == tau && block[t.target] == block[s]) {
+                    const std::span<const std::uint64_t> inherited = sig_of(t.target);
+                    entries.insert(entries.end(), inherited.begin(), inherited.end());
+                } else {
+                    entries.push_back(pack_entry(t.action, block[t.target]));
+                }
+            }
+            std::sort(entries.begin(), entries.end());
+            entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
+            arena.insert(arena.end(), entries.begin(), entries.end());
+            sig_off[s + 1] = arena.size();
+        }
+        all_blocks.resize(partition.num_blocks());
+        std::iota(all_blocks.begin(), all_blocks.end(), BlockId{0});
+        moved.clear();
+        partition.split(all_blocks, sig_of, moved);
+        if (moved.empty()) break;
+        ++rounds;
+    }
+
+    obs::counter("bisim.branching.rounds").add(rounds);
+    obs::counter("bisim.branching.blocks").add(partition.num_blocks());
+    span.arg("blocks", static_cast<double>(partition.num_blocks()));
+    span.arg("rounds", static_cast<double>(rounds));
+    return block;
+}
+
+lts::Lts quotient(const lts::Lts& model, const std::vector<BlockId>& blocks) {
     DPMA_REQUIRE(model.num_states() > 0, "cannot quotient an empty system");
-    const std::vector<BlockId>& blocks = refinement.final_blocks();
     DPMA_REQUIRE(blocks.size() == model.num_states(),
-                 "refinement does not match the model");
+                 "partition does not match the model");
     const BlockId num_blocks = 1 + *std::max_element(blocks.begin(), blocks.end());
 
     lts::Lts out(model.actions());
     for (BlockId b = 0; b < num_blocks; ++b) {
         out.add_state("block" + std::to_string(b));
     }
-    // One representative per block suffices: bisimilar states have the same
-    // signature by construction.  (action, block) pairs are deduplicated
-    // through the same packed-64-bit keys the refiner uses.
+    // The lowest-id member represents its block (see the header for why
+    // that is exact).  (action, block) pairs are deduplicated through the
+    // same packed-64-bit keys the refiners use.
     std::vector<char> done(num_blocks, 0);
     std::unordered_set<std::uint64_t> seen;
     for (lts::StateId s = 0; s < model.num_states(); ++s) {

@@ -2,9 +2,10 @@
 
 /// \file partition.hpp
 /// Signature-based partition refinement for strong bisimulation, recording
-/// the per-round partitions.  The round history is what makes it possible to
-/// construct distinguishing formulae with guaranteed termination
-/// (Cleaveland, "On automatically explaining bisimulation inequivalence").
+/// the per-round partitions, and for branching bisimilarity on tau-acyclic
+/// systems.  The strong round history is what makes it possible to construct
+/// distinguishing formulae with guaranteed termination (Cleaveland, "On
+/// automatically explaining bisimulation inequivalence").
 
 #include <cstdint>
 #include <vector>
@@ -50,9 +51,28 @@ struct RefinementResult {
 /// Same, with jobs == 0 (the DPMA_JOBS / hardware default).
 [[nodiscard]] RefinementResult refine_strong(const lts::Lts& model);
 
-/// Quotient of \p model by its strong-bisimilarity partition: one state per
-/// block, transitions deduplicated.  Keeps the block of the initial state as
-/// the new initial state.
-[[nodiscard]] lts::Lts quotient(const lts::Lts& model, const RefinementResult& refinement);
+/// Branching bisimilarity on \p model by signature refinement (Blom & Orzan):
+/// the final block of every state, blocks numbered as in refine_strong.
+///
+/// Precondition: every tau transition goes from a higher to a lower state
+/// id, so the system is tau-acyclic and a walk by ascending id sees every
+/// tau-successor first.  lts::collapse_tau_sccs guarantees that order.  A
+/// tau move into the mover's own block is *inert*; a state's signature is
+/// its other moves as (action, target block) plus the signatures of its
+/// inert tau-successors, so no weak saturation is needed.  Every round
+/// re-signs all states against the previous partition and splits blocks by
+/// signature, until nothing splits.  Branching bisimilarity is finer than
+/// weak bisimilarity, so quotienting by it first is sound for weak checks.
+[[nodiscard]] std::vector<BlockId> refine_branching(const lts::Lts& model);
+
+/// Quotient of \p model by the partition \p blocks (one block id per state,
+/// e.g. RefinementResult::final_blocks() or refine_branching()): one state per
+/// block, transitions deduplicated.  A block's moves are those of its
+/// lowest-id member.  That is exact for a strong partition, whose members
+/// share their moves, and for a branching one under refine_branching's
+/// precondition: the lowest-id member has no inert tau move, so its moves
+/// are the block's whole signature and the quotient has no tau self-loops.
+/// Keeps the block of the initial state as the new initial state.
+[[nodiscard]] lts::Lts quotient(const lts::Lts& model, const std::vector<BlockId>& blocks);
 
 }  // namespace dpma::bisim

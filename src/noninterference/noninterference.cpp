@@ -4,6 +4,7 @@
 #include "bisim/equivalence.hpp"
 #include "bisim/trace_equiv.hpp"
 #include "core/error.hpp"
+#include "obs/trace.hpp"
 
 namespace dpma::noninterference {
 namespace {
@@ -17,6 +18,8 @@ struct Views {
 
 Views make_views(const lts::Lts& system, const lts::ActionSet& high_actions,
                  const lts::ActionSet& low_actions) {
+    DPMA_NAMED_SPAN(span, "noninterference.views", "noninterference");
+    span.arg("states", static_cast<double>(system.num_states()));
     const auto& table = *system.actions();
     lts::ActionSet hide_lhs = high_actions;
     lts::ActionSet hide_rhs;
@@ -38,6 +41,11 @@ lts::ActionSet low_actions_of(const adl::ComposedModel& model,
     for (lts::ActionId a : adl::actions_of_instance(model, low_instance)) {
         low.insert(a);
     }
+    // With no low action both views would hide everything and trivially
+    // agree, so an unknown observer must not pass the check.
+    if (low.empty()) {
+        throw ModelError("low instance '" + low_instance + "' owns no action of the model");
+    }
     return low;
 }
 
@@ -47,7 +55,9 @@ lts::ActionSet high_actions_of(const adl::ComposedModel& model,
     lts::ActionSet high;
     for (const std::string& label : high_labels) {
         const Symbol a = table.find(label);
-        DPMA_REQUIRE(a != kNoSymbol, "high label not present in the model: " + label);
+        if (a == kNoSymbol) {
+            throw ModelError("high label not present in the model: " + label);
+        }
         high.insert(a);
     }
     return high;

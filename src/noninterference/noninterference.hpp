@@ -53,7 +53,9 @@ struct Result {
 
 /// Convenience for composed models: \p high_labels are the DPM command
 /// labels (e.g. "DPM.send_shutdown#S.receive_shutdown"); the low observer is
-/// every action involving \p low_instance (the client).
+/// every action involving \p low_instance (the client).  Throws ModelError
+/// when a high label is not an action of the model or \p low_instance owns
+/// no action.
 [[nodiscard]] Result check_dpm_transparency(const adl::ComposedModel& model,
                                             const std::vector<std::string>& high_labels,
                                             const std::string& low_instance);
@@ -75,7 +77,8 @@ struct TraceResult {
                                        const lts::ActionSet& high_actions,
                                        const lts::ActionSet& low_actions);
 
-/// Composed-model convenience mirroring check_dpm_transparency.
+/// Composed-model convenience mirroring check_dpm_transparency, with the
+/// same ModelError cases.
 [[nodiscard]] TraceResult check_dpm_trace_transparency(
     const adl::ComposedModel& model, const std::vector<std::string>& high_labels,
     const std::string& low_instance);

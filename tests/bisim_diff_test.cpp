@@ -1,8 +1,12 @@
 /// \file bisim_diff_test.cpp
-/// Differential tests for the CSR-based saturation and dirty-block
-/// refinement pipeline: the optimised implementations are compared against
+/// Differential tests for the weak-bisimulation pipeline.  The CSR-based
+/// saturation and dirty-block refinement are compared against
 /// straightforward reference implementations (the pre-optimisation
-/// algorithms, kept here verbatim) on randomized LTSs.  Verdicts, block
+/// algorithms, kept here verbatim) on randomized LTSs.  The weak check with
+/// its branching pre-reduction is compared against the unreduced pipeline
+/// (collapse, saturate the whole union, strong refinement), also kept here,
+/// on random systems, the observer views of every shipped spec and the
+/// streaming system at every pair of buffer sizes up to 10.  Verdicts, block
 /// counts, the induced equivalence relations, and the validity of
 /// distinguishing formulas must all agree.
 
@@ -13,15 +17,20 @@
 #include <map>
 #include <random>
 #include <set>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "adl/compose.hpp"
+#include "adl/measure.hpp"
 #include "bisim/equivalence.hpp"
 #include "bisim/hml_check.hpp"
 #include "bisim/partition.hpp"
 #include "lts/ops.hpp"
+#include "models/specs.hpp"
+#include "models/variants.hpp"
 
 namespace dpma::bisim {
 namespace {
@@ -126,6 +135,88 @@ std::vector<BlockId> ref_refine_strong(const Lts& model) {
         prev = std::move(next);
         if (stable) return prev;
     }
+}
+
+/// The weak check without branching pre-reduction: tau-SCC collapse of the
+/// union, saturation of the whole collapsed system, strong refinement with
+/// round history.  Also returns the weak partition of the collapsed states.
+struct UnreducedWeak {
+    EquivalenceResult result;
+    Lts collapsed;
+    StateId root_lhs;
+    StateId root_rhs;
+    std::vector<BlockId> weak_blocks;
+};
+
+UnreducedWeak unreduced_weak_check(const Lts& lhs, const Lts& rhs) {
+    const lts::UnionResult merged = lts::disjoint_union(lhs, rhs);
+    lts::TauCollapseResult collapsed = lts::collapse_tau_sccs(merged.combined);
+    const StateId init_lhs = collapsed.representative_of[merged.initial_lhs];
+    const StateId init_rhs = collapsed.representative_of[merged.initial_rhs];
+    const Lts system = lts::saturate(collapsed.collapsed);
+    const RefinementResult refinement = refine_strong(system);
+    UnreducedWeak out{{}, std::move(collapsed.collapsed), init_lhs, init_rhs,
+                      refinement.final_blocks()};
+    out.result.equivalent = refinement.same_block(init_lhs, init_rhs);
+    if (!out.result.equivalent) {
+        out.result.distinguishing =
+            distinguishing_formula(system, refinement, init_lhs, init_rhs, true);
+    }
+    return out;
+}
+
+/// Checks the production weak check on (\p lhs, \p rhs) against the
+/// unreduced reference: same verdict, every branching block inside one
+/// reference weak block, and on failure a formula that holds on lhs and
+/// fails on rhs.  Returns the verdict.
+bool expect_matches_unreduced(const Lts& lhs, const Lts& rhs, const std::string& what) {
+    const EquivalenceResult fast = weakly_bisimilar(lhs, rhs);
+    const UnreducedWeak ref = unreduced_weak_check(lhs, rhs);
+    EXPECT_EQ(fast.equivalent, ref.result.equivalent) << what;
+
+    const std::vector<BlockId> branching = refine_branching(ref.collapsed);
+    std::map<BlockId, BlockId> weak_block_of;
+    for (StateId s = 0; s < branching.size(); ++s) {
+        const auto it = weak_block_of.emplace(branching[s], ref.weak_blocks[s]).first;
+        if (it->second != ref.weak_blocks[s]) {
+            ADD_FAILURE() << what << ": branching block " << branching[s]
+                          << " spans two weak blocks";
+            break;
+        }
+    }
+
+    if (!fast.equivalent) {
+        EXPECT_NE(fast.distinguishing, nullptr) << what;
+        if (fast.distinguishing != nullptr) {
+            const lts::UnionResult u = lts::disjoint_union(lhs, rhs);
+            EXPECT_TRUE(satisfies(u.combined, u.initial_lhs, fast.distinguishing)) << what;
+            EXPECT_FALSE(satisfies(u.combined, u.initial_rhs, fast.distinguishing)) << what;
+        }
+    }
+    return fast.equivalent;
+}
+
+/// The noninterference observer views of \p model: everything but the low
+/// instance's actions hidden, with the high actions hidden (first) or
+/// removed (second).
+std::pair<Lts, Lts> observer_views(const adl::ComposedModel& model,
+                                   const std::vector<std::string>& high_labels,
+                                   const std::string& low_instance) {
+    const auto& table = *model.graph.actions();
+    lts::ActionSet high;
+    for (const std::string& label : high_labels) high.insert(table.find(label));
+    lts::ActionSet low;
+    for (const ActionId a : adl::actions_of_instance(model, low_instance)) low.insert(a);
+    lts::ActionSet hide_hidden = high;
+    lts::ActionSet hide_restricted;
+    for (Symbol a = 0; a < table.size(); ++a) {
+        if (a == table.tau() || low.contains(a)) continue;
+        hide_hidden.insert(a);
+        if (!high.contains(a)) hide_restricted.insert(a);
+    }
+    return {lts::reachable_part(lts::hide(model.graph, hide_hidden)),
+            lts::reachable_part(
+                lts::hide(lts::restrict_actions(model.graph, high), hide_restricted))};
 }
 
 // ---------------------------------------------------------------------------
@@ -267,10 +358,112 @@ TEST(BisimDiffTest, QuotientOfSaturationIsWeaklyBisimilarToOriginal) {
         const Lts m = random_lts(seed * 47, 20, 60, 0.5);
         const Lts sat = lts::saturate(m);
         const RefinementResult refinement = refine_strong(sat);
-        Lts q = quotient(sat, refinement);
+        Lts q = quotient(sat, refinement.final_blocks());
         q.set_initial(refinement.final_blocks()[m.initial()]);
         const EquivalenceResult eq = weakly_bisimilar(m, q);
         EXPECT_TRUE(eq.equivalent) << "seed " << seed;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Branching pre-reduction vs the unreduced weak check.
+// ---------------------------------------------------------------------------
+
+TEST(BranchingReductionTest, MatchesUnreducedCheckOnRandomSystems) {
+    std::size_t equivalent = 0;
+    std::size_t inequivalent = 0;
+    for (std::uint32_t seed = 1; seed <= 40; ++seed) {
+        const double tau_share = 0.2 + 0.15 * (seed % 5);
+        const Lts m = random_lts(seed * 389, 8 + seed % 17, 20 + seed * 3, tau_share);
+        const Lts other = random_lts(seed * 389 + 1, 8 + seed % 13, 20 + seed * 3, tau_share);
+        // Random pairs, and pairs weakly bisimilar by construction.
+        if (expect_matches_unreduced(m, other, "seed " + std::to_string(seed))) {
+            ++equivalent;
+        } else {
+            ++inequivalent;
+        }
+        EXPECT_TRUE(expect_matches_unreduced(m, lts::saturate(m),
+                                             "saturated, seed " + std::to_string(seed)));
+        EXPECT_TRUE(expect_matches_unreduced(lts::collapse_tau_sccs(m).collapsed, m,
+                                             "collapsed, seed " + std::to_string(seed)));
+        ++equivalent;
+        // Hiding one visible action makes both sides mostly silent, the
+        // shape of the noninterference views.
+        lts::ActionSet hidden_b{m.actions()->find("b")};
+        const Lts hidden_m = lts::hide(m, hidden_b);
+        const Lts hidden_other = lts::hide(other, hidden_b);
+        if (expect_matches_unreduced(hidden_m, hidden_other,
+                                     "hidden, seed " + std::to_string(seed))) {
+            ++equivalent;
+        } else {
+            ++inequivalent;
+        }
+    }
+    EXPECT_GT(equivalent, 0u);
+    EXPECT_GT(inequivalent, 0u);
+}
+
+TEST(BranchingReductionTest, WeakButNotBranchingBisimilarStaysEquivalent) {
+    // a.(b + tau.c) + a.c  vs  a.(b + tau.c): weakly bisimilar (Milner's
+    // third tau law) but not branching bisimilar, so the check must take
+    // the quotient-and-saturate path and still answer equivalent.
+    const auto build = [](bool extra_branch) {
+        Lts m;
+        const StateId root = m.add_state();
+        const StateId mid = m.add_state();
+        const StateId after_tau = m.add_state();
+        const StateId end = m.add_state();
+        m.add_transition(root, m.action("a"), mid);
+        m.add_transition(mid, m.action("b"), end);
+        m.add_transition(mid, m.actions()->tau(), after_tau);
+        m.add_transition(after_tau, m.action("c"), end);
+        if (extra_branch) m.add_transition(root, m.action("a"), after_tau);
+        m.set_initial(root);
+        return m;
+    };
+    const Lts lhs = build(true);
+    const Lts rhs = build(false);
+
+    const lts::UnionResult u = lts::disjoint_union(lhs, rhs);
+    const lts::TauCollapseResult collapsed = lts::collapse_tau_sccs(u.combined);
+    const std::vector<BlockId> branching = refine_branching(collapsed.collapsed);
+    EXPECT_NE(branching[collapsed.representative_of[u.initial_lhs]],
+              branching[collapsed.representative_of[u.initial_rhs]]);
+
+    EXPECT_TRUE(weakly_bisimilar(lhs, rhs).equivalent);
+    EXPECT_TRUE(weakly_bisimilar(rhs, lhs).equivalent);
+    EXPECT_TRUE(expect_matches_unreduced(lhs, rhs, "tau law"));
+}
+
+TEST(BranchingReductionTest, MatchesUnreducedCheckOnShippedSpecViews) {
+    const std::pair<const char*, const char*> specs[] = {
+        {"rpc_untimed.aem", "C"},        {"rpc_revised_markov.aem", "C"},
+        {"rpc_general.aem", "C"},        {"disk_markov.aem", "SINK"},
+        {"streaming_markov.aem", "C"},   {"streaming_general.aem", "C"}};
+    std::size_t failing = 0;
+    for (const auto& [file, low] : specs) {
+        const adl::ArchiType archi = models::archi(file);
+        const adl::ComposedModel model = adl::compose(archi);
+        const auto [hidden, restricted] =
+            observer_views(model, models::high_action_labels(archi), low);
+        if (!expect_matches_unreduced(hidden, restricted, file)) ++failing;
+    }
+    // Only the simplified rpc of Sect. 2.3 interferes.
+    EXPECT_EQ(failing, 1u);
+}
+
+TEST(BranchingReductionTest, MatchesUnreducedCheckOnStreamingBufferSizes) {
+    const adl::ArchiType streaming = models::archi("streaming_markov.aem");
+    const std::vector<std::string> high = models::high_action_labels(streaming);
+    for (long ap = 1; ap <= 10; ++ap) {
+        for (long client = 1; client <= 10; ++client) {
+            const adl::ComposedModel model = adl::compose(models::with_capacity(
+                models::with_capacity(streaming, {"AP"}, ap), {"B"}, client));
+            const auto [hidden, restricted] = observer_views(model, high, "C");
+            EXPECT_TRUE(expect_matches_unreduced(
+                hidden, restricted,
+                "streaming AP=" + std::to_string(ap) + " B=" + std::to_string(client)));
+        }
     }
 }
 

@@ -3,6 +3,7 @@
 #include "bisim/equivalence.hpp"
 #include "bisim/hml_check.hpp"
 #include "bisim/partition.hpp"
+#include "core/error.hpp"
 #include "lts/ops.hpp"
 
 namespace dpma::bisim {
@@ -189,10 +190,28 @@ TEST(Refinement, SeparationRoundIsMonotone) {
     }
 }
 
+TEST(Branching, RejectsTauEdgesThatDoNotDescend) {
+    // refine_branching walks states by ascending id and needs every
+    // tau-successor signed first; an ascending tau edge must be refused.
+    Lts m;
+    const StateId s0 = m.add_state();
+    const StateId s1 = m.add_state();
+    m.add_transition(s0, m.actions()->tau(), s1);
+    m.add_transition(s1, m.action("a"), s1);
+    m.set_initial(s0);
+    EXPECT_THROW((void)refine_branching(m), Error);
+    // The tau-SCC collapse numbers states so that the same system passes.
+    const std::vector<BlockId> blocks =
+        refine_branching(lts::collapse_tau_sccs(m).collapsed);
+    EXPECT_EQ(blocks.size(), 2u);
+    // s0 -tau-> s1 is inert: both states offer only a, so one block.
+    EXPECT_EQ(blocks[0], blocks[1]);
+}
+
 TEST(Quotient, IsBisimilarToTheOriginal) {
     const Lts m = toggle_unrolled();
     const RefinementResult r = refine_strong(m);
-    const Lts q = quotient(m, r);
+    const Lts q = quotient(m, r.final_blocks());
     EXPECT_EQ(q.num_states(), 2u);
     EXPECT_TRUE(strongly_bisimilar(m, q).equivalent);
 }
@@ -200,7 +219,7 @@ TEST(Quotient, IsBisimilarToTheOriginal) {
 TEST(Quotient, PreservesDeterministicStructure) {
     const Lts m = toggle();
     const RefinementResult r = refine_strong(m);
-    const Lts q = quotient(m, r);
+    const Lts q = quotient(m, r.final_blocks());
     EXPECT_EQ(q.num_states(), 2u);
     EXPECT_EQ(q.num_transitions(), 2u);
 }
@@ -218,7 +237,7 @@ TEST(Quotient, CollapsesBisimilarBranches) {
     m.add_transition(s1, m.action("b"), s3);
     m.add_transition(s2, m.action("b"), s4);
     m.set_initial(s0);
-    const Lts q = quotient(m, refine_strong(m));
+    const Lts q = quotient(m, refine_strong(m).final_blocks());
     EXPECT_EQ(q.num_states(), 3u);
     EXPECT_TRUE(strongly_bisimilar(m, q).equivalent);
 }
@@ -251,7 +270,7 @@ TEST_P(QuotientProperty, QuotientIsBisimilarAndMinimal) {
     m.set_initial(states[0]);
 
     const RefinementResult r = refine_strong(m);
-    const Lts q = quotient(m, r);
+    const Lts q = quotient(m, r.final_blocks());
     EXPECT_TRUE(strongly_bisimilar(m, q).equivalent) << "seed " << seed;
 
     const RefinementResult r2 = refine_strong(q);

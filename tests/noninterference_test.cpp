@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "adl/compose.hpp"
 #include "bisim/hml.hpp"
 #include "bisim/hml_check.hpp"
 #include "lts/lts.hpp"
 #include "lts/ops.hpp"
+#include "models/specs.hpp"
+#include "models/variants.hpp"
 #include "noninterference/noninterference.hpp"
 
 namespace dpma::noninterference {
@@ -103,6 +109,34 @@ TEST(Noninterference, FormulaDistinguishesTheTwoViews) {
     const lts::UnionResult u = lts::disjoint_union(hidden, restricted);
     EXPECT_TRUE(bisim::satisfies(u.combined, u.initial_lhs, r.formula));
     EXPECT_FALSE(bisim::satisfies(u.combined, u.initial_rhs, r.formula));
+}
+
+TEST(Noninterference, UnknownLowInstanceIsAModelErrorNamingIt) {
+    // An observer that owns no action would see nothing on either side, so
+    // both checks must refuse it instead of passing.
+    const adl::ArchiType archi = models::archi("rpc_untimed.aem");
+    const adl::ComposedModel model = adl::compose(archi);
+    const std::vector<std::string> high = models::high_action_labels(archi);
+    try {
+        (void)check_dpm_transparency(model, high, "NOSUCH");
+        ADD_FAILURE() << "bisimulation check accepted an unknown low instance";
+    } catch (const ModelError& e) {
+        EXPECT_NE(std::string(e.what()).find("NOSUCH"), std::string::npos) << e.what();
+    }
+    try {
+        (void)check_dpm_trace_transparency(model, high, "NOSUCH");
+        ADD_FAILURE() << "trace check accepted an unknown low instance";
+    } catch (const ModelError& e) {
+        EXPECT_NE(std::string(e.what()).find("NOSUCH"), std::string::npos) << e.what();
+    }
+}
+
+TEST(Noninterference, UnknownHighLabelIsAModelError) {
+    const adl::ComposedModel model = adl::compose(models::archi("rpc_untimed.aem"));
+    EXPECT_THROW((void)check_dpm_transparency(model, {"DPM.no_such#S.command"}, "C"),
+                 ModelError);
+    EXPECT_THROW((void)check_dpm_trace_transparency(model, {"DPM.no_such#S.command"}, "C"),
+                 ModelError);
 }
 
 }  // namespace

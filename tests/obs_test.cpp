@@ -18,6 +18,9 @@
 #include "ctmc_fixtures.hpp"
 #include "exp/experiment.hpp"
 #include "exp/report.hpp"
+#include "models/specs.hpp"
+#include "models/variants.hpp"
+#include "noninterference/noninterference.hpp"
 #include "obs/json.hpp"
 #include "obs/json_parse.hpp"
 #include "obs/log.hpp"
@@ -425,6 +428,36 @@ TEST(ObsTrace, BuildAndSolveSpansCarryTheirSizes) {
     ASSERT_NE(solve, nullptr);
     EXPECT_EQ(solve->number_at("states"), 3.0);
     EXPECT_EQ(solve->number_at("recurrent"), 2.0);
+#endif
+    obs::clear_trace();
+}
+
+TEST(ObsTrace, NoninterferenceCheckTracesViewsAndBranchingReduction) {
+    const adl::ArchiType archi = models::archi("rpc_untimed.aem");
+    const adl::ComposedModel model = adl::compose(archi);
+    const std::uint64_t rounds_before = obs::counter("bisim.branching.rounds").value();
+    const std::uint64_t blocks_before = obs::counter("bisim.branching.blocks").value();
+    obs::clear_trace();
+    obs::set_tracing(true);
+    const noninterference::Result verdict = noninterference::check_dpm_transparency(
+        model, models::high_action_labels(archi), "C");
+    obs::set_tracing(false);
+    EXPECT_FALSE(verdict.noninterfering);
+    const std::uint64_t rounds = obs::counter("bisim.branching.rounds").value() - rounds_before;
+    const std::uint64_t blocks = obs::counter("bisim.branching.blocks").value() - blocks_before;
+    // The views differ, so the roots had to be split apart.
+    EXPECT_GE(rounds, 1u);
+    EXPECT_GE(blocks, 2u);
+#if !defined(DPMA_OBS_DISABLED)
+    const obs::Json trace = obs::json_parse(obs::trace_json());
+    const obs::Json* views = span_args(trace, "noninterference.views");
+    ASSERT_NE(views, nullptr);
+    EXPECT_EQ(views->number_at("states"), static_cast<double>(model.graph.num_states()));
+    const obs::Json* branching = span_args(trace, "bisim.branching");
+    ASSERT_NE(branching, nullptr);
+    EXPECT_GT(branching->number_at("states"), 0.0);
+    EXPECT_EQ(branching->number_at("blocks"), static_cast<double>(blocks));
+    EXPECT_EQ(branching->number_at("rounds"), static_cast<double>(rounds));
 #endif
     obs::clear_trace();
 }
