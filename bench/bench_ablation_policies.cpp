@@ -28,13 +28,7 @@ using namespace dpma::bench;
 
 RpcPoint solve_rpc(const adl::ComposedModel& model) {
     static const std::vector<adl::Measure> measures = models::measures("rpc_measures.msr");
-    const ctmc::MarkovModel markov = ctmc::build_markov(model);
-    const auto pi = ctmc::steady_state(markov.chain);
-    std::vector<double> values;
-    for (const adl::Measure& m : measures) {
-        values.push_back(ctmc::evaluate_measure(markov, model, pi, m));
-    }
-    return rpc_point_from(values, {});
+    return rpc_point_from(exp::solve_point(model, measures).values, {});
 }
 
 void ablate_policy() {
@@ -111,10 +105,8 @@ void ablate_wakeup_power() {
     for (const double power : {1.0, 1.5, 3.0, 6.0, 12.0}) {
         energy.clauses[2].reward = power;  // IN_STATE(NIC, NIC_WakingUp)
         const auto solve = [&](const adl::ComposedModel& model) {
-            const ctmc::MarkovModel markov = ctmc::build_markov(model);
-            const auto pi = ctmc::steady_state(markov.chain);
-            return ctmc::evaluate_measure(markov, model, pi, energy) /
-                   ctmc::evaluate_measure(markov, model, pi, frames);
+            const std::vector<double> v = exp::solve_point(model, {energy, frames}).values;
+            return v[0] / v[1];
         };
         const double epf_dpm = solve(with);
         const double epf_nodpm = solve(without);

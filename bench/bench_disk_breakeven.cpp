@@ -14,11 +14,9 @@
 ///     time rises as the timeout shrinks, the familiar tradeoff.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/harness.hpp"
-#include "ctmc/ctmc.hpp"
-#include "ctmc/reward.hpp"
-#include "ctmc/solve.hpp"
 #include "models/specs.hpp"
 #include "models/variants.hpp"
 
@@ -53,15 +51,13 @@ double mean_delay(const adl::ArchiType& archi, const std::string& action) {
 }
 
 DiskPoint solve(const adl::ComposedModel& model, const adl::Measure& queue) {
-    const ctmc::MarkovModel markov = ctmc::build_markov(model);
-    const auto pi = ctmc::steady_state(markov.chain);
     const auto& ms = disk_measures();
-    const double power = ctmc::evaluate_measure(
-        markov, model, pi, ms[models::measure_index(ms, "disk_power")]);
-    const double completed = ctmc::evaluate_measure(
-        markov, model, pi, ms[models::measure_index(ms, "completed")]);
-    const double length = ctmc::evaluate_measure(markov, model, pi, queue);
-    return DiskPoint{power, length / completed, completed};
+    const std::vector<double> values =
+        exp::solve_point(model, {ms[models::measure_index(ms, "disk_power")],
+                                 ms[models::measure_index(ms, "completed")], queue})
+            .values;
+    const double completed = values[1];
+    return DiskPoint{values[0], values[2] / completed, completed};
 }
 
 }  // namespace

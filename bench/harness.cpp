@@ -7,9 +7,6 @@
 
 #include "core/error.hpp"
 #include "core/text.hpp"
-#include "ctmc/ctmc.hpp"
-#include "ctmc/reward.hpp"
-#include "ctmc/solve.hpp"
 #include "core/stats_math.hpp"
 #include "exp/pool.hpp"
 #include "exp/runner.hpp"
@@ -77,18 +74,6 @@ void exponentialize(adl::ComposedModel& model) {
     }
 }
 
-std::vector<double> solve_measures(const adl::ComposedModel& model,
-                                   const std::vector<adl::Measure>& measures) {
-    const ctmc::MarkovModel markov = ctmc::build_markov(model);
-    const std::vector<double> pi = ctmc::steady_state(markov.chain);
-    std::vector<double> values;
-    values.reserve(measures.size());
-    for (const adl::Measure& m : measures) {
-        values.push_back(ctmc::evaluate_measure(markov, model, pi, m));
-    }
-    return values;
-}
-
 struct SimulatedValues {
     std::vector<double> means;
     std::vector<double> half_widths;
@@ -144,37 +129,31 @@ std::vector<sim::BatchEstimate> replication_convergence(
     return convergence;
 }
 
-std::string point_key(const char* spec, bool dpm, double delay) {
-    return dpm ? std::string(spec) + "/dpm/" + format_fixed(delay, 6)
-               : std::string(spec) + "/nodpm";
-}
-
-/// Composed model for one sweep point, cached under point_key(): the cached
-/// spec with the swept DPM action retimed to \p delay (immediate when
-/// <= 0), or the spec without the DPM's commands, which ignores the delay.
+/// Composed model for one sweep point.  figure_cache() holds one skeleton
+/// per spec variant: the spec as shipped, which each call retimes to
+/// \p delay (exp::with_delay, immediate when <= 0), and the spec without the
+/// DPM's commands, which ignores the delay and is returned as is.
 std::shared_ptr<const adl::ComposedModel> point_model(const char* spec,
                                                       const char* action, bool dpm,
                                                       double delay) {
-    return figure_cache().composed(point_key(spec, dpm, delay), [&] {
-        if (!dpm) return adl::compose(models::without_dpm(models::archi(spec)));
-        const auto skeleton = figure_cache().composed(
-            spec, [&] { return adl::compose(models::archi(spec)); });
-        return exp::with_delay(*skeleton, models::kDpm, action, delay);
-    });
+    if (!dpm) {
+        return figure_cache().composed(std::string(spec) + "/nodpm", [&] {
+            return adl::compose(models::without_dpm(models::archi(spec)));
+        });
+    }
+    const auto skeleton = figure_cache().composed(
+        spec, [&] { return adl::compose(models::archi(spec)); });
+    return std::make_shared<const adl::ComposedModel>(
+        exp::with_delay(*skeleton, models::kDpm, action, delay));
 }
 
-exp::PointResult solve_cached(const std::shared_ptr<const adl::ComposedModel>& model,
-                              const std::string& key,
-                              const std::vector<adl::Measure>& measures) {
-    const auto markov =
-        figure_cache().markov(key, [&] { return ctmc::build_markov(*model); });
-    const std::vector<double> pi = ctmc::steady_state(markov->chain);
-    exp::PointResult result;
-    result.values.reserve(measures.size());
-    for (const adl::Measure& m : measures) {
-        result.values.push_back(ctmc::evaluate_measure(*markov, *model, pi, m));
-    }
-    return result;
+/// The analytic point of every Markov figure: the retimed skeleton, solved by
+/// exp::solve_point.
+exp::PointResult markov_point(const Family& family,
+                              const std::vector<adl::Measure>& measures, bool dpm,
+                              double delay) {
+    return exp::solve_point(
+        *point_model(family.markov_spec, family.swept_action, dpm, delay), measures);
 }
 
 }  // namespace
@@ -325,16 +304,15 @@ StreamingPoint streaming_point_from(const std::vector<double>& values,
 }
 
 RpcPoint rpc_markov_point(double shutdown_timeout, bool dpm) {
-    const adl::ComposedModel model = models::compose_point(
-        kRpc.markov_spec, kRpc.swept_action, shutdown_timeout, dpm);
-    return rpc_point_from(solve_measures(model, rpc_measures()), {});
+    return rpc_point_from(markov_point(kRpc, rpc_measures(), dpm, shutdown_timeout).values,
+                          {});
 }
 
 RpcPoint rpc_general_point(double shutdown_timeout, bool dpm, int replications,
                            double horizon, std::uint64_t seed, exp::ThreadPool* pool) {
-    const adl::ComposedModel model = models::compose_point(
-        kRpc.general_spec, kRpc.swept_action, shutdown_timeout, dpm);
-    const SimulatedValues sim = simulate_measures(model, rpc_measures(), replications,
+    const auto model =
+        point_model(kRpc.general_spec, kRpc.swept_action, dpm, shutdown_timeout);
+    const SimulatedValues sim = simulate_measures(*model, rpc_measures(), replications,
                                                   500.0, horizon, seed, pool);
     return rpc_point_from(sim.means, sim.half_widths);
 }
@@ -342,8 +320,8 @@ RpcPoint rpc_general_point(double shutdown_timeout, bool dpm, int replications,
 RpcPoint rpc_general_exp_point(double shutdown_timeout, bool dpm, int replications,
                                double horizon, std::uint64_t seed,
                                exp::ThreadPool* pool) {
-    adl::ComposedModel model = models::compose_point(kRpc.markov_spec, kRpc.swept_action,
-                                                     shutdown_timeout, dpm);
+    adl::ComposedModel model =
+        *point_model(kRpc.markov_spec, kRpc.swept_action, dpm, shutdown_timeout);
     exponentialize(model);
     const SimulatedValues sim = simulate_measures(model, rpc_measures(), replications,
                                                   500.0, horizon, seed, pool);
@@ -351,9 +329,8 @@ RpcPoint rpc_general_exp_point(double shutdown_timeout, bool dpm, int replicatio
 }
 
 StreamingPoint streaming_markov_point(double awake_period, bool dpm) {
-    const adl::ComposedModel model = models::compose_point(
-        kStreaming.markov_spec, kStreaming.swept_action, awake_period, dpm);
-    return streaming_point_from(solve_measures(model, streaming_measures()), {});
+    return streaming_point_from(
+        markov_point(kStreaming, streaming_measures(), dpm, awake_period).values, {});
 }
 
 StreamingPoint streaming_general_point(double awake_period, bool dpm, int replications,
@@ -373,10 +350,7 @@ exp::Experiment rpc_markov_experiment(std::vector<double> timeouts, bool dpm) {
     experiment.grid.axis(exp::Axis::list("timeout_ms", std::move(timeouts)));
     experiment.measures = measure_names(rpc_measures());
     experiment.eval = [dpm](const exp::Point& point, const exp::PointContext&) {
-        const double timeout = point.at("timeout_ms");
-        const auto model = point_model(kRpc.markov_spec, kRpc.swept_action, dpm, timeout);
-        return solve_cached(model, point_key(kRpc.markov_spec, dpm, timeout),
-                            rpc_measures());
+        return markov_point(kRpc, rpc_measures(), dpm, point.at("timeout_ms"));
     };
     return experiment;
 }
@@ -440,11 +414,7 @@ exp::Experiment streaming_markov_experiment(std::vector<double> periods, bool dp
     experiment.grid.axis(exp::Axis::list("awake_ms", std::move(periods)));
     experiment.measures = measure_names(streaming_measures());
     experiment.eval = [dpm](const exp::Point& point, const exp::PointContext&) {
-        const double period = point.at("awake_ms");
-        const auto model =
-            point_model(kStreaming.markov_spec, kStreaming.swept_action, dpm, period);
-        return solve_cached(model, point_key(kStreaming.markov_spec, dpm, period),
-                            streaming_measures());
+        return markov_point(kStreaming, streaming_measures(), dpm, point.at("awake_ms"));
     };
     return experiment;
 }

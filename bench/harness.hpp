@@ -12,7 +12,10 @@
 /// declaratively; exp::run() executes the points over a thread pool
 /// (DPMA_JOBS) and figure_cache() amortises model composition across the
 /// sweep — rate points patch a cached skeleton instead of re-exploring the
-/// state space.
+/// state space.  The single-point functions (rpc_markov_point, ...) and the
+/// experiments' evaluations share one path: the cached skeleton of the spec
+/// variant (with or without the DPM), retimed per point with exp::with_delay
+/// and, for the Markov models, solved by exp::solve_point.
 
 #include <memory>
 #include <string>
@@ -51,7 +54,8 @@ private:
 /// any engine result can be dumped this way).
 [[nodiscard]] Table table_from(const exp::ResultSet& results);
 
-/// Process-wide model cache shared by the figure benches.  Hit/miss numbers
+/// Process-wide model cache shared by the figure benches: one composed
+/// skeleton per spec variant, nothing per sweep point.  Hit/miss numbers
 /// for reporting come from exp::ModelCache::global_stats() — the same
 /// registry counters dpma_cli --metrics dumps.
 [[nodiscard]] exp::ModelCache& figure_cache();
@@ -147,7 +151,9 @@ struct StreamingPoint {
 // specs/streaming_measures.msr); use rpc_point_from / streaming_point_from
 // on a record's values to recover the plotted quantities.  All of them
 // cache the composed spec in figure_cache() and retime the swept DPM action
-// per point (exp::with_delay; timeout <= 0 makes it immediate).
+// per point (exp::with_delay; timeout <= 0 makes it immediate).  The
+// analytic ones carry the solver's diagnostics (ctmc::SolveDiagnostics) on
+// every point.
 
 /// Fig. 3 left: analytic sweep of the Markovian rpc model over axis
 /// "timeout_ms".

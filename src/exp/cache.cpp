@@ -5,6 +5,9 @@
 
 #include "adl/measure.hpp"
 #include "core/error.hpp"
+#include "ctmc/ctmc.hpp"
+#include "ctmc/reward.hpp"
+#include "ctmc/solve.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -49,7 +52,7 @@ adl::ComposedModel patch_matching(const adl::ComposedModel& model,
 
 std::shared_ptr<const adl::ComposedModel> ModelCache::composed(
     const std::string& key, const std::function<adl::ComposedModel()>& build) {
-    const std::lock_guard<std::recursive_mutex> lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     if (const auto it = composed_.find(key); it != composed_.end()) {
         ++stats_.hits;
         hit_counter().add();
@@ -63,35 +66,18 @@ std::shared_ptr<const adl::ComposedModel> ModelCache::composed(
     return model;
 }
 
-std::shared_ptr<const ctmc::MarkovModel> ModelCache::markov(
-    const std::string& key, const std::function<ctmc::MarkovModel()>& build) {
-    const std::lock_guard<std::recursive_mutex> lock(mutex_);
-    if (const auto it = markov_.find(key); it != markov_.end()) {
-        ++stats_.hits;
-        hit_counter().add();
-        return it->second;
-    }
-    ++stats_.misses;
-    miss_counter().add();
-    DPMA_SPAN("cache.build_markov", "cache");
-    auto markov = std::make_shared<const ctmc::MarkovModel>(build());
-    markov_.emplace(key, markov);
-    return markov;
-}
-
 ModelCache::Stats ModelCache::global_stats() {
     return Stats{hit_counter().value(), miss_counter().value()};
 }
 
 ModelCache::Stats ModelCache::stats() const {
-    const std::lock_guard<std::recursive_mutex> lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     return stats_;
 }
 
 void ModelCache::clear() {
-    const std::lock_guard<std::recursive_mutex> lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     composed_.clear();
-    markov_.clear();
     stats_ = {};
 }
 
@@ -149,6 +135,22 @@ adl::ComposedModel with_delay(const adl::ComposedModel& model,
                 transition_rate = lts::RateGeneral{Dist::deterministic(delay)};
             }
         });
+}
+
+PointResult solve_point(const adl::ComposedModel& model,
+                        const std::vector<adl::Measure>& measures) {
+    const ctmc::MarkovModel markov = ctmc::build_markov(model);
+    ctmc::SolveDiagnostics diagnostics;
+    ctmc::SolveOptions options;
+    options.diagnostics = &diagnostics;
+    const std::vector<double> pi = ctmc::steady_state(markov.chain, options);
+    PointResult result;
+    result.values.reserve(measures.size());
+    for (const adl::Measure& m : measures) {
+        result.values.push_back(ctmc::evaluate_measure(markov, model, pi, m));
+    }
+    result.diagnostics = diagnostics.json();
+    return result;
 }
 
 }  // namespace dpma::exp

@@ -1,20 +1,18 @@
 #pragma once
 
 /// \file cache.hpp
-/// Memoization over the expensive invariants of a parameter sweep.
+/// Memoization over the expensive invariant of a parameter sweep, and the
+/// one Markov evaluation every sweep point runs.
 ///
 /// Sweeping a DPM operation rate re-solves the *same* state space at every
 /// point: composing the architectural description (a BFS over the global
-/// state space) and eliminating vanishing states do not depend on the value
-/// of an exponential rate, only on the model's structure.  Following the
-/// amortization idea of parametric model checking (Fang et al., fast
-/// parametric model checking through model fragmentation), the cache keeps
-///
-///  * composed LTSs / reachable state spaces, and
-///  * extracted CTMC skeletons (vanishing elimination)
-///
-/// keyed by a caller-chosen content key, so a sweep composes its family once
-/// and each point only patches rates and re-solves.
+/// state space) does not depend on the value of an exponential rate, only on
+/// the model's structure.  Following the amortization idea of parametric
+/// model checking (Fang et al., fast parametric model checking through model
+/// fragmentation), the cache keeps composed skeletons keyed by a
+/// caller-chosen content key, so a sweep composes its family once and each
+/// point only retimes a copy (with_exp_rate / with_delay) and hands it to
+/// solve_point().  Nothing is cached per point.
 ///
 /// Hit/miss accounting lives on the process-wide metrics registry
 /// (obs::counter "cache.hits" / "cache.misses"), so bench tables, the CLI's
@@ -22,9 +20,8 @@
 /// per-instance view on top (tests, multi-cache processes).
 ///
 /// Thread safety: all methods may be called concurrently from pool workers.
-/// Builds run under the cache lock (a concurrent request for the same key
-/// must not build twice); the lock is recursive so a markov() builder may
-/// call composed() on the same cache.
+/// Builds run under the cache lock, so a concurrent request for the same key
+/// does not build twice; a builder must not call back into the cache.
 
 #include <cstdint>
 #include <functional>
@@ -32,10 +29,12 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "adl/compose.hpp"
+#include "adl/measure.hpp"
 #include "core/dist.hpp"
-#include "ctmc/ctmc.hpp"
+#include "exp/experiment.hpp"
 
 namespace dpma::exp {
 
@@ -54,17 +53,12 @@ public:
     [[nodiscard]] std::shared_ptr<const adl::ComposedModel> composed(
         const std::string& key, const std::function<adl::ComposedModel()>& build);
 
-    /// The extracted CTMC stored under \p key, calling \p build on a miss.
-    [[nodiscard]] std::shared_ptr<const ctmc::MarkovModel> markov(
-        const std::string& key, const std::function<ctmc::MarkovModel()>& build);
-
     [[nodiscard]] Stats stats() const;
     void clear();
 
 private:
-    mutable std::recursive_mutex mutex_;
+    mutable std::mutex mutex_;
     std::unordered_map<std::string, std::shared_ptr<const adl::ComposedModel>> composed_;
-    std::unordered_map<std::string, std::shared_ptr<const ctmc::MarkovModel>> markov_;
     Stats stats_;
 };
 
@@ -97,5 +91,13 @@ private:
 [[nodiscard]] adl::ComposedModel with_delay(const adl::ComposedModel& model,
                                             const std::string& instance,
                                             const std::string& action, double delay);
+
+/// One Markov sweep point: extracts the CTMC of \p model (vanishing
+/// elimination), solves its steady state and evaluates each of \p measures,
+/// in order.  The solver's diagnostics (method, iterations, residual) ride
+/// along in PointResult::diagnostics.  Throws what build_markov /
+/// steady_state throw.
+[[nodiscard]] PointResult solve_point(const adl::ComposedModel& model,
+                                      const std::vector<adl::Measure>& measures);
 
 }  // namespace dpma::exp

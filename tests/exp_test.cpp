@@ -19,6 +19,7 @@
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "models/specs.hpp"
+#include "models/variants.hpp"
 #include "sim/gsmp.hpp"
 #include "sim/rng.hpp"
 
@@ -191,12 +192,9 @@ TEST(Cache, CountsHitsAndMissesAndSharesInstances) {
     const auto first = cache.composed("rpc", build);
     const auto second = cache.composed("rpc", build);
     EXPECT_EQ(first.get(), second.get());
-    const auto markov = cache.markov("rpc", [&] { return ctmc::build_markov(*first); });
-    (void)cache.markov("rpc", [&] { return ctmc::build_markov(*first); });
-    EXPECT_GT(markov->chain.num_states(), 0u);
     const ModelCache::Stats stats = cache.stats();
-    EXPECT_EQ(stats.hits, 2u);
-    EXPECT_EQ(stats.misses, 2u);
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.misses, 1u);
     cache.clear();
     EXPECT_EQ(cache.stats().hits, 0u);
     EXPECT_EQ(cache.stats().misses, 0u);
@@ -367,26 +365,60 @@ TEST(Harness, TableFromResultSetPrints) {
     EXPECT_NO_THROW(table.print());
 }
 
+/// Independent reference for a harness Markov point: the spec composed from
+/// scratch (models::compose_point) and solved with the ctmc primitives.
+std::vector<double> reference_point(const char* spec, const char* action, double delay,
+                                    bool dpm, const char* measures_file) {
+    const adl::ComposedModel model = models::compose_point(spec, action, delay, dpm);
+    const ctmc::MarkovModel markov = ctmc::build_markov(model);
+    const auto pi = ctmc::steady_state(markov.chain);
+    std::vector<double> values;
+    for (const adl::Measure& m : models::measures(measures_file)) {
+        values.push_back(ctmc::evaluate_measure(markov, model, pi, m));
+    }
+    return values;
+}
+
 TEST(Harness, StreamingExperimentMatchesDirectPoint) {
     const ResultSet sweep =
         run(bench::streaming_markov_experiment({50.0}, true), RunOptions{});
-    const bench::StreamingPoint engine =
-        bench::streaming_point_from(sweep.at(0).result.values, {});
-    const bench::StreamingPoint direct = bench::streaming_markov_point(50.0, true);
-    EXPECT_EQ(engine.energy_per_frame, direct.energy_per_frame);
-    EXPECT_EQ(engine.loss, direct.loss);
-    EXPECT_EQ(engine.miss, direct.miss);
-    EXPECT_EQ(engine.quality, direct.quality);
+    EXPECT_EQ(sweep.at(0).result.values,
+              reference_point("streaming_markov.aem", "send_wakeup", 50.0, true,
+                              "streaming_measures.msr"));
 }
 
 TEST(Harness, RpcExperimentMatchesDirectPoint) {
     const ResultSet sweep =
         run(bench::rpc_markov_experiment({7.5}, true), RunOptions{});
-    const bench::RpcPoint engine = bench::rpc_point_from(sweep.at(0).result.values, {});
-    const bench::RpcPoint direct = bench::rpc_markov_point(7.5, true);
-    EXPECT_EQ(engine.throughput, direct.throughput);
-    EXPECT_EQ(engine.energy_per_request, direct.energy_per_request);
-    EXPECT_EQ(engine.waiting_per_request, direct.waiting_per_request);
+    EXPECT_EQ(sweep.at(0).result.values,
+              reference_point("rpc_revised_markov.aem", "send_shutdown", 7.5, true,
+                              "rpc_measures.msr"));
+    EXPECT_NE(sweep.at(0).result.diagnostics.find("\"method\""), std::string::npos);
+}
+
+TEST(Harness, RpcSweepRetimesNearbyDelaysSeparately) {
+    // Delays 0 and 1e-7 agree to six decimals; each point must still be
+    // solved at its own delay, not at the first one's.
+    RunOptions options;
+    options.jobs = 1;
+    const ResultSet sweep = run(bench::rpc_markov_experiment({0.0, 1e-7}, true), options);
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+        EXPECT_EQ(sweep.at(i).result.values,
+                  reference_point("rpc_revised_markov.aem", "send_shutdown",
+                                  sweep.at(i).point.at("timeout_ms"), true,
+                                  "rpc_measures.msr"))
+            << "point " << i;
+    }
+    EXPECT_NE(sweep.at(0).result.values, sweep.at(1).result.values);
+}
+
+TEST(Harness, MarkovSweepCachesOneSkeletonPerVariant) {
+    const ModelCache::Stats before = ModelCache::global_stats();
+    (void)run(bench::streaming_markov_experiment({45.0, 55.0, 65.0, 75.0, 85.0}, true),
+              RunOptions{});
+    (void)run(bench::streaming_markov_experiment({45.0}, false), RunOptions{});
+    const ModelCache::Stats after = ModelCache::global_stats();
+    EXPECT_LE(after.misses - before.misses, 2u);
 }
 
 TEST(Report, JsonCarriesPerPointElapsed) {

@@ -784,19 +784,8 @@ int cmd_sweep(const std::string& model_path, const std::string& measures_path,
                                              static_cast<std::size_t>(steps)));
     for (const adl::Measure& m : measures) experiment.measures.push_back(m.name);
     experiment.eval = [&](const exp::Point& point, const exp::PointContext&) {
-        const adl::ComposedModel model =
-            exp::with_exp_rate(*skeleton, instance, action, point.at(target));
-        const ctmc::MarkovModel markov = ctmc::build_markov(model);
-        ctmc::SolveDiagnostics diagnostics;
-        ctmc::SolveOptions solve_options;
-        solve_options.diagnostics = &diagnostics;
-        const auto pi = ctmc::steady_state(markov.chain, solve_options);
-        exp::PointResult result;
-        for (const adl::Measure& m : measures) {
-            result.values.push_back(ctmc::evaluate_measure(markov, model, pi, m));
-        }
-        result.diagnostics = diagnostics.json();
-        return result;
+        return exp::solve_point(
+            exp::with_exp_rate(*skeleton, instance, action, point.at(target)), measures);
     };
 
     exp::RunOptions run_options;
