@@ -123,15 +123,19 @@ void BM_SteadyStateGth(benchmark::State& state) {
 }
 BENCHMARK(BM_SteadyStateGth);
 
-void BM_SteadyStateGaussSeidelStreaming(benchmark::State& state) {
-    const auto model = compose_spec("streaming_markov.aem");
-    const auto markov = ctmc::build_markov(model);
+/// The sparse GTH steady-state solve on the streaming chain at buffer
+/// capacity Arg, per tangible state; the label carries the factor size.
+void BM_SteadyStateStreaming(benchmark::State& state) {
+    const auto markov = ctmc::build_markov(compose_streaming(state.range(0)));
+    ctmc::SolveDiagnostics diagnostics;
     time_per_state(state, markov.chain.num_states(), [&] {
-        benchmark::DoNotOptimize(ctmc::steady_state_gauss_seidel(markov.chain));
+        benchmark::DoNotOptimize(
+            ctmc::steady_state(markov.chain, {.diagnostics = &diagnostics}));
     });
-    state.SetLabel(std::to_string(markov.chain.num_states()) + " states");
+    state.SetLabel(std::to_string(markov.chain.num_states()) + " states, " +
+                   std::to_string(diagnostics.factor_entries) + " factor entries");
 }
-BENCHMARK(BM_SteadyStateGaussSeidelStreaming);
+BENCHMARK(BM_SteadyStateStreaming)->Arg(10)->Arg(16)->Unit(benchmark::kMillisecond);
 
 void BM_SimulateRpcGeneral(benchmark::State& state) {
     const auto model = compose_spec("rpc_general.aem");

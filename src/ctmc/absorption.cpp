@@ -94,7 +94,7 @@ std::vector<double> solve_dense(const PassageSystem& system) {
     for (std::size_t i = 0; i < m; ++i) {
         h[i] = row(i)[m] / row(i)[i];
     }
-    record_solve(nullptr, "dense_elimination", m, 0, 0.0);
+    record_solve("dense_elimination", m, m * m);
     return h;
 }
 
@@ -162,7 +162,7 @@ Elimination eliminate(const Csr& a, std::vector<double> leak, std::vector<double
         out.x[i] = acc / pivot[i];
     }
     out.factor_entries = u.col.size();
-    record_solve(nullptr, "sparse_elimination", m, 0, 0.0);
+    record_solve("sparse_elimination", m, out.factor_entries);
     return out;
 }
 

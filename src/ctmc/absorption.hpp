@@ -7,10 +7,10 @@
 /// model — e.g. "expected time until the access-point buffer first
 /// overflows" as a function of the DPM awake period.
 
+#include <cstddef>
 #include <vector>
 
 #include "ctmc/ctmc.hpp"
-#include "ctmc/solve.hpp"
 
 namespace dpma::ctmc {
 
@@ -21,15 +21,15 @@ namespace dpma::ctmc {
 ///    (including absorbing non-target states);
 ///  * otherwise the unique solution of  h(s) = 1/E(s) + sum_t P(s,t) h(t).
 ///
-/// Solved by dense Gaussian elimination with partial pivoting up to
-/// \p dense_threshold unknown states, and above it by the direct sparse
-/// elimination in index order (GTH-style pivots, no subtraction; see
-/// DESIGN.md §5), which throws NumericalError when its factor would exceed
-/// 2^25 entries.  Both are traced as span "ctmc.hitting" and counted as
-/// ctmc.solve.dense_elimination / ctmc.solve.sparse_elimination.
+/// Solved by the direct sparse elimination in index order (GTH-style pivots,
+/// no subtraction; see DESIGN.md §5), which throws NumericalError when its
+/// factor would exceed 2^25 entries.  Up to \p dense_threshold unknown
+/// states, dense Gauss–Jordan elimination with partial pivoting solves
+/// instead: the oracle for the sparse path, reached only by passing a
+/// threshold.  Both are traced as span "ctmc.hitting" and counted as
+/// ctmc.solve.sparse_elimination / ctmc.solve.dense_elimination.
 [[nodiscard]] std::vector<double> expected_hitting_times(
-    const Ctmc& chain, const std::vector<char>& targets,
-    std::size_t dense_threshold = kDenseThreshold);
+    const Ctmc& chain, const std::vector<char>& targets, std::size_t dense_threshold = 0);
 
 /// Probability of reaching the target set at all, per state (1 for targets),
 /// by the same direct sparse elimination at every size.

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <deque>
+#include <string>
 
 #include "core/error.hpp"
 #include "core/stats_math.hpp"
@@ -24,32 +24,13 @@ void normalize(std::vector<double>& pi) {
     for (double& p : pi) p /= total;
 }
 
-double max_abs_diff(const std::vector<double>& a, const std::vector<double>& b) {
-    double best = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        best = std::max(best, std::abs(a[i] - b[i]));
-    }
-    return best;
-}
-
 }  // namespace
 
-void record_solve(SolveDiagnostics* diagnostics, const char* method, std::size_t states,
-                  std::size_t iterations, double residual) {
+void record_solve(const char* method, std::size_t states, std::size_t factor_entries) {
     obs::counter(std::string("ctmc.solve.") + method).add();
-    if (iterations > 0) {
-        obs::histogram("ctmc.solve.iterations").observe(static_cast<double>(iterations));
-    }
-    if (diagnostics != nullptr) {
-        diagnostics->method = method;
-        diagnostics->states = states;
-        diagnostics->iterations = iterations;
-        diagnostics->final_residual = residual;
-    }
     if (obs::log_enabled(obs::LogLevel::Debug)) {
-        obs::logf(obs::LogLevel::Debug,
-                  "solve: %s on %zu states, %zu iterations, residual %g", method,
-                  states, iterations, residual);
+        obs::logf(obs::LogLevel::Debug, "solve: %s on %zu states, %zu factor entries", method,
+                  states, factor_entries);
     }
 }
 
@@ -93,80 +74,120 @@ std::vector<char> reach(const Csr& graph, std::vector<char> seeds) {
     return seeds;
 }
 
-void gauss_seidel(const Csr& a, const std::vector<double>& b,
-                  const std::vector<double>& d, std::vector<double>& x, bool normalise,
-                  double tolerance, std::size_t max_iterations,
-                  SolveDiagnostics* diagnostics) {
-    const std::size_t n = a.rows();
-    if (diagnostics != nullptr) *diagnostics = SolveDiagnostics{};
-    if (std::any_of(d.begin(), d.end(), [](double di) { return !(di > 0.0); })) {
-        throw NumericalError("Gauss-Seidel: zero diagonal (absorbing state in chain)");
-    }
-    std::vector<double> prev;
-    double change = 0.0;
-    for (std::size_t iter = 0; iter < max_iterations; ++iter) {
-        if (normalise) prev = x;
-        change = 0.0;
-        double scale = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            double acc = b.empty() ? 0.0 : b[i];
-            for (std::size_t k = a.start[i]; k < a.start[i + 1]; ++k) {
-                acc += a.val[k] * x[a.col[k]];
-            }
-            const double next = acc / d[i];
-            change = std::max(change, std::abs(next - x[i]));
-            scale = std::max(scale, std::abs(next));
-            x[i] = next;
-        }
-        if (normalise) {
-            normalize(x);
-            change = max_abs_diff(x, prev);
-            scale = 1.0;
-        }
-        if (diagnostics != nullptr) diagnostics->record_residual(change);
-        if (change <= tolerance * scale) {
-            record_solve(diagnostics, "gauss_seidel", n, iter + 1, change);
-            return;
-        }
-    }
-    char residual[32];
-    std::snprintf(residual, sizeof residual, "%g", change);
-    throw NumericalError("Gauss-Seidel did not converge within " +
-                         std::to_string(max_iterations) + " iterations (residual " +
-                         residual + ")");
-}
+Elimination sparse_gth(const Ctmc& chain, std::size_t budget) {
+    const std::size_t n = chain.num_states();
+    DPMA_REQUIRE(n >= 1, "empty chain");
+    // Row i of the elimination is state n-1-i: on the streaming chains the
+    // reverse index order fills about a third of what the natural one does.
+    const auto state_at = [n](std::size_t i) { return static_cast<TangibleId>(n - 1 - i); };
+    const auto position = [n](TangibleId s) { return n - 1 - s; };
 
-void SolveDiagnostics::record_residual(double residual) {
-    // Thin in place: once the history is full, keep every other sample and
-    // double the stride, so memory stays bounded for 500k-iteration solves
-    // while the curve's shape survives.
-    constexpr std::size_t kMaxSamples = 2048;
-    ++pending_;
-    if (pending_ < residual_stride) return;
-    pending_ = 0;
-    residuals.push_back(residual);
-    if (residuals.size() >= kMaxSamples) {
-        for (std::size_t i = 1; 2 * i < residuals.size(); ++i) {
-            residuals[i] = residuals[2 * i];
+    // Pre-pass.  Folding row k into row i only fills columns above k, so
+    // L's row i lies in the envelope [first[i], i) of its original entries:
+    // a dense skyline, sized exactly here.  U's row k is folded only by rows
+    // whose envelope reaches k, the last of which is last_use[k]
+    // (non-decreasing), so the live U rows are always a sliding window.
+    std::vector<std::size_t> first(n);
+    std::vector<std::size_t> l_start(n + 1, 0);
+    std::vector<std::size_t> last_use(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        first[i] = i;
+        for (const RateEntry& e : chain.row(state_at(i))) {
+            first[i] = std::min(first[i], position(e.target));
         }
-        residuals.resize(residuals.size() / 2);
-        residual_stride *= 2;
+        l_start[i + 1] = l_start[i] + (i - first[i]);
+        last_use[i] = i;
+        last_use[first[i]] = std::max(last_use[first[i]], i);
     }
+    for (std::size_t k = 1; k < n; ++k) last_use[k] = std::max(last_use[k], last_use[k - 1]);
+    const std::size_t l_slots = l_start[n];
+    const auto over_budget = [&](std::size_t row) {
+        return NumericalError("sparse GTH on " + std::to_string(n) + " states needs more than " +
+                              std::to_string(budget) + " factor entries (budget exhausted at row " +
+                              std::to_string(row) + ")");
+    };
+    if (l_slots > budget) throw over_budget(0);
+
+    std::vector<double> l(l_slots, 0.0);
+    std::vector<double> pivot(n, 0.0);
+    // U row k is u[u_start[k] - base, u_start[k+1] - base) while it is live;
+    // rows below `dead` are folded by no later row.
+    std::vector<RateEntry> u;
+    std::vector<std::size_t> u_start(n + 1, 0);
+    std::size_t base = 0;
+    std::size_t dead = 0;
+    std::size_t l_entries = 0;
+    // Row i under elimination, scattered densely.  Every entry is a sum of
+    // positive terms, so w[j] != 0 marks the pattern; `last` bounds it.
+    std::vector<double> w(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+        std::size_t last = i;
+        for (const RateEntry& e : chain.row(state_at(i))) {
+            const std::size_t j = position(e.target);
+            w[j] += e.rate;
+            last = std::max(last, j);
+        }
+        double* l_row = l.data() + l_start[i];
+        for (std::size_t k = first[i]; k < i; ++k) {
+            if (w[k] == 0.0) continue;
+            const double f = w[k] / pivot[k];
+            w[k] = 0.0;
+            l_row[k - first[i]] = f;
+            ++l_entries;
+            const RateEntry* const begin = u.data() + (u_start[k] - base);
+            const RateEntry* const end = u.data() + (u_start[k + 1] - base);
+            for (const RateEntry* p = begin; p != end; ++p) w[p->target] += f * p->rate;
+            if (end != begin) last = std::max<std::size_t>(last, end[-1].target);
+        }
+        // What folded onto the diagonal is a return to i; GTH's pivot is the
+        // rate of leaving i for the states not yet eliminated instead.
+        w[i] = 0.0;
+        // Slide the window: drop the dead prefix once it is half the buffer,
+        // so each entry moves at most once on average.
+        while (dead < i && last_use[dead] <= i) ++dead;
+        const std::size_t dead_entries = u_start[dead] - base;
+        if (dead_entries > 0 && 2 * dead_entries >= u.size()) {
+            u.erase(u.begin(), u.begin() + static_cast<std::ptrdiff_t>(dead_entries));
+            base = u_start[dead];
+        }
+        double out = 0.0;
+        for (std::size_t j = i + 1; j <= last; ++j) {
+            if (w[j] == 0.0) continue;
+            if (l_slots + base + u.size() >= budget) throw over_budget(i);
+            out += w[j];
+            u.push_back(RateEntry{static_cast<TangibleId>(j), w[j]});
+            w[j] = 0.0;
+        }
+        u_start[i + 1] = base + u.size();
+        if (i + 1 < n && !(out > 0.0)) {
+            throw NumericalError("GTH: state " + std::to_string(state_at(i)) +
+                                 " cannot reach lower-numbered states (chain not irreducible)");
+        }
+        pivot[i] = out;
+    }
+
+    // Back substitution from the last eliminated state down: pi_i is final
+    // once every later row has scattered into it.
+    std::vector<double> pi(n, 0.0);
+    pi[n - 1] = 1.0;
+    for (std::size_t i = n - 1; i > 0; --i) {
+        const double* const l_row = l.data() + l_start[i];
+        for (std::size_t k = first[i]; k < i; ++k) pi[k] += pi[i] * l_row[k - first[i]];
+    }
+    Elimination result;
+    result.x.assign(pi.rbegin(), pi.rend());
+    normalize(result.x);
+    result.factor_entries = l_entries + u_start[n];
+    record_solve("gth", n, result.factor_entries);
+    return result;
 }
 
 std::string SolveDiagnostics::json() const {
-    std::string out = "{\"solver\": {\"method\": " + obs::json_quote(method) +
-                      ", \"states\": " + std::to_string(states) +
-                      ", \"iterations\": " + std::to_string(iterations) +
-                      ", \"final_residual\": " + obs::json_number(final_residual) +
-                      ", \"residual_stride\": " + std::to_string(residual_stride) +
-                      ", \"residuals\": [";
-    for (std::size_t i = 0; i < residuals.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += obs::json_number(residuals[i]);
-    }
-    out += "]}}";
-    return out;
+    return "{\"solver\": {\"method\": " + obs::json_quote(method) +
+           ", \"states\": " + std::to_string(states) +
+           ", \"iterations\": " + std::to_string(iterations) +
+           ", \"final_residual\": " + obs::json_number(final_residual) +
+           ", \"factor_entries\": " + std::to_string(factor_entries) + "}}";
 }
 
 std::vector<double> steady_state_gth(const Ctmc& chain) {
@@ -214,56 +235,8 @@ std::vector<double> steady_state_gth(const Ctmc& chain) {
         pi[k] = sum.value();
     }
     normalize(pi);
-    record_solve(nullptr, "gth", n, 0, 0.0);
+    record_solve("gth_dense", n, n * n);
     return pi;
-}
-
-std::vector<double> steady_state_gauss_seidel(const Ctmc& chain,
-                                              const SolveOptions& options) {
-    const std::size_t n = chain.num_states();
-    DPMA_REQUIRE(n >= 1, "empty chain");
-    // Balance equations pi_j E(j) = sum_i pi_i q_ij: the rows of the
-    // transposed rate matrix, no constant term.
-    std::vector<double> exit(n);
-    for (TangibleId s = 0; s < n; ++s) exit[s] = chain.exit_rate(s);
-    std::vector<double> pi(n, 1.0 / static_cast<double>(n));
-    gauss_seidel(transpose(chain), {}, exit, pi, /*normalise=*/true,
-                 options.tolerance, options.max_iterations, options.diagnostics);
-    return pi;
-}
-
-std::vector<double> steady_state_power(const Ctmc& chain, const SolveOptions& options) {
-    const std::size_t n = chain.num_states();
-    DPMA_REQUIRE(n >= 1, "empty chain");
-    SolveDiagnostics* diag = options.diagnostics;
-    if (diag != nullptr) *diag = SolveDiagnostics{};
-    const double lambda = chain.max_exit_rate() * 1.05 + 1e-12;
-    std::vector<double> pi(n, 1.0 / static_cast<double>(n));
-    std::vector<double> next(n);
-
-    for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-        // next = pi * (I + Q / lambda)
-        for (TangibleId s = 0; s < n; ++s) {
-            next[s] = pi[s] * (1.0 - chain.exit_rate(s) / lambda);
-        }
-        for (TangibleId s = 0; s < n; ++s) {
-            const double mass = pi[s] / lambda;
-            if (mass == 0.0) continue;
-            for (const RateEntry& e : chain.row(s)) {
-                next[e.target] += mass * e.rate;
-            }
-        }
-        normalize(next);
-        const double diff = max_abs_diff(next, pi);
-        pi.swap(next);
-        if (diag != nullptr) diag->record_residual(diff);
-        if (diff < options.tolerance) {
-            record_solve(diag, "power", n, iter + 1, diff);
-            return pi;
-        }
-    }
-    throw NumericalError("power iteration did not converge within " +
-                         std::to_string(options.max_iterations) + " iterations");
 }
 
 namespace {
@@ -363,26 +336,11 @@ std::vector<std::vector<TangibleId>> bottom_sccs(const Ctmc& chain) {
 
 namespace {
 
-std::vector<double> steady_state_irreducible(const Ctmc& chain,
-                                             const SolveOptions& options) {
-    if (chain.num_states() <= options.dense_threshold) {
-        std::vector<double> pi = steady_state_gth(chain);
-        if (options.diagnostics != nullptr) {
-            *options.diagnostics = SolveDiagnostics{};
-            options.diagnostics->method = "gth";
-            options.diagnostics->states = chain.num_states();
-        }
-        return pi;
-    }
-    try {
-        return steady_state_gauss_seidel(chain, options);
-    } catch (const NumericalError& e) {
-        obs::logf(obs::LogLevel::Warn,
-                  "solve: Gauss-Seidel failed on %zu states (%s); "
-                  "falling back to power iteration",
-                  chain.num_states(), e.what());
-        return steady_state_power(chain, options);
-    }
+/// The sparse kernel, or the dense reference up to options.dense_threshold.
+Elimination solve_irreducible(const Ctmc& chain, const SolveOptions& options) {
+    const std::size_t n = chain.num_states();
+    if (n <= options.dense_threshold) return Elimination{steady_state_gth(chain), n * n};
+    return sparse_gth(chain);
 }
 
 }  // namespace
@@ -400,8 +358,18 @@ std::vector<double> steady_state(const Ctmc& chain, const SolveOptions& options)
             "initial state (is the model deadlock-free?)");
     }
     const std::vector<TangibleId>& recurrent = bottoms.front();
+    const auto finish = [&](const Elimination& solved) {
+        span.arg("factor_entries", static_cast<double>(solved.factor_entries));
+        if (options.diagnostics != nullptr) {
+            *options.diagnostics = SolveDiagnostics{.method = "gth",
+                                                    .states = recurrent.size(),
+                                                    .factor_entries = solved.factor_entries};
+        }
+    };
     if (recurrent.size() == chain.num_states()) {
-        return steady_state_irreducible(chain, options);
+        Elimination solved = solve_irreducible(chain, options);
+        finish(solved);
+        return std::move(solved.x);
     }
     span.arg("recurrent", static_cast<double>(recurrent.size()));
     // The recurrent rows, sliced out and renumbered (no edge leaves them).
@@ -418,11 +386,12 @@ std::vector<double> steady_state(const Ctmc& chain, const SolveOptions& options)
         }
         row_start.push_back(entries.size());
     }
-    const std::vector<double> sub_pi = steady_state_irreducible(
-        Ctmc(std::move(row_start), std::move(entries)), options);
+    const Elimination solved =
+        solve_irreducible(Ctmc(std::move(row_start), std::move(entries)), options);
+    finish(solved);
     std::vector<double> pi(chain.num_states(), 0.0);
     for (std::size_t i = 0; i < recurrent.size(); ++i) {
-        pi[recurrent[i]] = sub_pi[i];
+        pi[recurrent[i]] = solved.x[i];
     }
     return pi;
 }
@@ -491,6 +460,23 @@ void uniformised_step(const Ctmc& chain, double lambda, const std::vector<double
     }
 }
 
+/// True once a uniformisation series may stop after term k: past the mode
+/// (k >= lt) the Poisson right tail is bounded by a geometric series,
+/// sum_{j>k} w_j <= w_k lt / (k+1-lt), which needs no subtraction from 1 and
+/// so cannot be held above \p target by rounding.
+bool tail_below(double w, std::size_t k, double lt, double target) {
+    const double kd = static_cast<double>(k);
+    return kd >= lt && w * lt <= target * (kd + 1.0 - lt);
+}
+
+/// Throws once a series has run past its safety cap of 20 (lt+10) terms.
+void check_series_cap(std::size_t k, double lt) {
+    if (k > 20 * (static_cast<std::size_t>(lt) + 10)) {
+        throw NumericalError("uniformisation series did not reach its tail bound: lt = " +
+                             std::to_string(lt) + ", k = " + std::to_string(k));
+    }
+}
+
 }  // namespace
 
 std::vector<double> transient(const Ctmc& chain,
@@ -507,16 +493,14 @@ std::vector<double> transient(const Ctmc& chain,
 
     std::vector<double> result(n, 0.0);
     std::vector<double> next(n, 0.0);
-    double cumulative = 0.0;
     PoissonWeights weights(lt);
     for (std::size_t k = 0;; ++k, weights.advance()) {
         const double w = weights.current();
         if (w != 0.0) {
             for (std::size_t i = 0; i < n; ++i) result[i] += w * vk[i];
         }
-        cumulative += w;
-        if (cumulative >= 1.0 - 1e-12 && static_cast<double>(k) >= lt) break;
-        if (k > 20 * (static_cast<std::size_t>(lt) + 10)) break;  // safety cap
+        if (tail_below(w, k, lt, 1e-12)) break;
+        check_series_cap(k, lt);
         uniformised_step(chain, lambda, vk, next);
         vk.swap(next);
     }
@@ -548,8 +532,8 @@ double accumulated_reward(const Ctmc& chain,
         KahanSum dot;
         for (std::size_t i = 0; i < n; ++i) dot.add(vk[i] * reward_rates[i]);
         total.add(tail / lambda * dot.value());
-        if (tail < 1e-13 && static_cast<double>(k) >= lt) break;
-        if (k > 20 * (static_cast<std::size_t>(lt) + 10)) break;  // safety cap
+        if (tail_below(weights.current(), k, lt, 1e-13)) break;
+        check_series_cap(k, lt);
         uniformised_step(chain, lambda, vk, next);
         vk.swap(next);
     }

@@ -1,10 +1,10 @@
 #pragma once
 
 /// \file solve.hpp
-/// Numerical solution of CTMCs: steady-state distribution via GTH
-/// (Grassmann–Taksar–Heyman, subtraction-free and numerically stable, used
-/// for small chains), Gauss–Seidel and power iteration (sparse, for large
-/// chains), and transient analysis via uniformisation.
+/// Numerical solution of CTMCs: steady-state distribution by GTH
+/// (Grassmann–Taksar–Heyman, direct and subtraction-free) on a sparse factor,
+/// with the dense GTH kept as its reference, and transient analysis via
+/// uniformisation.
 
 #include <cstddef>
 #include <cstdint>
@@ -16,41 +16,30 @@
 
 namespace dpma::ctmc {
 
-/// Convergence record of one steady-state solve, filled when the caller
-/// hangs a SolveDiagnostics off SolveOptions.  For the iterative methods the
-/// residual history is the max-norm change of successive iterates, thinned
-/// to at most ~2048 samples (residual_stride reports the decimation factor);
-/// GTH is direct, so it reports zero iterations and an empty history.
+/// Record of one steady-state solve, filled when the caller hangs a
+/// SolveDiagnostics off SolveOptions.  Every steady-state solve is direct,
+/// so iterations and final_residual stay 0; factor_entries is the size of
+/// the factor the solve built (L and U entries for the sparse kernel, n^2
+/// for the dense reference).
 struct SolveDiagnostics {
-    std::string method;            ///< "gth", "gauss_seidel" or "power"
+    std::string method;            ///< "gth"
     std::size_t states = 0;        ///< size of the chain actually solved
     std::size_t iterations = 0;
     double final_residual = 0.0;
-    std::size_t residual_stride = 1;
-    std::vector<double> residuals;
+    std::size_t factor_entries = 0;
 
     /// JSON object with the fields above (valid per obs::json_valid); what
     /// exp::ResultSet embeds as a point's "diagnostics".
     [[nodiscard]] std::string json() const;
-
-    void record_residual(double residual);
-
-private:
-    std::size_t pending_ = 0;  ///< samples skipped since the last kept one
 };
 
-/// Up to this many states the direct dense methods (GTH for steady state,
-/// Gaussian elimination for hitting times) solve a chain; above it the
-/// sparse ones do (Gauss–Seidel for steady state, the direct elimination of
-/// sparse.hpp for hitting times).
-inline constexpr std::size_t kDenseThreshold = 1500;
-
 struct SolveOptions {
-    double tolerance = 1e-12;  ///< relative max-norm change of successive iterates
-    std::size_t max_iterations = 500000;
-    std::size_t dense_threshold = kDenseThreshold;  ///< up to this size use GTH
-    /// When non-null, the solver writes its convergence record here (the
-    /// caller keeps ownership; one solve per struct).
+    /// Recurrent classes up to this size go to the dense reference GTH
+    /// instead of the sparse kernel.  No production caller sets it; oracles
+    /// pass SIZE_MAX to reach the reference.
+    std::size_t dense_threshold = 0;
+    /// When non-null, the solver writes its record here (the caller keeps
+    /// ownership; one solve per struct).
     SolveDiagnostics* diagnostics = nullptr;
 };
 
@@ -62,8 +51,8 @@ struct SolveOptions {
 /// Each inner vector lists the member states of one BSCC.
 [[nodiscard]] std::vector<std::vector<TangibleId>> bottom_sccs(const Ctmc& chain);
 
-/// Steady-state distribution, dispatching on chain size: GTH below the dense
-/// threshold, Gauss–Seidel (with power-iteration fallback) above.
+/// Steady-state distribution by the sparse GTH kernel (sparse.hpp), traced
+/// as span "ctmc.solve" with its `factor_entries`.
 ///
 /// Chains with transient states (e.g. a client's one-shot prebuffering
 /// delay) are handled by restricting to the recurrent class (its rows,
@@ -74,18 +63,10 @@ struct SolveOptions {
 [[nodiscard]] std::vector<double> steady_state(const Ctmc& chain,
                                                const SolveOptions& options = {});
 
-/// GTH state reduction.  O(n^3) time, O(n^2) memory; exact up to rounding,
-/// no subtractions.
+/// Dense GTH state reduction, the reference for the sparse kernel.  O(n^3)
+/// time, O(n^2) memory; exact up to rounding, no subtractions.  Counted as
+/// ctmc.solve.gth_dense.
 [[nodiscard]] std::vector<double> steady_state_gth(const Ctmc& chain);
-
-/// Gauss–Seidel iteration on the balance equations pi Q = 0.
-/// Throws NumericalError when the iteration limit is reached.
-[[nodiscard]] std::vector<double> steady_state_gauss_seidel(const Ctmc& chain,
-                                                            const SolveOptions& options = {});
-
-/// Power iteration on the uniformised DTMC P = I + Q/Lambda.
-[[nodiscard]] std::vector<double> steady_state_power(const Ctmc& chain,
-                                                     const SolveOptions& options = {});
 
 /// Streams the Poisson(lt) probabilities w_k = e^{-lt} lt^k / k! that weight
 /// the uniformisation series, without a lgamma per term: each weight follows
@@ -114,14 +95,18 @@ private:
 };
 
 /// Transient distribution pi(t) from \p initial via uniformisation with
-/// adaptive truncation of the Poisson series (truncation mass < 1e-12).
+/// adaptive truncation of the Poisson series: it stops past the mode once
+/// the right-tail bound  sum_{j>k} w_j <= w_k lt / (k+1-lt)  drops below
+/// 1e-12, and throws NumericalError (naming lt and k) if a safety cap of
+/// 20 (lt+10) terms is reached first.
 [[nodiscard]] std::vector<double> transient(
     const Ctmc& chain, const std::vector<std::pair<TangibleId, double>>& initial,
     double time);
 
 /// Expected reward accumulated over [0, t]:  E[ integral_0^t r(X_s) ds ],
 /// where r is a per-state reward rate vector.  Uses the uniformisation
-/// identity  integral_0^t pois(L s, k) ds = P(Pois(L t) >= k+1) / L.
+/// identity  integral_0^t pois(L s, k) ds = P(Pois(L t) >= k+1) / L, and
+/// truncates like transient() (tail bound below 1e-13).
 /// Answers questions like "how much energy does a cold start cost in its
 /// first second?" exactly on the Markovian model.
 [[nodiscard]] double accumulated_reward(

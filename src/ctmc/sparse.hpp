@@ -2,15 +2,14 @@
 
 /// \file sparse.hpp
 /// Internal to dpma_ctmc: compressed sparse rows, the two graph helpers
-/// built on them, the Gauss–Seidel kernel behind the iterative steady-state
-/// solve, and the direct elimination behind every first-passage solve
-/// (hitting times, hitting probabilities).
+/// built on them, and the two direct eliminations: sparse GTH behind every
+/// steady-state solve, and the first-passage elimination behind hitting
+/// times and hitting probabilities.
 
 #include <cstddef>
 #include <vector>
 
 #include "ctmc/ctmc.hpp"
-#include "ctmc/solve.hpp"
 
 namespace dpma::ctmc {
 
@@ -33,29 +32,13 @@ struct Csr {
 /// of \p graph: breadth-first, seeds included.
 [[nodiscard]] std::vector<char> reach(const Csr& graph, std::vector<char> seeds);
 
-/// Counts one finished solve as ctmc.solve.<method> in the registry (and its
-/// iteration count in the ctmc.solve.iterations histogram, when nonzero),
-/// closes out \p diagnostics when non-null, and logs it at debug level.
-void record_solve(SolveDiagnostics* diagnostics, const char* method, std::size_t states,
-                  std::size_t iterations, double residual);
+/// Counts one finished direct solve as ctmc.solve.<method> in the registry
+/// and logs it at debug level.
+void record_solve(const char* method, std::size_t states, std::size_t factor_entries);
 
-/// Solves x_i = (b_i + sum_j a_ij x_j) / d_i by Gauss–Seidel sweeps,
-/// starting from \p x and updating it in place (b empty means b = 0).  With
-/// \p normalise, x is rescaled to unit mass after every sweep (the
-/// steady-state case).  Stops when the max-norm change of a sweep is at most
-/// tolerance × scale, where the scale is 1 for a normalised vector and
-/// max|x| otherwise.  Records the solve as method "gauss_seidel" in the
-/// registry and in \p diagnostics (when non-null); throws NumericalError
-/// with the iteration count and last residual when \p max_iterations sweeps
-/// do not converge, or when some d_i is not positive.
-void gauss_seidel(const Csr& a, const std::vector<double>& b,
-                  const std::vector<double>& d, std::vector<double>& x, bool normalise,
-                  double tolerance, std::size_t max_iterations,
-                  SolveDiagnostics* diagnostics);
-
-/// Most entries the factor of eliminate() may hold: 2^25 column/value pairs,
-/// ~400 MB.  A chain that fills beyond it ends in NumericalError instead of
-/// an out-of-memory kill.
+/// Most entries the factor of eliminate() or sparse_gth() may hold: 2^25,
+/// ~400 MB of column/value pairs.  A chain that fills beyond it ends in
+/// NumericalError instead of an out-of-memory kill.
 inline constexpr std::size_t kFactorBudget = std::size_t{1} << 25;
 
 /// A direct solve: the solution and the number of off-diagonal entries its
@@ -77,5 +60,17 @@ struct Elimination {
 [[nodiscard]] Elimination eliminate(const Csr& a, std::vector<double> leak,
                                     std::vector<double> b,
                                     std::size_t budget = kFactorBudget);
+
+/// Stationary distribution of an irreducible chain by sparse GTH: up-looking
+/// row elimination in reverse state-index order, each pivot the remaining
+/// off-diagonal rates of its row (no subtraction), the multipliers
+/// L(i,k) = w[k] / pivot[k] kept, then back substitution from the last
+/// eliminated state down, which only adds non-negative terms.  L is a dense
+/// skyline over each row's envelope, allocated once from an O(nnz) pre-pass;
+/// a U row lives in a sliding window until the last row whose envelope
+/// reaches its column has been eliminated.  Records the solve as method
+/// "gth"; throws NumericalError when L's slots plus the U entries would
+/// exceed \p budget, or when a pivot is zero (the chain is not irreducible).
+[[nodiscard]] Elimination sparse_gth(const Ctmc& chain, std::size_t budget = kFactorBudget);
 
 }  // namespace dpma::ctmc

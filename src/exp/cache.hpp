@@ -94,7 +94,7 @@ private:
 
 /// One Markov sweep point: extracts the CTMC of \p model (vanishing
 /// elimination), solves its steady state and evaluates each of \p measures,
-/// in order.  The solver's diagnostics (method, iterations, residual) ride
+/// in order.  The solver's diagnostics (method, factor entries) ride
 /// along in PointResult::diagnostics.  Throws what build_markov /
 /// steady_state throw.
 [[nodiscard]] PointResult solve_point(const adl::ComposedModel& model,

@@ -53,7 +53,7 @@ public:
     /// JSON object: {"experiment", "params", "measures", "points": [{
     /// "params": {...}, "values": {...}, "half_widths": {...},
     /// "diagnostics": {...}}, ...]}, where "diagnostics" appears only for
-    /// points whose PointResult carried one (solver residual history,
+    /// points whose PointResult carried one (solver method and factor size,
     /// simulator convergence trajectory).  A failed point additionally
     /// carries "error" (exception type and message) and "attempts"; its
     /// values are NaN, rendered null.

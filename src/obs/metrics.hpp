@@ -7,8 +7,8 @@
 ///  * Counter   — monotonically increasing uint64 (cache hits, GSMP events,
 ///                states composed, vanishing states eliminated);
 ///  * Gauge     — last-written double (current sweep size, jobs in use);
-///  * Histogram — count/sum/min/max summary of observed doubles (solver
-///                iterations, per-measure residuals) plus p50/p90/p99 tail
+///  * Histogram — count/sum/min/max summary of observed doubles (refinement
+///                rounds per call, recovered battery charge) plus p50/p90/p99 tail
 ///                quantiles from fixed log-spaced bins.
 ///
 /// counter("x") & co. return a stable reference to the named instrument,

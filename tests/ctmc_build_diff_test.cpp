@@ -10,6 +10,9 @@
 /// entries and exit rates to 1e-12 relative.  Not bit for bit: the reference
 /// summed each exit rate in hash-map iteration order, the new build sums in
 /// first-seen transition order.  Failing models must fail the same way.
+/// Every chain with one recurrent class is also solved both ways: the
+/// sparse GTH kernel behind steady_state against the dense steady_state_gth
+/// on the recurrent class, again to 1e-12 relative.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +30,7 @@
 #include "adl/compose.hpp"
 #include "core/error.hpp"
 #include "ctmc/ctmc.hpp"
+#include "ctmc/solve.hpp"
 #include "ctmc_fixtures.hpp"
 #include "models/specs.hpp"
 #include "models/variants.hpp"
@@ -257,6 +261,34 @@ void expect_topological(const MarkovModel& markov) {
     }
 }
 
+/// steady_state (the sparse GTH kernel) against the dense GTH on the
+/// recurrent class, sliced out here; transient states must get exactly 0.
+void expect_steady_states_agree(const Ctmc& chain) {
+    if (chain.num_states() == 0) return;
+    const auto bottoms = bottom_sccs(chain);
+    if (bottoms.size() != 1) return;  // steady_state rejects these
+    const std::vector<TangibleId>& recurrent = bottoms.front();
+    std::vector<TangibleId> index(chain.num_states(), kNoTangible);
+    for (std::size_t i = 0; i < recurrent.size(); ++i) {
+        index[recurrent[i]] = static_cast<TangibleId>(i);
+    }
+    std::vector<Ctmc::Triplet> rates;
+    for (const TangibleId s : recurrent) {
+        for (const RateEntry& e : chain.row(s)) {
+            rates.push_back({index[s], index[e.target], e.rate});
+        }
+    }
+    const std::vector<double> dense = steady_state_gth(Ctmc(recurrent.size(), rates));
+    const std::vector<double> sparse = steady_state(chain);
+    for (TangibleId s = 0; s < chain.num_states(); ++s) {
+        if (index[s] == kNoTangible) {
+            EXPECT_EQ(sparse[s], 0.0) << "transient state " << s;
+        } else {
+            expect_close(sparse[s], dense[index[s]], "pi " + std::to_string(s));
+        }
+    }
+}
+
 enum class Outcome { Ok, ModelError, NumericalError, OtherError };
 
 template <typename Build>
@@ -314,6 +346,7 @@ Outcome compare_builds(const adl::ComposedModel& model, const std::string& label
         expect_same_maps(as_map(row), as_map(want_row), "row " + std::to_string(t));
         expect_close(chain.exit_rate(t), ref.chain.exit[t], "exit " + std::to_string(t));
     }
+    expect_steady_states_agree(chain);
     return want;
 }
 

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "adl/compose.hpp"
 #include "core/error.hpp"
 #include "ctmc/ctmc.hpp"
 #include "ctmc/reward.hpp"
 #include "ctmc/solve.hpp"
+#include "ctmc/sparse.hpp"
 #include "ctmc_fixtures.hpp"
 
 namespace dpma::ctmc {
@@ -69,22 +72,44 @@ TEST(SteadyState, GthMatchesMm1kClosedForm) {
     }
 }
 
-TEST(SteadyState, GaussSeidelMatchesGth) {
-    const Ctmc chain = birth_death(25, 1.7, 1.1);
-    const auto a = steady_state_gth(chain);
-    const auto b = steady_state_gauss_seidel(chain);
+/// Max relative difference between two distributions.
+double max_rel_diff(const std::vector<double>& a, const std::vector<double>& b) {
+    double worst = 0.0;
     for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_NEAR(a[i], b[i], 1e-9);
+        worst = std::max(worst, std::abs(a[i] - b[i]) / std::max(std::abs(b[i]), 1e-300));
     }
+    return worst;
 }
 
-TEST(SteadyState, PowerIterationMatchesGth) {
-    const Ctmc chain = birth_death(12, 0.9, 1.4);
-    const auto a = steady_state_gth(chain);
-    const auto b = steady_state_power(chain, SolveOptions{1e-14, 2'000'000, 1500});
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_NEAR(a[i], b[i], 1e-8);
+TEST(SteadyState, SparseGthMatchesDenseOnBirthDeath) {
+    const Ctmc chain = birth_death(25, 1.7, 1.1);
+    SolveDiagnostics diagnostics;
+    const auto sparse = steady_state(chain, {.diagnostics = &diagnostics});
+    EXPECT_LE(max_rel_diff(sparse, steady_state_gth(chain)), 1e-12);
+    EXPECT_EQ(diagnostics.method, "gth");
+    // A tridiagonal chain fills nothing: one L and one U entry per state.
+    EXPECT_EQ(diagnostics.factor_entries, 2u * 24u);
+}
+
+TEST(SteadyState, SparseGthMatchesDenseOnARingWithChords) {
+    // Long edges in both directions make the envelope wide and the factor
+    // fill in, unlike the tridiagonal case.
+    std::vector<Ctmc::Triplet> rates;
+    constexpr TangibleId n = 40;
+    for (TangibleId i = 0; i < n; ++i) {
+        rates.push_back({i, (i + 1) % n, 0.9 + 0.01 * i});
+        rates.push_back({i, (i * 7 + 3) % n, 0.3});
     }
+    const Ctmc chain(n, rates);
+    EXPECT_LE(max_rel_diff(steady_state(chain), steady_state_gth(chain)), 1e-12);
+    // The dense reference through the public entry point agrees bit for bit.
+    EXPECT_EQ(steady_state(chain, {.dense_threshold = SIZE_MAX}), steady_state_gth(chain));
+}
+
+TEST(SteadyState, SparseGthRespectsTheFactorBudget) {
+    const Ctmc chain = birth_death(25, 1.7, 1.1);
+    EXPECT_THROW((void)sparse_gth(chain, 2 * 24 - 1), NumericalError);
+    EXPECT_EQ(sparse_gth(chain, 2 * 24).factor_entries, 2u * 24u);
 }
 
 TEST(SteadyState, SumsToOne) {

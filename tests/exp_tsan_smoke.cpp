@@ -12,6 +12,7 @@
 /// engine's own libraries.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <random>
 #include <string>
@@ -24,6 +25,7 @@
 #include "adl/measure.hpp"
 #include "battery/coupling.hpp"
 #include "bisim/partition.hpp"
+#include "ctmc/solve.hpp"
 #include "exp/cache.hpp"
 #include "exp/experiment.hpp"
 #include "exp/pool.hpp"
@@ -167,6 +169,67 @@ int check_parallel_refinement() {
     return 0;
 }
 
+/// A seeded random irreducible chain of a few hundred states: a band of
+/// width 3 in both directions plus random long edges, so the sparse GTH
+/// kernel sees uneven row envelopes and a U window that both grows and slides.
+ctmc::Ctmc random_banded_chain(unsigned seed) {
+    std::mt19937 rng(seed);
+    const std::size_t n = 200 + 40 * (seed % 6);
+    std::uniform_real_distribution<double> rate(0.1, 5.0);
+    std::uniform_int_distribution<std::size_t> pick(0, n - 1);
+    std::vector<ctmc::Ctmc::Triplet> rates;
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t d = 1; d <= 3; ++d) {
+            const auto from = static_cast<ctmc::TangibleId>(i);
+            if (i + d < n) rates.push_back({from, static_cast<ctmc::TangibleId>(i + d), rate(rng)});
+            if (i >= d) rates.push_back({from, static_cast<ctmc::TangibleId>(i - d), rate(rng)});
+        }
+    }
+    for (std::size_t e = 0; e < n / 8; ++e) {
+        rates.push_back({static_cast<ctmc::TangibleId>(pick(rng)),
+                         static_cast<ctmc::TangibleId>(pick(rng)), rate(rng)});
+    }
+    return ctmc::Ctmc(n, rates);
+}
+
+/// The sparse steady-state kernel under the sanitizers: steady_state on
+/// random banded chains, solved on a pool of 1 and of 4 jobs, must be
+/// bit-identical across job counts and within 1e-12 relative of the dense
+/// steady_state_gth.
+int check_sparse_steady_state() {
+    constexpr unsigned kChains = 6;
+    std::vector<ctmc::Ctmc> chains;
+    for (unsigned seed = 0; seed < kChains; ++seed) chains.push_back(random_banded_chain(seed));
+    const auto solve_all = [&](std::size_t jobs) {
+        exp::ThreadPool pool(jobs);
+        std::vector<std::vector<double>> out(chains.size());
+        pool.run(chains.size(), [&](std::size_t i) { out[i] = ctmc::steady_state(chains[i]); });
+        return out;
+    };
+    const std::vector<std::vector<double>> serial = solve_all(1);
+    if (serial != solve_all(4)) {
+        std::fprintf(stderr, "FAIL: sparse steady state differs between jobs=1 and jobs=4\n");
+        return 1;
+    }
+    double worst = 0.0;
+    std::size_t states = 0;
+    for (std::size_t c = 0; c < chains.size(); ++c) {
+        const std::vector<double> dense = ctmc::steady_state_gth(chains[c]);
+        for (std::size_t s = 0; s < dense.size(); ++s) {
+            worst = std::max(worst, std::abs(serial[c][s] - dense[s]) / dense[s]);
+        }
+        states += dense.size();
+    }
+    if (!(worst <= 1e-12)) {
+        std::fprintf(stderr, "FAIL: sparse and dense GTH differ by %.2e relative\n", worst);
+        return 1;
+    }
+    std::printf("OK: sparse GTH bit-identical across jobs counts and within %.1e of dense "
+                "(%zu chains, %zu states)\n",
+                worst, chains.size(), states);
+    return 0;
+}
+
 /// The replication-parallel primitives (exp::simulate_replications,
 /// exp::simulate_depletion, the pooled battery::simulate_lifetime) must be
 /// bit-identical to their serial counterparts for any pool size — same
@@ -249,6 +312,7 @@ int check_pooled_primitives() {
 int main() {
     if (const int rc = check_parallel_refinement(); rc != 0) return rc;
     if (const int rc = check_pooled_primitives(); rc != 0) return rc;
+    if (const int rc = check_sparse_steady_state(); rc != 0) return rc;
 
     exp::ModelCache cache;
     const exp::Experiment experiment = sweep(cache);

@@ -428,6 +428,7 @@ TEST(ObsTrace, BuildAndSolveSpansCarryTheirSizes) {
     ASSERT_NE(solve, nullptr);
     EXPECT_EQ(solve->number_at("states"), 3.0);
     EXPECT_EQ(solve->number_at("recurrent"), 2.0);
+    EXPECT_EQ(solve->number_at("factor_entries"), 2.0);
 #endif
     obs::clear_trace();
 }
@@ -464,30 +465,6 @@ TEST(ObsTrace, NoninterferenceCheckTracesViewsAndBranchingReduction) {
 
 // ------------------------------------------------------------ diagnostics
 
-TEST(ObsDiagnostics, IterativeSolveRecordsResidualHistory) {
-    std::vector<ctmc::Ctmc::Triplet> rates;
-    for (ctmc::TangibleId i = 0; i + 1 < 6; ++i) {
-        rates.push_back({i, i + 1, 2.0});
-        rates.push_back({i + 1, i, 3.0});
-    }
-    const ctmc::Ctmc chain(6, rates);
-    ctmc::SolveDiagnostics diagnostics;
-    ctmc::SolveOptions options;
-    options.diagnostics = &diagnostics;
-    const auto pi = ctmc::steady_state_gauss_seidel(chain, options);
-    ASSERT_EQ(pi.size(), 6u);
-
-    EXPECT_EQ(diagnostics.method, "gauss_seidel");
-    EXPECT_EQ(diagnostics.states, 6u);
-    EXPECT_GT(diagnostics.iterations, 0u);
-    EXPECT_FALSE(diagnostics.residuals.empty());
-    EXPECT_LE(diagnostics.final_residual, options.tolerance);
-
-    std::string error;
-    EXPECT_TRUE(obs::json_valid(diagnostics.json(), &error)) << error;
-    EXPECT_NE(diagnostics.json().find("\"gauss_seidel\""), std::string::npos);
-}
-
 TEST(ObsDiagnostics, HittingTimesAreCountedByMethod) {
     std::vector<ctmc::Ctmc::Triplet> rates;
     for (ctmc::TangibleId i = 0; i + 1 < 5; ++i) {
@@ -499,11 +476,9 @@ TEST(ObsDiagnostics, HittingTimesAreCountedByMethod) {
     targets[4] = 1;
     const std::uint64_t sparse = obs::counter("ctmc.solve.sparse_elimination").value();
     const std::uint64_t dense = obs::counter("ctmc.solve.dense_elimination").value();
-    const std::uint64_t observed =
-        obs::histogram("ctmc.solve.iterations").snapshot().count;
     obs::clear_trace();
     obs::set_tracing(true);
-    ASSERT_EQ(ctmc::expected_hitting_times(chain, targets, /*dense_threshold=*/0).size(), 5u);
+    ASSERT_EQ(ctmc::expected_hitting_times(chain, targets).size(), 5u);
     obs::set_tracing(false);
 #if !defined(DPMA_OBS_DISABLED)
     const std::string trace = obs::trace_json();
@@ -512,35 +487,46 @@ TEST(ObsDiagnostics, HittingTimesAreCountedByMethod) {
 #endif
     obs::clear_trace();
     EXPECT_EQ(obs::counter("ctmc.solve.sparse_elimination").value(), sparse + 1);
-    ASSERT_EQ(ctmc::expected_hitting_times(chain, targets).size(), 5u);
+    // The dense oracle runs only when a threshold reaches the chain size.
+    ASSERT_EQ(ctmc::expected_hitting_times(chain, targets, chain.num_states()).size(), 5u);
     EXPECT_EQ(obs::counter("ctmc.solve.dense_elimination").value(), dense + 1);
     ASSERT_EQ(ctmc::hitting_probabilities(chain, targets).size(), 5u);
     EXPECT_EQ(obs::counter("ctmc.solve.sparse_elimination").value(), sparse + 2);
-    // Direct solves have no iterations to report.
-    EXPECT_EQ(obs::histogram("ctmc.solve.iterations").snapshot().count, observed);
 }
 
-TEST(ObsDiagnostics, ResidualHistoryIsThinnedNotUnbounded) {
-    ctmc::SolveDiagnostics diagnostics;
-    for (int i = 0; i < 100000; ++i) {
-        diagnostics.record_residual(1.0 / (1.0 + i));
-    }
-    EXPECT_LE(diagnostics.residuals.size(), 2048u);
-    EXPECT_GE(diagnostics.residual_stride, 2u);
-    std::string error;
-    EXPECT_TRUE(obs::json_valid(diagnostics.json(), &error)) << error;
-}
-
-TEST(ObsDiagnostics, DenseSolveReportsGth) {
+TEST(ObsDiagnostics, SteadyStateReportsGthFactorEntries) {
     const ctmc::Ctmc chain(3, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 0, 1.0}});
+    const std::uint64_t sparse = obs::counter("ctmc.solve.gth").value();
+    const std::uint64_t dense = obs::counter("ctmc.solve.gth_dense").value();
     ctmc::SolveDiagnostics diagnostics;
     ctmc::SolveOptions options;
     options.diagnostics = &diagnostics;
+    obs::clear_trace();
+    obs::set_tracing(true);
     (void)ctmc::steady_state(chain, options);
+    obs::set_tracing(false);
+#if !defined(DPMA_OBS_DISABLED)
+    const obs::Json trace = obs::json_parse(obs::trace_json());
+    const obs::Json* span = span_args(trace, "ctmc.solve");
+    ASSERT_NE(span, nullptr);
+    EXPECT_EQ(span->number_at("factor_entries"), 4.0);
+#endif
+    obs::clear_trace();
     EXPECT_EQ(diagnostics.method, "gth");
     EXPECT_EQ(diagnostics.states, 3u);
     EXPECT_EQ(diagnostics.iterations, 0u);
-    EXPECT_TRUE(diagnostics.residuals.empty());
+    // The ring folds to two multipliers and two U entries.
+    EXPECT_EQ(diagnostics.factor_entries, 4u);
+    std::string error;
+    EXPECT_TRUE(obs::json_valid(diagnostics.json(), &error)) << error;
+    EXPECT_NE(diagnostics.json().find("\"factor_entries\": 4"), std::string::npos);
+    EXPECT_EQ(obs::counter("ctmc.solve.gth").value(), sparse + 1);
+    // The dense reference is counted apart, and only when asked for.
+    options.dense_threshold = SIZE_MAX;
+    (void)ctmc::steady_state(chain, options);
+    EXPECT_EQ(obs::counter("ctmc.solve.gth_dense").value(), dense + 1);
+    EXPECT_EQ(diagnostics.method, "gth");
+    EXPECT_EQ(diagnostics.factor_entries, 9u);
 }
 
 TEST(ObsDiagnostics, ConvergenceJsonIsValid) {

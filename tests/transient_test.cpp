@@ -179,6 +179,19 @@ TEST(AccumulatedReward, TwoStateClosedForm) {
     EXPECT_NEAR(value, expected, 1e-8);
 }
 
+TEST(AccumulatedReward, LongHorizonStopsOnTheTailBound) {
+    // lt = 4.2e6: rounding keeps 1 - cdf above any fixed target, so the
+    // series must stop on the subtraction-free tail bound past the mode
+    // instead of running to its safety cap and summing rounding noise.
+    const double t = 2e6;
+    const Ctmc chain(2, {{0, 1, 1.0}, {1, 0, 2.0}});
+    const double value = accumulated_reward(chain, {{0, 1.0}}, {1.0, 0.0}, t);
+    const double expected = 2.0 / 3.0 + 1.0 / (9.0 * t);
+    EXPECT_NEAR(value / t, expected, 1e-8 * expected);
+    const auto pi = transient(chain, {{0, 1.0}}, t);
+    EXPECT_NEAR(pi[0], 2.0 / 3.0, 1e-9);
+}
+
 TEST(AccumulatedReward, GrowsLinearlyOnceStationary) {
     const Ctmc chain = random_chain(5, 8);
     std::vector<double> rewards(8, 0.0);
