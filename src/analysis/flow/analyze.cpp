@@ -9,6 +9,7 @@
 #include "analysis/flow/cfg.hpp"
 #include "analysis/flow/interval.hpp"
 #include "core/error.hpp"
+#include "obs/trace.hpp"
 
 namespace dpma::analysis::flow {
 
@@ -28,6 +29,7 @@ std::size_t AnalyzeResult::error_count() const {
 
 AnalyzeResult analyze_model(const adl::ArchiType& archi, std::string_view file,
                             LintResult lint, const AnalyzeOptions& options) {
+    DPMA_SPAN("analysis.flow", "analysis");
     AnalyzeResult result;
     result.lint = std::move(lint);
     if (!result.lint.ok()) return result;  // CFG extraction needs a resolved AST
@@ -61,12 +63,8 @@ AnalyzeResult analyze_model(const adl::ArchiType& archi, std::string_view file,
                      result.flow);
 
     if (!options.high_labels.empty() && !options.low_instance.empty()) {
-        TransparencyOptions transparency;
-        transparency.high_labels = options.high_labels;
-        transparency.low_instance = options.low_instance;
-        transparency.max_local_states = options.lint.max_local_states;
-        transparency.max_slice_states = options.max_slice_states;
-        result.transparency = analyze_transparency(archi, transparency);
+        result.transparency = analyze_transparency(
+            archi, TransparencyOptions{options.high_labels, options.low_instance});
     }
     return result;
 }
@@ -86,7 +84,7 @@ AnalyzeResult analyze_text(std::string_view spec_text, std::string_view spec_fil
             {}});
         return result;
     }
-    LintResult lint = lint_model(archi, spec_file, options.lint);
+    LintResult lint = lint_model(archi, spec_file);
     if (!measures_text.empty() || !measures_file.empty()) {
         try {
             const std::vector<adl::Measure> measures =

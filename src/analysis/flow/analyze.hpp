@@ -25,11 +25,9 @@
 namespace dpma::analysis::flow {
 
 struct AnalyzeOptions {
-    LintOptions lint;
     /// When both are set, run the transparency slice after the flow passes.
     std::vector<std::string> high_labels;
     std::string low_instance;
-    std::size_t max_slice_states = 50'000;
 };
 
 struct AnalyzeResult {

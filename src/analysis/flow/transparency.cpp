@@ -1,8 +1,6 @@
 #include "analysis/flow/transparency.hpp"
 
 #include <algorithm>
-#include <map>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -13,6 +11,7 @@
 #include "lts/ops.hpp"
 #include "noninterference/noninterference.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace dpma::analysis::flow {
 namespace {
@@ -93,190 +92,100 @@ std::unordered_set<std::string> suspect_ports(const Cfg& cfg,
     return ports;
 }
 
-/// How one member-local action participates in the slice product.
-enum class MoveKind : std::uint8_t { Free, SyncOut, SyncIn, Blocked };
+/// Budget for the slice product; compose also applies it to every local
+/// LTS it unfolds.  Exceeding it makes the verdict Inconclusive.
+constexpr std::size_t kMaxSliceStates = 50'000;
 
-struct MoveClass {
-    MoveKind kind = MoveKind::Blocked;
-    std::string label;            // product label for Free / SyncOut
-    std::size_t partner = 0;      // slice-member index, SyncOut only
-    Symbol partner_port = kNoSymbol;  // bare symbol of the partner's port
+/// The slice as an architecture of its own, plus its interface: the labels
+/// of the attachments that leave the slice.
+struct Slice {
+    adl::ArchiType archi;
+    std::vector<std::string> interface;
 };
+
+/// Builds the sub-architecture of \p members: the members with their
+/// element types, every attachment with an end inside the slice, and one
+/// environment instance per outside partner, named after that partner.  An
+/// environment keeps offering each of its boundary ports at a passive rate,
+/// so a boundary port fires whenever its member offers it, at the member's
+/// rate, under the attachment's composed label "I.a#J.b".
+Slice slice_of(const adl::ArchiType& archi, const std::vector<std::size_t>& members) {
+    Slice slice;
+    adl::ArchiType& sub = slice.archi;
+    sub.name = archi.name;
+    std::unordered_set<std::string> inside;
+    std::unordered_map<std::string, std::size_t> environments;  // partner -> type index
+    for (const std::size_t m : members) {
+        const adl::Instance& instance = archi.instances[m];
+        inside.insert(instance.name);
+        sub.instances.push_back(instance);
+        const adl::ElemType* type = archi.find_type(instance.type);
+        if (type != nullptr && sub.find_type(type->name) == nullptr) {
+            sub.elem_types.push_back(*type);
+        }
+    }
+    for (const adl::Attachment& attachment : archi.attachments) {
+        const bool from_inside = inside.contains(attachment.from_instance);
+        const bool to_inside = inside.contains(attachment.to_instance);
+        if (!from_inside && !to_inside) continue;
+        sub.attachments.push_back(attachment);
+        if (from_inside && to_inside) continue;
+
+        const std::string& partner =
+            from_inside ? attachment.to_instance : attachment.from_instance;
+        const std::string& port = from_inside ? attachment.to_port : attachment.from_port;
+        const auto [at, fresh] = environments.try_emplace(partner, sub.elem_types.size());
+        if (fresh) {
+            adl::ElemType type;
+            type.name = "environment " + partner;  // the space keeps it off parsed names
+            type.behaviors.push_back(adl::BehaviorDef{"Ready", {}, {}});
+            sub.instances.push_back(adl::Instance{partner, type.name, {}});
+            sub.elem_types.push_back(std::move(type));
+        }
+        adl::ElemType& environment = sub.elem_types[at->second];
+        (from_inside ? environment.input_interactions : environment.output_interactions)
+            .push_back(port);
+        environment.behaviors.front().alternatives.push_back(adl::Alternative{
+            nullptr, {adl::Action{port, lts::RatePassive{}}}, adl::BehaviorCall{"Ready", {}}});
+        slice.interface.push_back(attachment_label(attachment));
+    }
+    return slice;
+}
 
 struct SliceCheck {
     bool passed = false;
-    bool truncated = false;
     bool high_occurs = false;
     std::size_t states = 0;
 };
 
-/// Builds the product of the slice members — boundary attachments stay
-/// visible as free interface actions, slice-internal attachments
-/// synchronise exactly as adl::compose would — and runs the
-/// observer-relative noninterference check with the interface as observer.
-std::optional<SliceCheck> check_slice(const adl::ArchiType& archi,
-                                      const std::vector<std::size_t>& members,
-                                      const TransparencyOptions& options) {
-    lts::ActionTable scratch;
-    std::vector<adl::LocalLts> locals;
-    std::vector<const adl::ElemType*> types;
-    std::vector<std::size_t> member_of_instance(archi.instances.size(), SIZE_MAX);
-    try {
-        for (std::size_t m = 0; m < members.size(); ++m) {
-            const adl::Instance& instance = archi.instances[members[m]];
-            const adl::ElemType* type = archi.find_type(instance.type);
-            DPMA_REQUIRE(type != nullptr, "unknown element type " + instance.type);
-            types.push_back(type);
-            locals.push_back(adl::build_local_lts(*type, instance.args, scratch,
-                                                  options.max_local_states));
-            member_of_instance[members[m]] = m;
-        }
-    } catch (const ModelError&) {
-        return std::nullopt;  // a member's local LTS blew the state budget
-    }
-
-    // Classify every (member, bare action) once.
-    std::vector<std::unordered_map<Symbol, MoveClass>> classes(members.size());
-    lts::Lts product;
-    std::unordered_set<Symbol> interface_labels;
-    for (std::size_t m = 0; m < members.size(); ++m) {
-        const adl::Instance& instance = archi.instances[members[m]];
-        for (const auto& row : locals[m].out) {
-            for (const adl::LocalLts::LocalTransition& t : row) {
-                if (classes[m].contains(t.action)) continue;
-                MoveClass move;
-                const std::string& name = scratch.name(t.action);
-                const PortKind kind = port_kind(*types[m], name);
-                if (kind == PortKind::Internal) {
-                    move.kind = MoveKind::Free;
-                    move.label = instance.name + "." + name;
-                } else {
-                    const adl::Attachment* attachment = nullptr;
-                    for (const adl::Attachment& candidate : archi.attachments) {
-                        const bool from_side = kind == PortKind::Output &&
-                                               candidate.from_instance == instance.name &&
-                                               candidate.from_port == name;
-                        const bool to_side = kind == PortKind::Input &&
-                                             candidate.to_instance == instance.name &&
-                                             candidate.to_port == name;
-                        if (from_side || to_side) {
-                            attachment = &candidate;
-                            break;
-                        }
-                    }
-                    if (attachment == nullptr) {
-                        move.kind = MoveKind::Blocked;  // unattached => restricted
-                    } else {
-                        const std::string& partner_name = kind == PortKind::Output
-                                                              ? attachment->to_instance
-                                                              : attachment->from_instance;
-                        const adl::Instance* partner = archi.find_instance(partner_name);
-                        std::size_t partner_member = SIZE_MAX;
-                        if (partner != nullptr) {
-                            for (std::size_t i = 0; i < archi.instances.size(); ++i) {
-                                if (&archi.instances[i] == partner) {
-                                    partner_member = member_of_instance[i];
-                                    break;
-                                }
-                            }
-                        }
-                        if (partner_member == SIZE_MAX) {
-                            // Boundary: the context's side of the attachment —
-                            // visible interface action with the composed label.
-                            move.kind = MoveKind::Free;
-                            move.label = attachment_label(*attachment);
-                            interface_labels.insert(product.action(move.label));
-                        } else if (kind == PortKind::Output) {
-                            move.kind = MoveKind::SyncOut;
-                            move.label = attachment_label(*attachment);
-                            move.partner = partner_member;
-                            move.partner_port = scratch.find(
-                                kind == PortKind::Output ? attachment->to_port
-                                                         : attachment->from_port);
-                        } else {
-                            move.kind = MoveKind::SyncIn;  // moved by the initiator
-                        }
-                    }
-                }
-                classes[m].emplace(t.action, std::move(move));
-            }
-        }
-    }
-
-    // Breadth-first product exploration.
-    std::map<std::vector<std::uint32_t>, lts::StateId> ids;
-    std::vector<std::vector<std::uint32_t>> frontier;
+/// Composes the slice with adl::compose and runs the observer-relative
+/// noninterference check with the slice's interface as the observer.
+/// Throws ModelError when compose refuses the slice (state budget).
+SliceCheck check_slice(const Slice& slice, const std::vector<std::string>& high_labels) {
+    const adl::ComposedModel model =
+        adl::compose(slice.archi, adl::ComposeOptions{.max_states = kMaxSliceStates});
+    const lts::Lts& product = model.graph;
     SliceCheck result;
-    std::vector<std::uint32_t> initial(members.size());
-    for (std::size_t m = 0; m < members.size(); ++m) initial[m] = locals[m].initial;
-    ids.emplace(initial, product.add_state());
-    product.set_initial(0);
-    frontier.push_back(initial);
-
-    const auto state_of = [&ids, &product, &frontier,
-                           &result, &options](const std::vector<std::uint32_t>& tuple)
-        -> std::optional<lts::StateId> {
-        const auto found = ids.find(tuple);
-        if (found != ids.end()) return found->second;
-        if (ids.size() >= options.max_slice_states) {
-            result.truncated = true;
-            return std::nullopt;
-        }
-        const lts::StateId id = product.add_state();
-        ids.emplace(tuple, id);
-        frontier.push_back(tuple);
-        return id;
-    };
-
-    for (std::size_t cursor = 0; cursor < frontier.size() && !result.truncated;
-         ++cursor) {
-        const std::vector<std::uint32_t> tuple = frontier[cursor];
-        const lts::StateId source = ids.at(tuple);
-        for (std::size_t m = 0; m < members.size() && !result.truncated; ++m) {
-            for (const adl::LocalLts::LocalTransition& t : locals[m].out[tuple[m]]) {
-                const MoveClass& move = classes[m].at(t.action);
-                if (move.kind == MoveKind::Blocked || move.kind == MoveKind::SyncIn) {
-                    continue;
-                }
-                if (move.kind == MoveKind::Free) {
-                    std::vector<std::uint32_t> next = tuple;
-                    next[m] = t.target;
-                    const auto target = state_of(next);
-                    if (!target) break;
-                    product.add_transition(source, product.action(move.label), *target,
-                                           t.rate);
-                    continue;
-                }
-                // SyncOut: joint move with every matching follower transition.
-                for (const adl::LocalLts::LocalTransition& follower :
-                     locals[move.partner].out[tuple[move.partner]]) {
-                    if (follower.action != move.partner_port) continue;
-                    std::vector<std::uint32_t> next = tuple;
-                    next[m] = t.target;
-                    next[move.partner] = follower.target;
-                    const auto target = state_of(next);
-                    if (!target) break;
-                    product.add_transition(source, product.action(move.label), *target,
-                                           t.rate);
-                }
-            }
-        }
-    }
     result.states = product.num_states();
-    if (result.truncated) return result;
 
     lts::ActionSet high;
-    for (const std::string& label : options.high_labels) {
+    for (const std::string& label : high_labels) {
         const Symbol s = product.actions()->find(label);
         if (s != kNoSymbol) high.insert(s);
     }
-    // A label is only interned when a transition uses it, so a found symbol
-    // means the high action can actually fire inside the slice.
-    result.high_occurs = !high.empty();
+    // compose interns the label of every local transition, fired or not, so
+    // only the product's transitions tell whether a high label can fire.
+    const auto transitions = product.csr().transitions();
+    result.high_occurs =
+        std::any_of(transitions.begin(), transitions.end(),
+                    [&high](const lts::Transition& t) { return high.contains(t.action); });
     if (!result.high_occurs) return result;
 
     lts::ActionSet interface;
-    for (const Symbol s : interface_labels) interface.insert(s);
+    for (const std::string& label : slice.interface) {
+        const Symbol s = product.actions()->find(label);
+        if (s != kNoSymbol) interface.insert(s);
+    }
     result.passed = noninterference::check(product, high, interface).noninterfering;
     return result;
 }
@@ -311,6 +220,7 @@ const char* verdict_name(TransparencyVerdict verdict) {
 
 TransparencyResult analyze_transparency(const adl::ArchiType& archi,
                                         const TransparencyOptions& options) {
+    DPMA_NAMED_SPAN(span, "analysis.transparency", "analysis");
     static obs::Counter& proved = obs::counter("analysis.transparency.proved");
     static obs::Counter& inconclusive = obs::counter("analysis.transparency.inconclusive");
     static obs::Counter& leaks = obs::counter("analysis.transparency.leaks");
@@ -413,24 +323,25 @@ TransparencyResult analyze_transparency(const adl::ArchiType& archi,
 
     // Stage 1: the seed slice.
     std::string failure;
+    bool gave_up = false;  // compose refused the last slice
     const auto attempt = [&](const std::vector<std::size_t>& members) -> bool {
         result.slice_instances = names_of(archi, members);
-        const std::optional<SliceCheck> check = check_slice(archi, members, options);
-        if (!check) {
-            failure = "a slice member's local state space exceeds the budget";
+        result.slice_states = 0;
+        SliceCheck check;
+        try {
+            check = check_slice(slice_of(archi, members), options.high_labels);
+        } catch (const ModelError& error) {
+            failure = error.what();
+            gave_up = true;
             return false;
         }
-        result.slice_states = check->states;
-        if (check->truncated) {
-            failure = "slice product exceeds the state budget (" +
-                      std::to_string(options.max_slice_states) + ")";
-            return false;
-        }
-        if (!check->high_occurs) {
+        gave_up = false;
+        result.slice_states = check.states;
+        if (!check.high_occurs) {
             failure = "no high label can fire inside the slice";
             return false;
         }
-        if (!check->passed) {
+        if (!check.passed) {
             failure = "slice {" + join_names(result.slice_instances) +
                       "} distinguishes hiding from removing the high actions";
             return false;
@@ -446,6 +357,7 @@ TransparencyResult analyze_transparency(const adl::ArchiType& archi,
         }
         if (grown != seeds) passed = attempt(grown);
     }
+    span.arg("slice_states", static_cast<double>(result.slice_states));
     if (passed) {
         result.verdict = TransparencyVerdict::Transparent;
         result.reason = "proved on slice {" + join_names(result.slice_instances) + "} (" +
@@ -457,7 +369,7 @@ TransparencyResult analyze_transparency(const adl::ArchiType& archi,
         return result;
     }
 
-    if (tainted[low] != 0) {
+    if (tainted[low] != 0 && !gave_up) {
         // Reconstruct the interaction chain seed -> low.
         std::vector<std::string> chain;
         for (std::size_t at = low; parent[at] != SIZE_MAX; at = parent[at]) {

@@ -15,21 +15,25 @@
 ///     attachments (synchronisation propagates influence in both
 ///     directions), recording the interaction chain.
 ///
-///  2. The slice product — the composition of just the slice members, with
-///     attachments leaving the slice kept visible as free interface actions
-///     — is checked exactly: slice/High weakly bisimilar to slice\High with
-///     the interface visible.  Weak bisimilarity is a congruence for
-///     parallel composition and hiding, so a PASS lifts to the full system
-///     under the observer-relative hiding the oracle applies: static
-///     `transparent` implies the exact verdict (soundness; DESIGN.md §8b).
+///  2. The slice is a sub-architecture: the slice members, every attachment
+///     touching them, and for each outside partner an always-ready passive
+///     environment instance, so attachments leaving the slice stay free,
+///     visible interface actions.  adl::compose builds its product (at most
+///     50,000 states), which is checked exactly: slice/High weakly bisimilar
+///     to slice\High with the interface visible.  Weak bisimilarity is a
+///     congruence for parallel composition and hiding, so a PASS lifts to
+///     the full system under the observer-relative hiding the oracle
+///     applies: static `transparent` implies the exact verdict (soundness;
+///     DESIGN.md §8b).
 ///     On FAIL the slice grows along the taint chain and is re-checked.
 ///
 /// Verdicts: `Transparent` is trustworthy (tests cross-check it against the
 /// exact weak-bisimulation oracle on every shipped spec); `Leaks` means the
 /// slice check failed *and* taint reaches the low observer — strong evidence
 /// with the offending interaction chain, but consumers must still run the
-/// exact check; `Inconclusive` means the analysis gave up (state budget,
-/// slice check failed without a taint path to low, degenerate inputs).
+/// exact check; `Inconclusive` means the analysis gave up (compose refused
+/// the slice, the slice check failed without a taint path to low,
+/// degenerate inputs).
 
 #include <cstddef>
 #include <string>
@@ -48,10 +52,6 @@ struct TransparencyOptions {
     std::vector<std::string> high_labels;
     /// The observing instance; must not be touched by a high label.
     std::string low_instance;
-    /// Budget for one member's local LTS (same default as the linter).
-    std::size_t max_local_states = 20'000;
-    /// Budget for the slice product; exceeding it yields Inconclusive.
-    std::size_t max_slice_states = 50'000;
 };
 
 struct TransparencyResult {

@@ -12,9 +12,14 @@
 #include "core/error.hpp"
 #include "core/text.hpp"
 #include "lts/rate.hpp"
+#include "obs/trace.hpp"
 
 namespace dpma::analysis {
 namespace {
+
+/// Per-instance bound for the local-LTS reachability checks; exceeding it
+/// yields [analysis-incomplete], not an error.
+constexpr std::size_t kMaxLocalStates = 20'000;
 
 /// An occurrence that decides the timing of a synchronisation: exponential,
 /// immediate and general rates are all "active" in the EMPA sense.
@@ -39,9 +44,8 @@ const adl::Action* find_occurrence(const adl::ElemType& type, const std::string&
 
 class Linter {
 public:
-    Linter(const adl::ArchiType& archi, std::string_view file, const LintOptions& options,
-           LintResult& result)
-        : archi_(archi), file_(file), options_(options), result_(result) {}
+    Linter(const adl::ArchiType& archi, std::string_view file, LintResult& result)
+        : archi_(archi), file_(file), result_(result) {}
 
     void run() {
         check_elem_types();
@@ -49,7 +53,7 @@ public:
         check_attachments();
         check_usage();
         check_sync_rates();
-        if (options_.reachability && result_.error_count() == 0) check_reachability();
+        if (result_.error_count() == 0) check_reachability();
     }
 
 private:
@@ -437,7 +441,7 @@ private:
             adl::LocalLts local;
             try {
                 local = adl::build_local_lts(*type, std::span<const long>(inst.args), actions,
-                                             options_.max_local_states);
+                                             kMaxLocalStates);
             } catch (const Error& error) {
                 Diagnostic& d = emit(Code::AnalysisIncomplete,
                                      "local reachability analysis of instance '" + inst.name +
@@ -514,7 +518,6 @@ private:
 
     const adl::ArchiType& archi_;
     std::string file_;
-    const LintOptions& options_;
     LintResult& result_;
 };
 
@@ -532,10 +535,10 @@ std::size_t LintResult::warning_count() const {
                       [](const Diagnostic& d) { return d.severity == Severity::Warning; }));
 }
 
-LintResult lint_model(const adl::ArchiType& archi, std::string_view file,
-                      const LintOptions& options) {
+LintResult lint_model(const adl::ArchiType& archi, std::string_view file) {
+    DPMA_SPAN("analysis.lint", "analysis");
     LintResult result;
-    Linter(archi, file, options, result).run();
+    Linter(archi, file, result).run();
     return result;
 }
 
@@ -627,8 +630,7 @@ void lint_measures(const adl::ArchiType& archi, const std::vector<adl::Measure>&
 }
 
 LintResult lint_text(std::string_view spec_text, std::string_view spec_file,
-                     std::string_view measures_text, std::string_view measures_file,
-                     const LintOptions& options) {
+                     std::string_view measures_text, std::string_view measures_file) {
     LintResult result;
     adl::ArchiType archi;
     try {
@@ -639,7 +641,7 @@ LintResult lint_text(std::string_view spec_text, std::string_view spec_file,
             Span{std::string(spec_file), SourceLoc{error.line(), error.column()}}, {}});
         return result;
     }
-    result = lint_model(archi, spec_file, options);
+    result = lint_model(archi, spec_file);
     if (!measures_text.empty() || !measures_file.empty()) {
         try {
             const std::vector<adl::Measure> measures = aemilia::parse_measures(measures_text);
@@ -653,9 +655,8 @@ LintResult lint_text(std::string_view spec_text, std::string_view spec_file,
     return result;
 }
 
-LintResult lint_text(std::string_view spec_text, std::string_view spec_file,
-                     const LintOptions& options) {
-    return lint_text(spec_text, spec_file, /*measures_text=*/{}, /*measures_file=*/{}, options);
+LintResult lint_text(std::string_view spec_text, std::string_view spec_file) {
+    return lint_text(spec_text, spec_file, /*measures_text=*/{}, /*measures_file=*/{});
 }
 
 }  // namespace dpma::analysis

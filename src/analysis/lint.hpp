@@ -27,8 +27,8 @@
 ///  * reachability via the per-instance local LTS (adl::build_local_lts):
 ///    behaviour equations never invoked [unreachable-behavior] and local
 ///    states with no outgoing transitions [local-deadlock]; if the local
-///    exploration is aborted (state bound, evaluation error) the linter
-///    reports [analysis-incomplete] instead of guessing
+///    exploration is aborted (more than 20,000 local states, evaluation
+///    error) the linter reports [analysis-incomplete] instead of guessing
 ///  * measure files: predicates must name existing instances, actions and
 ///    behaviour-state prefixes, and IN_STATE cannot feed TRANS_REWARD
 ///    [unknown-measure-*, in-state-trans-reward]
@@ -45,14 +45,6 @@
 
 namespace dpma::analysis {
 
-struct LintOptions {
-    /// Per-instance bound for the local-LTS reachability checks; exceeding
-    /// it yields [analysis-incomplete], not an error.
-    std::size_t max_local_states = 20000;
-    /// Disable the build_local_lts-based checks (cheap structural pass only).
-    bool reachability = true;
-};
-
 struct LintResult {
     std::vector<Diagnostic> diagnostics;
 
@@ -68,8 +60,7 @@ struct LintResult {
 /// (aemilia::parse_archi_type_unchecked) or even programmatic; \p file names
 /// the originating file in every span (empty for string input).
 [[nodiscard]] LintResult lint_model(const adl::ArchiType& archi,
-                                    std::string_view file = {},
-                                    const LintOptions& options = {});
+                                    std::string_view file = {});
 
 /// Appends measure-file diagnostics (predicates resolved against \p archi)
 /// to \p result.  \p spec_file names the file \p archi came from; it is only
@@ -86,11 +77,9 @@ void lint_measures(const adl::ArchiType& archi,
 [[nodiscard]] LintResult lint_text(std::string_view spec_text,
                                    std::string_view spec_file,
                                    std::string_view measures_text,
-                                   std::string_view measures_file,
-                                   const LintOptions& options = {});
+                                   std::string_view measures_file);
 
 [[nodiscard]] LintResult lint_text(std::string_view spec_text,
-                                   std::string_view spec_file,
-                                   const LintOptions& options = {});
+                                   std::string_view spec_file);
 
 }  // namespace dpma::analysis

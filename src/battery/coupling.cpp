@@ -249,6 +249,7 @@ PowerProfile transient_power_profile(
     // Dense current distribution.
     std::vector<double> pi(chain.num_states(), 0.0);
     for (const auto& [state, mass] : initial) {
+        DPMA_REQUIRE(state < pi.size(), "initial state out of range");
         pi[state] += mass;
     }
 

@@ -225,13 +225,5 @@ TEST(LintApi, ResultCountsAndPredicates) {
     EXPECT_EQ(errors.error_count(), 1u);
 }
 
-TEST(LintApi, ReachabilityCanBeDisabled) {
-    const fs::path fixture = fs::path(DPMA_LINT_FIXTURE_DIR) / "local_deadlock.aem";
-    LintOptions options;
-    options.reachability = false;
-    const LintResult result = lint_text(read_file(fixture), fixture.string(), options);
-    EXPECT_TRUE(result.clean()) << render_text(result.diagnostics);
-}
-
 }  // namespace
 }  // namespace dpma::analysis

@@ -402,6 +402,13 @@ TEST(CtmcBounds, ProfileLifetimeHandlesZeroPowerTail) {
     EXPECT_NEAR(profile_lifetime(profile, params), 1.5, 1e-12);
 }
 
+TEST(CtmcBounds, ProfileRejectsAnOutOfRangeInitialState) {
+    const ctmc::Ctmc chain(2, {{0, 1, 1.0}, {1, 0, 1.0}});
+    const std::vector<double> power = {1.0, 2.0};
+    // Half of the mass in range: the profile would otherwise run on.
+    EXPECT_THROW((void)transient_power_profile(chain, {{0, 0.5}, {2, 0.5}}, power), Error);
+}
+
 // ---------------------------------------------------------------------------
 // Lifetime study
 // ---------------------------------------------------------------------------

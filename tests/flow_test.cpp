@@ -15,7 +15,9 @@
 #include "analysis/flow/transparency.hpp"
 #include "noninterference/noninterference.hpp"
 #include "obs/json.hpp"
+#include "obs/json_parse.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 #ifndef DPMA_SPECS_DIR
 #error "DPMA_SPECS_DIR must point at the shipped specs/ directory"
@@ -139,19 +141,30 @@ struct TransparencyCase {
     std::vector<std::string> high;
     const char* low;
     bool oracle_passes;
+    // The static result, pinned: verdict, last slice checked, its product
+    // states and the leak chain.
+    TransparencyVerdict verdict;
+    std::vector<std::string> slice;
+    std::size_t slice_states;
+    std::vector<std::string> leak_chain;
 };
 
 const TransparencyCase kTransparencyCases[] = {
-    {"rpc_untimed.aem", {"DPM.send_shutdown#S.receive_shutdown"}, "C", false},
-    {"rpc_revised_markov.aem", {"DPM.send_shutdown#S.receive_shutdown"}, "C", true},
-    {"rpc_general.aem", {"DPM.send_shutdown#S.receive_shutdown"}, "C", true},
-    {"disk_markov.aem", {"DPM.send_shutdown#D.receive_shutdown"}, "SINK", true},
+    {"rpc_untimed.aem", {"DPM.send_shutdown#S.receive_shutdown"}, "C", false,
+     TransparencyVerdict::Leaks, {"S", "RCS", "RSC", "DPM"}, 45,
+     {"RCS.deliver_packet#S.receive_rpc_packet", "C.send_rpc_packet#RCS.get_packet"}},
+    {"rpc_revised_markov.aem", {"DPM.send_shutdown#S.receive_shutdown"}, "C", true,
+     TransparencyVerdict::Transparent, {"S", "DPM"}, 10, {}},
+    {"rpc_general.aem", {"DPM.send_shutdown#S.receive_shutdown"}, "C", true,
+     TransparencyVerdict::Transparent, {"S", "DPM"}, 10, {}},
+    {"disk_markov.aem", {"DPM.send_shutdown#D.receive_shutdown"}, "SINK", true,
+     TransparencyVerdict::Transparent, {"D", "DPM"}, 7, {}},
     {"streaming_markov.aem",
      {"DPM.send_shutdown#NIC.receive_shutdown", "DPM.send_wakeup#NIC.receive_wakeup"},
-     "C", true},
+     "C", true, TransparencyVerdict::Transparent, {"NIC", "DPM"}, 10, {}},
     {"streaming_general.aem",
      {"DPM.send_shutdown#NIC.receive_shutdown", "DPM.send_wakeup#NIC.receive_wakeup"},
-     "C", true},
+     "C", true, TransparencyVerdict::Transparent, {"NIC", "DPM"}, 10, {}},
 };
 
 /// The load-bearing guarantee of the whole engine: on every shipped spec the
@@ -169,6 +182,10 @@ TEST(Transparency, StaticVerdictAgreesWithExactOracleOnEveryShippedSpec) {
         options.high_labels = test_case.high;
         options.low_instance = test_case.low;
         const TransparencyResult verdict = analyze_transparency(archi, options);
+        EXPECT_EQ(verdict.verdict, test_case.verdict) << test_case.spec << ": " << verdict.reason;
+        EXPECT_EQ(verdict.slice_instances, test_case.slice) << test_case.spec;
+        EXPECT_EQ(verdict.slice_states, test_case.slice_states) << test_case.spec;
+        EXPECT_EQ(verdict.leak_chain, test_case.leak_chain) << test_case.spec;
 
         const adl::ComposedModel model = adl::compose(archi);
         const noninterference::Result oracle = noninterference::check_dpm_transparency(
@@ -192,6 +209,67 @@ TEST(Transparency, StaticVerdictAgreesWithExactOracleOnEveryShippedSpec) {
         }
         EXPECT_FALSE(verdict.reason.empty()) << test_case.spec;
     }
+}
+
+/// `name = choice { <a, _> . next, ... }` with every action passive.
+adl::BehaviorDef passive_behavior(std::string name,
+                                  const std::vector<std::pair<std::string, std::string>>& moves) {
+    adl::BehaviorDef behavior{std::move(name), {}, {}};
+    for (const auto& [action, next] : moves) {
+        behavior.alternatives.push_back(adl::Alternative{
+            nullptr, {adl::Action{action, lts::RatePassive{}}}, adl::BehaviorCall{next, {}}});
+    }
+    return behavior;
+}
+
+adl::ElemType elem_type(std::string name, std::vector<adl::BehaviorDef> behaviors,
+                        std::vector<std::string> inputs, std::vector<std::string> outputs) {
+    adl::ElemType type;
+    type.name = std::move(name);
+    type.behaviors = std::move(behaviors);
+    type.input_interactions = std::move(inputs);
+    type.output_interactions = std::move(outputs);
+    return type;
+}
+
+/// DPM shuts the server S down for good; S answers the client C only while
+/// up.  The DPM's influence leaves the seed slice {S, DPM} only through the
+/// boundary attachment S.respond#C.receive to the low instance.
+adl::ArchiType boundary_leak_archi() {
+    adl::ArchiType archi;
+    archi.name = "BoundaryLeak";
+    archi.elem_types = {
+        elem_type("Server_Type",
+                  {passive_behavior("Up", {{"respond", "Up"}, {"receive_shutdown", "Down"}}),
+                   passive_behavior("Down", {{"sleep", "Down"}})},
+                  {"receive_shutdown"}, {"respond"}),
+        elem_type("Dpm_Type", {passive_behavior("Idle", {{"send_shutdown", "Idle"}})}, {},
+                  {"send_shutdown"}),
+        elem_type("Client_Type", {passive_behavior("Wait", {{"receive", "Wait"}})},
+                  {"receive"}, {}),
+    };
+    archi.instances = {adl::Instance{"S", "Server_Type", {}},
+                       adl::Instance{"DPM", "Dpm_Type", {}},
+                       adl::Instance{"C", "Client_Type", {}}};
+    archi.attachments = {adl::Attachment{"DPM", "send_shutdown", "S", "receive_shutdown"},
+                         adl::Attachment{"S", "respond", "C", "receive"}};
+    return archi;
+}
+
+/// The slice's boundary ports must stay free: blocking S.respond would hide
+/// the shutdown's effect from the interface and prove a leaky system
+/// transparent.
+TEST(Transparency, InfluenceThroughABoundaryAttachmentIsNotProved) {
+    const adl::ArchiType archi = boundary_leak_archi();
+    const std::vector<std::string> high = {"DPM.send_shutdown#S.receive_shutdown"};
+    const TransparencyResult verdict =
+        analyze_transparency(archi, TransparencyOptions{high, "C"});
+    EXPECT_NE(verdict.verdict, TransparencyVerdict::Transparent) << verdict.reason;
+    EXPECT_EQ(verdict.slice_instances, (std::vector<std::string>{"S", "DPM"}));
+
+    const noninterference::Result oracle =
+        noninterference::check_dpm_transparency(adl::compose(archi), high, "C");
+    EXPECT_FALSE(oracle.noninterfering);
 }
 
 TEST(Transparency, LeaksCarriesTheInteractionChainToTheObserver) {
@@ -241,6 +319,44 @@ TEST(FlowCounters, FixpointIterationsAreCounted) {
     const AnalyzeResult result = analyze_text(read_file(spec), spec.string());
     EXPECT_TRUE(result.flow_ran);
     EXPECT_GT(iters.value(), before);
+}
+
+TEST(FlowTrace, LintFlowAndTransparencyAreSpanned) {
+    const fs::path spec = fs::path(DPMA_SPECS_DIR) / "rpc_revised_markov.aem";
+    AnalyzeOptions options;
+    options.high_labels = {"DPM.send_shutdown#S.receive_shutdown"};
+    options.low_instance = "C";
+    obs::clear_trace();
+    obs::set_tracing(true);
+    const AnalyzeResult result = analyze_text(read_file(spec), spec.string(), options);
+    obs::set_tracing(false);
+    ASSERT_TRUE(result.transparency.has_value());
+#if !defined(DPMA_OBS_DISABLED)
+    const obs::Json trace = obs::json_parse(obs::trace_json());
+    const obs::Json* events = trace.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    const auto event = [events](std::string_view name) -> const obs::Json* {
+        for (const obs::Json& e : events->array) {
+            if (e.string_at("name") == name) return &e;
+        }
+        return nullptr;
+    };
+    EXPECT_NE(event("analysis.lint"), nullptr);
+    EXPECT_NE(event("analysis.flow"), nullptr);
+    const obs::Json* transparency = event("analysis.transparency");
+    ASSERT_NE(transparency, nullptr);
+    const obs::Json* args = transparency->find("args");
+    ASSERT_NE(args, nullptr);
+    EXPECT_EQ(args->number_at("slice_states"),
+              static_cast<double>(result.transparency->slice_states));
+    // The slice's compose runs inside the transparency span.
+    const obs::Json* compose = event("adl.compose");
+    ASSERT_NE(compose, nullptr);
+    EXPECT_GE(compose->number_at("ts"), transparency->number_at("ts"));
+    EXPECT_LE(compose->number_at("ts") + compose->number_at("dur"),
+              transparency->number_at("ts") + transparency->number_at("dur"));
+#endif
+    obs::clear_trace();
 }
 
 TEST(FlowCounters, ProvedTransparencyIsCounted) {
