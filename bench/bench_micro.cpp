@@ -278,7 +278,7 @@ BENCHMARK(BM_WeakBisimQuotient);
 /// per-state closure vectors — the pre-CSR saturation held O(n^2) state ids
 /// for inputs of this shape.
 lts::Lts tau_dense_chain(std::size_t clusters, std::size_t cluster_size) {
-    lts::Lts m;
+    lts::LtsBuilder m;
     const lts::ActionId tau = m.actions()->tau();
     const lts::ActionId step = m.action("step");
     const std::size_t n = clusters * cluster_size;
@@ -297,7 +297,7 @@ lts::Lts tau_dense_chain(std::size_t clusters, std::size_t cluster_size) {
         }
     }
     m.set_initial(0);
-    return m;
+    return std::move(m).build();
 }
 
 void BM_SaturateTauDenseChain(benchmark::State& state) {
@@ -343,17 +343,6 @@ void BM_RefineStrongSaturated(benchmark::State& state) {
                    std::to_string(sat.num_transitions()) + " transitions");
 }
 BENCHMARK(BM_RefineStrongSaturated);
-
-void BM_CsrFreeze(benchmark::State& state) {
-    const auto model = compose_streaming(5);
-    for (auto _ : state) {
-        lts::Lts copy = model.graph;  // copies are thawed; freeze from scratch
-        copy.freeze();
-        benchmark::DoNotOptimize(copy);
-    }
-    state.SetLabel(std::to_string(model.graph.num_transitions()) + " transitions");
-}
-BENCHMARK(BM_CsrFreeze);
 
 }  // namespace
 

@@ -63,15 +63,11 @@ struct StreamingIndex {
 /// general exponential distribution: the Fig. 5 cross-validation runs the
 /// *simulator* on a distribution-for-distribution copy of the Markov model.
 void exponentialize(adl::ComposedModel& model) {
-    for (lts::StateId s = 0; s < model.graph.num_states(); ++s) {
-        const auto out = model.graph.out(s);
-        for (std::size_t k = 0; k < out.size(); ++k) {
-            if (const auto* exp_rate = std::get_if<lts::RateExp>(&out[k].rate)) {
-                model.graph.set_rate(
-                    s, k, lts::RateGeneral{Dist::exponential(exp_rate->rate)});
-            }
+    model.graph.mutate_rates([](lts::ActionId, lts::Rate& rate) {
+        if (const auto* exp_rate = std::get_if<lts::RateExp>(&rate)) {
+            rate = lts::RateGeneral{Dist::exponential(exp_rate->rate)};
         }
-    }
+    });
 }
 
 struct SimulatedValues {

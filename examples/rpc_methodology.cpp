@@ -116,15 +116,11 @@ void step3_general() {
     {
         const adl::ComposedModel markov_model = adl::compose(models::archi(kRevised));
         adl::ComposedModel model = markov_model;
-        for (lts::StateId s = 0; s < model.graph.num_states(); ++s) {
-            const auto out = model.graph.out(s);
-            for (std::size_t k = 0; k < out.size(); ++k) {
-                if (const auto* e = std::get_if<lts::RateExp>(&out[k].rate)) {
-                    model.graph.set_rate(
-                        s, k, lts::RateGeneral{Dist::exponential(e->rate)});
-                }
+        model.graph.mutate_rates([](lts::ActionId, lts::Rate& rate) {
+            if (const auto* e = std::get_if<lts::RateExp>(&rate)) {
+                rate = lts::RateGeneral{Dist::exponential(e->rate)};
             }
-        }
+        });
         const ctmc::MarkovModel markov = ctmc::build_markov(markov_model);
         const auto pi = ctmc::steady_state(markov.chain);
         const double exact =

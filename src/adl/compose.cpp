@@ -169,13 +169,22 @@ std::size_t ComposedModel::instance_index(const std::string& name) const {
     throw ModelError("unknown instance " + name);
 }
 
-const std::string& ComposedModel::local_state_name(lts::StateId state,
-                                                   std::size_t instance) const {
+const std::string& ComposedModel::local_label(lts::StateId state,
+                                              std::size_t instance) const {
     DPMA_REQUIRE(static_cast<std::size_t>(state) * instance_names.size() <
                      local_states.size(),
                  "state out of range");
     DPMA_REQUIRE(instance < instance_names.size(), "instance out of range");
     return local_state_names[instance][local_state(state, instance)];
+}
+
+std::string ComposedModel::state_label(lts::StateId state) const {
+    std::string text;
+    for (std::size_t i = 0; i < instance_names.size(); ++i) {
+        if (i != 0) text += " | ";
+        text += instance_names[i] + ":" + local_label(state, i);
+    }
+    return text;
 }
 
 ComposedModel compose(const ArchiType& archi, const ComposeOptions& options) {
@@ -185,7 +194,8 @@ ComposedModel compose(const ArchiType& archi, const ComposeOptions& options) {
     auto actions = std::make_shared<lts::ActionTable>();
     const std::size_t num_instances = archi.instances.size();
 
-    ComposedModel model{lts::Lts(actions), {}, {}, {}};
+    ComposedModel model;
+    lts::LtsBuilder graph(actions);
     std::vector<LocalLts> locals;
     locals.reserve(num_instances);
     for (const Instance& inst : archi.instances) {
@@ -292,23 +302,13 @@ ComposedModel compose(const ArchiType& archi, const ComposeOptions& options) {
     std::vector<std::uint64_t> state_code;  // per global state; packable only
     std::deque<lts::StateId> queue;
 
-    const auto global_name = [&](const std::vector<std::uint32_t>& g) -> std::string {
-        if (!options.record_state_names) return {};
-        std::string text;
-        for (std::uint32_t i = 0; i < num_instances; ++i) {
-            if (i != 0) text += " | ";
-            text += model.instance_names[i] + ":" + locals[i].state_names[g[i]];
-        }
-        return text;
-    };
-
     const auto register_state = [&](std::vector<std::uint32_t>&& g,
                                     std::uint64_t code) -> lts::StateId {
-        if (model.graph.num_states() >= options.max_states) {
+        if (graph.num_states() >= options.max_states) {
             throw ModelError("global state space of " + archi.name + " exceeds " +
                              std::to_string(options.max_states) + " states");
         }
-        const lts::StateId id = model.graph.add_state(global_name(g));
+        const lts::StateId id = graph.add_state();
         model.local_states.insert(model.local_states.end(), g.begin(), g.end());
         if (packable) state_code.push_back(code);
         queue.push_back(id);
@@ -344,7 +344,7 @@ ComposedModel compose(const ArchiType& archi, const ComposeOptions& options) {
             initial[i] = locals[i].initial;
             if (packable) code += stride[i] * initial[i];
         }
-        model.graph.set_initial(packable ? intern_packed(code) : intern_vec(initial));
+        graph.set_initial(packable ? intern_packed(code) : intern_vec(initial));
     }
 
     std::vector<std::uint32_t> current;
@@ -378,7 +378,7 @@ ComposedModel compose(const ArchiType& archi, const ComposeOptions& options) {
                             scratch[i] = f.trans[k].target;
                             to = intern_vec(scratch);
                         }
-                        model.graph.add_transition(from, p.label, to, f.trans[k].rate);
+                        graph.add_transition(from, p.label, to, f.trans[k].rate);
                         break;
                     }
                     case ParticipationKind::SyncInitiator: {
@@ -407,7 +407,7 @@ ComposedModel compose(const ArchiType& archi, const ComposeOptions& options) {
                                 scratch[j] = u.target;
                                 to = intern_vec(scratch);
                             }
-                            model.graph.add_transition(
+                            graph.add_transition(
                                 from, p.label, to,
                                 combine_rates(f.trans[k].rate, u.rate, p.label_text));
                         }
@@ -420,10 +420,7 @@ ComposedModel compose(const ArchiType& archi, const ComposeOptions& options) {
             }
         }
     }
-    // Freeze before handing the model out: downstream analyses iterate the
-    // CSR view, and pre-freezing makes sharing the composed graph read-only
-    // across experiment workers race-free.
-    model.graph.freeze();
+    model.graph = std::move(graph).build();
     obs::counter("compose.calls").add();
     obs::counter("compose.states").add(model.graph.num_states());
     obs::counter("compose.transitions").add(model.graph.num_transitions());

@@ -26,9 +26,6 @@
 namespace dpma::adl {
 
 struct ComposeOptions {
-    /// Record per-state descriptive names (tuple of local behaviour states).
-    /// Costs memory on big models; diagnostics and measures do not need it.
-    bool record_state_names = false;
     /// Exploration bound; exceeded => ModelError (guards against unbounded
     /// integer parameters).
     std::size_t max_states = 1'000'000;
@@ -69,8 +66,12 @@ struct ComposedModel {
     }
 
     /// Name of the local state of \p instance in global state \p state.
-    [[nodiscard]] const std::string& local_state_name(lts::StateId state,
-                                                      std::size_t instance) const;
+    [[nodiscard]] const std::string& local_label(lts::StateId state,
+                                                 std::size_t instance) const;
+
+    /// Diagnostic name of global state \p state: its local states, as
+    /// "Inst:local | Inst:local | ...".
+    [[nodiscard]] std::string state_label(lts::StateId state) const;
 };
 
 /// Unfolds the behaviours of \p type applied to \p args into a local LTS.

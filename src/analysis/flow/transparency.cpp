@@ -175,7 +175,7 @@ SliceCheck check_slice(const Slice& slice, const std::vector<std::string>& high_
     }
     // compose interns the label of every local transition, fired or not, so
     // only the product's transitions tell whether a high label can fire.
-    const auto transitions = product.csr().transitions();
+    const auto transitions = product.transitions();
     result.high_occurs =
         std::any_of(transitions.begin(), transitions.end(),
                     [&high](const lts::Transition& t) { return high.contains(t.action); });

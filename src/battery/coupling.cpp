@@ -143,22 +143,8 @@ LifetimeEstimate simulate_lifetime(const sim::Simulator& simulator,
                                    std::size_t power_measure,
                                    const BatteryParams& params,
                                    const ReplayOptions& options) {
-    DPMA_SPAN("battery.replay", "battery");
-    validate_replay(simulator, power_measure, params, options);
-
-    const std::vector<double>& power = simulator.state_reward_rates(power_measure);
-    const auto battery = make_battery(params);
-    const auto count = static_cast<std::size_t>(options.replications);
-
-    std::vector<ReplicationOutcome> outcomes;
-    outcomes.reserve(count);
-    std::vector<std::uint64_t> steps(count, 0);
-    for (std::size_t r = 0; r < count; ++r) {
-        battery->reset();
-        outcomes.push_back(replay_one(simulator, power, *battery, options,
-                                      static_cast<int>(r), steps[r]));
-    }
-    return aggregate_outcomes(std::move(outcomes), steps, simulator, options);
+    exp::ThreadPool serial(1);  // spawns no workers: a plain in-caller loop
+    return simulate_lifetime(simulator, power_measure, params, options, serial);
 }
 
 LifetimeEstimate simulate_lifetime(const sim::Simulator& simulator,
@@ -172,10 +158,9 @@ LifetimeEstimate simulate_lifetime(const sim::Simulator& simulator,
     const std::vector<double>& power = simulator.state_reward_rates(power_measure);
     const auto count = static_cast<std::size_t>(options.replications);
 
-    // Each replication drains its own battery (reset() and a fresh
-    // make_battery() are equivalent states) and writes slot r; the registry
-    // and the aggregates are then updated in replication order, making the
-    // result bit-identical to the serial overload for any pool size.
+    // Each replication drains its own fresh battery and writes slot r; the
+    // registry and the aggregates are then updated in replication order,
+    // making the result bit-identical for any pool size.
     std::vector<ReplicationOutcome> outcomes(count);
     std::vector<std::uint64_t> steps(count, 0);
     pool.run(count, [&](std::size_t r) {

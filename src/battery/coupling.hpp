@@ -104,8 +104,9 @@ struct LifetimeEstimate {
 
 /// Replication-parallel overload: each replication drains its own battery on
 /// a pool worker, then counters, histogram observations and aggregates are
-/// applied in replication order — bit-identical to the serial overload for
-/// any pool size (same seeds, same samples vector, same registry deltas).
+/// applied in replication order — bit-identical for any pool size (same
+/// seeds, same samples vector, same registry deltas).  The serial overload
+/// is this one on a one-job pool.
 [[nodiscard]] LifetimeEstimate simulate_lifetime(const sim::Simulator& simulator,
                                                  std::size_t power_measure,
                                                  const BatteryParams& params,

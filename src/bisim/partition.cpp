@@ -167,9 +167,8 @@ RefinementResult refine_strong(const lts::Lts& model, std::size_t jobs) {
     result.rounds.emplace_back(n, BlockId{0});
     if (n == 0) return result;
 
-    const lts::Lts::CsrView& csr = model.csr();
-    const std::span<const std::uint32_t> off = csr.offsets();
-    const std::span<const lts::Transition> trans = csr.transitions();
+    const std::span<const std::uint32_t> off = model.offsets();
+    const std::span<const lts::Transition> trans = model.transitions();
     const std::size_t m = trans.size();
 
     // 8-byte shadow of the transition array: refinement only ever reads
@@ -366,9 +365,8 @@ std::vector<BlockId> refine_branching(const lts::Lts& model) {
     span.arg("states", static_cast<double>(n));
     if (n == 0) return {};
     const lts::ActionId tau = model.actions()->tau();
-    const lts::Lts::CsrView& csr = model.csr();
     for (lts::StateId s = 0; s < n; ++s) {
-        for (const lts::Transition& t : csr.out(s)) {
+        for (const lts::Transition& t : model.out(s)) {
             DPMA_REQUIRE(t.action != tau || t.target < s,
                          "refine_branching needs tau transitions to descend in id");
         }
@@ -392,7 +390,7 @@ std::vector<BlockId> refine_branching(const lts::Lts& model) {
         arena.clear();
         for (lts::StateId s = 0; s < n; ++s) {
             entries.clear();
-            for (const lts::Transition& t : csr.out(s)) {
+            for (const lts::Transition& t : model.out(s)) {
                 if (t.action == tau && block[t.target] == block[s]) {
                     const std::span<const std::uint64_t> inherited = sig_of(t.target);
                     entries.insert(entries.end(), inherited.begin(), inherited.end());
@@ -426,21 +424,20 @@ lts::Lts quotient(const lts::Lts& model, const std::vector<BlockId>& blocks) {
                  "partition does not match the model");
     const BlockId num_blocks = 1 + *std::max_element(blocks.begin(), blocks.end());
 
-    lts::Lts out(model.actions());
-    for (BlockId b = 0; b < num_blocks; ++b) {
-        out.add_state("block" + std::to_string(b));
-    }
+    lts::LtsBuilder out(model.actions());
+    for (BlockId b = 0; b < num_blocks; ++b) out.add_state();
     // The lowest-id member represents its block (see the header for why
     // that is exact).  (action, block) pairs are deduplicated through the
     // same packed-64-bit keys the refiners use.
-    std::vector<char> done(num_blocks, 0);
+    std::vector<lts::StateId> representative(num_blocks, lts::kNoState);
+    for (lts::StateId s = static_cast<lts::StateId>(model.num_states()); s-- > 0;) {
+        representative[blocks[s]] = s;
+    }
     std::unordered_set<std::uint64_t> seen;
-    for (lts::StateId s = 0; s < model.num_states(); ++s) {
-        const BlockId b = blocks[s];
-        if (done[b]) continue;
-        done[b] = 1;
+    for (BlockId b = 0; b < num_blocks; ++b) {
+        if (representative[b] == lts::kNoState) continue;  // unused block id
         seen.clear();
-        for (const lts::Transition& t : model.out(s)) {
+        for (const lts::Transition& t : model.out(representative[b])) {
             if (seen.insert(pack_entry(t.action, blocks[t.target])).second) {
                 out.add_transition(b, t.action, blocks[t.target], t.rate);
             }
@@ -449,7 +446,7 @@ lts::Lts quotient(const lts::Lts& model, const std::vector<BlockId>& blocks) {
     if (model.initial() != lts::kNoState) {
         out.set_initial(blocks[model.initial()]);
     }
-    return out;
+    return std::move(out).build();
 }
 
 }  // namespace dpma::bisim

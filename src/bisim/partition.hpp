@@ -39,7 +39,7 @@ struct RefinementResult {
 /// Runs signature refinement to a fixpoint.  Rates are ignored: this is the
 /// functional notion of bisimulation used by the noninterference check.
 ///
-/// The refiner works incrementally on the CSR view of \p model: after the
+/// The refiner works incrementally on the CSR arrays of \p model: after the
 /// first round only *dirty* states — those with a successor whose block
 /// changed in the previous round — are re-signed, into a preallocated
 /// signature arena.  \p jobs > 1 computes the per-round signatures on a

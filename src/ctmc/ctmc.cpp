@@ -121,7 +121,6 @@ MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing) 
     out.tangible_of.assign(n, kNoTangible);
     out.branch_start.reserve(n + 1);
     out.branch_start.push_back(0);
-    const lts::Lts::CsrView& csr = model.graph.csr();
 
     // Pass 1: check the rates, apply maximal progress and normalise the
     // surviving immediate weights.  A state without a positive-weight
@@ -129,7 +128,7 @@ MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing) 
     for (lts::StateId s = 0; s < n; ++s) {
         int best_priority = std::numeric_limits<int>::min();
         double total_weight = 0.0;
-        for (const lts::Transition& t : csr.out(s)) {
+        for (const lts::Transition& t : model.graph.out(s)) {
             check_rate(model, t);
             if (const auto* imm = std::get_if<lts::RateImmediate>(&t.rate)) {
                 if (imm->priority > best_priority) {
@@ -140,7 +139,7 @@ MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing) 
             }
         }
         if (total_weight > 0.0) {
-            for (const lts::Transition& t : csr.out(s)) {
+            for (const lts::Transition& t : model.graph.out(s)) {
                 const auto* imm = std::get_if<lts::RateImmediate>(&t.rate);
                 // Zero-weight branches can never fire; dropping them keeps
                 // degenerate parameterisations (e.g. loss probability 0) legal.
@@ -229,7 +228,7 @@ MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing) 
     for (TangibleId t = 0; t < num_tangible; ++t) {
         const lts::StateId s = out.orig_of[t];
         bool has_timed = false;
-        for (const lts::Transition& tr : csr.out(s)) {
+        for (const lts::Transition& tr : model.graph.out(s)) {
             const auto* exp_rate = std::get_if<lts::RateExp>(&tr.rate);
             if (exp_rate == nullptr) continue;  // tangible => no immediates enabled
             has_timed = true;
@@ -246,9 +245,7 @@ MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing) 
         }
         if (!has_timed && !allow_absorbing) {
             throw ModelError("absorbing tangible state found (deadlock): " +
-                             (model.graph.state_name(s).empty()
-                                  ? "state " + std::to_string(s)
-                                  : model.graph.state_name(s)));
+                             model.state_label(s));
         }
         acc.drain([&](TangibleId g, double rate) { entries.push_back(RateEntry{g, rate}); });
         row_start.push_back(entries.size());

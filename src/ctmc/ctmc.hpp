@@ -119,7 +119,7 @@ struct MarkovModel {
 ///  * every tangible state has at least one outgoing timed transition
 ///    unless \p allow_absorbing is true.
 ///
-/// Elimination is a few flat passes over the frozen CSR view: classify and
+/// Elimination is a few flat passes over the composed graph: classify and
 /// normalise the branches, order the vanishing states (Kahn), compute each
 /// vanishing state's distribution over the tangible states it enters in
 /// reverse topological order, then assemble the generator row by row.  Each

@@ -15,10 +15,9 @@ std::vector<double> action_frequencies(const MarkovModel& markov,
     std::vector<double> vanishing_entry(model.graph.num_states(), 0.0);
 
     // Timed transitions out of tangible states.
-    const lts::Lts::CsrView& csr = model.graph.csr();
     for (TangibleId t = 0; t < markov.orig_of.size(); ++t) {
         const lts::StateId s = markov.orig_of[t];
-        for (const lts::Transition& tr : csr.out(s)) {
+        for (const lts::Transition& tr : model.graph.out(s)) {
             const auto* exp_rate = std::get_if<lts::RateExp>(&tr.rate);
             if (exp_rate == nullptr) continue;
             const double f = pi[t] * exp_rate->rate;

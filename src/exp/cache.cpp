@@ -25,9 +25,8 @@ obs::Counter& miss_counter() {
 }
 
 /// Shared patching skeleton: copies the model and hands the rate of every
-/// transition whose label matches instance.action to \p patch.  Uses the
-/// bulk Lts::mutate_rates walk — a frozen source yields a CSR-backed copy
-/// that is patched in one contiguous pass.
+/// transition whose label matches instance.action to \p patch, in one
+/// contiguous Lts::mutate_rates pass over the copy's transition array.
 template <typename PatchFn>
 adl::ComposedModel patch_matching(const adl::ComposedModel& model,
                                   const std::string& instance,

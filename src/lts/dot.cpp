@@ -32,13 +32,7 @@ std::string to_dot(const Lts& model, const DotOptions& options) {
     for (StateId s = 0; s < model.num_states(); ++s) {
         out << "  s" << s << " [";
         if (s == model.initial()) out << "shape=doublecircle, ";
-        const std::string& name = model.state_name(s);
-        if (options.show_state_names && !name.empty()) {
-            out << "label=\"" << escape(name) << "\"";
-        } else {
-            out << "label=\"" << s << "\"";
-        }
-        out << "];\n";
+        out << "label=\"" << s << "\"];\n";
     }
     for (StateId s = 0; s < model.num_states(); ++s) {
         for (const Transition& t : model.out(s)) {

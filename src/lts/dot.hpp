@@ -13,7 +13,6 @@ namespace dpma::lts {
 
 struct DotOptions {
     bool show_rates = true;        ///< append the rate to each edge label
-    bool show_state_names = true;  ///< use recorded state names when present
     std::size_t max_states = 500;  ///< refuse to render unreadably large graphs
 };
 

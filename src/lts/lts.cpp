@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "core/error.hpp"
-#include "obs/metrics.hpp"
 
 namespace dpma::lts {
 
@@ -23,136 +22,69 @@ std::string rate_to_string(const Rate& rate) {
     return std::visit(Visitor{}, rate);
 }
 
-Lts::Lts(std::shared_ptr<ActionTable> actions) : actions_(std::move(actions)) {
+Lts::Lts() : actions_(std::make_shared<ActionTable>()) {}
+
+Lts::Lts(std::shared_ptr<ActionTable> actions, std::vector<std::uint32_t> offsets,
+         std::vector<Transition> transitions, StateId initial)
+    : actions_(std::move(actions)),
+      offsets_(std::move(offsets)),
+      transitions_(std::move(transitions)),
+      initial_(initial) {}
+
+LtsBuilder::LtsBuilder(std::shared_ptr<ActionTable> actions) : actions_(std::move(actions)) {
     DPMA_REQUIRE(actions_ != nullptr, "Lts needs an action table");
 }
 
-Lts::Lts() : Lts(std::make_shared<ActionTable>()) {}
+LtsBuilder::LtsBuilder() : LtsBuilder(std::make_shared<ActionTable>()) {}
 
-Lts::Lts(const Lts& other)
-    : actions_(other.actions_),
-      names_(other.names_),
-      initial_(other.initial_),
-      num_states_(other.num_states_),
-      num_transitions_(other.num_transitions_) {
-    if (other.csr_ != nullptr) {
-        // Two contiguous array copies instead of one allocation per state;
-        // the adjacency is re-materialised only if the copy is mutated.
-        csr_ = std::make_unique<CsrView>(*other.csr_);
-    } else {
-        out_ = other.out_;
+StateId LtsBuilder::add_state() {
+    DPMA_REQUIRE(num_states() < kNoState, "state-space overflow");
+    degree_.push_back(0);
+    return static_cast<StateId>(num_states() - 1);
+}
+
+void LtsBuilder::add_transition(StateId from, ActionId action, StateId to, Rate rate) {
+    DPMA_REQUIRE(from < num_states() && to < num_states(), "transition endpoint out of range");
+    if (sources_.empty() && from < last_source_) {
+        // First transition out of source order: the ones before it were in
+        // order, so their sources follow from the degrees.
+        sources_.reserve(transitions_.capacity());
+        for (StateId s = 0; s < num_states(); ++s) {
+            sources_.insert(sources_.end(), degree_[s + 1], s);
+        }
     }
+    if (!sources_.empty()) sources_.push_back(from);
+    last_source_ = from;
+    ++degree_[from + 1];
+    transitions_.push_back(Transition{action, to, std::move(rate)});
 }
 
-Lts& Lts::operator=(const Lts& other) {
-    if (this == &other) return *this;
-    actions_ = other.actions_;
-    names_ = other.names_;
-    initial_ = other.initial_;
-    num_states_ = other.num_states_;
-    num_transitions_ = other.num_transitions_;
-    if (other.csr_ != nullptr) {
-        out_.clear();
-        csr_ = std::make_unique<CsrView>(*other.csr_);
-    } else {
-        out_ = other.out_;
-        csr_.reset();
-    }
-    return *this;
-}
-
-void Lts::thaw() {
-    if (!out_.empty() || csr_ == nullptr || num_states_ == 0) return;
-    out_.resize(num_states_);
-    for (StateId s = 0; s < num_states_; ++s) {
-        const auto row = csr_->out(s);
-        out_[s].assign(row.begin(), row.end());
-    }
-}
-
-StateId Lts::add_state(std::string name) {
-    DPMA_REQUIRE(num_states_ < kNoState, "state-space overflow");
-    thaw();
-    csr_.reset();
-    out_.emplace_back();
-    ++num_states_;
-    names_.push_back(std::move(name));
-    return static_cast<StateId>(num_states_ - 1);
-}
-
-void Lts::add_transition(StateId from, ActionId action, StateId to, Rate rate) {
-    DPMA_REQUIRE(from < num_states_ && to < num_states_, "transition endpoint out of range");
-    thaw();
-    csr_.reset();
-    out_[from].push_back(Transition{action, to, std::move(rate)});
-    ++num_transitions_;
-}
-
-void Lts::reserve_out(StateId state, std::size_t count) {
-    DPMA_REQUIRE(state < num_states_, "state out of range");
-    thaw();
-    out_[state].reserve(count);
-}
-
-void Lts::freeze() const {
-    if (csr_ != nullptr) return;
-    DPMA_REQUIRE(num_transitions_ < 0xFFFFFFFFull, "CSR offsets overflow");
-    auto view = std::make_unique<CsrView>();
-    view->offsets_.reserve(out_.size() + 1);
-    view->data_.reserve(num_transitions_);
-    view->offsets_.push_back(0);
-    for (const std::vector<Transition>& row : out_) {
-        view->data_.insert(view->data_.end(), row.begin(), row.end());
-        view->offsets_.push_back(static_cast<std::uint32_t>(view->data_.size()));
-    }
-    obs::counter("lts.csr.freezes").add();
-    csr_ = std::move(view);
-}
-
-void Lts::set_initial(StateId state) {
-    DPMA_REQUIRE(state < num_states_, "initial state out of range");
+void LtsBuilder::set_initial(StateId state) {
+    DPMA_REQUIRE(state < num_states(), "initial state out of range");
     initial_ = state;
 }
 
-std::span<const Transition> Lts::out(StateId state) const {
-    DPMA_REQUIRE(state < num_states_, "state out of range");
-    if (!out_.empty()) return out_[state];
-    return csr_->out(state);  // CSR-only copy
-}
-
-const std::string& Lts::state_name(StateId state) const {
-    DPMA_REQUIRE(state < names_.size(), "state out of range");
-    return names_[state];
-}
-
-void Lts::set_state_name(StateId state, std::string name) {
-    DPMA_REQUIRE(state < names_.size(), "state out of range");
-    names_[state] = std::move(name);
-}
-
-void Lts::set_rate(StateId from, std::size_t transition_index, Rate rate) {
-    DPMA_REQUIRE(from < num_states_, "state out of range");
-    if (out_.empty() && csr_ != nullptr) {
-        // CSR-only copy: the view *is* the storage — patch it in place (it
-        // stays consistent, so no invalidation).
-        DPMA_REQUIRE(transition_index < csr_->out(from).size(),
-                     "transition index out of range");
-        csr_->data_[csr_->offsets_[from] + transition_index].rate = std::move(rate);
-        return;
+Lts LtsBuilder::build() && {
+    DPMA_REQUIRE(transitions_.size() < 0xFFFFFFFFull, "CSR offsets overflow");
+    for (std::size_t s = 1; s < degree_.size(); ++s) degree_[s] += degree_[s - 1];
+    if (!sources_.empty()) {
+        // Stable counting sort by source.
+        std::vector<std::uint32_t> cursor(degree_.begin(), degree_.end() - 1);
+        std::vector<Transition> sorted(transitions_.size());
+        for (std::size_t k = 0; k < transitions_.size(); ++k) {
+            sorted[cursor[sources_[k]]++] = std::move(transitions_[k]);
+        }
+        transitions_ = std::move(sorted);
     }
-    DPMA_REQUIRE(transition_index < out_[from].size(), "transition index out of range");
-    csr_.reset();
-    out_[from][transition_index].rate = std::move(rate);
+    return Lts(std::move(actions_), std::move(degree_), std::move(transitions_), initial_);
 }
 
 std::string Lts::dump() const {
     std::ostringstream outstr;
-    outstr << "lts: " << num_states() << " states, " << num_transitions_
+    outstr << "lts: " << num_states() << " states, " << num_transitions()
            << " transitions, initial " << initial_ << '\n';
-    for (StateId s = 0; s < num_states_; ++s) {
-        outstr << "  s" << s;
-        if (!names_[s].empty()) outstr << " [" << names_[s] << ']';
-        outstr << '\n';
+    for (StateId s = 0; s < num_states(); ++s) {
+        outstr << "  s" << s << '\n';
         for (const Transition& t : out(s)) {
             outstr << "    --" << actions_->name(t.action) << ", "
                    << rate_to_string(t.rate) << "--> s" << t.target << '\n';

@@ -13,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/error.hpp"
 #include "core/intern.hpp"
 #include "lts/rate.hpp"
 
@@ -55,144 +56,117 @@ struct Transition {
     Rate rate;
 };
 
-/// A rooted labelled transition system with rate-annotated transitions.
+/// A rooted labelled transition system with rate-annotated transitions,
+/// stored as one compressed sparse row: the transitions of state s are
+/// transitions()[offsets()[s] .. offsets()[s+1]).
 ///
 /// Shares its ActionTable through a shared_ptr so that several models built
 /// for comparison (with DPM / without DPM, hidden / restricted) agree on
 /// action ids.
 ///
-/// Besides the mutable adjacency (`out()`), an Lts can expose a *frozen*
-/// compressed-sparse-row view of itself (`csr()`): one contiguous Transition
-/// array plus per-state offsets.  The analysis hot paths (composition,
-/// saturation, partition refinement, CTMC generator build) iterate the CSR
-/// view instead of chasing one heap vector per state.  The view is built
-/// lazily, cached, and dropped by any mutation; copying an Lts never copies
-/// the cache (each copy re-freezes on demand), so sharing a frozen Lts
-/// read-only across threads is safe as long as it was frozen first.
+/// An Lts is built whole by an LtsBuilder; afterwards its structure never
+/// changes and only mutate_rates() can patch the annotations, so a const Lts
+/// can be read from any number of threads.  Copies are plain member-wise
+/// copies of the two arrays.
 class Lts {
 public:
-    /// Frozen CSR adjacency: transitions of state s are
-    /// data()[offsets()[s] .. offsets()[s+1]).  Pointers stay valid until the
-    /// owning Lts is mutated or destroyed.
-    class CsrView {
-    public:
-        [[nodiscard]] std::span<const Transition> out(StateId state) const noexcept {
-            return {data_.data() + offsets_[state],
-                    data_.data() + offsets_[state + 1]};
-        }
-        /// All transitions, grouped by source state in state order.
-        [[nodiscard]] std::span<const Transition> transitions() const noexcept {
-            return data_;
-        }
-        /// num_states() + 1 offsets into transitions().
-        [[nodiscard]] std::span<const std::uint32_t> offsets() const noexcept {
-            return offsets_;
-        }
-        [[nodiscard]] std::size_t num_states() const noexcept {
-            return offsets_.size() - 1;
-        }
-
-    private:
-        friend class Lts;
-        std::vector<Transition> data_;
-        std::vector<std::uint32_t> offsets_;
-    };
-
-    explicit Lts(std::shared_ptr<ActionTable> actions);
-
-    /// Creates a fresh action table and an empty LTS over it.
+    /// The empty system (no states) over a fresh action table.
     Lts();
-
-    // Copies never alias the source's CSR view.  Copying a *frozen* source
-    // duplicates just the two contiguous CSR arrays (Transition is trivially
-    // copyable) and serves reads from them; the per-state adjacency is
-    // re-materialised lazily on the first structural mutation.  Copying an
-    // unfrozen source copies the adjacency as before.
-    Lts(const Lts& other);
-    Lts& operator=(const Lts& other);
-    Lts(Lts&&) noexcept = default;
-    Lts& operator=(Lts&&) noexcept = default;
-    ~Lts() = default;
 
     [[nodiscard]] const std::shared_ptr<ActionTable>& actions() const noexcept {
         return actions_;
     }
 
-    /// Adds a state; \p name is optional diagnostic text (e.g. the tuple of
-    /// component-local states the composer produced it from).
-    StateId add_state(std::string name = {});
-
-    void add_transition(StateId from, ActionId action, StateId to, Rate rate = RateUnspecified{});
-
-    /// Reserves room for \p count outgoing transitions of \p state (builders
-    /// that know their degrees avoid the vector growth doublings).
-    void reserve_out(StateId state, std::size_t count);
-
-    void set_initial(StateId state);
     [[nodiscard]] StateId initial() const noexcept { return initial_; }
 
-    [[nodiscard]] std::size_t num_states() const noexcept { return num_states_; }
-    [[nodiscard]] std::size_t num_transitions() const noexcept { return num_transitions_; }
+    [[nodiscard]] std::size_t num_states() const noexcept { return offsets_.size() - 1; }
+    [[nodiscard]] std::size_t num_transitions() const noexcept {
+        return transitions_.size();
+    }
 
-    [[nodiscard]] std::span<const Transition> out(StateId state) const;
+    [[nodiscard]] std::span<const Transition> out(StateId state) const {
+        DPMA_REQUIRE(state < num_states(), "state out of range");
+        return {transitions_.data() + offsets_[state],
+                transitions_.data() + offsets_[state + 1]};
+    }
 
-    [[nodiscard]] const std::string& state_name(StateId state) const;
-    void set_state_name(StateId state, std::string name);
+    /// All transitions, grouped by source state in state order.
+    [[nodiscard]] std::span<const Transition> transitions() const noexcept {
+        return transitions_;
+    }
 
-    /// Convenience: interns \p name in the shared action table.
-    ActionId action(std::string_view name) { return actions_->intern(name); }
+    /// num_states() + 1 offsets into transitions().
+    [[nodiscard]] std::span<const std::uint32_t> offsets() const noexcept {
+        return offsets_;
+    }
 
     /// Multi-line textual dump (for debugging and golden tests).
     [[nodiscard]] std::string dump() const;
 
-    /// Replaces the rate of an existing transition (used by model refiners
-    /// that swap exponential delays for general ones).
-    void set_rate(StateId from, std::size_t transition_index, Rate rate);
-
-    /// Applies \p fn(action, rate&) to every transition, in state order.
-    /// Bulk form of set_rate for sweep-time model patching: one pass over
-    /// whichever representation is live, no per-call bounds checks.  A
-    /// CSR-only copy is patched in place (the view stays consistent); the
-    /// adjacency form drops its CSR cache first.
+    /// Applies \p fn(action, rate&) to every transition, in state order: the
+    /// one way to change a built system (model refiners and sweep-time
+    /// patches swap rates; the structure stays as built).
     template <typename Fn>
     void mutate_rates(Fn&& fn) {
-        if (out_.empty() && csr_ != nullptr) {
-            for (Transition& t : csr_->data_) fn(t.action, t.rate);
-            return;
-        }
-        csr_.reset();
-        for (std::vector<Transition>& row : out_) {
-            for (Transition& t : row) fn(t.action, t.rate);
-        }
-    }
-
-    /// Builds (and caches) the CSR view.  Idempotent; const because the view
-    /// is a cache of the logical state, not part of it.
-    void freeze() const;
-
-    /// True when a CSR view is currently cached.
-    [[nodiscard]] bool is_frozen() const noexcept { return csr_ != nullptr; }
-
-    /// The CSR view, freezing first if needed.  The reference is invalidated
-    /// by any mutation (add_state / add_transition / set_rate).
-    [[nodiscard]] const CsrView& csr() const {
-        freeze();
-        return *csr_;
+        for (Transition& t : transitions_) fn(t.action, t.rate);
     }
 
 private:
-    /// Rebuilds the per-state adjacency from the CSR view (CSR-only copies
-    /// materialise it on their first structural mutation).
-    void thaw();
+    friend class LtsBuilder;
+    Lts(std::shared_ptr<ActionTable> actions, std::vector<std::uint32_t> offsets,
+        std::vector<Transition> transitions, StateId initial);
 
     std::shared_ptr<ActionTable> actions_;
-    /// Empty in a CSR-only copy of a frozen Lts; reads then go through csr_.
-    std::vector<std::vector<Transition>> out_;
-    std::vector<std::string> names_;
+    std::vector<std::uint32_t> offsets_{0};
+    std::vector<Transition> transitions_;
     StateId initial_ = kNoState;
-    std::size_t num_states_ = 0;
-    std::size_t num_transitions_ = 0;
-    mutable std::unique_ptr<CsrView> csr_;
+};
+
+/// Collects the states and transitions of an Lts and builds it whole.
+///
+/// Transitions may be added in any source order; build() groups them by
+/// source with a stable counting sort, so the transitions of one state keep
+/// their insertion order.  Producers that add them in source order (the
+/// usual case) never pay for the sort: the array is moved into the Lts as is.
+class LtsBuilder {
+public:
+    explicit LtsBuilder(std::shared_ptr<ActionTable> actions);
+
+    /// Creates a fresh action table and an empty builder over it.
+    LtsBuilder();
+
+    [[nodiscard]] const std::shared_ptr<ActionTable>& actions() const noexcept {
+        return actions_;
+    }
+
+    /// Convenience: interns \p name in the shared action table.
+    ActionId action(std::string_view name) { return actions_->intern(name); }
+
+    StateId add_state();
+
+    void add_transition(StateId from, ActionId action, StateId to, Rate rate = RateUnspecified{});
+
+    void set_initial(StateId state);
+
+    /// Reserves room for \p count transitions (producers that know their
+    /// size skip the growth copies).
+    void reserve_transitions(std::size_t count) { transitions_.reserve(count); }
+
+    [[nodiscard]] std::size_t num_states() const noexcept { return degree_.size() - 1; }
+
+    [[nodiscard]] Lts build() &&;
+
+private:
+    std::shared_ptr<ActionTable> actions_;
+    /// degree_[s + 1] = out-degree of s so far; build() prefix-sums it into
+    /// the offsets.
+    std::vector<std::uint32_t> degree_{0};
+    std::vector<Transition> transitions_;
+    /// Source of every transition, recorded only from the first transition
+    /// that arrives out of source order on (build() then sorts).
+    std::vector<StateId> sources_;
+    StateId last_source_ = 0;
+    StateId initial_ = kNoState;
 };
 
 }  // namespace dpma::lts

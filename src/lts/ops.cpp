@@ -11,17 +11,6 @@
 namespace dpma::lts {
 namespace {
 
-/// Copies states (with names) of \p model into a fresh LTS sharing the same
-/// action table; transitions are added by the caller.
-Lts clone_states(const Lts& model) {
-    Lts out(model.actions());
-    for (StateId s = 0; s < model.num_states(); ++s) {
-        out.add_state(model.state_name(s));
-    }
-    if (model.initial() != kNoState) out.set_initial(model.initial());
-    return out;
-}
-
 /// Tau-SCC condensation of \p model (iterative Tarjan over tau edges only).
 ///
 /// SCC ids are assigned in Tarjan pop order, which is *reverse topological*
@@ -32,12 +21,14 @@ Lts clone_states(const Lts& model) {
 struct TauCondensation {
     std::vector<StateId> scc_of;
     StateId num_sccs = 0;
+    /// Members of SCC c, ascending: members[member_off[c] .. member_off[c+1]).
+    std::vector<std::uint32_t> member_off;
+    std::vector<StateId> members;
 };
 
 TauCondensation tau_condensation(const Lts& model) {
     const ActionId tau = model.actions()->tau();
     const std::size_t n = model.num_states();
-    const Lts::CsrView& csr = model.csr();
 
     std::vector<int> index(n, -1);
     std::vector<int> lowlink(n, 0);
@@ -60,7 +51,7 @@ TauCondensation tau_condensation(const Lts& model) {
         while (!frames.empty()) {
             Frame& frame = frames.back();
             const StateId v = frame.v;
-            const auto out = csr.out(v);
+            const auto out = model.out(v);
             if (frame.child < out.size()) {
                 const Transition& t = out[frame.child++];
                 if (t.action != tau) continue;
@@ -92,45 +83,54 @@ TauCondensation tau_condensation(const Lts& model) {
             }
         }
     }
+    cond.member_off.assign(cond.num_sccs + 1, 0);
+    for (StateId s = 0; s < n; ++s) ++cond.member_off[cond.scc_of[s] + 1];
+    for (StateId c = 0; c < cond.num_sccs; ++c) cond.member_off[c + 1] += cond.member_off[c];
+    cond.members.resize(n);
+    std::vector<std::uint32_t> cursor(cond.member_off.begin(), cond.member_off.end() - 1);
+    for (StateId s = 0; s < n; ++s) cond.members[cursor[cond.scc_of[s]]++] = s;
     return cond;
 }
 
 }  // namespace
 
 Lts hide(const Lts& model, const ActionSet& actions) {
-    Lts out = clone_states(model);
     const ActionId tau = model.actions()->tau();
-    const Lts::CsrView& csr = model.csr();
+    LtsBuilder out(model.actions());
+    for (StateId s = 0; s < model.num_states(); ++s) out.add_state();
+    out.reserve_transitions(model.num_transitions());
     for (StateId s = 0; s < model.num_states(); ++s) {
-        const auto row = csr.out(s);
-        out.reserve_out(s, row.size());
-        for (const Transition& t : row) {
+        for (const Transition& t : model.out(s)) {
             const ActionId label = actions.contains(t.action) ? tau : t.action;
             out.add_transition(s, label, t.target, t.rate);
         }
     }
-    return out;
+    if (model.initial() != kNoState) out.set_initial(model.initial());
+    return std::move(out).build();
 }
 
 Lts restrict_actions(const Lts& model, const ActionSet& actions) {
-    Lts out = clone_states(model);
-    const Lts::CsrView& csr = model.csr();
+    LtsBuilder out(model.actions());
+    for (StateId s = 0; s < model.num_states(); ++s) out.add_state();
+    out.reserve_transitions(model.num_transitions());
     for (StateId s = 0; s < model.num_states(); ++s) {
-        for (const Transition& t : csr.out(s)) {
+        for (const Transition& t : model.out(s)) {
             if (!actions.contains(t.action)) {
                 out.add_transition(s, t.action, t.target, t.rate);
             }
         }
     }
-    return out;
+    if (model.initial() != kNoState) out.set_initial(model.initial());
+    return std::move(out).build();
 }
 
 Lts reachable_part(const Lts& model) {
     DPMA_REQUIRE(model.initial() != kNoState, "reachable_part needs an initial state");
     std::vector<StateId> remap(model.num_states(), kNoState);
-    Lts out(model.actions());
+    LtsBuilder out(model.actions());
+    out.reserve_transitions(model.num_transitions());
     std::deque<StateId> queue{model.initial()};
-    remap[model.initial()] = out.add_state(model.state_name(model.initial()));
+    remap[model.initial()] = out.add_state();
     out.set_initial(remap[model.initial()]);
     std::vector<StateId> order{model.initial()};
     while (!queue.empty()) {
@@ -138,7 +138,7 @@ Lts reachable_part(const Lts& model) {
         queue.pop_front();
         for (const Transition& t : model.out(u)) {
             if (remap[t.target] == kNoState) {
-                remap[t.target] = out.add_state(model.state_name(t.target));
+                remap[t.target] = out.add_state();
                 queue.push_back(t.target);
                 order.push_back(t.target);
             }
@@ -149,7 +149,7 @@ Lts reachable_part(const Lts& model) {
             out.add_transition(remap[u], t.action, remap[t.target], t.rate);
         }
     }
-    return out;
+    return std::move(out).build();
 }
 
 std::vector<StateId> deadlock_states(const Lts& model) {
@@ -162,61 +162,54 @@ std::vector<StateId> deadlock_states(const Lts& model) {
 
 TauCollapseResult collapse_tau_sccs(const Lts& model) {
     const ActionId tau = model.actions()->tau();
-    const std::size_t n = model.num_states();
-    const Lts::CsrView& csr = model.csr();
     TauCondensation cond = tau_condensation(model);
     const StateId num_sccs = cond.num_sccs;
+    const std::vector<StateId>& representative_of = cond.scc_of;
 
-    TauCollapseResult result{Lts(model.actions()), std::move(cond.scc_of)};
+    LtsBuilder collapsed(model.actions());
+    for (StateId c = 0; c < num_sccs; ++c) collapsed.add_state();
+    // Deduplicated condensed edges, one SCC at a time in SCC order (members
+    // ascending); tau self-edges vanish by construction.  Keys pack
+    // (action, target) into 64 bits — exact, since both ids are 32-bit.
+    std::unordered_set<std::uint64_t> seen;
     for (StateId c = 0; c < num_sccs; ++c) {
-        result.collapsed.add_state();
-    }
-    // Deduplicated condensed edges; tau self-edges vanish by construction.
-    // Per-source sets keyed by (action, target) packed into 64 bits — exact,
-    // since both ids are 32-bit.
-    std::vector<std::unordered_set<std::uint64_t>> seen(num_sccs);
-    for (StateId s = 0; s < n; ++s) {
-        const StateId from = result.representative_of[s];
-        for (const Transition& t : csr.out(s)) {
-            const StateId to = result.representative_of[t.target];
-            if (t.action == tau && from == to) continue;
-            const std::uint64_t key = (static_cast<std::uint64_t>(t.action) << 32) | to;
-            if (!seen[from].insert(key).second) continue;
-            result.collapsed.add_transition(from, t.action, to);
+        seen.clear();
+        for (std::uint32_t idx = cond.member_off[c]; idx < cond.member_off[c + 1]; ++idx) {
+            for (const Transition& t : model.out(cond.members[idx])) {
+                const StateId to = representative_of[t.target];
+                if (t.action == tau && c == to) continue;
+                const std::uint64_t key = (static_cast<std::uint64_t>(t.action) << 32) | to;
+                if (!seen.insert(key).second) continue;
+                collapsed.add_transition(c, t.action, to);
+            }
         }
     }
     if (model.initial() != kNoState) {
-        result.collapsed.set_initial(result.representative_of[model.initial()]);
+        collapsed.set_initial(representative_of[model.initial()]);
     }
-    return result;
+    return TauCollapseResult{std::move(collapsed).build(), std::move(cond.scc_of)};
 }
 
 Lts saturate(const Lts& model) {
     const ActionId tau = model.actions()->tau();
     const std::size_t n = model.num_states();
-    Lts out = clone_states(model);
-    if (n == 0) return out;
+    LtsBuilder out(model.actions());
+    for (StateId s = 0; s < n; ++s) out.add_state();
+    if (model.initial() != kNoState) out.set_initial(model.initial());
+    if (n == 0) return std::move(out).build();
 
-    const Lts::CsrView& csr = model.csr();
     const TauCondensation cond = tau_condensation(model);
     const StateId num_sccs = cond.num_sccs;
     const std::size_t words = (static_cast<std::size_t>(num_sccs) + 63) / 64;
 
-    // Members of each SCC, grouped contiguously, ascending state id.
-    std::vector<std::uint32_t> scc_off(num_sccs + 1, 0);
-    for (StateId s = 0; s < n; ++s) ++scc_off[cond.scc_of[s] + 1];
-    for (StateId c = 0; c < num_sccs; ++c) scc_off[c + 1] += scc_off[c];
-    std::vector<StateId> scc_members(n);
-    {
-        std::vector<std::uint32_t> cursor(scc_off.begin(), scc_off.end() - 1);
-        for (StateId s = 0; s < n; ++s) scc_members[cursor[cond.scc_of[s]]++] = s;
-    }
+    const std::vector<std::uint32_t>& scc_off = cond.member_off;
+    const std::vector<StateId>& scc_members = cond.members;
 
     // Deduplicated tau edges of the condensation DAG, sorted by source.
     std::vector<std::uint64_t> tau_edges;
     for (StateId s = 0; s < n; ++s) {
         const StateId from = cond.scc_of[s];
-        for (const Transition& t : csr.out(s)) {
+        for (const Transition& t : model.out(s)) {
             if (t.action != tau) continue;
             const StateId to = cond.scc_of[t.target];
             if (to != from) {
@@ -274,7 +267,7 @@ Lts saturate(const Lts& model) {
         for (StateId c = 0; c < num_sccs; ++c) {
             direct.clear();
             for (std::uint32_t idx = scc_off[c]; idx < scc_off[c + 1]; ++idx) {
-                for (const Transition& t : csr.out(scc_members[idx])) {
+                for (const Transition& t : model.out(scc_members[idx])) {
                     if (t.action == tau) continue;
                     const std::uint64_t key = static_cast<std::uint64_t>(t.action) << 32;
                     for_each_closure_scc(cond.scc_of[t.target], [&](StateId f) {
@@ -307,10 +300,15 @@ Lts saturate(const Lts& model) {
     }
 
     // Emit per original state: the reflexive weak-tau row (all states of all
-    // closure SCCs), then the weak visible moves.  Reserves are exact.
+    // closure SCCs), then the weak visible moves.  The reserve is exact.
+    std::size_t total = 0;
     for (StateId s = 0; s < n; ++s) {
         const StateId c = cond.scc_of[s];
-        out.reserve_out(s, closure_size[c] + weak_visible[c].size());
+        total += closure_size[c] + weak_visible[c].size();
+    }
+    out.reserve_transitions(total);
+    for (StateId s = 0; s < n; ++s) {
+        const StateId c = cond.scc_of[s];
         for_each_closure_scc(c, [&](StateId f) {
             for (std::uint32_t j = scc_off[f]; j < scc_off[f + 1]; ++j) {
                 out.add_transition(s, tau, scc_members[j]);
@@ -321,20 +319,19 @@ Lts saturate(const Lts& model) {
                                static_cast<StateId>(move & 0xFFFFFFFFu));
         }
     }
-    obs::counter("lts.saturate.weak_transitions").add(out.num_transitions());
-    return out;
+    obs::counter("lts.saturate.weak_transitions").add(total);
+    return std::move(out).build();
 }
 
 UnionResult disjoint_union(const Lts& lhs, const Lts& rhs) {
     DPMA_REQUIRE(lhs.initial() != kNoState && rhs.initial() != kNoState,
                  "disjoint_union needs rooted systems");
     auto table = std::make_shared<ActionTable>();
-    Lts combined(table);
+    LtsBuilder combined(table);
+    combined.reserve_transitions(lhs.num_transitions() + rhs.num_transitions());
 
     const auto import = [&](const Lts& src, StateId offset) {
-        for (StateId s = 0; s < src.num_states(); ++s) {
-            combined.add_state(src.state_name(s));
-        }
+        for (StateId s = 0; s < src.num_states(); ++s) combined.add_state();
         // Remap action ids once per side instead of re-interning the label
         // string of every transition.
         const ActionTable& src_actions = *src.actions();
@@ -354,16 +351,15 @@ UnionResult disjoint_union(const Lts& lhs, const Lts& rhs) {
     const auto rhs_offset = static_cast<StateId>(lhs.num_states());
     import(rhs, rhs_offset);
 
-    UnionResult result{std::move(combined), lhs.initial(),
+    combined.set_initial(lhs.initial());
+    return UnionResult{std::move(combined).build(), lhs.initial(),
                        static_cast<StateId>(rhs_offset + rhs.initial())};
-    result.combined.set_initial(result.initial_lhs);
-    return result;
 }
 
-ActionSet make_action_set(Lts& model, const std::vector<std::string>& names) {
+ActionSet make_action_set(const Lts& model, const std::vector<std::string>& names) {
     ActionSet set;
     for (const std::string& name : names) {
-        set.insert(model.action(name));
+        set.insert(model.actions()->intern(name));
     }
     return set;
 }

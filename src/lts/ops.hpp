@@ -68,6 +68,7 @@ struct UnionResult {
 /// Interns the given action names and returns the id set.  Names that were
 /// never used in the model are interned anyway (harmless: no transition
 /// carries them).
-[[nodiscard]] ActionSet make_action_set(Lts& model, const std::vector<std::string>& names);
+[[nodiscard]] ActionSet make_action_set(const Lts& model,
+                                        const std::vector<std::string>& names);
 
 }  // namespace dpma::lts

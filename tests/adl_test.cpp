@@ -220,27 +220,26 @@ TEST(Compose, UnattachedInteractionIsBlocked) {
 TEST(Compose, TracksLocalStatesPerInstance) {
     const ArchiType archi =
         producer_consumer(lts::RateExp{2.0}, lts::RateImmediate{1, 1.0});
-    const ComposedModel model = compose(archi, ComposeOptions{true, 1000});
+    const ComposedModel model = compose(archi, ComposeOptions{.max_states = 1000});
     ASSERT_EQ(model.instance_names.size(), 2u);
     EXPECT_EQ(model.instance_index("P"), 0u);
     EXPECT_EQ(model.instance_index("Q"), 1u);
-    EXPECT_EQ(model.local_state_name(model.graph.initial(), 0), "Making");
+    EXPECT_EQ(model.local_label(model.graph.initial(), 0), "Making");
     EXPECT_THROW((void)model.instance_index("Z"), ModelError);
 }
 
-TEST(Compose, RecordsGlobalStateNamesOnRequest) {
+TEST(Compose, StateLabelNamesTheLocalStates) {
     const ArchiType archi =
         producer_consumer(lts::RateExp{2.0}, lts::RateImmediate{1, 1.0});
-    const ComposedModel with_names = compose(archi, ComposeOptions{true, 1000});
-    EXPECT_NE(with_names.graph.state_name(0).find("P:Making"), std::string::npos);
-    const ComposedModel without = compose(archi, ComposeOptions{false, 1000});
-    EXPECT_TRUE(without.graph.state_name(0).empty());
+    const ComposedModel model = compose(archi);
+    const lts::StateId init = model.graph.initial();
+    EXPECT_EQ(model.state_label(init), "P:Making | Q:Waiting");
 }
 
 TEST(Compose, StateLimitIsEnforced) {
     const ArchiType archi =
         producer_consumer(lts::RateExp{2.0}, lts::RateImmediate{1, 1.0});
-    EXPECT_THROW((void)compose(archi, ComposeOptions{false, 1}), ModelError);
+    EXPECT_THROW((void)compose(archi, ComposeOptions{.max_states = 1}), ModelError);
 }
 
 TEST(Measure, StateMaskSelectsLocalStatesByPrefix) {

@@ -10,12 +10,13 @@ namespace dpma::bisim {
 namespace {
 
 using lts::Lts;
+using lts::LtsBuilder;
 using lts::StateId;
 
 /// The classic CCS example: a.(b + c) vs a.b + a.c — trace equivalent but
 /// not bisimilar.
 Lts branching_late() {  // a.(b + c)
-    Lts m;
+    LtsBuilder m;
     const StateId s0 = m.add_state();
     const StateId s1 = m.add_state();
     const StateId s2 = m.add_state();
@@ -24,11 +25,11 @@ Lts branching_late() {  // a.(b + c)
     m.add_transition(s1, m.action("b"), s2);
     m.add_transition(s1, m.action("c"), s3);
     m.set_initial(s0);
-    return m;
+    return std::move(m).build();
 }
 
 Lts branching_early() {  // a.b + a.c
-    Lts m;
+    LtsBuilder m;
     const StateId s0 = m.add_state();
     const StateId s1 = m.add_state();
     const StateId s2 = m.add_state();
@@ -39,23 +40,23 @@ Lts branching_early() {  // a.b + a.c
     m.add_transition(s1, m.action("b"), s3);
     m.add_transition(s2, m.action("c"), s4);
     m.set_initial(s0);
-    return m;
+    return std::move(m).build();
 }
 
 /// A two-state toggle: a.b.a.b...
 Lts toggle() {
-    Lts m;
+    LtsBuilder m;
     const StateId s0 = m.add_state();
     const StateId s1 = m.add_state();
     m.add_transition(s0, m.action("a"), s1);
     m.add_transition(s1, m.action("b"), s0);
     m.set_initial(s0);
-    return m;
+    return std::move(m).build();
 }
 
 /// The same toggle "unrolled" to four states (bisimilar to toggle()).
 Lts toggle_unrolled() {
-    Lts m;
+    LtsBuilder m;
     const StateId s0 = m.add_state();
     const StateId s1 = m.add_state();
     const StateId s2 = m.add_state();
@@ -65,7 +66,7 @@ Lts toggle_unrolled() {
     m.add_transition(s2, m.action("a"), s3);
     m.add_transition(s3, m.action("b"), s0);
     m.set_initial(s0);
-    return m;
+    return std::move(m).build();
 }
 
 TEST(StrongBisim, UnrolledCycleIsBisimilar) {
@@ -93,33 +94,37 @@ TEST(StrongBisim, DistinguishingFormulaIsVerifiedByModelChecker) {
 }
 
 TEST(StrongBisim, DifferentAlphabetsAreDistinguished) {
-    Lts a;
-    const StateId a0 = a.add_state();
-    a.add_transition(a0, a.action("x"), a0);
-    a.set_initial(a0);
-    Lts b;
-    const StateId b0 = b.add_state();
-    b.add_transition(b0, b.action("y"), b0);
-    b.set_initial(b0);
+    LtsBuilder a_builder;
+    const StateId a0 = a_builder.add_state();
+    a_builder.add_transition(a0, a_builder.action("x"), a0);
+    a_builder.set_initial(a0);
+    const Lts a = std::move(a_builder).build();
+    LtsBuilder b_builder;
+    const StateId b0 = b_builder.add_state();
+    b_builder.add_transition(b0, b_builder.action("y"), b0);
+    b_builder.set_initial(b0);
+    const Lts b = std::move(b_builder).build();
     const auto result = strongly_bisimilar(a, b);
     EXPECT_FALSE(result.equivalent);
 }
 
 TEST(WeakBisim, TauPrefixIsInvisible) {
     // tau.a ~weak~ a
-    Lts lhs;
-    const StateId l0 = lhs.add_state();
-    const StateId l1 = lhs.add_state();
-    const StateId l2 = lhs.add_state();
-    lhs.add_transition(l0, lhs.actions()->tau(), l1);
-    lhs.add_transition(l1, lhs.action("a"), l2);
-    lhs.set_initial(l0);
+    LtsBuilder lhs_builder;
+    const StateId l0 = lhs_builder.add_state();
+    const StateId l1 = lhs_builder.add_state();
+    const StateId l2 = lhs_builder.add_state();
+    lhs_builder.add_transition(l0, lhs_builder.actions()->tau(), l1);
+    lhs_builder.add_transition(l1, lhs_builder.action("a"), l2);
+    lhs_builder.set_initial(l0);
+    const Lts lhs = std::move(lhs_builder).build();
 
-    Lts rhs;
-    const StateId r0 = rhs.add_state();
-    const StateId r1 = rhs.add_state();
-    rhs.add_transition(r0, rhs.action("a"), r1);
-    rhs.set_initial(r0);
+    LtsBuilder rhs_builder;
+    const StateId r0 = rhs_builder.add_state();
+    const StateId r1 = rhs_builder.add_state();
+    rhs_builder.add_transition(r0, rhs_builder.action("a"), r1);
+    rhs_builder.set_initial(r0);
+    const Lts rhs = std::move(rhs_builder).build();
 
     EXPECT_TRUE(weakly_bisimilar(lhs, rhs).equivalent);
     EXPECT_FALSE(strongly_bisimilar(lhs, rhs).equivalent);
@@ -128,26 +133,28 @@ TEST(WeakBisim, TauPrefixIsInvisible) {
 TEST(WeakBisim, TauBranchingToDistinctCapabilitiesIsObservable) {
     // a + tau.b is NOT weakly bisimilar to a + b: the left can silently
     // commit to b, losing the a-capability.
-    Lts lhs;
+    LtsBuilder lhs_builder;
     {
-        const StateId s0 = lhs.add_state();
-        const StateId s1 = lhs.add_state();
-        const StateId s2 = lhs.add_state();
-        const StateId s3 = lhs.add_state();
-        lhs.add_transition(s0, lhs.action("a"), s1);
-        lhs.add_transition(s0, lhs.actions()->tau(), s2);
-        lhs.add_transition(s2, lhs.action("b"), s3);
-        lhs.set_initial(s0);
+        const StateId s0 = lhs_builder.add_state();
+        const StateId s1 = lhs_builder.add_state();
+        const StateId s2 = lhs_builder.add_state();
+        const StateId s3 = lhs_builder.add_state();
+        lhs_builder.add_transition(s0, lhs_builder.action("a"), s1);
+        lhs_builder.add_transition(s0, lhs_builder.actions()->tau(), s2);
+        lhs_builder.add_transition(s2, lhs_builder.action("b"), s3);
+        lhs_builder.set_initial(s0);
     }
-    Lts rhs;
+    const Lts lhs = std::move(lhs_builder).build();
+    LtsBuilder rhs_builder;
     {
-        const StateId s0 = rhs.add_state();
-        const StateId s1 = rhs.add_state();
-        const StateId s2 = rhs.add_state();
-        rhs.add_transition(s0, rhs.action("a"), s1);
-        rhs.add_transition(s0, rhs.action("b"), s2);
-        rhs.set_initial(s0);
+        const StateId s0 = rhs_builder.add_state();
+        const StateId s1 = rhs_builder.add_state();
+        const StateId s2 = rhs_builder.add_state();
+        rhs_builder.add_transition(s0, rhs_builder.action("a"), s1);
+        rhs_builder.add_transition(s0, rhs_builder.action("b"), s2);
+        rhs_builder.set_initial(s0);
     }
+    const Lts rhs = std::move(rhs_builder).build();
     const auto result = weakly_bisimilar(lhs, rhs);
     EXPECT_FALSE(result.equivalent);
     ASSERT_NE(result.distinguishing, nullptr);
@@ -159,12 +166,14 @@ TEST(WeakBisim, TauBranchingToDistinctCapabilitiesIsObservable) {
 TEST(WeakBisim, TauLoopIsWeaklyEquivalentToNothing) {
     // A pure tau self-loop vs a deadlocked state (weak bisim ignores
     // divergence).
-    Lts lhs;
-    const StateId l0 = lhs.add_state();
-    lhs.add_transition(l0, lhs.actions()->tau(), l0);
-    lhs.set_initial(l0);
-    Lts rhs;
-    rhs.set_initial(rhs.add_state());
+    LtsBuilder lhs_builder;
+    const StateId l0 = lhs_builder.add_state();
+    lhs_builder.add_transition(l0, lhs_builder.actions()->tau(), l0);
+    lhs_builder.set_initial(l0);
+    const Lts lhs = std::move(lhs_builder).build();
+    LtsBuilder rhs_builder;
+    rhs_builder.set_initial(rhs_builder.add_state());
+    const Lts rhs = std::move(rhs_builder).build();
     EXPECT_TRUE(weakly_bisimilar(lhs, rhs).equivalent);
 }
 
@@ -193,12 +202,13 @@ TEST(Refinement, SeparationRoundIsMonotone) {
 TEST(Branching, RejectsTauEdgesThatDoNotDescend) {
     // refine_branching walks states by ascending id and needs every
     // tau-successor signed first; an ascending tau edge must be refused.
-    Lts m;
-    const StateId s0 = m.add_state();
-    const StateId s1 = m.add_state();
-    m.add_transition(s0, m.actions()->tau(), s1);
-    m.add_transition(s1, m.action("a"), s1);
-    m.set_initial(s0);
+    LtsBuilder builder;
+    const StateId s0 = builder.add_state();
+    const StateId s1 = builder.add_state();
+    builder.add_transition(s0, builder.actions()->tau(), s1);
+    builder.add_transition(s1, builder.action("a"), s1);
+    builder.set_initial(s0);
+    const Lts m = std::move(builder).build();
     EXPECT_THROW((void)refine_branching(m), Error);
     // The tau-SCC collapse numbers states so that the same system passes.
     const std::vector<BlockId> blocks =
@@ -226,17 +236,18 @@ TEST(Quotient, PreservesDeterministicStructure) {
 
 TEST(Quotient, CollapsesBisimilarBranches) {
     // a.b + a.b has two bisimilar a-successors; quotient collapses them.
-    Lts m;
-    const StateId s0 = m.add_state();
-    const StateId s1 = m.add_state();
-    const StateId s2 = m.add_state();
-    const StateId s3 = m.add_state();
-    const StateId s4 = m.add_state();
-    m.add_transition(s0, m.action("a"), s1);
-    m.add_transition(s0, m.action("a"), s2);
-    m.add_transition(s1, m.action("b"), s3);
-    m.add_transition(s2, m.action("b"), s4);
-    m.set_initial(s0);
+    LtsBuilder builder;
+    const StateId s0 = builder.add_state();
+    const StateId s1 = builder.add_state();
+    const StateId s2 = builder.add_state();
+    const StateId s3 = builder.add_state();
+    const StateId s4 = builder.add_state();
+    builder.add_transition(s0, builder.action("a"), s1);
+    builder.add_transition(s0, builder.action("a"), s2);
+    builder.add_transition(s1, builder.action("b"), s3);
+    builder.add_transition(s2, builder.action("b"), s4);
+    builder.set_initial(s0);
+    const Lts m = std::move(builder).build();
     const Lts q = quotient(m, refine_strong(m).final_blocks());
     EXPECT_EQ(q.num_states(), 3u);
     EXPECT_TRUE(strongly_bisimilar(m, q).equivalent);
@@ -249,10 +260,10 @@ class QuotientProperty : public ::testing::TestWithParam<int> {};
 TEST_P(QuotientProperty, QuotientIsBisimilarAndMinimal) {
     const int seed = GetParam();
     // Deterministic pseudo-random LTS from the seed.
-    Lts m;
+    LtsBuilder builder;
     const int n = 5 + seed % 11;
     std::vector<StateId> states;
-    for (int i = 0; i < n; ++i) states.push_back(m.add_state());
+    for (int i = 0; i < n; ++i) states.push_back(builder.add_state());
     const char* names[] = {"a", "b", "c", "tau"};
     unsigned x = static_cast<unsigned>(seed) * 2654435761u + 1u;
     const auto next = [&x] {
@@ -265,9 +276,10 @@ TEST_P(QuotientProperty, QuotientIsBisimilarAndMinimal) {
         const StateId from = states[next() % n];
         const StateId to = states[next() % n];
         const char* name = names[next() % 4];
-        m.add_transition(from, m.action(name), to);
+        builder.add_transition(from, builder.action(name), to);
     }
-    m.set_initial(states[0]);
+    builder.set_initial(states[0]);
+    const Lts m = std::move(builder).build();
 
     const RefinementResult r = refine_strong(m);
     const Lts q = quotient(m, r.final_blocks());

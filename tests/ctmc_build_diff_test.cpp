@@ -82,11 +82,11 @@ struct RefModel {
     }
 };
 
-std::vector<VanishingBranch> ref_immediate_branches(const lts::Lts::CsrView& csr,
+std::vector<VanishingBranch> ref_immediate_branches(const lts::Lts& graph,
                                                     lts::StateId state) {
     int best_priority = std::numeric_limits<int>::min();
     double total_weight = 0.0;
-    for (const lts::Transition& t : csr.out(state)) {
+    for (const lts::Transition& t : graph.out(state)) {
         if (const auto* imm = std::get_if<lts::RateImmediate>(&t.rate)) {
             if (imm->priority > best_priority) {
                 best_priority = imm->priority;
@@ -97,7 +97,7 @@ std::vector<VanishingBranch> ref_immediate_branches(const lts::Lts::CsrView& csr
     }
     std::vector<VanishingBranch> branches;
     if (total_weight <= 0.0) return branches;
-    for (const lts::Transition& t : csr.out(state)) {
+    for (const lts::Transition& t : graph.out(state)) {
         if (const auto* imm = std::get_if<lts::RateImmediate>(&t.rate)) {
             if (imm->priority == best_priority && imm->weight > 0.0) {
                 branches.push_back(
@@ -113,10 +113,10 @@ RefModel ref_build_markov(const adl::ComposedModel& model, bool allow_absorbing 
     RefModel out;
     out.tangible_of.assign(n, kNoTangible);
     out.vanishing_branches.resize(n);
-    const lts::Lts::CsrView& csr = model.graph.csr();
+    const lts::Lts& graph = model.graph;
 
     for (lts::StateId s = 0; s < n; ++s) {
-        for (const lts::Transition& t : csr.out(s)) {
+        for (const lts::Transition& t : graph.out(s)) {
             if (std::holds_alternative<lts::RateUnspecified>(t.rate)) {
                 throw ModelError("transition has no rate");
             }
@@ -127,7 +127,7 @@ RefModel ref_build_markov(const adl::ComposedModel& model, bool allow_absorbing 
                 throw ModelError("generally distributed transition");
             }
         }
-        out.vanishing_branches[s] = ref_immediate_branches(csr, s);
+        out.vanishing_branches[s] = ref_immediate_branches(graph, s);
         if (out.vanishing_branches[s].empty()) {
             out.tangible_of[s] = static_cast<TangibleId>(out.orig_of.size());
             out.orig_of.push_back(s);
@@ -183,7 +183,7 @@ RefModel ref_build_markov(const adl::ComposedModel& model, bool allow_absorbing 
     for (TangibleId t = 0; t < out.orig_of.size(); ++t) {
         const lts::StateId s = out.orig_of[t];
         bool has_timed = false;
-        for (const lts::Transition& tr : csr.out(s)) {
+        for (const lts::Transition& tr : graph.out(s)) {
             const auto* exp_rate = std::get_if<lts::RateExp>(&tr.rate);
             if (exp_rate == nullptr) continue;
             has_timed = true;

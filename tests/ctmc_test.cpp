@@ -307,6 +307,16 @@ TEST(BuildMarkov, DetectsDeadlocks) {
     EXPECT_NO_THROW((void)build_markov(model, /*allow_absorbing=*/true));
 }
 
+TEST(BuildMarkov, DeadlockMessageNamesTheLocalStates) {
+    const adl::ComposedModel model = adl::compose(deadlock_model());
+    try {
+        (void)build_markov(model);
+        FAIL() << "deadlock not reported";
+    } catch (const ModelError& e) {
+        EXPECT_EQ(std::string(e.what()), "absorbing tangible state found (deadlock): X:B");
+    }
+}
+
 TEST(BuildMarkov, InitialDistributionPushedThroughVanishing) {
     // Make the initial state vanishing by starting in Choice.
     adl::ArchiType archi = vanishing_model(0.25, 1);

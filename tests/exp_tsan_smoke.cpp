@@ -131,16 +131,16 @@ exp::Experiment battery_sweep(const sim::Simulator& simulator) {
 /// enough (saturated) to cross the refiner's parallel threshold.
 int check_parallel_refinement() {
     std::mt19937 rng(42);
-    lts::Lts m;
-    const lts::ActionId tau = m.actions()->tau();
-    const std::vector<lts::ActionId> visible{m.action("a"), m.action("b")};
+    lts::LtsBuilder builder;
+    const lts::ActionId tau = builder.actions()->tau();
+    const std::vector<lts::ActionId> visible{builder.action("a"), builder.action("b")};
     // 3000 states (above the refiner's 2048-state parallel threshold) with
     // forward tau edges confined to 32-state blocks: acyclic tau structure,
     // so SCC collapse keeps the full state count, while closures stay small
     // enough for a smoke test.
     constexpr std::size_t kStates = 3000;
     constexpr std::size_t kBlock = 32;
-    for (std::size_t s = 0; s < kStates; ++s) m.add_state();
+    for (std::size_t s = 0; s < kStates; ++s) builder.add_state();
     std::uniform_int_distribution<lts::StateId> pick(0, kStates - 1);
     std::uniform_real_distribution<double> coin(0.0, 1.0);
     for (std::size_t s = 0; s + 1 < kStates; ++s) {
@@ -149,13 +149,14 @@ int check_parallel_refinement() {
             std::uniform_int_distribution<lts::StateId> fwd(
                 static_cast<lts::StateId>(s + 1),
                 static_cast<lts::StateId>(std::min(block_end, kStates - 1)));
-            m.add_transition(static_cast<lts::StateId>(s), tau, fwd(rng));
+            builder.add_transition(static_cast<lts::StateId>(s), tau, fwd(rng));
         }
     }
     for (std::size_t k = 0; k < 6000; ++k) {
-        m.add_transition(pick(rng), visible[coin(rng) < 0.5 ? 0 : 1], pick(rng));
+        builder.add_transition(pick(rng), visible[coin(rng) < 0.5 ? 0 : 1], pick(rng));
     }
-    m.set_initial(0);
+    builder.set_initial(0);
+    const lts::Lts m = std::move(builder).build();
 
     const lts::Lts sat = lts::saturate(lts::collapse_tau_sccs(m).collapsed);
     const bisim::RefinementResult serial = bisim::refine_strong(sat, 1);

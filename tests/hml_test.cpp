@@ -86,15 +86,17 @@ class HmlCheckFixture : public ::testing::Test {
 protected:
     // s0 -a-> s1 -tau-> s2 -b-> s3,  s0 -tau-> s3
     void SetUp() override {
-        s0 = m.add_state();
-        s1 = m.add_state();
-        s2 = m.add_state();
-        s3 = m.add_state();
-        m.add_transition(s0, m.action("a"), s1);
-        m.add_transition(s1, m.actions()->tau(), s2);
-        m.add_transition(s2, m.action("b"), s3);
-        m.add_transition(s0, m.actions()->tau(), s3);
-        m.set_initial(s0);
+        lts::LtsBuilder builder;
+        s0 = builder.add_state();
+        s1 = builder.add_state();
+        s2 = builder.add_state();
+        s3 = builder.add_state();
+        builder.add_transition(s0, builder.action("a"), s1);
+        builder.add_transition(s1, builder.actions()->tau(), s2);
+        builder.add_transition(s2, builder.action("b"), s3);
+        builder.add_transition(s0, builder.actions()->tau(), s3);
+        builder.set_initial(s0);
+        m = std::move(builder).build();
     }
     Lts m;
     StateId s0{}, s1{}, s2{}, s3{};

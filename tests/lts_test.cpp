@@ -9,15 +9,15 @@ namespace {
 
 /// a -> b -> c with a tau detour.
 Lts make_chain() {
-    Lts m;
-    const StateId s0 = m.add_state("s0");
-    const StateId s1 = m.add_state("s1");
-    const StateId s2 = m.add_state("s2");
+    LtsBuilder m;
+    const StateId s0 = m.add_state();
+    const StateId s1 = m.add_state();
+    const StateId s2 = m.add_state();
     m.add_transition(s0, m.action("a"), s1);
     m.add_transition(s1, m.action("b"), s2);
     m.add_transition(s0, m.actions()->tau(), s2);
     m.set_initial(s0);
-    return m;
+    return std::move(m).build();
 }
 
 TEST(ActionTable, TauIsPreInternedAsZero) {
@@ -37,40 +37,85 @@ TEST(Lts, CountsStatesAndTransitions) {
 }
 
 TEST(Lts, RejectsOutOfRangeEndpoints) {
-    Lts m;
-    const StateId s = m.add_state();
-    EXPECT_THROW(m.add_transition(s, m.action("a"), 5), Error);
-    EXPECT_THROW(m.set_initial(9), Error);
+    LtsBuilder builder;
+    const StateId s = builder.add_state();
+    EXPECT_THROW(builder.add_transition(s, builder.action("a"), 5), Error);
+    EXPECT_THROW(builder.set_initial(9), Error);
+    const Lts m = std::move(builder).build();
     EXPECT_THROW((void)m.out(1), Error);
 }
 
-TEST(Lts, StateNamesAreStored) {
-    Lts m;
-    const StateId s = m.add_state("hello");
-    EXPECT_EQ(m.state_name(s), "hello");
-    m.set_state_name(s, "world");
-    EXPECT_EQ(m.state_name(s), "world");
+TEST(Lts, MutateRatesReplacesAnnotation) {
+    LtsBuilder builder;
+    const StateId s0 = builder.add_state();
+    const StateId s1 = builder.add_state();
+    const ActionId a = builder.action("a");
+    builder.add_transition(s0, a, s1, RateExp{2.0});
+    builder.add_transition(s1, builder.action("b"), s0, RateExp{3.0});
+    Lts m = std::move(builder).build();
+    m.mutate_rates([a](ActionId action, Rate& rate) {
+        if (action == a) rate = RateExp{5.0};
+    });
+    EXPECT_EQ(m.out(s0)[0].rate, Rate{RateExp{5.0}});
+    EXPECT_EQ(m.out(s1)[0].rate, Rate{RateExp{3.0}});
 }
 
-TEST(Lts, SetRateReplacesAnnotation) {
-    Lts m;
-    const StateId s0 = m.add_state();
-    const StateId s1 = m.add_state();
-    m.add_transition(s0, m.action("a"), s1, RateExp{2.0});
-    m.set_rate(s0, 0, RateExp{5.0});
-    const auto* r = std::get_if<RateExp>(&m.out(s0)[0].rate);
-    ASSERT_NE(r, nullptr);
-    EXPECT_DOUBLE_EQ(r->rate, 5.0);
+TEST(Lts, CopiesAreIndependentUnderMutateRates) {
+    const Lts m = make_chain();
+    Lts copy = m;
+    EXPECT_NE(copy.transitions().data(), m.transitions().data());
+    copy.mutate_rates([](ActionId, Rate& rate) { rate = RateExp{9.0}; });
+    for (const Transition& t : copy.transitions()) EXPECT_EQ(t.rate, Rate{RateExp{9.0}});
+    for (const Transition& t : m.transitions()) EXPECT_EQ(t.rate, Rate{RateUnspecified{}});
+    // The structure is shared by value: same rows, same targets.
+    ASSERT_EQ(copy.num_states(), m.num_states());
+    for (StateId s = 0; s < m.num_states(); ++s) {
+        ASSERT_EQ(copy.out(s).size(), m.out(s).size());
+        for (std::size_t k = 0; k < m.out(s).size(); ++k) {
+            EXPECT_EQ(copy.out(s)[k].action, m.out(s)[k].action);
+            EXPECT_EQ(copy.out(s)[k].target, m.out(s)[k].target);
+        }
+    }
+}
+
+TEST(LtsBuilder, KeepsInsertionOrderWithinASource) {
+    // Sources arrive out of order (2, 0, 2, 1, 0); each state keeps its
+    // transitions in the order they were added.
+    LtsBuilder builder;
+    for (int i = 0; i < 3; ++i) builder.add_state();
+    const ActionId a = builder.action("a");
+    const ActionId b = builder.action("b");
+    const ActionId c = builder.action("c");
+    builder.add_transition(2, a, 0);
+    builder.add_transition(0, b, 1);
+    builder.add_transition(2, c, 1);
+    builder.add_transition(1, a, 2);
+    builder.add_transition(0, a, 2);
+    builder.set_initial(0);
+    const Lts m = std::move(builder).build();
+
+    ASSERT_EQ(m.num_transitions(), 5u);
+    const std::vector<std::uint32_t> offsets(m.offsets().begin(), m.offsets().end());
+    EXPECT_EQ(offsets, (std::vector<std::uint32_t>{0, 2, 3, 5}));
+    ASSERT_EQ(m.out(0).size(), 2u);
+    EXPECT_EQ(m.out(0)[0].action, b);
+    EXPECT_EQ(m.out(0)[1].action, a);
+    ASSERT_EQ(m.out(1).size(), 1u);
+    EXPECT_EQ(m.out(1)[0].target, 2u);
+    ASSERT_EQ(m.out(2).size(), 2u);
+    EXPECT_EQ(m.out(2)[0].action, a);
+    EXPECT_EQ(m.out(2)[1].action, c);
+    EXPECT_EQ(m.transitions().data() + 2, m.out(1).data());
 }
 
 TEST(Lts, DumpMentionsActionsAndRates) {
-    Lts m;
-    const StateId s0 = m.add_state("start");
-    m.add_transition(s0, m.action("ping"), s0, RateExp{1.5});
-    m.set_initial(s0);
-    const std::string dump = m.dump();
+    LtsBuilder builder;
+    const StateId s0 = builder.add_state();
+    builder.add_transition(s0, builder.action("ping"), s0, RateExp{1.5});
+    builder.set_initial(s0);
+    const std::string dump = std::move(builder).build().dump();
     EXPECT_NE(dump.find("ping"), std::string::npos);
-    EXPECT_NE(dump.find("start"), std::string::npos);
+    EXPECT_NE(dump.find("exp(1.5"), std::string::npos);
 }
 
 TEST(RatePredicates, ClassifyVariants) {
@@ -100,16 +145,20 @@ TEST(Restrict, RemovesMatchingTransitions) {
 }
 
 TEST(ReachablePart, PrunesUnreachableStates) {
-    Lts m;
-    const StateId s0 = m.add_state("root");
-    const StateId s1 = m.add_state("child");
-    m.add_state("orphan");
-    m.add_transition(s0, m.action("a"), s1);
-    m.set_initial(s0);
-    const Lts pruned = reachable_part(m);
+    LtsBuilder builder;
+    const StateId orphan = builder.add_state();
+    const StateId s1 = builder.add_state();
+    const StateId s0 = builder.add_state();
+    builder.add_transition(orphan, builder.action("lost"), s0);
+    builder.add_transition(s0, builder.action("a"), s1);
+    builder.set_initial(s0);
+    const Lts pruned = reachable_part(std::move(builder).build());
     EXPECT_EQ(pruned.num_states(), 2u);
-    EXPECT_EQ(pruned.state_name(0), "root");
-    EXPECT_EQ(pruned.state_name(1), "child");
+    EXPECT_EQ(pruned.initial(), 0u);
+    ASSERT_EQ(pruned.out(0).size(), 1u);
+    EXPECT_EQ(pruned.actions()->name(pruned.out(0)[0].action), "a");
+    EXPECT_EQ(pruned.out(0)[0].target, 1u);
+    EXPECT_EQ(pruned.num_transitions(), 1u);
 }
 
 TEST(ReachablePart, KeepsAllTransitionsAmongReachable) {
@@ -127,18 +176,19 @@ TEST(DeadlockStates, FindsSinks) {
 }
 
 TEST(Saturate, AddsReflexiveTau) {
-    Lts m;
+    LtsBuilder m;
     const StateId s0 = m.add_state();
     m.set_initial(s0);
-    const Lts sat = saturate(m);
+    const ActionId tau = m.actions()->tau();
+    const Lts sat = saturate(std::move(m).build());
     ASSERT_EQ(sat.out(s0).size(), 1u);
-    EXPECT_EQ(sat.out(s0)[0].action, m.actions()->tau());
+    EXPECT_EQ(sat.out(s0)[0].action, tau);
     EXPECT_EQ(sat.out(s0)[0].target, s0);
 }
 
 TEST(Saturate, ComputesWeakVisibleMoves) {
     // s0 -tau-> s1 -a-> s2 -tau-> s3: s0 must get a weak a to both s2 and s3.
-    Lts m;
+    LtsBuilder m;
     const StateId s0 = m.add_state();
     const StateId s1 = m.add_state();
     const StateId s2 = m.add_state();
@@ -150,7 +200,7 @@ TEST(Saturate, ComputesWeakVisibleMoves) {
     m.add_transition(s2, tau, s3);
     m.set_initial(s0);
 
-    const Lts sat = saturate(m);
+    const Lts sat = saturate(std::move(m).build());
     bool weak_a_to_s2 = false;
     bool weak_a_to_s3 = false;
     for (const Transition& t : sat.out(s0)) {
@@ -162,7 +212,7 @@ TEST(Saturate, ComputesWeakVisibleMoves) {
 }
 
 TEST(Saturate, TauChainsBecomeDirectWeakTaus) {
-    Lts m;
+    LtsBuilder m;
     const StateId s0 = m.add_state();
     const StateId s1 = m.add_state();
     const StateId s2 = m.add_state();
@@ -170,7 +220,7 @@ TEST(Saturate, TauChainsBecomeDirectWeakTaus) {
     m.add_transition(s0, tau, s1);
     m.add_transition(s1, tau, s2);
     m.set_initial(s0);
-    const Lts sat = saturate(m);
+    const Lts sat = saturate(std::move(m).build());
     bool direct = false;
     for (const Transition& t : sat.out(s0)) {
         if (t.action == tau && t.target == s2) direct = true;
@@ -179,93 +229,24 @@ TEST(Saturate, TauChainsBecomeDirectWeakTaus) {
 }
 
 TEST(DisjointUnion, MergesActionTablesByName) {
-    Lts a;
+    LtsBuilder a;
     const StateId a0 = a.add_state();
     a.add_transition(a0, a.action("ping"), a0);
     a.set_initial(a0);
 
-    Lts b;  // independent table: "pong" before "ping"
+    LtsBuilder b;  // independent table: "pong" before "ping"
     const StateId b0 = b.add_state();
     b.add_transition(b0, b.action("pong"), b0);
     b.add_transition(b0, b.action("ping"), b0);
     b.set_initial(b0);
 
-    const UnionResult u = disjoint_union(a, b);
+    const UnionResult u = disjoint_union(std::move(a).build(), std::move(b).build());
     EXPECT_EQ(u.combined.num_states(), 2u);
     EXPECT_EQ(u.initial_lhs, 0u);
     EXPECT_EQ(u.initial_rhs, 1u);
     // Both ping transitions must carry the same merged id.
     EXPECT_EQ(u.combined.out(u.initial_lhs)[0].action,
               u.combined.out(u.initial_rhs)[1].action);
-}
-
-TEST(Csr, FreezeMirrorsAdjacency) {
-    Lts m = make_chain();
-    EXPECT_FALSE(m.is_frozen());
-    const Lts::CsrView& csr = m.csr();  // freezes lazily
-    EXPECT_TRUE(m.is_frozen());
-    ASSERT_EQ(csr.num_states(), m.num_states());
-    EXPECT_EQ(csr.transitions().size(), m.num_transitions());
-    for (StateId s = 0; s < m.num_states(); ++s) {
-        const auto row = csr.out(s);
-        const auto adj = m.out(s);
-        ASSERT_EQ(row.size(), adj.size());
-        for (std::size_t k = 0; k < row.size(); ++k) {
-            EXPECT_EQ(row[k].action, adj[k].action);
-            EXPECT_EQ(row[k].target, adj[k].target);
-        }
-    }
-    EXPECT_EQ(csr.offsets().size(), m.num_states() + 1);
-    EXPECT_EQ(csr.offsets().front(), 0u);
-    EXPECT_EQ(csr.offsets().back(), m.num_transitions());
-}
-
-TEST(Csr, MutationInvalidatesFrozenView) {
-    Lts m = make_chain();
-    m.freeze();
-    ASSERT_TRUE(m.is_frozen());
-    const StateId extra = m.add_state();
-    EXPECT_FALSE(m.is_frozen());  // add_state drops the cache
-
-    m.freeze();
-    m.add_transition(0, m.action("a"), extra);
-    EXPECT_FALSE(m.is_frozen());  // add_transition drops the cache
-
-    m.freeze();
-    m.set_rate(0, 0, RateExp{2.0});
-    EXPECT_FALSE(m.is_frozen());  // set_rate drops the cache
-
-    // The rebuilt view reflects the mutations.
-    const Lts::CsrView& csr = m.csr();
-    EXPECT_EQ(csr.num_states(), m.num_states());
-    EXPECT_EQ(csr.transitions().size(), m.num_transitions());
-}
-
-TEST(Csr, CopiesOfFrozenSourcesOwnTheirStorage) {
-    Lts m = make_chain();
-    m.freeze();
-    Lts copy = m;
-    EXPECT_TRUE(m.is_frozen());    // source keeps its view
-    EXPECT_TRUE(copy.is_frozen());  // frozen source -> CSR-backed copy
-    // The copy's view is its own storage, not an alias of the source's.
-    EXPECT_NE(copy.csr().transitions().data(), m.csr().transitions().data());
-    // Rate patches land in the copy only.
-    copy.set_rate(0, 0, RateExp{9.0});
-    EXPECT_EQ(copy.out(0)[0].rate, Rate{RateExp{9.0}});
-    EXPECT_NE(m.out(0)[0].rate, Rate{RateExp{9.0}});
-    // Structural mutation re-materialises the adjacency and drops the view.
-    copy.add_state();
-    EXPECT_EQ(copy.num_states(), m.num_states() + 1);
-    EXPECT_EQ(copy.out(0)[0].rate, Rate{RateExp{9.0}});  // patch survives thaw
-    EXPECT_EQ(copy.csr().num_states(), m.csr().num_states() + 1);
-}
-
-TEST(Csr, CopiesOfUnfrozenSourcesStartThawed) {
-    Lts m = make_chain();
-    Lts copy = m;
-    EXPECT_FALSE(copy.is_frozen());
-    copy.add_state();
-    EXPECT_EQ(copy.num_states(), m.num_states() + 1);
 }
 
 TEST(MakeActionSet, InternsNames) {

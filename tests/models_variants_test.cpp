@@ -53,7 +53,7 @@ TEST(ShutdownWhenBusy, ServerCanReachSleepFromBusy) {
     const std::size_t server = model.instance_index("S");
     bool killed_in_service = false;
     for (lts::StateId s = 0; s < model.graph.num_states(); ++s) {
-        if (model.local_state_name(s, server).rfind("Busy_Server", 0) != 0) continue;
+        if (model.local_label(s, server).rfind("Busy_Server", 0) != 0) continue;
         for (const lts::Transition& t : model.graph.out(s)) {
             if (t.action == shutdown) killed_in_service = true;
         }

@@ -16,6 +16,7 @@ namespace dpma::noninterference {
 namespace {
 
 using lts::Lts;
+using lts::LtsBuilder;
 using lts::StateId;
 
 /// A system where a high action changes what the low user can observe:
@@ -23,7 +24,7 @@ using lts::StateId;
 /// Hiding high lets the low observer reach low_b (after a tau); removing
 /// high does not.  Classic interference.
 Lts interfering_system() {
-    Lts m;
+    LtsBuilder m;
     const StateId s0 = m.add_state();
     const StateId s1 = m.add_state();
     const StateId s2 = m.add_state();
@@ -32,14 +33,14 @@ Lts interfering_system() {
     m.add_transition(s0, m.action("high"), s2);
     m.add_transition(s2, m.action("low_b"), s3);
     m.set_initial(s0);
-    return m;
+    return std::move(m).build();
 }
 
 /// The high action only causes internal rearrangement; the low view is
 /// unchanged: s0 -high-> s1, both states offer exactly low_a to the same
 /// continuation.
 Lts transparent_system() {
-    Lts m;
+    LtsBuilder m;
     const StateId s0 = m.add_state();
     const StateId s1 = m.add_state();
     const StateId s2 = m.add_state();
@@ -48,7 +49,7 @@ Lts transparent_system() {
     m.add_transition(s1, m.action("low_a"), s2);
     m.add_transition(s2, m.action("low_a"), s2);
     m.set_initial(s0);
-    return m;
+    return std::move(m).build();
 }
 
 TEST(Noninterference, DetectsInterference) {
@@ -78,16 +79,17 @@ TEST(Noninterference, ObserverRelativeCheckHidesThirdParties) {
     // A "server" action distinguishes the two sides unless it is hidden as
     // non-low: s0 -high-> s1 -server-> s2 -low_a-> ...; without high the
     // low view is just low_a as well (via another path).
-    Lts m;
-    const StateId s0 = m.add_state();
-    const StateId s1 = m.add_state();
-    const StateId s2 = m.add_state();
-    m.add_transition(s0, m.action("high"), s1);
-    m.add_transition(s1, m.action("server_work"), s2);
-    m.add_transition(s0, m.action("low_a"), s2);
-    m.add_transition(s1, m.action("low_a"), s2);
-    m.add_transition(s2, m.action("low_a"), s2);
-    m.set_initial(s0);
+    LtsBuilder builder;
+    const StateId s0 = builder.add_state();
+    const StateId s1 = builder.add_state();
+    const StateId s2 = builder.add_state();
+    builder.add_transition(s0, builder.action("high"), s1);
+    builder.add_transition(s1, builder.action("server_work"), s2);
+    builder.add_transition(s0, builder.action("low_a"), s2);
+    builder.add_transition(s1, builder.action("low_a"), s2);
+    builder.add_transition(s2, builder.action("low_a"), s2);
+    builder.set_initial(s0);
+    const Lts m = std::move(builder).build();
 
     const auto high = lts::make_action_set(m, {"high"});
     const auto low = lts::make_action_set(m, {"low_a"});

@@ -92,7 +92,7 @@ lts::Lts random_lts(int seed, int n) {
     std::uniform_int_distribution<int> pick_state(0, n - 1);
     std::uniform_int_distribution<int> pick_action(0, 3);
     const char* names[] = {"tau", "a", "b", "c"};
-    lts::Lts m;
+    lts::LtsBuilder m;
     for (int i = 0; i < n; ++i) m.add_state();
     for (int e = 0; e < 3 * n; ++e) {
         m.add_transition(static_cast<lts::StateId>(pick_state(rng)),
@@ -100,7 +100,7 @@ lts::Lts random_lts(int seed, int n) {
                          static_cast<lts::StateId>(pick_state(rng)));
     }
     m.set_initial(0);
-    return m;
+    return std::move(m).build();
 }
 
 TEST_P(RandomLtsProperties, TauSccCollapsePreservesWeakBisimilarity) {
@@ -124,8 +124,9 @@ TEST_P(RandomLtsProperties, HidingEverythingYieldsTheTrivialProcess) {
     lts::ActionSet all;
     for (Symbol a = 0; a < m.actions()->size(); ++a) all.insert(a);
     const lts::Lts hidden = lts::hide(m, all);
-    lts::Lts trivial;
-    trivial.set_initial(trivial.add_state());
+    lts::LtsBuilder trivial_builder;
+    trivial_builder.set_initial(trivial_builder.add_state());
+    const lts::Lts trivial = std::move(trivial_builder).build();
     EXPECT_TRUE(bisim::weakly_bisimilar(hidden, trivial).equivalent)
         << "seed " << GetParam();
 }

@@ -151,52 +151,57 @@ TEST(Trace, WarmupEventsAreExcluded) {
 }
 
 TEST(Dot, RendersStatesEdgesAndInitialMarker) {
-    lts::Lts m;
-    const auto s0 = m.add_state("start");
-    const auto s1 = m.add_state("stop");
-    m.add_transition(s0, m.action("go"), s1, lts::RateExp{2.0});
-    m.add_transition(s1, m.actions()->tau(), s0);
-    m.set_initial(s0);
+    lts::LtsBuilder builder;
+    const auto s0 = builder.add_state();
+    const auto s1 = builder.add_state();
+    builder.add_transition(s0, builder.action("go"), s1, lts::RateExp{2.0});
+    builder.add_transition(s1, builder.actions()->tau(), s0);
+    builder.set_initial(s0);
+    const lts::Lts m = std::move(builder).build();
     const std::string dot = lts::to_dot(m);
     EXPECT_NE(dot.find("digraph lts"), std::string::npos);
     EXPECT_NE(dot.find("doublecircle"), std::string::npos);
-    EXPECT_NE(dot.find("label=\"start\""), std::string::npos);
+    EXPECT_NE(dot.find("s0 [shape=doublecircle, label=\"0\"]"), std::string::npos);
+    EXPECT_NE(dot.find("s1 [label=\"1\"]"), std::string::npos);
     EXPECT_NE(dot.find("go, exp"), std::string::npos);
     EXPECT_NE(dot.find("style=dashed"), std::string::npos);
 }
 
 TEST(Dot, HonoursOptions) {
-    lts::Lts m;
-    const auto s0 = m.add_state("start");
-    m.add_transition(s0, m.action("go"), s0, lts::RateExp{2.0});
-    m.set_initial(s0);
+    lts::LtsBuilder builder;
+    const auto s0 = builder.add_state();
+    builder.add_transition(s0, builder.action("go"), s0, lts::RateExp{2.0});
+    builder.set_initial(s0);
+    const lts::Lts m = std::move(builder).build();
     lts::DotOptions options;
+    EXPECT_NE(lts::to_dot(m, options).find("go, exp"), std::string::npos);
     options.show_rates = false;
-    options.show_state_names = false;
     const std::string dot = lts::to_dot(m, options);
     EXPECT_EQ(dot.find("exp"), std::string::npos);
-    EXPECT_EQ(dot.find("start"), std::string::npos);
+    EXPECT_NE(dot.find("label=\"go\""), std::string::npos);
 }
 
 TEST(Dot, RefusesOversizedSystems) {
-    lts::Lts m;
-    for (int i = 0; i < 10; ++i) m.add_state();
-    m.set_initial(0);
+    lts::LtsBuilder builder;
+    for (int i = 0; i < 10; ++i) builder.add_state();
+    builder.set_initial(0);
+    const lts::Lts m = std::move(builder).build();
     lts::DotOptions options;
     options.max_states = 5;
     EXPECT_THROW((void)lts::to_dot(m, options), Error);
 }
 
 TEST(CollapseTauSccs, MergesMutuallyTauReachableStates) {
-    lts::Lts m;
-    const auto s0 = m.add_state();
-    const auto s1 = m.add_state();
-    const auto s2 = m.add_state();
-    const auto tau = m.actions()->tau();
-    m.add_transition(s0, tau, s1);
-    m.add_transition(s1, tau, s0);  // {s0, s1} is a tau-SCC
-    m.add_transition(s1, m.action("a"), s2);
-    m.set_initial(s0);
+    lts::LtsBuilder builder;
+    const auto s0 = builder.add_state();
+    const auto s1 = builder.add_state();
+    const auto s2 = builder.add_state();
+    const auto tau = builder.actions()->tau();
+    builder.add_transition(s0, tau, s1);
+    builder.add_transition(s1, tau, s0);  // {s0, s1} is a tau-SCC
+    builder.add_transition(s1, builder.action("a"), s2);
+    builder.set_initial(s0);
+    const lts::Lts m = std::move(builder).build();
     const lts::TauCollapseResult result = lts::collapse_tau_sccs(m);
     EXPECT_EQ(result.collapsed.num_states(), 2u);
     EXPECT_EQ(result.representative_of[s0], result.representative_of[s1]);
@@ -204,11 +209,12 @@ TEST(CollapseTauSccs, MergesMutuallyTauReachableStates) {
 }
 
 TEST(CollapseTauSccs, KeepsVisibleSelfLoops) {
-    lts::Lts m;
-    const auto s0 = m.add_state();
-    m.add_transition(s0, m.action("ping"), s0);
-    m.add_transition(s0, m.actions()->tau(), s0);
-    m.set_initial(s0);
+    lts::LtsBuilder builder;
+    const auto s0 = builder.add_state();
+    builder.add_transition(s0, builder.action("ping"), s0);
+    builder.add_transition(s0, builder.actions()->tau(), s0);
+    builder.set_initial(s0);
+    const lts::Lts m = std::move(builder).build();
     const lts::TauCollapseResult result = lts::collapse_tau_sccs(m);
     EXPECT_EQ(result.collapsed.num_states(), 1u);
     // The visible self-loop survives; the tau self-loop does not.

@@ -12,15 +12,16 @@ namespace dpma::bisim {
 namespace {
 
 using lts::Lts;
+using lts::LtsBuilder;
 using lts::StateId;
 
 Lts single_action(const char* name) {
-    Lts m;
+    LtsBuilder m;
     const StateId s0 = m.add_state();
     const StateId s1 = m.add_state();
     m.add_transition(s0, m.action(name), s1);
     m.set_initial(s0);
-    return m;
+    return std::move(m).build();
 }
 
 TEST(TraceEquiv, IdenticalSystemsAreEquivalent) {
@@ -42,43 +43,46 @@ TEST(TraceEquiv, DifferentActionsAreDistinguished) {
 
 TEST(TraceEquiv, TauIsInvisible) {
     // tau.a vs a.
-    Lts lhs;
-    const StateId l0 = lhs.add_state();
-    const StateId l1 = lhs.add_state();
-    const StateId l2 = lhs.add_state();
-    lhs.add_transition(l0, lhs.actions()->tau(), l1);
-    lhs.add_transition(l1, lhs.action("a"), l2);
-    lhs.set_initial(l0);
+    LtsBuilder lhs_builder;
+    const StateId l0 = lhs_builder.add_state();
+    const StateId l1 = lhs_builder.add_state();
+    const StateId l2 = lhs_builder.add_state();
+    lhs_builder.add_transition(l0, lhs_builder.actions()->tau(), l1);
+    lhs_builder.add_transition(l1, lhs_builder.action("a"), l2);
+    lhs_builder.set_initial(l0);
+    const Lts lhs = std::move(lhs_builder).build();
     EXPECT_TRUE(weakly_trace_equivalent(lhs, single_action("a")).equivalent);
 }
 
 TEST(TraceEquiv, BranchingStructureIsIgnored) {
     // a.(b + c) vs a.b + a.c: NOT bisimilar, but trace equivalent — the
     // canonical separation of the two equivalences.
-    Lts late;
+    LtsBuilder late_builder;
     {
-        const StateId s0 = late.add_state();
-        const StateId s1 = late.add_state();
-        const StateId s2 = late.add_state();
-        const StateId s3 = late.add_state();
-        late.add_transition(s0, late.action("a"), s1);
-        late.add_transition(s1, late.action("b"), s2);
-        late.add_transition(s1, late.action("c"), s3);
-        late.set_initial(s0);
+        const StateId s0 = late_builder.add_state();
+        const StateId s1 = late_builder.add_state();
+        const StateId s2 = late_builder.add_state();
+        const StateId s3 = late_builder.add_state();
+        late_builder.add_transition(s0, late_builder.action("a"), s1);
+        late_builder.add_transition(s1, late_builder.action("b"), s2);
+        late_builder.add_transition(s1, late_builder.action("c"), s3);
+        late_builder.set_initial(s0);
     }
-    Lts early;
+    const Lts late = std::move(late_builder).build();
+    LtsBuilder early_builder;
     {
-        const StateId s0 = early.add_state();
-        const StateId s1 = early.add_state();
-        const StateId s2 = early.add_state();
-        const StateId s3 = early.add_state();
-        const StateId s4 = early.add_state();
-        early.add_transition(s0, early.action("a"), s1);
-        early.add_transition(s0, early.action("a"), s2);
-        early.add_transition(s1, early.action("b"), s3);
-        early.add_transition(s2, early.action("c"), s4);
-        early.set_initial(s0);
+        const StateId s0 = early_builder.add_state();
+        const StateId s1 = early_builder.add_state();
+        const StateId s2 = early_builder.add_state();
+        const StateId s3 = early_builder.add_state();
+        const StateId s4 = early_builder.add_state();
+        early_builder.add_transition(s0, early_builder.action("a"), s1);
+        early_builder.add_transition(s0, early_builder.action("a"), s2);
+        early_builder.add_transition(s1, early_builder.action("b"), s3);
+        early_builder.add_transition(s2, early_builder.action("c"), s4);
+        early_builder.set_initial(s0);
     }
+    const Lts early = std::move(early_builder).build();
     EXPECT_TRUE(weakly_trace_equivalent(late, early).equivalent);
     EXPECT_FALSE(strongly_bisimilar(late, early).equivalent);
     EXPECT_FALSE(weakly_bisimilar(late, early).equivalent);
@@ -86,26 +90,28 @@ TEST(TraceEquiv, BranchingStructureIsIgnored) {
 
 TEST(TraceEquiv, FindsShortestDistinguishingTrace) {
     // Left: a.b.c ; right: a.b (c only after a longer detour is absent).
-    Lts lhs;
+    LtsBuilder lhs_builder;
     {
-        StateId s = lhs.add_state();
-        lhs.set_initial(s);
+        StateId s = lhs_builder.add_state();
+        lhs_builder.set_initial(s);
         for (const char* name : {"a", "b", "c"}) {
-            const StateId next = lhs.add_state();
-            lhs.add_transition(s, lhs.action(name), next);
+            const StateId next = lhs_builder.add_state();
+            lhs_builder.add_transition(s, lhs_builder.action(name), next);
             s = next;
         }
     }
-    Lts rhs;
+    const Lts lhs = std::move(lhs_builder).build();
+    LtsBuilder rhs_builder;
     {
-        StateId s = rhs.add_state();
-        rhs.set_initial(s);
+        StateId s = rhs_builder.add_state();
+        rhs_builder.set_initial(s);
         for (const char* name : {"a", "b"}) {
-            const StateId next = rhs.add_state();
-            rhs.add_transition(s, rhs.action(name), next);
+            const StateId next = rhs_builder.add_state();
+            rhs_builder.add_transition(s, rhs_builder.action(name), next);
             s = next;
         }
     }
+    const Lts rhs = std::move(rhs_builder).build();
     const auto result = weakly_trace_equivalent(lhs, rhs);
     ASSERT_FALSE(result.equivalent);
     EXPECT_TRUE(result.lhs_has_trace);
@@ -118,26 +124,28 @@ TEST(TraceEquiv, FindsShortestDistinguishingTrace) {
 TEST(TraceEquiv, DeadlockIsInvisibleToTraces) {
     // a.b vs a.b + a.DEADLOCK: trace equivalent (prefix-closed languages
     // coincide) yet not weakly bisimilar.
-    Lts safe;
+    LtsBuilder safe_builder;
     {
-        const StateId s0 = safe.add_state();
-        const StateId s1 = safe.add_state();
-        const StateId s2 = safe.add_state();
-        safe.add_transition(s0, safe.action("a"), s1);
-        safe.add_transition(s1, safe.action("b"), s2);
-        safe.set_initial(s0);
+        const StateId s0 = safe_builder.add_state();
+        const StateId s1 = safe_builder.add_state();
+        const StateId s2 = safe_builder.add_state();
+        safe_builder.add_transition(s0, safe_builder.action("a"), s1);
+        safe_builder.add_transition(s1, safe_builder.action("b"), s2);
+        safe_builder.set_initial(s0);
     }
-    Lts risky;
+    const Lts safe = std::move(safe_builder).build();
+    LtsBuilder risky_builder;
     {
-        const StateId s0 = risky.add_state();
-        const StateId s1 = risky.add_state();
-        const StateId s2 = risky.add_state();
-        const StateId dead = risky.add_state();
-        risky.add_transition(s0, risky.action("a"), s1);
-        risky.add_transition(s0, risky.action("a"), dead);
-        risky.add_transition(s1, risky.action("b"), s2);
-        risky.set_initial(s0);
+        const StateId s0 = risky_builder.add_state();
+        const StateId s1 = risky_builder.add_state();
+        const StateId s2 = risky_builder.add_state();
+        const StateId dead = risky_builder.add_state();
+        risky_builder.add_transition(s0, risky_builder.action("a"), s1);
+        risky_builder.add_transition(s0, risky_builder.action("a"), dead);
+        risky_builder.add_transition(s1, risky_builder.action("b"), s2);
+        risky_builder.set_initial(s0);
     }
+    const Lts risky = std::move(risky_builder).build();
     EXPECT_TRUE(weakly_trace_equivalent(safe, risky).equivalent);
     EXPECT_FALSE(weakly_bisimilar(safe, risky).equivalent);
 }
@@ -183,14 +191,15 @@ TEST(Snni, StreamingPassesBothChecks) {
 TEST(Snni, TraceCheckStillCatchesNewLowBehaviour) {
     // A high action that unlocks a *new* low action is caught by both
     // properties (the interference is a trace, not just a deadlock).
-    Lts m;
-    const StateId s0 = m.add_state();
-    const StateId s1 = m.add_state();
-    const StateId s2 = m.add_state();
-    m.add_transition(s0, m.action("low_a"), s1);
-    m.add_transition(s0, m.action("high"), s2);
-    m.add_transition(s2, m.action("low_b"), s1);
-    m.set_initial(s0);
+    LtsBuilder builder;
+    const StateId s0 = builder.add_state();
+    const StateId s1 = builder.add_state();
+    const StateId s2 = builder.add_state();
+    builder.add_transition(s0, builder.action("low_a"), s1);
+    builder.add_transition(s0, builder.action("high"), s2);
+    builder.add_transition(s2, builder.action("low_b"), s1);
+    builder.set_initial(s0);
+    const Lts m = std::move(builder).build();
     const auto high = lts::make_action_set(m, {"high"});
     const auto low = lts::make_action_set(m, {"low_a", "low_b"});
     const auto verdict = noninterference::check_traces(m, high, low);

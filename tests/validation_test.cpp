@@ -17,15 +17,11 @@ namespace {
 /// GSMP simulator runs a distribution-for-distribution copy of the CTMC
 /// (the cross-validation of Sect. 5.1).
 adl::ComposedModel exponentialized(adl::ComposedModel model) {
-    for (lts::StateId s = 0; s < model.graph.num_states(); ++s) {
-        const auto out = model.graph.out(s);
-        for (std::size_t k = 0; k < out.size(); ++k) {
-            if (const auto* e = std::get_if<lts::RateExp>(&out[k].rate)) {
-                model.graph.set_rate(s, k,
-                                     lts::RateGeneral{Dist::exponential(e->rate)});
-            }
+    model.graph.mutate_rates([](lts::ActionId, lts::Rate& rate) {
+        if (const auto* e = std::get_if<lts::RateExp>(&rate)) {
+            rate = lts::RateGeneral{Dist::exponential(e->rate)};
         }
-    }
+    });
     return model;
 }
 

@@ -329,19 +329,12 @@ int cmd_info(const std::string& path) {
     const auto deadlocks = lts::deadlock_states(model.graph);
     std::printf("deadlock states: %zu\n", deadlocks.size());
     std::printf("action labels:\n");
+    // Show only labels that actually occur on transitions.
     const auto& table = *model.graph.actions();
+    std::vector<char> used(table.size(), 0);
+    for (const lts::Transition& t : model.graph.transitions()) used[t.action] = 1;
     for (Symbol a = 1; a < table.size(); ++a) {
-        // Show only labels that actually occur on transitions.
-        bool used = false;
-        for (lts::StateId s = 0; s < model.graph.num_states() && !used; ++s) {
-            for (const lts::Transition& t : model.graph.out(s)) {
-                if (t.action == a) {
-                    used = true;
-                    break;
-                }
-            }
-        }
-        if (used) std::printf("  %s\n", table.name(a).c_str());
+        if (used[a]) std::printf("  %s\n", table.name(a).c_str());
     }
     return 0;
 }
