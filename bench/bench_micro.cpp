@@ -8,6 +8,7 @@
 
 #include <chrono>
 
+#include "adl/measure.hpp"
 #include "analysis/flow/analyze.hpp"
 #include "bisim/equivalence.hpp"
 #include "bisim/partition.hpp"
@@ -101,6 +102,25 @@ void time_per_state(benchmark::State& state, std::size_t states, Body&& body) {
         elapsed.count() /
         (static_cast<double>(state.iterations()) * static_cast<double>(states));
 }
+
+/// The union of the two noninterference observer views of the streaming
+/// system at buffers 10 (one pass over the composed graph per view), per
+/// composed state.
+void BM_ObserverViewsStreaming(benchmark::State& state) {
+    const adl::ArchiType archi = models::archi("streaming_markov.aem");
+    const auto model = adl::compose(archi);
+    lts::ActionSet high;
+    for (const std::string& label : models::high_action_labels(archi)) {
+        high.insert(model.graph.actions()->find(label));
+    }
+    lts::ActionSet low;
+    for (const lts::ActionId a : adl::actions_of_instance(model, "C")) low.insert(a);
+    time_per_state(state, model.graph.num_states(), [&] {
+        benchmark::DoNotOptimize(noninterference::make_views(model.graph, high, low));
+    });
+    state.SetLabel(std::to_string(model.graph.num_states()) + " composed states");
+}
+BENCHMARK(BM_ObserverViewsStreaming)->Unit(benchmark::kMillisecond);
 
 /// Vanishing-state elimination on the streaming system at buffer capacity
 /// Arg (10 is the shipped spec; 16 gives 43k composed states), per composed

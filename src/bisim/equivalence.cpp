@@ -106,8 +106,11 @@ EquivalenceResult strongly_bisimilar(const lts::Lts& lhs, const lts::Lts& rhs) {
 }
 
 EquivalenceResult weakly_bisimilar(const lts::Lts& lhs, const lts::Lts& rhs) {
+    return weakly_bisimilar(lts::disjoint_union(lhs, rhs));
+}
+
+EquivalenceResult weakly_bisimilar(const lts::UnionResult& merged) {
     DPMA_SPAN("bisim.weak_check", "bisim");
-    const lts::UnionResult merged = lts::disjoint_union(lhs, rhs);
     // Mutually tau-reachable states are weakly bisimilar, so collapsing the
     // tau-SCCs is sound; it also leaves tau edges descending in id, which
     // refine_branching needs.

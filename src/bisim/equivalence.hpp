@@ -13,6 +13,7 @@
 #include "bisim/hml.hpp"
 #include "bisim/partition.hpp"
 #include "lts/lts.hpp"
+#include "lts/ops.hpp"
 
 namespace dpma::bisim {
 
@@ -27,8 +28,13 @@ struct EquivalenceResult {
 /// Checks strong bisimilarity of the initial states of \p lhs and \p rhs.
 [[nodiscard]] EquivalenceResult strongly_bisimilar(const lts::Lts& lhs, const lts::Lts& rhs);
 
-/// Checks weak bisimilarity of the initial states of \p lhs and \p rhs.
-/// A returned distinguishing formula uses weak modalities.
+/// Checks weak bisimilarity of the two roots of \p merged, initial_lhs
+/// against initial_rhs.  A returned distinguishing formula uses weak
+/// modalities.
+[[nodiscard]] EquivalenceResult weakly_bisimilar(const lts::UnionResult& merged);
+
+/// Checks weak bisimilarity of the initial states of \p lhs and \p rhs: the
+/// union entry above on disjoint_union(lhs, rhs).
 [[nodiscard]] EquivalenceResult weakly_bisimilar(const lts::Lts& lhs, const lts::Lts& rhs);
 
 /// Distinguishing formula for two non-bisimilar states of one system, given

@@ -91,11 +91,12 @@ private:
 
 TraceEquivalenceResult weakly_trace_equivalent(const lts::Lts& lhs, const lts::Lts& rhs,
                                                std::size_t max_pairs) {
-    DPMA_REQUIRE(lhs.initial() != lts::kNoState && rhs.initial() != lts::kNoState,
-                 "trace equivalence needs rooted systems");
-    // Merge onto a common action table, then collapse tau-SCCs so closures
-    // are small.
-    const lts::UnionResult merged = lts::disjoint_union(lhs, rhs);
+    return weakly_trace_equivalent(lts::disjoint_union(lhs, rhs), max_pairs);
+}
+
+TraceEquivalenceResult weakly_trace_equivalent(const lts::UnionResult& merged,
+                                               std::size_t max_pairs) {
+    // Collapse tau-SCCs so closures are small.
     const lts::TauCollapseResult collapsed = lts::collapse_tau_sccs(merged.combined);
     const lts::Lts& system = collapsed.collapsed;
     WeakStepper stepper(system);

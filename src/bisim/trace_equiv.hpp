@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "lts/lts.hpp"
+#include "lts/ops.hpp"
 
 namespace dpma::bisim {
 
@@ -31,9 +32,15 @@ struct TraceEquivalenceResult {
     std::size_t explored_pairs = 0;
 };
 
-/// Checks weak trace equivalence of the initial states.  Throws
-/// NumericalError when the subset construction exceeds \p max_pairs pairs
-/// (exponential in the worst case; the methodology's models are far below).
+/// Checks weak trace equivalence of the two roots of \p merged, initial_lhs
+/// against initial_rhs.  Throws NumericalError when the subset construction
+/// exceeds \p max_pairs pairs (exponential in the worst case; the
+/// methodology's models are far below).
+[[nodiscard]] TraceEquivalenceResult weakly_trace_equivalent(
+    const lts::UnionResult& merged, std::size_t max_pairs = 1u << 20);
+
+/// Checks weak trace equivalence of the initial states of \p lhs and \p rhs:
+/// the union entry above on disjoint_union(lhs, rhs).
 [[nodiscard]] TraceEquivalenceResult weakly_trace_equivalent(
     const lts::Lts& lhs, const lts::Lts& rhs, std::size_t max_pairs = 1u << 20);
 

@@ -37,15 +37,8 @@ LtsBuilder::LtsBuilder(std::shared_ptr<ActionTable> actions) : actions_(std::mov
 
 LtsBuilder::LtsBuilder() : LtsBuilder(std::make_shared<ActionTable>()) {}
 
-StateId LtsBuilder::add_state() {
-    DPMA_REQUIRE(num_states() < kNoState, "state-space overflow");
-    degree_.push_back(0);
-    return static_cast<StateId>(num_states() - 1);
-}
-
-void LtsBuilder::add_transition(StateId from, ActionId action, StateId to, Rate rate) {
-    DPMA_REQUIRE(from < num_states() && to < num_states(), "transition endpoint out of range");
-    if (sources_.empty() && from < last_source_) {
+void LtsBuilder::record_source(StateId from) {
+    if (sources_.empty()) {
         // First transition out of source order: the ones before it were in
         // order, so their sources follow from the degrees.
         sources_.reserve(transitions_.capacity());
@@ -53,10 +46,7 @@ void LtsBuilder::add_transition(StateId from, ActionId action, StateId to, Rate 
             sources_.insert(sources_.end(), degree_[s + 1], s);
         }
     }
-    if (!sources_.empty()) sources_.push_back(from);
-    last_source_ = from;
-    ++degree_[from + 1];
-    transitions_.push_back(Transition{action, to, std::move(rate)});
+    sources_.push_back(from);
 }
 
 void LtsBuilder::set_initial(StateId state) {

@@ -142,14 +142,29 @@ public:
     /// Convenience: interns \p name in the shared action table.
     ActionId action(std::string_view name) { return actions_->intern(name); }
 
-    StateId add_state();
+    StateId add_state() {
+        DPMA_REQUIRE(num_states() < kNoState, "state-space overflow");
+        degree_.push_back(0);
+        return static_cast<StateId>(num_states() - 1);
+    }
 
-    void add_transition(StateId from, ActionId action, StateId to, Rate rate = RateUnspecified{});
+    /// Inline: composition and the producers of the functional phase add
+    /// every transition of systems with millions of them through here.
+    void add_transition(StateId from, ActionId action, StateId to,
+                        Rate rate = RateUnspecified{}) {
+        DPMA_REQUIRE(from < num_states() && to < num_states(),
+                     "transition endpoint out of range");
+        if (from < last_source_ || !sources_.empty()) record_source(from);
+        last_source_ = from;
+        ++degree_[from + 1];
+        transitions_.push_back(Transition{action, to, std::move(rate)});
+    }
 
     void set_initial(StateId state);
 
-    /// Reserves room for \p count transitions (producers that know their
-    /// size skip the growth copies).
+    /// Reserve room for \p count states or transitions (producers that know
+    /// a bound skip the growth copies).
+    void reserve_states(std::size_t count) { degree_.reserve(count + 1); }
     void reserve_transitions(std::size_t count) { transitions_.reserve(count); }
 
     [[nodiscard]] std::size_t num_states() const noexcept { return degree_.size() - 1; }
@@ -157,6 +172,10 @@ public:
     [[nodiscard]] Lts build() &&;
 
 private:
+    /// Records the source of a transition that arrives out of source order,
+    /// or of any transition after one did.
+    void record_source(StateId from);
+
     std::shared_ptr<ActionTable> actions_;
     /// degree_[s + 1] = out-degree of s so far; build() prefix-sums it into
     /// the offsets.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <deque>
-#include <unordered_set>
 
 #include "core/error.hpp"
 #include "obs/metrics.hpp"
@@ -42,9 +41,10 @@ TauCondensation tau_condensation(const Lts& model) {
         StateId v;
         std::size_t child = 0;
     };
+    std::vector<Frame> frames;  // empty between roots
     for (StateId root = 0; root < n; ++root) {
         if (index[root] != -1) continue;
-        std::vector<Frame> frames{{root, 0}};
+        frames.push_back(Frame{root, 0});
         index[root] = lowlink[root] = next_index++;
         stack.push_back(root);
         on_stack[root] = 1;
@@ -168,20 +168,52 @@ TauCollapseResult collapse_tau_sccs(const Lts& model) {
 
     LtsBuilder collapsed(model.actions());
     for (StateId c = 0; c < num_sccs; ++c) collapsed.add_state();
-    // Deduplicated condensed edges, one SCC at a time in SCC order (members
-    // ascending); tau self-edges vanish by construction.  Keys pack
-    // (action, target) into 64 bits — exact, since both ids are 32-bit.
-    std::unordered_set<std::uint64_t> seen;
+    // Condensed edges, one SCC at a time in SCC order (members ascending),
+    // each kept at its first occurrence; tau self-edges vanish by
+    // construction.  Keys pack (action, target) into 64 bits — exact, since
+    // both ids are 32-bit.  An edge to a target no earlier edge of SCC c
+    // reached (per-target stamp) is new; otherwise the keys before it are
+    // scanned.  Past kScanLimit keys the SCC's keys are sorted once instead,
+    // so a large tau-SCC stays O(k log k).
+    constexpr std::size_t kScanLimit = 32;
+    std::vector<StateId> stamp(num_sccs, kNoState);
+    std::vector<std::uint64_t> keys;
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> sorted;
+    std::vector<char> first;
     for (StateId c = 0; c < num_sccs; ++c) {
-        seen.clear();
+        keys.clear();
         for (std::uint32_t idx = cond.member_off[c]; idx < cond.member_off[c + 1]; ++idx) {
             for (const Transition& t : model.out(cond.members[idx])) {
                 const StateId to = representative_of[t.target];
                 if (t.action == tau && c == to) continue;
-                const std::uint64_t key = (static_cast<std::uint64_t>(t.action) << 32) | to;
-                if (!seen.insert(key).second) continue;
-                collapsed.add_transition(c, t.action, to);
+                keys.push_back((static_cast<std::uint64_t>(t.action) << 32) | to);
             }
+        }
+        first.assign(keys.size(), 1);
+        if (keys.size() <= kScanLimit) {
+            for (std::size_t k = 0; k < keys.size(); ++k) {
+                StateId& seen = stamp[static_cast<StateId>(keys[k] & 0xFFFFFFFFu)];
+                if (seen != c) {
+                    seen = c;
+                } else {
+                    first[k] = std::find(keys.begin(), keys.begin() + k, keys[k]) ==
+                               keys.begin() + k;
+                }
+            }
+        } else {
+            sorted.clear();
+            for (std::size_t k = 0; k < keys.size(); ++k) {
+                sorted.emplace_back(keys[k], static_cast<std::uint32_t>(k));
+            }
+            std::sort(sorted.begin(), sorted.end());
+            for (std::size_t j = 1; j < sorted.size(); ++j) {
+                if (sorted[j].first == sorted[j - 1].first) first[sorted[j].second] = 0;
+            }
+        }
+        for (std::size_t k = 0; k < keys.size(); ++k) {
+            if (!first[k]) continue;
+            collapsed.add_transition(c, static_cast<ActionId>(keys[k] >> 32),
+                                     static_cast<StateId>(keys[k] & 0xFFFFFFFFu));
         }
     }
     if (model.initial() != kNoState) {

@@ -42,6 +42,19 @@ struct Result {
     std::size_t restricted_states = 0;
 };
 
+/// The two observer views of \p system as one disjoint union, built in one
+/// breadth-first pass per view straight from \p system: M/High (every action
+/// that is high or not low hidden) on the states [initial_lhs, initial_rhs),
+/// and M\High (high actions removed, every other non-low action hidden) on
+/// the states from initial_rhs on.  Only the states reachable from the
+/// initial state are emitted, numbered in discovery order, and the union
+/// shares the action table of \p system.  States and transitions come out in
+/// the order of disjoint_union(reachable_part(hide(...)),
+/// reachable_part(hide(restrict_actions(...)))); rates are left unspecified.
+[[nodiscard]] lts::UnionResult make_views(const lts::Lts& system,
+                                          const lts::ActionSet& high_actions,
+                                          const lts::ActionSet& low_actions);
+
 /// Classical check: high actions hidden vs prevented; every other action is
 /// observable.
 [[nodiscard]] Result check(const lts::Lts& system, const lts::ActionSet& high_actions);

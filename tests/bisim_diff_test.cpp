@@ -8,7 +8,10 @@
 /// on random systems, the observer views of every shipped spec and the
 /// streaming system at every pair of buffer sizes up to 10.  Verdicts, block
 /// counts, the induced equivalence relations, and the validity of
-/// distinguishing formulas must all agree.
+/// distinguishing formulas must all agree.  The one-pass observer views of
+/// noninterference::make_views are compared, transition for transition,
+/// against the chain of whole-system copies (restrict, hide, reachable part,
+/// union) on the same inputs.
 
 #include <gtest/gtest.h>
 
@@ -26,11 +29,13 @@
 #include "adl/compose.hpp"
 #include "adl/measure.hpp"
 #include "bisim/equivalence.hpp"
+#include "bisim/hml.hpp"
 #include "bisim/hml_check.hpp"
 #include "bisim/partition.hpp"
 #include "lts/ops.hpp"
 #include "models/specs.hpp"
 #include "models/variants.hpp"
+#include "noninterference/noninterference.hpp"
 
 namespace dpma::bisim {
 namespace {
@@ -195,17 +200,12 @@ bool expect_matches_unreduced(const Lts& lhs, const Lts& rhs, const std::string&
     return fast.equivalent;
 }
 
-/// The noninterference observer views of \p model: everything but the low
-/// instance's actions hidden, with the high actions hidden (first) or
-/// removed (second).
-std::pair<Lts, Lts> observer_views(const adl::ComposedModel& model,
-                                   const std::vector<std::string>& high_labels,
-                                   const std::string& low_instance) {
-    const auto& table = *model.graph.actions();
-    lts::ActionSet high;
-    for (const std::string& label : high_labels) high.insert(table.find(label));
-    lts::ActionSet low;
-    for (const ActionId a : adl::actions_of_instance(model, low_instance)) low.insert(a);
+/// The noninterference observer views of \p system built by the reference
+/// chain of whole-system copies: everything but the low actions hidden, with
+/// the high actions hidden (first) or removed (second).
+std::pair<Lts, Lts> reference_views(const Lts& system, const lts::ActionSet& high,
+                                    const lts::ActionSet& low) {
+    const auto& table = *system.actions();
     lts::ActionSet hide_hidden = high;
     lts::ActionSet hide_restricted;
     for (Symbol a = 0; a < table.size(); ++a) {
@@ -213,9 +213,97 @@ std::pair<Lts, Lts> observer_views(const adl::ComposedModel& model,
         hide_hidden.insert(a);
         if (!high.contains(a)) hide_restricted.insert(a);
     }
-    return {lts::reachable_part(lts::hide(model.graph, hide_hidden)),
+    return {lts::reachable_part(lts::hide(system, hide_hidden)),
             lts::reachable_part(
-                lts::hide(lts::restrict_actions(model.graph, high), hide_restricted))};
+                lts::hide(lts::restrict_actions(system, high), hide_restricted))};
+}
+
+/// The high and low action sets of a composed model.
+std::pair<lts::ActionSet, lts::ActionSet> observer_sets(
+    const adl::ComposedModel& model, const std::vector<std::string>& high_labels,
+    const std::string& low_instance) {
+    lts::ActionSet high;
+    for (const std::string& label : high_labels) {
+        high.insert(model.graph.actions()->find(label));
+    }
+    lts::ActionSet low;
+    for (const ActionId a : adl::actions_of_instance(model, low_instance)) low.insert(a);
+    return {std::move(high), std::move(low)};
+}
+
+std::pair<Lts, Lts> observer_views(const adl::ComposedModel& model,
+                                   const std::vector<std::string>& high_labels,
+                                   const std::string& low_instance) {
+    const auto [high, low] = observer_sets(model, high_labels, low_instance);
+    return reference_views(model.graph, high, low);
+}
+
+/// Checks the one-pass union of noninterference::make_views against the
+/// reference chain on \p system: the same states and transitions in the
+/// same order (action names and targets; rates aside), the same roots, and
+/// the same verdict and view sizes from \p check, whose formula must print
+/// as the reference's under to_two_towers.
+void expect_views_match_reference(const Lts& system, const lts::ActionSet& high,
+                                  const lts::ActionSet& low,
+                                  const noninterference::Result& check,
+                                  const std::string& what) {
+    const auto [hidden, restricted] = reference_views(system, high, low);
+    const lts::UnionResult ref = lts::disjoint_union(hidden, restricted);
+    const lts::UnionResult fast = noninterference::make_views(system, high, low);
+    EXPECT_EQ(fast.initial_lhs, ref.initial_lhs) << what;
+    EXPECT_EQ(fast.initial_rhs, ref.initial_rhs) << what;
+    EXPECT_EQ(fast.combined.initial(), ref.combined.initial()) << what;
+    ASSERT_TRUE(std::ranges::equal(fast.combined.offsets(), ref.combined.offsets())) << what;
+    const auto fast_out = fast.combined.transitions();
+    const auto ref_out = ref.combined.transitions();
+    for (std::size_t k = 0; k < ref_out.size(); ++k) {
+        if (fast_out[k].target != ref_out[k].target ||
+            fast.combined.actions()->name(fast_out[k].action) !=
+                ref.combined.actions()->name(ref_out[k].action)) {
+            ADD_FAILURE() << what << ": transition " << k << " differs";
+            break;
+        }
+    }
+
+    EXPECT_EQ(check.hidden_states, hidden.num_states()) << what;
+    EXPECT_EQ(check.restricted_states, restricted.num_states()) << what;
+    const EquivalenceResult expected = weakly_bisimilar(hidden, restricted);
+    EXPECT_EQ(check.noninterfering, expected.equivalent) << what;
+    EXPECT_EQ(check.formula == nullptr, expected.distinguishing == nullptr) << what;
+    if (check.formula != nullptr && expected.distinguishing != nullptr) {
+        EXPECT_EQ(to_two_towers(check.formula), to_two_towers(expected.distinguishing))
+            << what;
+    }
+
+    // The weak check collapses the union first: the collapse keeps each
+    // condensed edge at its first occurrence, members ascending.
+    const lts::TauCollapseResult collapsed = lts::collapse_tau_sccs(fast.combined);
+    std::vector<std::vector<StateId>> members(collapsed.collapsed.num_states());
+    for (StateId s = 0; s < fast.combined.num_states(); ++s) {
+        members[collapsed.representative_of[s]].push_back(s);
+    }
+    const ActionId tau = system.actions()->tau();
+    for (StateId c = 0; c < members.size(); ++c) {
+        std::vector<std::pair<ActionId, StateId>> expected_edges;
+        std::set<std::pair<ActionId, StateId>> seen;
+        for (const StateId s : members[c]) {
+            for (const Transition& t : fast.combined.out(s)) {
+                const StateId to = collapsed.representative_of[t.target];
+                if ((t.action == tau && to == c) || !seen.emplace(t.action, to).second) continue;
+                expected_edges.emplace_back(t.action, to);
+            }
+        }
+        const auto out = collapsed.collapsed.out(c);
+        bool same = out.size() == expected_edges.size();
+        for (std::size_t k = 0; same && k < out.size(); ++k) {
+            same = out[k].action == expected_edges[k].first &&
+                   out[k].target == expected_edges[k].second;
+        }
+        if (!same) {
+            ADD_FAILURE() << what << ": condensed edges of SCC " << c << " differ";
+            break;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -451,20 +539,76 @@ TEST(BranchingReductionTest, MatchesUnreducedCheckOnShippedSpecViews) {
     EXPECT_EQ(failing, 1u);
 }
 
-TEST(BranchingReductionTest, MatchesUnreducedCheckOnStreamingBufferSizes) {
-    const adl::ArchiType streaming = models::archi("streaming_markov.aem");
-    const std::vector<std::string> high = models::high_action_labels(streaming);
-    for (long ap = 1; ap <= 10; ++ap) {
-        for (long client = 1; client <= 10; ++client) {
-            const adl::ComposedModel model = adl::compose(models::with_capacity(
-                models::with_capacity(streaming, {"AP"}, ap), {"B"}, client));
-            const auto [hidden, restricted] = observer_views(model, high, "C");
-            EXPECT_TRUE(expect_matches_unreduced(
-                hidden, restricted,
-                "streaming AP=" + std::to_string(ap) + " B=" + std::to_string(client)));
-        }
+// ---------------------------------------------------------------------------
+// One-pass observer views vs the reference chain of whole-system copies.
+// ---------------------------------------------------------------------------
+
+TEST(ObserverViewsTest, MatchReferenceChainOnShippedSpecs) {
+    const std::pair<const char*, const char*> specs[] = {
+        {"rpc_untimed.aem", "C"},        {"rpc_revised_markov.aem", "C"},
+        {"rpc_general.aem", "C"},        {"disk_markov.aem", "SINK"},
+        {"streaming_markov.aem", "C"},   {"streaming_general.aem", "C"}};
+    for (const auto& [file, low_instance] : specs) {
+        const adl::ArchiType archi = models::archi(file);
+        const adl::ComposedModel model = adl::compose(archi);
+        const std::vector<std::string> labels = models::high_action_labels(archi);
+        const auto [high, low] = observer_sets(model, labels, low_instance);
+        expect_views_match_reference(
+            model.graph, high, low,
+            noninterference::check_dpm_transparency(model, labels, low_instance), file);
     }
 }
+
+TEST(ObserverViewsTest, MatchReferenceChainOnRandomSystems) {
+    for (std::uint32_t seed = 1; seed <= 40; ++seed) {
+        const double tau_share = 0.2 + 0.15 * (seed % 5);
+        const Lts m = random_lts(seed * 389, 8 + seed % 17, 20 + seed * 3, tau_share);
+        // "a" observed, "b" high, "c" neither: hidden on both sides.
+        const lts::ActionSet high{m.actions()->find("b")};
+        const lts::ActionSet low{m.actions()->find("a")};
+        expect_views_match_reference(m, high, low, noninterference::check(m, high, low),
+                                     "seed " + std::to_string(seed));
+    }
+}
+
+/// The streaming system at AP capacity GetParam() and every client buffer
+/// capacity 1..10; one ctest entry per AP capacity (tests/CMakeLists.txt).
+class StreamingBufferSizes : public ::testing::TestWithParam<long> {
+protected:
+    [[nodiscard]] static adl::ComposedModel compose_at(long ap, long client) {
+        static const adl::ArchiType streaming = models::archi("streaming_markov.aem");
+        return adl::compose(models::with_capacity(
+            models::with_capacity(streaming, {"AP"}, ap), {"B"}, client));
+    }
+    [[nodiscard]] static std::string name(long ap, long client) {
+        return "streaming AP=" + std::to_string(ap) + " B=" + std::to_string(client);
+    }
+    const std::vector<std::string> high_ =
+        models::high_action_labels(models::archi("streaming_markov.aem"));
+};
+
+TEST_P(StreamingBufferSizes, BranchingReductionMatchesUnreducedCheck) {
+    for (long client = 1; client <= 10; ++client) {
+        const adl::ComposedModel model = compose_at(GetParam(), client);
+        const auto [hidden, restricted] = observer_views(model, high_, "C");
+        EXPECT_TRUE(expect_matches_unreduced(hidden, restricted, name(GetParam(), client)));
+    }
+}
+
+TEST_P(StreamingBufferSizes, ObserverViewsMatchReferenceChain) {
+    for (long client = 1; client <= 10; ++client) {
+        const adl::ComposedModel model = compose_at(GetParam(), client);
+        const auto [high, low] = observer_sets(model, high_, "C");
+        expect_views_match_reference(model.graph, high, low,
+                                     noninterference::check_dpm_transparency(model, high_, "C"),
+                                     name(GetParam(), client));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(ByApCapacity, StreamingBufferSizes, ::testing::Range(1L, 11L),
+                         [](const ::testing::TestParamInfo<long>& info) {
+                             return "AP" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace dpma::bisim

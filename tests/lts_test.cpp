@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/error.hpp"
 #include "lts/lts.hpp"
 #include "lts/ops.hpp"
@@ -247,6 +250,76 @@ TEST(DisjointUnion, MergesActionTablesByName) {
     // Both ping transitions must carry the same merged id.
     EXPECT_EQ(u.combined.out(u.initial_lhs)[0].action,
               u.combined.out(u.initial_rhs)[1].action);
+}
+
+/// The transitions of \p state as "action->target" strings, in order.
+std::vector<std::string> edges_of(const Lts& model, StateId state) {
+    std::vector<std::string> out;
+    for (const Transition& t : model.out(state)) {
+        out.push_back(model.actions()->name(t.action) + "->" + std::to_string(t.target));
+    }
+    return out;
+}
+
+TEST(CollapseTauSccs, DeduplicatesCondensedEdgesInFirstSeenOrder) {
+    // Small tau-SCC {s0, s1}: its members' edges are scanned in member order
+    // and a repeated (action, target) is dropped, whichever member repeats it.
+    {
+        LtsBuilder m;
+        const ActionId a = m.action("a");
+        const ActionId b = m.action("b");
+        const ActionId c = m.action("c");
+        const ActionId tau = m.actions()->tau();
+        const StateId s0 = m.add_state();
+        const StateId s1 = m.add_state();
+        const StateId t = m.add_state();
+        const StateId u = m.add_state();
+        m.add_transition(s0, tau, s1);
+        m.add_transition(s0, b, t);
+        m.add_transition(s0, a, u);
+        m.add_transition(s0, a, t);
+        m.add_transition(s1, tau, s0);
+        m.add_transition(s1, a, u);
+        m.add_transition(s1, b, t);
+        m.add_transition(s1, c, u);
+        m.add_transition(s1, tau, t);
+        m.set_initial(s0);
+        const TauCollapseResult r = collapse_tau_sccs(std::move(m).build());
+        ASSERT_EQ(r.collapsed.num_states(), 3u);
+        const std::string rt = std::to_string(r.representative_of[t]);
+        const std::string ru = std::to_string(r.representative_of[u]);
+        EXPECT_EQ(r.representative_of[s0], r.representative_of[s1]);
+        EXPECT_EQ(edges_of(r.collapsed, r.representative_of[s0]),
+                  (std::vector<std::string>{"b->" + rt, "a->" + ru, "a->" + rt, "c->" + ru,
+                                            "tau->" + rt}));
+    }
+    // A 40-state tau ring with 80 candidate edges (past the scan limit):
+    // still first-seen order, although the action ids sort the other way.
+    {
+        LtsBuilder m;
+        std::vector<ActionId> bs(7);
+        for (int i = 6; i >= 0; --i) bs[i] = m.action("b" + std::to_string(i));
+        const ActionId a = m.action("a");
+        const ActionId tau = m.actions()->tau();
+        std::vector<StateId> ring(40);
+        for (StateId& s : ring) s = m.add_state();
+        const StateId sink = m.add_state();
+        const StateId other = m.add_state();
+        for (std::size_t i = 0; i < ring.size(); ++i) {
+            m.add_transition(ring[i], tau, ring[(i + 1) % ring.size()]);
+            m.add_transition(ring[i], a, sink);
+            m.add_transition(ring[i], bs[i % bs.size()], other);
+        }
+        m.set_initial(ring[0]);
+        const TauCollapseResult r = collapse_tau_sccs(std::move(m).build());
+        ASSERT_EQ(r.collapsed.num_states(), 3u);
+        std::vector<std::string> expected{"a->" + std::to_string(r.representative_of[sink])};
+        for (int i = 0; i < 7; ++i) {
+            expected.push_back("b" + std::to_string(i) + "->" +
+                               std::to_string(r.representative_of[other]));
+        }
+        EXPECT_EQ(edges_of(r.collapsed, r.representative_of[ring[0]]), expected);
+    }
 }
 
 TEST(MakeActionSet, InternsNames) {

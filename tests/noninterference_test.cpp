@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "adl/compose.hpp"
+#include "adl/measure.hpp"
 #include "bisim/hml.hpp"
 #include "bisim/hml_check.hpp"
 #include "lts/lts.hpp"
@@ -11,6 +13,9 @@
 #include "models/specs.hpp"
 #include "models/variants.hpp"
 #include "noninterference/noninterference.hpp"
+#include "obs/json.hpp"
+#include "obs/json_parse.hpp"
+#include "obs/trace.hpp"
 
 namespace dpma::noninterference {
 namespace {
@@ -139,6 +144,70 @@ TEST(Noninterference, UnknownHighLabelIsAModelError) {
                  ModelError);
     EXPECT_THROW((void)check_dpm_trace_transparency(model, {"DPM.no_such#S.command"}, "C"),
                  ModelError);
+}
+
+TEST(NoninterferenceTrace, CheckAndViewsAreSpanned) {
+    const adl::ArchiType archi = models::archi("rpc_untimed.aem");
+    const adl::ComposedModel model = adl::compose(archi);
+    const std::vector<std::string> high_labels = models::high_action_labels(archi);
+    lts::ActionSet high;
+    for (const std::string& label : high_labels) {
+        high.insert(model.graph.actions()->find(label));
+    }
+    lts::ActionSet low;
+    for (const lts::ActionId a : adl::actions_of_instance(model, "C")) low.insert(a);
+    const lts::UnionResult views = make_views(model.graph, high, low);
+
+    obs::clear_trace();
+    obs::set_tracing(true);
+    const Result verdict = check_dpm_transparency(model, high_labels, "C");
+    (void)check_dpm_trace_transparency(model, high_labels, "C");
+    obs::set_tracing(false);
+    EXPECT_EQ(verdict.hidden_states + verdict.restricted_states, views.combined.num_states());
+#if !defined(DPMA_OBS_DISABLED)
+    const obs::Json trace = obs::json_parse(obs::trace_json());
+    const obs::Json* events = trace.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    const auto spans = [events](std::string_view name) {
+        std::vector<const obs::Json*> out;
+        for (const obs::Json& e : events->array) {
+            if (e.string_at("name") == name) out.push_back(&e);
+        }
+        return out;
+    };
+    const auto inside = [](const obs::Json* inner, const obs::Json* outer) {
+        return inner->number_at("ts") >= outer->number_at("ts") &&
+               inner->number_at("ts") + inner->number_at("dur") <=
+                   outer->number_at("ts") + outer->number_at("dur");
+    };
+    // One check span per check (bisimulation, then traces), each holding
+    // the construction of its views.
+    const std::vector<const obs::Json*> checks = spans("noninterference.check");
+    const std::vector<const obs::Json*> built = spans("noninterference.views");
+    ASSERT_EQ(checks.size(), 2u);
+    ASSERT_EQ(built.size(), 2u);
+    const auto states = static_cast<double>(model.graph.num_states());
+    for (std::size_t k = 0; k < 2; ++k) {
+        const obs::Json* check_args = checks[k]->find("args");
+        ASSERT_NE(check_args, nullptr);
+        EXPECT_EQ(check_args->number_at("states"), states);
+        EXPECT_EQ(check_args->number_at("hidden"), static_cast<double>(verdict.hidden_states));
+        EXPECT_EQ(check_args->number_at("restricted"),
+                  static_cast<double>(verdict.restricted_states));
+        const obs::Json* views_args = built[k]->find("args");
+        ASSERT_NE(views_args, nullptr);
+        EXPECT_EQ(views_args->number_at("states"), states);
+        EXPECT_EQ(views_args->number_at("states_out"),
+                  static_cast<double>(views.combined.num_states()));
+        EXPECT_EQ(views_args->number_at("transitions_out"),
+                  static_cast<double>(views.combined.num_transitions()));
+        EXPECT_TRUE(inside(built[k], checks[k]));
+    }
+    const std::vector<const obs::Json*> weak = spans("bisim.weak_check");
+    ASSERT_EQ(weak.size(), 1u);
+    EXPECT_TRUE(inside(weak.front(), checks.front()));
+#endif
+    obs::clear_trace();
 }
 
 }  // namespace
