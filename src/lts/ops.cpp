@@ -171,12 +171,9 @@ TauCollapseResult collapse_tau_sccs(const Lts& model) {
     // Condensed edges, one SCC at a time in SCC order (members ascending),
     // each kept at its first occurrence; tau self-edges vanish by
     // construction.  Keys pack (action, target) into 64 bits — exact, since
-    // both ids are 32-bit.  An edge to a target no earlier edge of SCC c
-    // reached (per-target stamp) is new; otherwise the keys before it are
-    // scanned.  Past kScanLimit keys the SCC's keys are sorted once instead,
-    // so a large tau-SCC stays O(k log k).
-    constexpr std::size_t kScanLimit = 32;
-    std::vector<StateId> stamp(num_sccs, kNoState);
+    // both ids are 32-bit.  Sorting the SCC's (key, index) pairs puts equal
+    // keys next to each other with the first occurrence in front, so every
+    // later copy is marked and the rest are emitted in index order.
     std::vector<std::uint64_t> keys;
     std::vector<std::pair<std::uint64_t, std::uint32_t>> sorted;
     std::vector<char> first;
@@ -189,26 +186,14 @@ TauCollapseResult collapse_tau_sccs(const Lts& model) {
                 keys.push_back((static_cast<std::uint64_t>(t.action) << 32) | to);
             }
         }
+        sorted.clear();
+        for (std::size_t k = 0; k < keys.size(); ++k) {
+            sorted.emplace_back(keys[k], static_cast<std::uint32_t>(k));
+        }
+        std::sort(sorted.begin(), sorted.end());
         first.assign(keys.size(), 1);
-        if (keys.size() <= kScanLimit) {
-            for (std::size_t k = 0; k < keys.size(); ++k) {
-                StateId& seen = stamp[static_cast<StateId>(keys[k] & 0xFFFFFFFFu)];
-                if (seen != c) {
-                    seen = c;
-                } else {
-                    first[k] = std::find(keys.begin(), keys.begin() + k, keys[k]) ==
-                               keys.begin() + k;
-                }
-            }
-        } else {
-            sorted.clear();
-            for (std::size_t k = 0; k < keys.size(); ++k) {
-                sorted.emplace_back(keys[k], static_cast<std::uint32_t>(k));
-            }
-            std::sort(sorted.begin(), sorted.end());
-            for (std::size_t j = 1; j < sorted.size(); ++j) {
-                if (sorted[j].first == sorted[j - 1].first) first[sorted[j].second] = 0;
-            }
+        for (std::size_t j = 1; j < sorted.size(); ++j) {
+            if (sorted[j].first == sorted[j - 1].first) first[sorted[j].second] = 0;
         }
         for (std::size_t k = 0; k < keys.size(); ++k) {
             if (!first[k]) continue;

@@ -262,8 +262,8 @@ std::vector<std::string> edges_of(const Lts& model, StateId state) {
 }
 
 TEST(CollapseTauSccs, DeduplicatesCondensedEdgesInFirstSeenOrder) {
-    // Small tau-SCC {s0, s1}: its members' edges are scanned in member order
-    // and a repeated (action, target) is dropped, whichever member repeats it.
+    // Tau-SCC {s0, s1}: its members' edges are taken in member order and a
+    // repeated (action, target) is dropped, whichever member repeats it.
     {
         LtsBuilder m;
         const ActionId a = m.action("a");
@@ -293,8 +293,8 @@ TEST(CollapseTauSccs, DeduplicatesCondensedEdgesInFirstSeenOrder) {
                   (std::vector<std::string>{"b->" + rt, "a->" + ru, "a->" + rt, "c->" + ru,
                                             "tau->" + rt}));
     }
-    // A 40-state tau ring with 80 candidate edges (past the scan limit):
-    // still first-seen order, although the action ids sort the other way.
+    // A 40-state tau ring with 80 candidate edges: still first-seen order,
+    // although the action ids sort the other way.
     {
         LtsBuilder m;
         std::vector<ActionId> bs(7);
