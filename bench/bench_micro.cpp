@@ -15,6 +15,7 @@
 #include "ctmc/ctmc.hpp"
 #include "lts/ops.hpp"
 #include "ctmc/solve.hpp"
+#include "exp/cache.hpp"
 #include "models/specs.hpp"
 #include "models/variants.hpp"
 #include "noninterference/noninterference.hpp"
@@ -132,6 +133,20 @@ void BM_BuildMarkovStreaming(benchmark::State& state) {
     state.SetLabel(std::to_string(model.graph.num_states()) + " states");
 }
 BENCHMARK(BM_BuildMarkovStreaming)->Arg(10)->Arg(16)->Unit(benchmark::kMillisecond);
+
+/// One sweep-point retiming (exp::with_exp_rate) of the streaming skeleton
+/// at buffer capacity Arg.  The copy shares the composed structure and copies
+/// only the rate slots and the instance names, so the time per patch should
+/// stay flat as the state count grows.
+void BM_PatchModelStreaming(benchmark::State& state) {
+    const auto model = compose_streaming(state.range(0));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(exp::with_exp_rate(model, models::kDpm, "send_wakeup", 0.02));
+    }
+    state.SetLabel(std::to_string(model.graph.num_states()) + " states, " +
+                   std::to_string(model.graph.slots().size()) + " rate slots");
+}
+BENCHMARK(BM_PatchModelStreaming)->Arg(10)->Arg(16);
 
 void BM_SteadyStateGth(benchmark::State& state) {
     const auto model = compose_spec("rpc_revised_markov.aem");

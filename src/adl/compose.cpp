@@ -48,6 +48,8 @@ struct Participation {
     Symbol partner_action = kNoSymbol;   // SyncInitiator only
     lts::ActionId label = kNoSymbol;     // Internal / SyncInitiator: global label
     std::string label_text;
+    lts::SlotId slot = lts::kNoSlot;  // Internal: global rate slot, on first use
+    std::uint32_t sync_row = 0;       // SyncInitiator: its row of sync_slot
 };
 
 struct VecHash {
@@ -172,10 +174,10 @@ std::size_t ComposedModel::instance_index(const std::string& name) const {
 const std::string& ComposedModel::local_label(lts::StateId state,
                                               std::size_t instance) const {
     DPMA_REQUIRE(static_cast<std::size_t>(state) * instance_names.size() <
-                     local_states.size(),
+                     locals->states.size(),
                  "state out of range");
     DPMA_REQUIRE(instance < instance_names.size(), "instance out of range");
-    return local_state_names[instance][local_state(state, instance)];
+    return locals->names[instance][local_state(state, instance)];
 }
 
 std::string ComposedModel::state_label(lts::StateId state) const {
@@ -195,6 +197,7 @@ ComposedModel compose(const ArchiType& archi, const ComposeOptions& options) {
     const std::size_t num_instances = archi.instances.size();
 
     ComposedModel model;
+    ComposedModel::Locals global;
     lts::LtsBuilder graph(actions);
     std::vector<LocalLts> locals;
     locals.reserve(num_instances);
@@ -203,7 +206,7 @@ ComposedModel compose(const ArchiType& archi, const ComposeOptions& options) {
         const ElemType* type = archi.find_type(inst.type);
         locals.push_back(
             build_local_lts(*type, inst.args, *actions, options.max_states));
-        model.local_state_names.push_back(locals.back().state_names);
+        global.names.push_back(locals.back().state_names);
     }
 
     // Attachment lookup: (instance, bare action) -> partner / role.
@@ -229,12 +232,24 @@ ComposedModel compose(const ArchiType& archi, const ComposeOptions& options) {
 
     // Classify every local transition of every instance once, into flat CSR
     // arrays: transition k of local state s of instance i lives at index
-    // flat[i].off[s] + k, with its Participation alongside.
+    // flat[i].off[s] + k, with its Participation and the id of its rate among
+    // the distinct local rates alongside.
     struct FlatLocal {
         std::vector<std::uint32_t> off;
         std::vector<LocalLts::LocalTransition> trans;
         std::vector<Participation> part;
+        std::vector<std::uint32_t> rate_id;
     };
+    std::vector<lts::Rate> local_rates;
+    const auto rate_id_of = [&](const lts::Rate& rate) {
+        const auto it = std::find(local_rates.begin(), local_rates.end(), rate);
+        if (it != local_rates.end()) {
+            return static_cast<std::uint32_t>(it - local_rates.begin());
+        }
+        local_rates.push_back(rate);
+        return static_cast<std::uint32_t>(local_rates.size() - 1);
+    };
+    std::uint32_t num_sync_rows = 0;
     std::vector<FlatLocal> flat(num_instances);
     for (std::uint32_t i = 0; i < num_instances; ++i) {
         const Instance& inst = archi.instances[i];
@@ -267,6 +282,7 @@ ComposedModel compose(const ArchiType& archi, const ComposeOptions& options) {
                                        it->second.partner_instance_name + "." +
                                        it->second.partner_action_name;
                         p.label = actions->intern(p.label_text);
+                        p.sync_row = num_sync_rows++;
                     } else {
                         p.kind = ParticipationKind::SyncFollower;
                     }
@@ -275,6 +291,7 @@ ComposedModel compose(const ArchiType& archi, const ComposeOptions& options) {
                 }
                 f.trans.push_back(t);
                 f.part.push_back(std::move(p));
+                f.rate_id.push_back(rate_id_of(t.rate));
             }
             f.off.push_back(static_cast<std::uint32_t>(f.trans.size()));
         }
@@ -309,7 +326,7 @@ ComposedModel compose(const ArchiType& archi, const ComposeOptions& options) {
                              std::to_string(options.max_states) + " states");
         }
         const lts::StateId id = graph.add_state();
-        model.local_states.insert(model.local_states.end(), g.begin(), g.end());
+        global.states.insert(global.states.end(), g.begin(), g.end());
         if (packable) state_code.push_back(code);
         queue.push_back(id);
         return id;
@@ -347,24 +364,32 @@ ComposedModel compose(const ArchiType& archi, const ComposeOptions& options) {
         graph.set_initial(packable ? intern_packed(code) : intern_vec(initial));
     }
 
+    // Global rate slots, interned on first use, so in the order the
+    // transitions first carry them and only when some transition does: one
+    // per internal local transition (Participation::slot), and for a
+    // synchronisation one per (initiator transition, partner rate id), at
+    // sync_slot[p.sync_row * num_local_rates + rate id].
+    const std::size_t num_local_rates = local_rates.size();
+    std::vector<lts::SlotId> sync_slot(num_sync_rows * num_local_rates, lts::kNoSlot);
+
     std::vector<std::uint32_t> current;
     std::vector<std::uint32_t> scratch;
     while (!queue.empty()) {
         const lts::StateId from = queue.front();
         queue.pop_front();
         current.assign(
-            model.local_states.begin() +
+            global.states.begin() +
                 static_cast<std::ptrdiff_t>(static_cast<std::size_t>(from) * num_instances),
-            model.local_states.begin() +
+            global.states.begin() +
                 static_cast<std::ptrdiff_t>((static_cast<std::size_t>(from) + 1) *
                                             num_instances));
         const std::uint64_t code = packable ? state_code[from] : 0;
 
         for (std::uint32_t i = 0; i < num_instances; ++i) {
             const std::uint32_t ls = current[i];
-            const FlatLocal& f = flat[i];
+            FlatLocal& f = flat[i];
             for (std::uint32_t k = f.off[ls]; k < f.off[ls + 1]; ++k) {
-                const Participation& p = f.part[k];
+                Participation& p = f.part[k];
                 switch (p.kind) {
                     case ParticipationKind::Internal: {
                         lts::StateId to;
@@ -378,7 +403,10 @@ ComposedModel compose(const ArchiType& archi, const ComposeOptions& options) {
                             scratch[i] = f.trans[k].target;
                             to = intern_vec(scratch);
                         }
-                        graph.add_transition(from, p.label, to, f.trans[k].rate);
+                        if (p.slot == lts::kNoSlot) {
+                            p.slot = graph.intern_slot(p.label, f.trans[k].rate);
+                        }
+                        graph.add_slot_transition(from, p.slot, to);
                         break;
                     }
                     case ParticipationKind::SyncInitiator: {
@@ -407,9 +435,14 @@ ComposedModel compose(const ArchiType& archi, const ComposeOptions& options) {
                                 scratch[j] = u.target;
                                 to = intern_vec(scratch);
                             }
-                            graph.add_transition(
-                                from, p.label, to,
-                                combine_rates(f.trans[k].rate, u.rate, p.label_text));
+                            lts::SlotId& slot =
+                                sync_slot[p.sync_row * num_local_rates + pf.rate_id[q]];
+                            if (slot == lts::kNoSlot) {
+                                slot = graph.intern_slot(
+                                    p.label,
+                                    combine_rates(f.trans[k].rate, u.rate, p.label_text));
+                            }
+                            graph.add_slot_transition(from, slot, to);
                         }
                         break;
                     }
@@ -421,6 +454,7 @@ ComposedModel compose(const ArchiType& archi, const ComposeOptions& options) {
         }
     }
     model.graph = std::move(graph).build();
+    model.locals = std::make_shared<const ComposedModel::Locals>(std::move(global));
     obs::counter("compose.calls").add();
     obs::counter("compose.states").add(model.graph.num_states());
     obs::counter("compose.transitions").add(model.graph.num_transitions());

@@ -17,6 +17,7 @@
 /// the rates.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,20 +50,30 @@ struct LocalLts {
 struct ComposedModel {
     lts::Lts graph;
     std::vector<std::string> instance_names;
-    /// Flattened per-state locals, instance_names.size() entries per global
-    /// state (one contiguous block keeps sweep-time model copies to a single
-    /// allocation); read through local_state().
-    std::vector<std::uint32_t> local_states;
-    /// Per instance, the name of each local state (behaviour + arguments).
-    std::vector<std::vector<std::string>> local_state_names;
+    /// What each global state is made of.  Fixed by compose() like the
+    /// graph's structure, so rate-patched copies share it.
+    struct Locals {
+        /// Flattened per-state locals, instance_names.size() entries per
+        /// global state; read through local_state().
+        std::vector<std::uint32_t> states;
+        /// Per instance, the name of each local state (behaviour + arguments).
+        std::vector<std::vector<std::string>> names;
+    };
+    std::shared_ptr<const Locals> locals = std::make_shared<const Locals>();
 
     [[nodiscard]] std::size_t instance_index(const std::string& name) const;
 
     /// Local state of instance \p instance in global state \p state.
     [[nodiscard]] std::uint32_t local_state(lts::StateId state,
                                             std::size_t instance) const {
-        return local_states[static_cast<std::size_t>(state) * instance_names.size() +
-                            instance];
+        return locals->states[static_cast<std::size_t>(state) * instance_names.size() +
+                              instance];
+    }
+
+    /// Names of the local states of instance \p instance, by local state.
+    [[nodiscard]] const std::vector<std::string>& local_state_names(
+        std::size_t instance) const {
+        return locals->names[instance];
     }
 
     /// Name of the local state of \p instance in global state \p state.

@@ -52,7 +52,7 @@ StateTest::StateTest(const ComposedModel& model, const Predicate& predicate)
     }
     const auto& in_state = std::get<InStatePredicate>(predicate);
     instance_ = model.instance_index(in_state.instance);
-    const auto& names = model.local_state_names[instance_];
+    const auto& names = model.local_state_names(instance_);
     local_.assign(names.size(), 0);
     for (std::size_t i = 0; i < names.size(); ++i) {
         local_[i] = starts_with(names[i], in_state.state_prefix) ? 1 : 0;

@@ -425,6 +425,7 @@ lts::Lts quotient(const lts::Lts& model, const std::vector<BlockId>& blocks) {
     const BlockId num_blocks = 1 + *std::max_element(blocks.begin(), blocks.end());
 
     lts::LtsBuilder out(model.actions());
+    lts::SlotRemap slot_of(model, out);
     for (BlockId b = 0; b < num_blocks; ++b) out.add_state();
     // The lowest-id member represents its block (see the header for why
     // that is exact).  (action, block) pairs are deduplicated through the
@@ -439,7 +440,7 @@ lts::Lts quotient(const lts::Lts& model, const std::vector<BlockId>& blocks) {
         seen.clear();
         for (const lts::Transition& t : model.out(representative[b])) {
             if (seen.insert(pack_entry(t.action, blocks[t.target])).second) {
-                out.add_transition(b, t.action, blocks[t.target], t.rate);
+                out.add_slot_transition(b, slot_of(t.slot, t.action), blocks[t.target]);
             }
         }
     }

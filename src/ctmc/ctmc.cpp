@@ -46,20 +46,26 @@ private:
     std::vector<double> values_;
 };
 
-void check_rate(const adl::ComposedModel& model, const lts::Transition& t) {
-    if (std::holds_alternative<lts::RateUnspecified>(t.rate)) {
-        throw ModelError("transition " + model.graph.actions()->name(t.action) +
+void check_rate(const lts::ActionTable& actions, const lts::RateSlot& slot) {
+    if (std::holds_alternative<lts::RateUnspecified>(slot.rate)) {
+        throw ModelError("transition " + actions.name(slot.action) +
                          " has no rate: functional models cannot be solved as CTMCs");
     }
-    if (lts::is_passive(t.rate)) {
-        throw ModelError("passive transition " + model.graph.actions()->name(t.action) +
+    if (lts::is_passive(slot.rate)) {
+        throw ModelError("passive transition " + actions.name(slot.action) +
                          " survived composition (unattached interaction?)");
     }
-    if (lts::is_general(t.rate)) {
-        throw ModelError("generally distributed transition " +
-                         model.graph.actions()->name(t.action) +
+    if (lts::is_general(slot.rate)) {
+        throw ModelError("generally distributed transition " + actions.name(slot.action) +
                          " in a Markovian model; use the simulator instead");
     }
+}
+
+/// Checks every slot of \p graph once.  Slots are numbered in order of
+/// first use, so the first slot that fails is the slot of the first
+/// transition that would.
+void check_rates(const lts::Lts& graph) {
+    for (const lts::RateSlot& slot : graph.slots()) check_rate(*graph.actions(), slot);
 }
 
 }  // namespace
@@ -125,12 +131,14 @@ MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing) 
     // Pass 1: check the rates, apply maximal progress and normalise the
     // surviving immediate weights.  A state without a positive-weight
     // immediate branch is tangible.
+    check_rates(model.graph);
+    const std::vector<const lts::RateImmediate*> immediate =
+        lts::slot_rates<lts::RateImmediate>(model.graph);
     for (lts::StateId s = 0; s < n; ++s) {
         int best_priority = std::numeric_limits<int>::min();
         double total_weight = 0.0;
         for (const lts::Transition& t : model.graph.out(s)) {
-            check_rate(model, t);
-            if (const auto* imm = std::get_if<lts::RateImmediate>(&t.rate)) {
+            if (const lts::RateImmediate* imm = immediate[t.slot]) {
                 if (imm->priority > best_priority) {
                     best_priority = imm->priority;
                     total_weight = 0.0;
@@ -140,7 +148,7 @@ MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing) 
         }
         if (total_weight > 0.0) {
             for (const lts::Transition& t : model.graph.out(s)) {
-                const auto* imm = std::get_if<lts::RateImmediate>(&t.rate);
+                const lts::RateImmediate* imm = immediate[t.slot];
                 // Zero-weight branches can never fire; dropping them keeps
                 // degenerate parameterisations (e.g. loss probability 0) legal.
                 if (imm != nullptr && imm->priority == best_priority && imm->weight > 0.0) {
@@ -221,6 +229,8 @@ MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing) 
     }
 
     // Pass 4: the tangible generator, row by row.
+    const std::vector<const lts::RateExp*> exp_of_slot =
+        lts::slot_rates<lts::RateExp>(model.graph);
     std::vector<std::size_t> row_start;
     row_start.reserve(num_tangible + 1);
     row_start.push_back(0);
@@ -229,7 +239,7 @@ MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing) 
         const lts::StateId s = out.orig_of[t];
         bool has_timed = false;
         for (const lts::Transition& tr : model.graph.out(s)) {
-            const auto* exp_rate = std::get_if<lts::RateExp>(&tr.rate);
+            const lts::RateExp* exp_rate = exp_of_slot[tr.slot];
             if (exp_rate == nullptr) continue;  // tangible => no immediates enabled
             has_timed = true;
             const double rate = exp_rate->rate;

@@ -2,6 +2,7 @@
 
 #include "core/error.hpp"
 #include "core/stats_math.hpp"
+#include "obs/trace.hpp"
 
 namespace dpma::ctmc {
 
@@ -15,10 +16,12 @@ std::vector<double> action_frequencies(const MarkovModel& markov,
     std::vector<double> vanishing_entry(model.graph.num_states(), 0.0);
 
     // Timed transitions out of tangible states.
+    const std::vector<const lts::RateExp*> exp_of_slot =
+        lts::slot_rates<lts::RateExp>(model.graph);
     for (TangibleId t = 0; t < markov.orig_of.size(); ++t) {
         const lts::StateId s = markov.orig_of[t];
         for (const lts::Transition& tr : model.graph.out(s)) {
-            const auto* exp_rate = std::get_if<lts::RateExp>(&tr.rate);
+            const lts::RateExp* exp_rate = exp_of_slot[tr.slot];
             if (exp_rate == nullptr) continue;
             const double f = pi[t] * exp_rate->rate;
             freq[tr.action] += f;
@@ -57,6 +60,9 @@ double state_probability(const MarkovModel& markov, const adl::ComposedModel& mo
 
 double evaluate_measure(const MarkovModel& markov, const adl::ComposedModel& model,
                         const std::vector<double>& pi, const adl::Measure& measure) {
+    DPMA_NAMED_SPAN(span, "ctmc.measure", "ctmc");
+    span.arg("clauses", static_cast<double>(measure.clauses.size()));
+    span.arg("tangible", static_cast<double>(markov.orig_of.size()));
     KahanSum total;
     std::vector<double> freq;  // computed lazily, shared by all trans clauses
     for (const adl::RewardClause& clause : measure.clauses) {

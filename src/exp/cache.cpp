@@ -24,14 +24,15 @@ obs::Counter& miss_counter() {
     return counter;
 }
 
-/// Shared patching skeleton: copies the model and hands the rate of every
-/// transition whose label matches instance.action to \p patch, in one
-/// contiguous Lts::mutate_rates pass over the copy's transition array.
+/// Shared patching skeleton: copies the model, which shares the composed
+/// structure and copies only the rate slot table, and hands the rate of every
+/// slot whose label matches instance.action to \p patch, in one
+/// Lts::mutate_rates pass over the copy's slots.
 template <typename PatchFn>
 adl::ComposedModel patch_matching(const adl::ComposedModel& model,
                                   const std::string& instance,
                                   const std::string& action, PatchFn patch) {
-    DPMA_SPAN("exp.patch_model", "exp");
+    DPMA_NAMED_SPAN(span, "exp.patch_model", "exp");
     const std::vector<char> labels = adl::action_mask(
         model, adl::EnabledPredicate{instance, action});
     adl::ComposedModel copy = model;
@@ -44,6 +45,8 @@ adl::ComposedModel patch_matching(const adl::ComposedModel& model,
     if (patched == 0) {
         throw ModelError("no transition matches " + instance + "." + action);
     }
+    span.arg("slots", static_cast<double>(copy.graph.slots().size()));
+    span.arg("slots_patched", static_cast<double>(patched));
     return copy;
 }
 

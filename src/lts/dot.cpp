@@ -39,8 +39,8 @@ std::string to_dot(const Lts& model, const DotOptions& options) {
             out << "  s" << s << " -> s" << t.target << " [label=\""
                 << escape(model.actions()->name(t.action));
             if (options.show_rates &&
-                !std::holds_alternative<RateUnspecified>(t.rate)) {
-                out << ", " << escape(rate_to_string(t.rate));
+                !std::holds_alternative<RateUnspecified>(model.rate(t))) {
+                out << ", " << escape(rate_to_string(model.rate(t)));
             }
             out << "\"";
             if (t.action == tau) out << ", style=dashed";

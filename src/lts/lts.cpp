@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <sstream>
+#include <variant>
 
 #include "core/error.hpp"
 
@@ -22,13 +23,16 @@ std::string rate_to_string(const Rate& rate) {
     return std::visit(Visitor{}, rate);
 }
 
-Lts::Lts() : actions_(std::make_shared<ActionTable>()) {}
+Lts::Lts() : actions_(std::make_shared<ActionTable>()) {
+    static const auto empty = std::make_shared<const Structure>();
+    structure_ = empty;
+}
 
-Lts::Lts(std::shared_ptr<ActionTable> actions, std::vector<std::uint32_t> offsets,
-         std::vector<Transition> transitions, StateId initial)
+Lts::Lts(std::shared_ptr<ActionTable> actions, std::shared_ptr<const Structure> structure,
+         std::vector<RateSlot> slots, StateId initial)
     : actions_(std::move(actions)),
-      offsets_(std::move(offsets)),
-      transitions_(std::move(transitions)),
+      structure_(std::move(structure)),
+      slots_(std::move(slots)),
       initial_(initial) {}
 
 LtsBuilder::LtsBuilder(std::shared_ptr<ActionTable> actions) : actions_(std::move(actions)) {
@@ -36,6 +40,20 @@ LtsBuilder::LtsBuilder(std::shared_ptr<ActionTable> actions) : actions_(std::mov
 }
 
 LtsBuilder::LtsBuilder() : LtsBuilder(std::make_shared<ActionTable>()) {}
+
+SlotId LtsBuilder::intern_slot(ActionId action, const Rate& rate) {
+    for (SlotId slot = 0; slot < slots_.size(); ++slot) {
+        if (slots_[slot].action == action && slots_[slot].rate == rate) return slot;
+    }
+    DPMA_REQUIRE(slots_.size() < kNoSlot, "rate slot overflow");
+    const auto slot = static_cast<SlotId>(slots_.size());
+    slots_.push_back(RateSlot{action, rate});
+    if (std::holds_alternative<RateUnspecified>(rate)) {
+        if (action >= unspecified_.size()) unspecified_.resize(action + 1, kNoSlot);
+        unspecified_[action] = slot;
+    }
+    return slot;
+}
 
 void LtsBuilder::record_source(StateId from) {
     if (sources_.empty()) {
@@ -47,6 +65,25 @@ void LtsBuilder::record_source(StateId from) {
         }
     }
     sources_.push_back(from);
+}
+
+void LtsBuilder::renumber_slots() {
+    std::vector<SlotId> renumbered(slots_.size(), kNoSlot);
+    SlotId used = 0;
+    bool moved = false;
+    for (const Transition& t : transitions_) {
+        SlotId& to = renumbered[t.slot];
+        if (to != kNoSlot) continue;
+        moved = moved || t.slot != used;
+        to = used++;
+    }
+    if (!moved && used == slots_.size()) return;
+    std::vector<RateSlot> kept(used);
+    for (SlotId slot = 0; slot < slots_.size(); ++slot) {
+        if (renumbered[slot] != kNoSlot) kept[renumbered[slot]] = std::move(slots_[slot]);
+    }
+    for (Transition& t : transitions_) t.slot = renumbered[t.slot];
+    slots_ = std::move(kept);
 }
 
 void LtsBuilder::set_initial(StateId state) {
@@ -62,11 +99,15 @@ Lts LtsBuilder::build() && {
         std::vector<std::uint32_t> cursor(degree_.begin(), degree_.end() - 1);
         std::vector<Transition> sorted(transitions_.size());
         for (std::size_t k = 0; k < transitions_.size(); ++k) {
-            sorted[cursor[sources_[k]]++] = std::move(transitions_[k]);
+            sorted[cursor[sources_[k]]++] = transitions_[k];
         }
         transitions_ = std::move(sorted);
     }
-    return Lts(std::move(actions_), std::move(degree_), std::move(transitions_), initial_);
+    renumber_slots();
+    auto structure = std::make_shared<Lts::Structure>();
+    structure->offsets = std::move(degree_);
+    structure->transitions = std::move(transitions_);
+    return Lts(std::move(actions_), std::move(structure), std::move(slots_), initial_);
 }
 
 std::string Lts::dump() const {
@@ -77,7 +118,7 @@ std::string Lts::dump() const {
         outstr << "  s" << s << '\n';
         for (const Transition& t : out(s)) {
             outstr << "    --" << actions_->name(t.action) << ", "
-                   << rate_to_string(t.rate) << "--> s" << t.target << '\n';
+                   << rate_to_string(rate(t)) << "--> s" << t.target << '\n';
         }
     }
     return outstr.str();

@@ -97,12 +97,13 @@ TauCondensation tau_condensation(const Lts& model) {
 Lts hide(const Lts& model, const ActionSet& actions) {
     const ActionId tau = model.actions()->tau();
     LtsBuilder out(model.actions());
+    SlotRemap slot_of(model, out);
     for (StateId s = 0; s < model.num_states(); ++s) out.add_state();
     out.reserve_transitions(model.num_transitions());
     for (StateId s = 0; s < model.num_states(); ++s) {
         for (const Transition& t : model.out(s)) {
             const ActionId label = actions.contains(t.action) ? tau : t.action;
-            out.add_transition(s, label, t.target, t.rate);
+            out.add_slot_transition(s, slot_of(t.slot, label), t.target);
         }
     }
     if (model.initial() != kNoState) out.set_initial(model.initial());
@@ -111,12 +112,13 @@ Lts hide(const Lts& model, const ActionSet& actions) {
 
 Lts restrict_actions(const Lts& model, const ActionSet& actions) {
     LtsBuilder out(model.actions());
+    SlotRemap slot_of(model, out);
     for (StateId s = 0; s < model.num_states(); ++s) out.add_state();
     out.reserve_transitions(model.num_transitions());
     for (StateId s = 0; s < model.num_states(); ++s) {
         for (const Transition& t : model.out(s)) {
             if (!actions.contains(t.action)) {
-                out.add_transition(s, t.action, t.target, t.rate);
+                out.add_slot_transition(s, slot_of(t.slot, t.action), t.target);
             }
         }
     }
@@ -128,6 +130,7 @@ Lts reachable_part(const Lts& model) {
     DPMA_REQUIRE(model.initial() != kNoState, "reachable_part needs an initial state");
     std::vector<StateId> remap(model.num_states(), kNoState);
     LtsBuilder out(model.actions());
+    SlotRemap slot_of(model, out);
     out.reserve_transitions(model.num_transitions());
     std::deque<StateId> queue{model.initial()};
     remap[model.initial()] = out.add_state();
@@ -146,7 +149,7 @@ Lts reachable_part(const Lts& model) {
     }
     for (StateId u : order) {
         for (const Transition& t : model.out(u)) {
-            out.add_transition(remap[u], t.action, remap[t.target], t.rate);
+            out.add_slot_transition(remap[u], slot_of(t.slot, t.action), remap[t.target]);
         }
     }
     return std::move(out).build();
@@ -356,10 +359,11 @@ UnionResult disjoint_union(const Lts& lhs, const Lts& rhs) {
         for (ActionId a = 0; a < remap.size(); ++a) {
             remap[a] = table->intern(src_actions.name(a));
         }
+        SlotRemap slot_of(src, combined);
         for (StateId s = 0; s < src.num_states(); ++s) {
             for (const Transition& t : src.out(s)) {
-                combined.add_transition(offset + s, remap[t.action], offset + t.target,
-                                        t.rate);
+                combined.add_slot_transition(offset + s, slot_of(t.slot, remap[t.action]),
+                                             offset + t.target);
             }
         }
     };

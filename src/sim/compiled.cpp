@@ -101,6 +101,8 @@ CompiledModel compile_model(const adl::ComposedModel& model,
     labels.reserve(64);
     label_pos.reserve(64);
     bool all_exponential = true;
+    const std::vector<const lts::RateImmediate*> immediate =
+        lts::slot_rates<lts::RateImmediate>(model.graph);
     for (lts::StateId s = 0; s < num_states; ++s) {
         CompiledModel::StateInfo& info = compiled.states[s];
         const auto out = model.graph.out(s);
@@ -111,7 +113,7 @@ CompiledModel compile_model(const adl::ComposedModel& model,
         double total_weight = 0.0;
         bool has_immediate = false;
         for (const lts::Transition& t : out) {
-            if (const auto* imm = std::get_if<lts::RateImmediate>(&t.rate)) {
+            if (const lts::RateImmediate* imm = immediate[t.slot]) {
                 has_immediate = true;
                 if (imm->priority > best_priority) {
                     best_priority = imm->priority;
@@ -131,7 +133,7 @@ CompiledModel compile_model(const adl::ComposedModel& model,
         info.imm_begin = static_cast<std::uint32_t>(compiled.immediates.size());
         if (has_immediate) {
             for (const lts::Transition& t : out) {
-                if (const auto* imm = std::get_if<lts::RateImmediate>(&t.rate)) {
+                if (const lts::RateImmediate* imm = immediate[t.slot]) {
                     if (imm->priority != best_priority || imm->weight <= 0.0) continue;
                     compiled.immediates.push_back(
                         CompiledModel::ImmediateCandidate{imm->weight, t.action, t.target});
@@ -162,7 +164,7 @@ CompiledModel compile_model(const adl::ComposedModel& model,
                     label_pos[labels.size() - 1] =
                         static_cast<std::uint32_t>(compiled.timed.size());
                     CompiledModel::TimedLabel tl;
-                    tl.dist = dist_of(t.rate);
+                    tl.dist = dist_of(model.graph.rate(t));
                     tl.action = t.action;
                     compiled.timed.push_back(tl);
                     if (tl.dist.kind() != DistKind::Exponential) all_exponential = false;

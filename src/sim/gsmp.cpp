@@ -13,17 +13,17 @@ namespace dpma::sim {
 
 Simulator::Simulator(const adl::ComposedModel& model, std::vector<adl::Measure> measures)
     : model_(model), measures_(std::move(measures)) {
-    // Sanity: reject functional or passive leftovers early.
-    for (lts::StateId s = 0; s < model_.graph.num_states(); ++s) {
-        for (const lts::Transition& t : model_.graph.out(s)) {
-            if (std::holds_alternative<lts::RateUnspecified>(t.rate)) {
-                throw ModelError("functional model cannot be simulated: action " +
-                                 model_.graph.actions()->name(t.action) + " has no rate");
-            }
-            if (lts::is_passive(t.rate)) {
-                throw ModelError("passive transition survived composition: " +
-                                 model_.graph.actions()->name(t.action));
-            }
+    // Sanity: reject functional or passive leftovers early.  Slots are
+    // numbered in order of first use, so the first bad slot is the one the
+    // first bad transition carries.
+    for (const lts::RateSlot& slot : model_.graph.slots()) {
+        if (std::holds_alternative<lts::RateUnspecified>(slot.rate)) {
+            throw ModelError("functional model cannot be simulated: action " +
+                             model_.graph.actions()->name(slot.action) + " has no rate");
+        }
+        if (lts::is_passive(slot.rate)) {
+            throw ModelError("passive transition survived composition: " +
+                             model_.graph.actions()->name(slot.action));
         }
     }
 

@@ -190,7 +190,7 @@ TEST(Compose, PassiveInheritsActiveRate) {
     for (lts::StateId s = 0; s < model.graph.num_states(); ++s) {
         for (const lts::Transition& t : model.graph.out(s)) {
             if (model.graph.actions()->name(t.action) == "P.hand_over#Q.take") {
-                const auto* rate = std::get_if<lts::RateExp>(&t.rate);
+                const auto* rate = std::get_if<lts::RateExp>(&model.graph.rate(t));
                 ASSERT_NE(rate, nullptr);
                 EXPECT_DOUBLE_EQ(rate->rate, 7.0);
                 found = true;
@@ -198,6 +198,29 @@ TEST(Compose, PassiveInheritsActiveRate) {
         }
     }
     EXPECT_TRUE(found);
+}
+
+TEST(Compose, SyncTakesTheActivePartnersRateInEachState) {
+    // One passive output attached to an input whose rate depends on the
+    // consumer's state: the same initiator transition synchronises at two
+    // rates, so each synchronised transition must carry its partner's.
+    ArchiType archi = producer_consumer(lts::RateExp{2.0}, lts::RatePassive{});
+    archi.elem_types[1].behaviors = {
+        BehaviorDef{"Slow", {}, {{nullptr, {{"take", lts::RateExp{1.0}}}, {"Fast", {}}}}},
+        BehaviorDef{"Fast", {}, {{nullptr, {{"take", lts::RateExp{3.0}}}, {"Slow", {}}}}},
+    };
+    const ComposedModel model = compose(archi);
+    const std::size_t consumer = model.instance_index("Q");
+    std::size_t found = 0;
+    for (lts::StateId s = 0; s < model.graph.num_states(); ++s) {
+        for (const lts::Transition& t : model.graph.out(s)) {
+            if (model.graph.actions()->name(t.action) != "P.hand_over#Q.take") continue;
+            const double want = model.local_label(s, consumer) == "Slow" ? 1.0 : 3.0;
+            EXPECT_EQ(model.graph.rate(t), lts::Rate{lts::RateExp{want}}) << "state " << s;
+            ++found;
+        }
+    }
+    EXPECT_EQ(found, 2u);
 }
 
 TEST(Compose, TwoActivePartiesAreRejected) {

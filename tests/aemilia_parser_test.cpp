@@ -201,7 +201,7 @@ END
     const adl::ComposedModel model = adl::compose(archi);
     // put/get are unattached inputs => blocked, but the local state space
     // still unfolds through the guard logic during construction.
-    EXPECT_EQ(model.local_state_names[0].size(), 5u);  // occupancy 0..4
+    EXPECT_EQ(model.local_state_names(0).size(), 5u);  // occupancy 0..4
     EXPECT_EQ(archi.instances[0].args.size(), 2u);
 }
 

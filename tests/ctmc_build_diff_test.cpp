@@ -12,7 +12,10 @@
 /// first-seen transition order.  Failing models must fail the same way.
 /// Every chain with one recurrent class is also solved both ways: the
 /// sparse GTH kernel behind steady_state against the dense steady_state_gth
-/// on the recurrent class, again to 1e-12 relative.
+/// on the recurrent class, again to 1e-12 relative.  Rate-patched copies
+/// (exp::with_exp_rate, with_dist, with_delay) are compared with a rebuild
+/// that sets every matching rate transition by transition: the same rows,
+/// and a bit-identical build_markov.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +23,7 @@
 #include <cmath>
 #include <deque>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <map>
 #include <random>
@@ -28,10 +32,12 @@
 #include <vector>
 
 #include "adl/compose.hpp"
+#include "adl/measure.hpp"
 #include "core/error.hpp"
 #include "ctmc/ctmc.hpp"
 #include "ctmc/solve.hpp"
 #include "ctmc_fixtures.hpp"
+#include "exp/cache.hpp"
 #include "models/specs.hpp"
 #include "models/variants.hpp"
 
@@ -87,7 +93,7 @@ std::vector<VanishingBranch> ref_immediate_branches(const lts::Lts& graph,
     int best_priority = std::numeric_limits<int>::min();
     double total_weight = 0.0;
     for (const lts::Transition& t : graph.out(state)) {
-        if (const auto* imm = std::get_if<lts::RateImmediate>(&t.rate)) {
+        if (const auto* imm = std::get_if<lts::RateImmediate>(&graph.rate(t))) {
             if (imm->priority > best_priority) {
                 best_priority = imm->priority;
                 total_weight = 0.0;
@@ -98,7 +104,7 @@ std::vector<VanishingBranch> ref_immediate_branches(const lts::Lts& graph,
     std::vector<VanishingBranch> branches;
     if (total_weight <= 0.0) return branches;
     for (const lts::Transition& t : graph.out(state)) {
-        if (const auto* imm = std::get_if<lts::RateImmediate>(&t.rate)) {
+        if (const auto* imm = std::get_if<lts::RateImmediate>(&graph.rate(t))) {
             if (imm->priority == best_priority && imm->weight > 0.0) {
                 branches.push_back(
                     VanishingBranch{t.target, t.action, imm->weight / total_weight});
@@ -117,13 +123,13 @@ RefModel ref_build_markov(const adl::ComposedModel& model, bool allow_absorbing 
 
     for (lts::StateId s = 0; s < n; ++s) {
         for (const lts::Transition& t : graph.out(s)) {
-            if (std::holds_alternative<lts::RateUnspecified>(t.rate)) {
+            if (std::holds_alternative<lts::RateUnspecified>(graph.rate(t))) {
                 throw ModelError("transition has no rate");
             }
-            if (lts::is_passive(t.rate)) {
+            if (lts::is_passive(graph.rate(t))) {
                 throw ModelError("passive transition survived composition");
             }
-            if (lts::is_general(t.rate)) {
+            if (lts::is_general(graph.rate(t))) {
                 throw ModelError("generally distributed transition");
             }
         }
@@ -184,7 +190,7 @@ RefModel ref_build_markov(const adl::ComposedModel& model, bool allow_absorbing 
         const lts::StateId s = out.orig_of[t];
         bool has_timed = false;
         for (const lts::Transition& tr : graph.out(s)) {
-            const auto* exp_rate = std::get_if<lts::RateExp>(&tr.rate);
+            const auto* exp_rate = std::get_if<lts::RateExp>(&graph.rate(tr));
             if (exp_rate == nullptr) continue;
             has_timed = true;
             if (out.is_tangible(tr.target)) {
@@ -399,6 +405,136 @@ TEST(BuildDiff, EliminationFixtures) {
     std::swap(archi.elem_types[0].behaviors[0], archi.elem_types[0].behaviors[1]);
     EXPECT_EQ(compare_builds(adl::compose(archi), "vanishing initial"), Outcome::Ok);
     EXPECT_EQ(compare_builds(adl::compose(deadlock_model()), "deadlock", true), Outcome::Ok);
+}
+
+// ---------------------------------------------------------------------------
+// Rate-patched copies: exp::with_exp_rate / with_dist / with_delay against a
+// reference that sets every matching rate transition by transition
+// ---------------------------------------------------------------------------
+
+using RatePatch = std::function<lts::Rate(const lts::Rate&)>;
+
+/// \p model rebuilt through an LtsBuilder, one transition at a time, with
+/// \p patch applied to the rate of every transition whose label involves
+/// instance.action.
+adl::ComposedModel reference_patch(const adl::ComposedModel& model,
+                                   const std::string& instance, const std::string& action,
+                                   const RatePatch& patch) {
+    const std::vector<char> labels =
+        adl::action_mask(model, adl::EnabledPredicate{instance, action});
+    lts::LtsBuilder builder(model.graph.actions());
+    for (lts::StateId s = 0; s < model.graph.num_states(); ++s) builder.add_state();
+    for (lts::StateId s = 0; s < model.graph.num_states(); ++s) {
+        for (const lts::Transition& t : model.graph.out(s)) {
+            const lts::Rate& rate = model.graph.rate(t);
+            builder.add_transition(s, t.action, t.target, labels[t.action] ? patch(rate) : rate);
+        }
+    }
+    builder.set_initial(model.graph.initial());
+    adl::ComposedModel out = model;
+    out.graph = std::move(builder).build();
+    return out;
+}
+
+/// Same (action, target, rate) in every row, in the same order.
+void expect_same_rows(const lts::Lts& got, const lts::Lts& want) {
+    ASSERT_EQ(got.num_states(), want.num_states());
+    ASSERT_EQ(got.initial(), want.initial());
+    std::size_t mismatches = 0;
+    for (lts::StateId s = 0; s < want.num_states(); ++s) {
+        const auto row = got.out(s);
+        const auto want_row = want.out(s);
+        ASSERT_EQ(row.size(), want_row.size()) << "state " << s;
+        for (std::size_t k = 0; k < row.size(); ++k) {
+            if (row[k].action != want_row[k].action || row[k].target != want_row[k].target ||
+                got.rate(row[k]) != want.rate(want_row[k])) {
+                ++mismatches;
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+}
+
+/// build_markov on both: the same outcome and, when both build, the same
+/// rows, exit rates, state maps and initial distribution, bit for bit.
+void expect_identical_builds(const adl::ComposedModel& got, const adl::ComposedModel& want) {
+    MarkovModel have;
+    MarkovModel ref;
+    const Outcome want_outcome = outcome_of([&] { ref = build_markov(want); });
+    const Outcome have_outcome = outcome_of([&] { have = build_markov(got); });
+    ASSERT_EQ(static_cast<int>(have_outcome), static_cast<int>(want_outcome));
+    if (want_outcome != Outcome::Ok) return;
+    EXPECT_EQ(have.orig_of, ref.orig_of);
+    EXPECT_EQ(have.tangible_of, ref.tangible_of);
+    EXPECT_EQ(have.initial_distribution, ref.initial_distribution);
+    ASSERT_EQ(have.chain.num_states(), ref.chain.num_states());
+    for (TangibleId t = 0; t < ref.chain.num_states(); ++t) {
+        const auto row = have.chain.row(t);
+        const auto want_row = ref.chain.row(t);
+        ASSERT_EQ(row.size(), want_row.size()) << "row " << t;
+        for (std::size_t k = 0; k < row.size(); ++k) {
+            EXPECT_EQ(row[k].target, want_row[k].target) << "row " << t;
+            EXPECT_EQ(row[k].rate, want_row[k].rate) << "row " << t;
+        }
+        EXPECT_EQ(have.chain.exit_rate(t), ref.chain.exit_rate(t)) << "row " << t;
+    }
+}
+
+/// The reference form of exp::with_delay.
+RatePatch delay_patch(double delay) {
+    return [delay](const lts::Rate& rate) -> lts::Rate {
+        if (delay <= 0.0) return lts::RateImmediate{1, 1.0};
+        if (lts::is_exponential(rate)) return lts::RateExp{1.0 / delay};
+        return lts::RateGeneral{Dist::deterministic(delay)};
+    };
+}
+
+void expect_patch_matches(const adl::ComposedModel& model, const adl::ComposedModel& patched,
+                          const std::string& instance, const std::string& action,
+                          const RatePatch& patch, const std::string& label) {
+    SCOPED_TRACE(label);
+    // The copy shares the skeleton's structure and leaves its rates alone.
+    EXPECT_EQ(patched.graph.transitions().data(), model.graph.transitions().data());
+    EXPECT_EQ(patched.locals, model.locals);
+    const adl::ComposedModel reference = reference_patch(model, instance, action, patch);
+    expect_same_rows(patched.graph, reference.graph);
+    expect_identical_builds(patched, reference);
+}
+
+TEST(PatchDiff, MarkovSpecsUnderEveryPatch) {
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"rpc_revised_markov.aem", "send_shutdown"},
+        {"disk_markov.aem", "send_shutdown"},
+        {"streaming_markov.aem", "send_wakeup"},
+    };
+    for (const auto& [spec, action] : cases) {
+        const adl::ComposedModel model = adl::compose(models::archi(spec));
+        const std::string before = model.graph.dump();
+        const RatePatch to_rate = [](const lts::Rate&) -> lts::Rate { return lts::RateExp{0.37}; };
+        expect_patch_matches(model, exp::with_exp_rate(model, "DPM", action, 0.37), "DPM",
+                             action, to_rate, spec + " with_exp_rate");
+        for (const double delay : {2.5, 0.0}) {
+            expect_patch_matches(model, exp::with_delay(model, "DPM", action, delay), "DPM",
+                                 action, delay_patch(delay),
+                                 spec + " with_delay " + std::to_string(delay));
+        }
+        EXPECT_EQ(model.graph.dump(), before) << spec << ": the skeleton changed";
+    }
+}
+
+TEST(PatchDiff, GeneralSpecUnderEveryPatch) {
+    const adl::ComposedModel model = adl::compose(models::archi("rpc_general.aem"));
+    const Dist dist = Dist::uniform(1.0, 3.0);
+    const RatePatch to_dist = [dist](const lts::Rate&) -> lts::Rate {
+        return lts::RateGeneral{dist};
+    };
+    expect_patch_matches(model, exp::with_dist(model, "DPM", "send_shutdown", dist), "DPM",
+                         "send_shutdown", to_dist, "with_dist");
+    for (const double delay : {2.5, 0.0}) {
+        expect_patch_matches(model, exp::with_delay(model, "DPM", "send_shutdown", delay),
+                             "DPM", "send_shutdown", delay_patch(delay),
+                             "with_delay " + std::to_string(delay));
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -20,6 +21,9 @@
 #include "exp/runner.hpp"
 #include "models/specs.hpp"
 #include "models/variants.hpp"
+#include "obs/json.hpp"
+#include "obs/json_parse.hpp"
+#include "obs/trace.hpp"
 #include "sim/gsmp.hpp"
 #include "sim/rng.hpp"
 
@@ -241,7 +245,7 @@ TEST(Cache, WithDelayRetimesEitherPhaseOrMakesImmediate) {
         std::vector<lts::Rate> rates;
         for (lts::StateId s = 0; s < model.graph.num_states(); ++s) {
             for (const lts::Transition& t : model.graph.out(s)) {
-                if (mask[t.action]) rates.push_back(t.rate);
+                if (mask[t.action]) rates.push_back(model.graph.rate(t));
             }
         }
         return rates;
@@ -304,6 +308,54 @@ TEST(Cache, PatchRefusesNonFiniteValues) {
     for (const double bad : {inf, -inf, nan}) {
         expect_refused([&] { return with_delay(markov_model, "DPM", "send_shutdown", bad); });
     }
+}
+
+TEST(CacheTrace, PatchAndMeasuresAreSpanned) {
+    const adl::ComposedModel skeleton = adl::compose(models::archi("rpc_revised_markov.aem"));
+    const std::vector<adl::Measure> measures = models::measures("rpc_measures.msr");
+    obs::clear_trace();
+    obs::set_tracing(true);
+    const adl::ComposedModel patched = with_exp_rate(skeleton, "DPM", "send_shutdown", 0.5);
+    const PointResult result = solve_point(patched, measures);
+    obs::set_tracing(false);
+    ASSERT_EQ(result.values.size(), measures.size());
+#if !defined(DPMA_OBS_DISABLED)
+    const obs::Json trace = obs::json_parse(obs::trace_json());
+    const obs::Json* events = trace.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    const auto args_of = [events](std::string_view name) {
+        std::vector<const obs::Json*> out;
+        for (const obs::Json& e : events->array) {
+            if (e.string_at("name") == name) out.push_back(e.find("args"));
+        }
+        return out;
+    };
+    // One patch: the copy's slot table, of which the slots labelled
+    // DPM.send_shutdown were patched.
+    const std::vector<char> labels =
+        adl::action_mask(patched, adl::EnabledPredicate{"DPM", "send_shutdown"});
+    std::size_t matching = 0;
+    for (const lts::RateSlot& slot : patched.graph.slots()) matching += labels[slot.action];
+    ASSERT_GT(matching, 0u);
+    const std::vector<const obs::Json*> patches = args_of("exp.patch_model");
+    ASSERT_EQ(patches.size(), 1u);
+    ASSERT_NE(patches[0], nullptr);
+    EXPECT_EQ(patches[0]->number_at("slots"),
+              static_cast<double>(patched.graph.slots().size()));
+    EXPECT_EQ(patches[0]->number_at("slots_patched"), static_cast<double>(matching));
+    // One measure span per measure, in evaluation order.
+    const auto tangible = static_cast<double>(ctmc::build_markov(patched).orig_of.size());
+    const std::vector<const obs::Json*> evaluated = args_of("ctmc.measure");
+    ASSERT_EQ(evaluated.size(), measures.size());
+    for (std::size_t k = 0; k < measures.size(); ++k) {
+        ASSERT_NE(evaluated[k], nullptr);
+        EXPECT_EQ(evaluated[k]->number_at("clauses"),
+                  static_cast<double>(measures[k].clauses.size()))
+            << measures[k].name;
+        EXPECT_EQ(evaluated[k]->number_at("tangible"), tangible) << measures[k].name;
+    }
+#endif
+    obs::clear_trace();
 }
 
 ResultSet demo_results() {

@@ -12,8 +12,10 @@
 /// engine's own libraries.
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -25,6 +27,8 @@
 #include "adl/measure.hpp"
 #include "battery/coupling.hpp"
 #include "bisim/partition.hpp"
+#include "ctmc/ctmc.hpp"
+#include "ctmc/reward.hpp"
 #include "ctmc/solve.hpp"
 #include "exp/cache.hpp"
 #include "exp/experiment.hpp"
@@ -32,6 +36,7 @@
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "lts/ops.hpp"
+#include "models/specs.hpp"
 #include "sim/gsmp.hpp"
 
 namespace {
@@ -231,6 +236,80 @@ int check_sparse_steady_state() {
     return 0;
 }
 
+/// A Markov sweep over one cached skeleton: every pool worker patches the
+/// shared skeleton with with_exp_rate and runs build_markov, steady_state and
+/// evaluate_measure on its copy.  A copy shares the skeleton's CSR and owns
+/// only its rate slots, so the workers read one structure concurrently.
+/// The parallel sweep must be bit-identical to the serial one, every copy
+/// must share the skeleton's transition array, and the skeleton's rates must
+/// be unchanged afterwards.
+int check_markov_sweep() {
+    exp::ModelCache cache;
+    const auto compose_rpc = [] { return adl::compose(models::archi("rpc_revised_markov.aem")); };
+    const std::shared_ptr<const adl::ComposedModel> skeleton = cache.composed("rpc", compose_rpc);
+    const std::vector<lts::RateSlot> before(skeleton->graph.slots().begin(),
+                                            skeleton->graph.slots().end());
+    const std::vector<adl::Measure> measures = models::measures("rpc_measures.msr");
+    std::atomic<std::size_t> unshared{0};
+
+    exp::Experiment experiment;
+    experiment.name = "markov_smoke";
+    experiment.grid.axis(exp::Axis::linspace("shutdown_rate", 0.05, 2.0, 16));
+    for (const adl::Measure& m : measures) experiment.measures.push_back(m.name);
+    experiment.eval = [&](const exp::Point& point, const exp::PointContext&) {
+        const std::shared_ptr<const adl::ComposedModel> model =
+            cache.composed("rpc", compose_rpc);
+        const adl::ComposedModel patched =
+            exp::with_exp_rate(*model, "DPM", "send_shutdown", point.at("shutdown_rate"));
+        if (patched.graph.transitions().data() != model->graph.transitions().data()) {
+            ++unshared;
+        }
+        const ctmc::MarkovModel markov = ctmc::build_markov(patched);
+        const std::vector<double> pi = ctmc::steady_state(markov.chain);
+        exp::PointResult result;
+        for (const adl::Measure& m : measures) {
+            result.values.push_back(ctmc::evaluate_measure(markov, patched, pi, m));
+        }
+        return result;
+    };
+    exp::RunOptions serial;
+    serial.jobs = 1;
+    exp::RunOptions parallel;
+    parallel.jobs = 4;
+    const exp::ResultSet a = exp::run(experiment, serial);
+    const exp::ResultSet b = exp::run(experiment, parallel);
+    if (a.size() != b.size()) {
+        std::fprintf(stderr, "FAIL: %zu serial Markov points vs %zu parallel\n", a.size(),
+                     b.size());
+        return 1;
+    }
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (a.at(i).result.values != b.at(i).result.values) {
+            std::fprintf(stderr, "FAIL: Markov point %zu differs between jobs=1 and jobs=4\n",
+                         i);
+            return 1;
+        }
+    }
+    if (unshared != 0) {
+        std::fprintf(stderr, "FAIL: %zu patched copies do not share the skeleton's CSR\n",
+                     unshared.load());
+        return 1;
+    }
+    const auto after = skeleton->graph.slots();
+    if (after.size() != before.size() ||
+        !std::equal(before.begin(), before.end(), after.begin(),
+                    [](const lts::RateSlot& x, const lts::RateSlot& y) {
+                        return x.action == y.action && x.rate == y.rate;
+                    })) {
+        std::fprintf(stderr, "FAIL: patching changed the skeleton's rates\n");
+        return 1;
+    }
+    std::printf("OK: %zu Markov points bit-identical across jobs counts, all on the "
+                "skeleton's CSR, skeleton rates unchanged\n",
+                a.size());
+    return 0;
+}
+
 /// The replication-parallel primitives (exp::simulate_replications,
 /// exp::simulate_depletion, the pooled battery::simulate_lifetime) must be
 /// bit-identical to their serial counterparts for any pool size — same
@@ -314,6 +393,7 @@ int main() {
     if (const int rc = check_parallel_refinement(); rc != 0) return rc;
     if (const int rc = check_pooled_primitives(); rc != 0) return rc;
     if (const int rc = check_sparse_steady_state(); rc != 0) return rc;
+    if (const int rc = check_markov_sweep(); rc != 0) return rc;
 
     exp::ModelCache cache;
     const exp::Experiment experiment = sweep(cache);

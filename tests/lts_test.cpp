@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/error.hpp"
@@ -59,26 +60,72 @@ TEST(Lts, MutateRatesReplacesAnnotation) {
     m.mutate_rates([a](ActionId action, Rate& rate) {
         if (action == a) rate = RateExp{5.0};
     });
-    EXPECT_EQ(m.out(s0)[0].rate, Rate{RateExp{5.0}});
-    EXPECT_EQ(m.out(s1)[0].rate, Rate{RateExp{3.0}});
+    EXPECT_EQ(m.rate(m.out(s0)[0]), Rate{RateExp{5.0}});
+    EXPECT_EQ(m.rate(m.out(s1)[0]), Rate{RateExp{3.0}});
 }
 
 TEST(Lts, CopiesAreIndependentUnderMutateRates) {
     const Lts m = make_chain();
     Lts copy = m;
-    EXPECT_NE(copy.transitions().data(), m.transitions().data());
+    // One CSR behind both: a copy owns only its slot table.
+    EXPECT_EQ(copy.transitions().data(), m.transitions().data());
+    EXPECT_EQ(copy.offsets().data(), m.offsets().data());
+    EXPECT_NE(copy.slots().data(), m.slots().data());
     copy.mutate_rates([](ActionId, Rate& rate) { rate = RateExp{9.0}; });
-    for (const Transition& t : copy.transitions()) EXPECT_EQ(t.rate, Rate{RateExp{9.0}});
-    for (const Transition& t : m.transitions()) EXPECT_EQ(t.rate, Rate{RateUnspecified{}});
-    // The structure is shared by value: same rows, same targets.
-    ASSERT_EQ(copy.num_states(), m.num_states());
-    for (StateId s = 0; s < m.num_states(); ++s) {
-        ASSERT_EQ(copy.out(s).size(), m.out(s).size());
-        for (std::size_t k = 0; k < m.out(s).size(); ++k) {
-            EXPECT_EQ(copy.out(s)[k].action, m.out(s)[k].action);
-            EXPECT_EQ(copy.out(s)[k].target, m.out(s)[k].target);
-        }
+    for (const Transition& t : copy.transitions()) EXPECT_EQ(copy.rate(t), Rate{RateExp{9.0}});
+    for (const Transition& t : m.transitions()) EXPECT_EQ(m.rate(t), Rate{RateUnspecified{}});
+    EXPECT_EQ(copy.transitions().data(), m.transitions().data());
+}
+
+TEST(LtsBuilder, InternsOneSlotPerActionAndRate) {
+    LtsBuilder builder;
+    for (int i = 0; i < 3; ++i) builder.add_state();
+    const ActionId a = builder.action("a");
+    const ActionId b = builder.action("b");
+    builder.add_transition(0, a, 1, RateExp{2.0});
+    builder.add_transition(1, a, 2, RateExp{2.0});  // same pair: same slot
+    builder.add_transition(2, b, 0, RateExp{2.0});  // same rate, other action
+    builder.add_transition(2, a, 0, RateExp{4.0});
+    builder.add_transition(0, b, 2);
+    builder.set_initial(0);
+    Lts m = std::move(builder).build();
+
+    ASSERT_EQ(m.num_transitions(), 5u);
+    ASSERT_EQ(m.slots().size(), 4u);
+    EXPECT_EQ(m.out(0)[0].slot, m.out(1)[0].slot);
+    EXPECT_NE(m.out(0)[0].slot, m.out(2)[0].slot);
+    for (const Transition& t : m.transitions()) {
+        EXPECT_EQ(m.slots()[t.slot].action, t.action);
     }
+    EXPECT_EQ(m.rate(m.out(2)[0]), Rate{RateExp{2.0}});
+    EXPECT_EQ(m.rate(m.out(2)[1]), Rate{RateExp{4.0}});
+    EXPECT_EQ(m.rate(m.out(0)[1]), Rate{RateUnspecified{}});
+
+    // Slots are numbered in order of first use in the CSR, so the builder's
+    // out-of-order sources are renumbered: state 0's two slots come first.
+    EXPECT_EQ(m.out(0)[0].slot, 0u);
+    EXPECT_EQ(m.out(0)[1].slot, 1u);
+
+    std::vector<std::pair<ActionId, Rate>> visited;
+    m.mutate_rates([&](ActionId action, Rate& rate) { visited.emplace_back(action, rate); });
+    EXPECT_EQ(visited.size(), m.slots().size());
+    std::vector<std::pair<ActionId, Rate>> want;
+    for (const RateSlot& slot : m.slots()) want.emplace_back(slot.action, slot.rate);
+    EXPECT_EQ(visited, want);
+}
+
+TEST(LtsBuilder, BuildDropsSlotsNoTransitionUses) {
+    LtsBuilder builder;
+    const StateId s0 = builder.add_state();
+    const ActionId a = builder.action("a");
+    (void)builder.intern_slot(a, RateExp{1.0});
+    const SlotId used = builder.intern_slot(a, RateExp{2.0});
+    builder.add_slot_transition(s0, used, s0);
+    builder.set_initial(s0);
+    const Lts m = std::move(builder).build();
+    ASSERT_EQ(m.slots().size(), 1u);
+    EXPECT_EQ(m.out(s0)[0].slot, 0u);
+    EXPECT_EQ(m.rate(m.out(s0)[0]), Rate{RateExp{2.0}});
 }
 
 TEST(LtsBuilder, KeepsInsertionOrderWithinASource) {

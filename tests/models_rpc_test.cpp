@@ -177,9 +177,9 @@ TEST(RpcGeneral, SpecCarriesGeneralRatesOnly) {
     bool has_general = false;
     for (lts::StateId s = 0; s < model.graph.num_states(); ++s) {
         for (const lts::Transition& t : model.graph.out(s)) {
-            if (lts::is_general(t.rate)) has_general = true;
-            EXPECT_FALSE(lts::is_exponential(t.rate));
-            EXPECT_FALSE(std::holds_alternative<lts::RateUnspecified>(t.rate));
+            if (lts::is_general(model.graph.rate(t))) has_general = true;
+            EXPECT_FALSE(lts::is_exponential(model.graph.rate(t)));
+            EXPECT_FALSE(std::holds_alternative<lts::RateUnspecified>(model.graph.rate(t)));
         }
     }
     EXPECT_TRUE(has_general);

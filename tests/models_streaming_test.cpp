@@ -176,7 +176,7 @@ TEST(StreamingGeneral, SpecCarriesGeneralRates) {
     bool has_general = false;
     for (lts::StateId s = 0; s < model.graph.num_states(); ++s) {
         for (const lts::Transition& t : model.graph.out(s)) {
-            if (lts::is_general(t.rate)) has_general = true;
+            if (lts::is_general(model.graph.rate(t))) has_general = true;
         }
     }
     EXPECT_TRUE(has_general);

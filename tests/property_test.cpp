@@ -230,7 +230,7 @@ TEST(ComposedInvariants, VanishingEliminationConservesProbabilityFlow) {
         const lts::StateId s = markov.orig_of[t];
         double raw = 0.0;
         for (const lts::Transition& tr : model.graph.out(s)) {
-            if (const auto* e = std::get_if<lts::RateExp>(&tr.rate)) raw += e->rate;
+            if (const auto* e = std::get_if<lts::RateExp>(&model.graph.rate(tr))) raw += e->rate;
         }
         double eliminated = markov.chain.exit_rate(t);
         // Self-loops created by elimination (tangible -> vanishing -> same

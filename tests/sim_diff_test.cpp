@@ -43,7 +43,7 @@ int ref_choose_immediate(const adl::ComposedModel& model, lts::StateId state,
     double total_weight = 0.0;
     const auto out = model.graph.out(state);
     for (const lts::Transition& t : out) {
-        if (const auto* imm = std::get_if<lts::RateImmediate>(&t.rate)) {
+        if (const auto* imm = std::get_if<lts::RateImmediate>(&model.graph.rate(t))) {
             if (imm->priority > best_priority) {
                 best_priority = imm->priority;
                 total_weight = 0.0;
@@ -55,7 +55,7 @@ int ref_choose_immediate(const adl::ComposedModel& model, lts::StateId state,
     double pick = rng.uniform01() * total_weight;
     int fallback = -1;
     for (std::size_t k = 0; k < out.size(); ++k) {
-        if (const auto* imm = std::get_if<lts::RateImmediate>(&out[k].rate)) {
+        if (const auto* imm = std::get_if<lts::RateImmediate>(&model.graph.rate(out[k]))) {
             if (imm->priority != best_priority || imm->weight <= 0.0) continue;
             fallback = static_cast<int>(k);
             pick -= imm->weight;
@@ -221,7 +221,7 @@ RefResult reference_run(const adl::ComposedModel& model,
             if (auto it = clocks.find(t.action); it != clocks.end()) {
                 remaining = it->second;
             } else {
-                remaining = rng.sample(ref_dist_of(t.rate));
+                remaining = rng.sample(ref_dist_of(model.graph.rate(t)));
             }
             next_clocks.emplace(t.action, remaining);
             min_remaining = std::min(min_remaining, remaining);

@@ -60,7 +60,7 @@ TEST(Specs, GeneralSpecsCarryGeneralRates) {
         bool has_general = false;
         for (lts::StateId st = 0; st < model.graph.num_states(); ++st) {
             for (const lts::Transition& t : model.graph.out(st)) {
-                if (lts::is_general(t.rate)) has_general = true;
+                if (lts::is_general(model.graph.rate(t))) has_general = true;
             }
         }
         EXPECT_TRUE(has_general) << name;
