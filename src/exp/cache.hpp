@@ -67,10 +67,12 @@ private:
 /// in measure ENABLED predicates) replaced by \p rate.  The reachable state
 /// space is unchanged — an exponential transition is enabled whatever its
 /// rate — which is what lets a sweep patch a cached skeleton instead of
-/// recomposing.  Throws ModelError when \p rate is not finite and positive,
-/// when nothing matches, or when a matching transition is not exponential
-/// (patching an immediate or deterministic transition could change the
-/// structure, so it is refused).
+/// recomposing.  The copy shares the model's composed structure and local
+/// states and owns only its rate slots, so it costs O(slots + labels)
+/// whatever the state count.  Throws ModelError when \p rate is not finite
+/// and positive, when nothing matches, or when a matching transition is not
+/// exponential (patching an immediate or deterministic transition could
+/// change the structure, so it is refused).
 [[nodiscard]] adl::ComposedModel with_exp_rate(const adl::ComposedModel& model,
                                                const std::string& instance,
                                                const std::string& action, double rate);
