@@ -123,16 +123,36 @@ void BM_ObserverViewsStreaming(benchmark::State& state) {
 }
 BENCHMARK(BM_ObserverViewsStreaming)->Unit(benchmark::kMillisecond);
 
-/// Vanishing-state elimination on the streaming system at buffer capacity
-/// Arg (10 is the shipped spec; 16 gives 43k composed states), per composed
-/// state.
+/// build_markov on the streaming system at buffer capacity range(0) (10 is
+/// the shipped spec; 16 gives 43k composed states), per composed state.
+/// patched=0 builds on a freshly composed structure each time (elimination
+/// and fill; the compose is not timed), patched=1 on a rate-patched copy of
+/// a skeleton whose elimination is already built (the fill alone, as every
+/// sweep point after the first).
 void BM_BuildMarkovStreaming(benchmark::State& state) {
-    const auto model = compose_streaming(state.range(0));
-    time_per_state(state, model.graph.num_states(),
-                   [&] { benchmark::DoNotOptimize(ctmc::build_markov(model)); });
-    state.SetLabel(std::to_string(model.graph.num_states()) + " states");
+    const long capacity = state.range(0);
+    const bool patched = state.range(1) != 0;
+    const auto skeleton = compose_streaming(capacity);
+    if (patched) benchmark::DoNotOptimize(ctmc::build_markov(skeleton));
+    std::chrono::duration<double, std::nano> built{0};
+    for (auto _ : state) {
+        state.PauseTiming();
+        const auto model = patched ? exp::with_exp_rate(skeleton, models::kDpm, "send_wakeup", 0.02)
+                                   : compose_streaming(capacity);
+        state.ResumeTiming();
+        const auto start = std::chrono::steady_clock::now();
+        benchmark::DoNotOptimize(ctmc::build_markov(model));
+        built += std::chrono::steady_clock::now() - start;
+    }
+    state.counters["ns/state"] =
+        built.count() / (static_cast<double>(state.iterations()) *
+                         static_cast<double>(skeleton.graph.num_states()));
+    state.SetLabel(std::to_string(skeleton.graph.num_states()) + " states");
 }
-BENCHMARK(BM_BuildMarkovStreaming)->Arg(10)->Arg(16)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BuildMarkovStreaming)
+    ->ArgNames({"capacity", "patched"})
+    ->ArgsProduct({{10, 16}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 /// One sweep-point retiming (exp::with_exp_rate) of the streaming skeleton
 /// at buffer capacity Arg.  The copy shares the composed structure and copies

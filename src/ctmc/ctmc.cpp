@@ -1,7 +1,10 @@
 #include "ctmc/ctmc.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <string>
 
 #include "core/error.hpp"
@@ -119,26 +122,75 @@ double Ctmc::max_exit_rate() const {
     return best;
 }
 
-MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing) {
-    const std::size_t n = model.graph.num_states();
-    DPMA_NAMED_SPAN(span, "ctmc.build_markov", "ctmc");
-    span.arg("states", static_cast<double>(n));
-    MarkovModel out;
-    out.tangible_of.assign(n, kNoTangible);
-    out.branch_start.reserve(n + 1);
-    out.branch_start.push_back(0);
+namespace {
 
-    // Pass 1: check the rates, apply maximal progress and normalise the
-    // surviving immediate weights.  A state without a positive-weight
-    // immediate branch is tangible.
-    check_rates(model.graph);
-    const std::vector<const lts::RateImmediate*> immediate =
-        lts::slot_rates<lts::RateImmediate>(model.graph);
+/// Pass 4 of eliminate: a target without an entry in the current row yet.
+constexpr std::uint32_t kNoEntry = 0xFFFFFFFFu;
+
+/// One term of generator entry `entry`: rate of slot `slot` times
+/// `probability`, the probability of the path through vanishing states (1
+/// for a direct timed transition).
+struct Term {
+    double probability;
+    lts::SlotId slot;
+    std::uint32_t entry;
+};
+static_assert(sizeof(Term) == 16);
+
+/// Per slot, its immediate rate, or none: the key of a Skeleton besides the
+/// initial state.  Every other slot that passes check_rates is exponential.
+using ImmediateSlots = std::vector<std::optional<lts::RateImmediate>>;
+
+ImmediateSlots immediate_slots(const lts::Lts& graph) {
+    ImmediateSlots out;
+    out.reserve(graph.slots().size());
+    for (const lts::RateSlot& slot : graph.slots()) {
+        const auto* imm = std::get_if<lts::RateImmediate>(&slot.rate);
+        out.push_back(imm != nullptr ? std::optional(*imm) : std::nullopt);
+    }
+    return out;
+}
+
+/// What build_markov derives once per composed structure: the elimination
+/// plus the generator's pattern.  Row t of the generator is entries
+/// [row_start[t], row_start[t+1]); entry e goes to target[e], and its rate
+/// is the sum of its terms, added in the order of `terms`.
+struct Skeleton final : VanishingElimination, lts::StructureMemo {
+    ImmediateSlots key;
+    lts::StateId initial = lts::kNoState;
+
+    std::vector<std::size_t> row_start;
+    std::vector<TangibleId> target;
+    std::vector<Term> terms;
+    /// Per slot, the first tangible row with a timed transition of that slot
+    /// (whose rate must then be positive), or kNoTangible.
+    std::vector<TangibleId> first_row_of_slot;
+    /// The first tangible row without a timed transition, or kNoTangible.
+    TangibleId first_absorbing = kNoTangible;
+};
+
+/// The four passes of the elimination, the last of which fixes the
+/// generator's pattern; see build_markov.  The rates of \p graph must have
+/// passed check_rates.
+std::shared_ptr<const Skeleton> eliminate(const lts::Lts& graph, ImmediateSlots key) {
+    const std::size_t n = graph.num_states();
+    DPMA_NAMED_SPAN(span, "ctmc.eliminate", "ctmc");
+    auto out = std::make_shared<Skeleton>();
+    out->key = std::move(key);
+    out->initial = graph.initial();
+    const ImmediateSlots& immediate = out->key;
+    out->tangible_of.assign(n, kNoTangible);
+    out->branch_start.reserve(n + 1);
+    out->branch_start.push_back(0);
+
+    // Pass 1: apply maximal progress and normalise the surviving immediate
+    // weights.  A state without a positive-weight immediate branch is
+    // tangible.
     for (lts::StateId s = 0; s < n; ++s) {
         int best_priority = std::numeric_limits<int>::min();
         double total_weight = 0.0;
-        for (const lts::Transition& t : model.graph.out(s)) {
-            if (const lts::RateImmediate* imm = immediate[t.slot]) {
+        for (const lts::Transition& t : graph.out(s)) {
+            if (const auto& imm = immediate[t.slot]) {
                 if (imm->priority > best_priority) {
                     best_priority = imm->priority;
                     total_weight = 0.0;
@@ -147,39 +199,39 @@ MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing) 
             }
         }
         if (total_weight > 0.0) {
-            for (const lts::Transition& t : model.graph.out(s)) {
-                const lts::RateImmediate* imm = immediate[t.slot];
+            for (const lts::Transition& t : graph.out(s)) {
+                const auto& imm = immediate[t.slot];
                 // Zero-weight branches can never fire; dropping them keeps
                 // degenerate parameterisations (e.g. loss probability 0) legal.
-                if (imm != nullptr && imm->priority == best_priority && imm->weight > 0.0) {
-                    out.branches.push_back(
+                if (imm && imm->priority == best_priority && imm->weight > 0.0) {
+                    out->branches.push_back(
                         VanishingBranch{t.target, t.action, imm->weight / total_weight});
                 }
             }
         } else {
-            out.tangible_of[s] = static_cast<TangibleId>(out.orig_of.size());
-            out.orig_of.push_back(s);
+            out->tangible_of[s] = static_cast<TangibleId>(out->orig_of.size());
+            out->orig_of.push_back(s);
         }
-        out.branch_start.push_back(out.branches.size());
+        out->branch_start.push_back(out->branches.size());
     }
-    const std::size_t num_tangible = out.orig_of.size();
+    const std::size_t num_tangible = out->orig_of.size();
     const std::size_t num_vanishing = n - num_tangible;
 
     // Pass 2: Kahn's topological order of the vanishing subgraph (FIFO, the
     // order itself is the queue); an immediate cycle leaves states unordered.
     {
         std::vector<std::uint32_t> indegree(n, 0);
-        for (const VanishingBranch& b : out.branches) {
-            if (!out.is_tangible(b.target)) ++indegree[b.target];
+        for (const VanishingBranch& b : out->branches) {
+            if (!out->is_tangible(b.target)) ++indegree[b.target];
         }
-        std::vector<lts::StateId>& order = out.vanishing_topo_order;
+        std::vector<lts::StateId>& order = out->vanishing_topo_order;
         order.reserve(num_vanishing);
         for (lts::StateId s = 0; s < n; ++s) {
-            if (!out.is_tangible(s) && indegree[s] == 0) order.push_back(s);
+            if (!out->is_tangible(s) && indegree[s] == 0) order.push_back(s);
         }
         for (std::size_t i = 0; i < order.size(); ++i) {
-            for (const VanishingBranch& b : out.branches_of(order[i])) {
-                if (!out.is_tangible(b.target) && --indegree[b.target] == 0) {
+            for (const VanishingBranch& b : out->branches_of(order[i])) {
+                if (!out->is_tangible(b.target) && --indegree[b.target] == 0) {
                     order.push_back(b.target);
                 }
             }
@@ -204,19 +256,19 @@ MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing) 
         pool_state.push_back(g);
         pool_prob.push_back(p);
     };
-    for (auto it = out.vanishing_topo_order.rbegin(); it != out.vanishing_topo_order.rend();
+    for (auto it = out->vanishing_topo_order.rbegin(); it != out->vanishing_topo_order.rend();
          ++it) {
         const lts::StateId v = *it;
-        const std::span<const VanishingBranch> branches = out.branches_of(v);
+        const std::span<const VanishingBranch> branches = out->branches_of(v);
         if (branches.size() == 1 && branches[0].probability == 1.0 &&
-            !out.is_tangible(branches[0].target)) {
+            !out->is_tangible(branches[0].target)) {
             reach_begin[v] = reach_begin[branches[0].target];
             reach_end[v] = reach_end[branches[0].target];
             continue;
         }
         for (const VanishingBranch& b : branches) {
-            if (out.is_tangible(b.target)) {
-                acc.add(out.tangible_of[b.target], b.probability);
+            if (out->is_tangible(b.target)) {
+                acc.add(out->tangible_of[b.target], b.probability);
                 continue;
             }
             for (std::size_t k = reach_begin[b.target]; k < reach_end[b.target]; ++k) {
@@ -228,40 +280,106 @@ MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing) 
         reach_end[v] = pool_state.size();
     }
 
-    // Pass 4: the tangible generator, row by row.
-    const std::vector<const lts::RateExp*> exp_of_slot =
-        lts::slot_rates<lts::RateExp>(model.graph);
-    std::vector<std::size_t> row_start;
-    row_start.reserve(num_tangible + 1);
-    row_start.push_back(0);
-    std::vector<RateEntry> entries;
+    // Pass 4: the generator's pattern, row by row: each target in first-seen
+    // order, each term in the order a row-by-row sum would add it.
+    out->first_row_of_slot.assign(immediate.size(), kNoTangible);
+    out->row_start.reserve(num_tangible + 1);
+    out->row_start.push_back(0);
+    std::vector<std::uint32_t> entry_of(num_tangible, kNoEntry);
+    const auto add = [&](TangibleId g, lts::SlotId slot, double probability) {
+        std::uint32_t& entry = entry_of[g];
+        if (entry == kNoEntry) {
+            DPMA_REQUIRE(out->target.size() < kNoEntry, "CTMC generator too large");
+            entry = static_cast<std::uint32_t>(out->target.size());
+            out->target.push_back(g);
+        }
+        out->terms.push_back(Term{probability, slot, entry});
+    };
     for (TangibleId t = 0; t < num_tangible; ++t) {
-        const lts::StateId s = out.orig_of[t];
         bool has_timed = false;
-        for (const lts::Transition& tr : model.graph.out(s)) {
-            const lts::RateExp* exp_rate = exp_of_slot[tr.slot];
-            if (exp_rate == nullptr) continue;  // tangible => no immediates enabled
+        for (const lts::Transition& tr : graph.out(out->orig_of[t])) {
+            if (immediate[tr.slot]) continue;  // no weight at the top priority: never fires
             has_timed = true;
-            const double rate = exp_rate->rate;
-            DPMA_REQUIRE(rate > 0.0, "CTMC rates must be positive");
-            if (out.is_tangible(tr.target)) {
-                const TangibleId g = out.tangible_of[tr.target];
-                if (g != t) acc.add(g, rate);  // self-loops do not affect the dynamics
+            if (out->first_row_of_slot[tr.slot] == kNoTangible) out->first_row_of_slot[tr.slot] = t;
+            if (out->is_tangible(tr.target)) {
+                const TangibleId g = out->tangible_of[tr.target];
+                if (g != t) add(g, tr.slot, 1.0);  // self-loops do not affect the dynamics
                 continue;
             }
             for (std::size_t k = reach_begin[tr.target]; k < reach_end[tr.target]; ++k) {
-                if (pool_state[k] != t) acc.add(pool_state[k], rate * pool_prob[k]);
+                if (pool_state[k] != t) add(pool_state[k], tr.slot, pool_prob[k]);
             }
         }
-        if (!has_timed && !allow_absorbing) {
-            throw ModelError("absorbing tangible state found (deadlock): " +
-                             model.state_label(s));
+        if (!has_timed && out->first_absorbing == kNoTangible) out->first_absorbing = t;
+        for (std::size_t e = out->row_start.back(); e < out->target.size(); ++e) {
+            entry_of[out->target[e]] = kNoEntry;
         }
-        acc.drain([&](TangibleId g, double rate) { entries.push_back(RateEntry{g, rate}); });
-        row_start.push_back(entries.size());
+        out->row_start.push_back(out->target.size());
     }
+
+    const lts::StateId init = out->initial;
+    if (init != lts::kNoState) {
+        if (out->is_tangible(init)) {
+            out->initial_distribution.emplace_back(out->tangible_of[init], 1.0);
+        } else {
+            for (std::size_t k = reach_begin[init]; k < reach_end[init]; ++k) {
+                out->initial_distribution.emplace_back(pool_state[k], pool_prob[k]);
+            }
+        }
+    }
+    obs::counter("ctmc.skeleton.builds").add();
+    span.arg("states", static_cast<double>(n));
+    span.arg("vanishing", static_cast<double>(num_vanishing));
+    span.arg("terms", static_cast<double>(out->terms.size()));
+    return out;
+}
+
+}  // namespace
+
+MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing) {
+    const lts::Lts& graph = model.graph;
+    DPMA_NAMED_SPAN(span, "ctmc.build_markov", "ctmc");
+    span.arg("states", static_cast<double>(graph.num_states()));
+    check_rates(graph);
+    ImmediateSlots key = immediate_slots(graph);
+    bool built = false;
+    const std::shared_ptr<const Skeleton> skeleton = graph.memo<Skeleton>(
+        [&](const Skeleton& held) { return held.key == key && held.initial == graph.initial(); },
+        [&] {
+            built = true;
+            return eliminate(graph, std::move(key));
+        });
+    const Skeleton& sk = *skeleton;
+
+    // Per slot its exponential rate; the first row that needs a slot's rate
+    // positive, or an absorbing row, names the error a row-by-row build
+    // would meet first.
+    std::vector<double> rate_of(graph.slots().size(), 0.0);
+    TangibleId bad_row = kNoTangible;
+    for (lts::SlotId slot = 0; slot < rate_of.size(); ++slot) {
+        if (const auto* exp_rate = std::get_if<lts::RateExp>(&graph.slots()[slot].rate)) {
+            rate_of[slot] = exp_rate->rate;
+            if (!(exp_rate->rate > 0.0)) bad_row = std::min(bad_row, sk.first_row_of_slot[slot]);
+        }
+    }
+    if (!allow_absorbing && sk.first_absorbing < bad_row) {
+        throw ModelError("absorbing tangible state found (deadlock): " +
+                         model.state_label(sk.orig_of[sk.first_absorbing]));
+    }
+    DPMA_REQUIRE(bad_row == kNoTangible, "CTMC rates must be positive");
+
+    // Each entry adds its terms in order.  Every term is +0 or more here
+    // (its rate was checked), and 0 + x == x, so each sum is bit for bit the
+    // one a row-by-row build starts at its first term.
+    std::vector<RateEntry> entries(sk.target.size());
+    for (std::size_t e = 0; e < entries.size(); ++e) entries[e] = RateEntry{sk.target[e], 0.0};
+    for (const Term& term : sk.terms) {
+        entries[term.entry].rate += rate_of[term.slot] * term.probability;
+    }
+    const std::size_t num_tangible = sk.orig_of.size();
+    const std::size_t num_vanishing = sk.tangible_of.size() - num_tangible;
     const std::size_t num_entries = entries.size();
-    out.chain = Ctmc(std::move(row_start), std::move(entries));
+    MarkovModel out(Ctmc(sk.row_start, std::move(entries)), skeleton);
 
     obs::counter("ctmc.builds").add();
     obs::counter("ctmc.tangible_states").add(num_tangible);
@@ -270,17 +388,9 @@ MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing) 
     span.arg("tangible", static_cast<double>(num_tangible));
     span.arg("vanishing", static_cast<double>(num_vanishing));
     span.arg("generator_entries", static_cast<double>(num_entries));
+    span.arg("skeleton_built", built ? 1.0 : 0.0);
 
-    // Initial distribution.
-    const lts::StateId init = model.graph.initial();
-    DPMA_REQUIRE(init != lts::kNoState, "composed model has no initial state");
-    if (out.is_tangible(init)) {
-        out.initial_distribution.emplace_back(out.tangible_of[init], 1.0);
-    } else {
-        for (std::size_t k = reach_begin[init]; k < reach_end[init]; ++k) {
-            out.initial_distribution.emplace_back(pool_state[k], pool_prob[k]);
-        }
-    }
+    DPMA_REQUIRE(sk.initial != lts::kNoState, "composed model has no initial state");
     return out;
 }
 

@@ -11,6 +11,7 @@
 /// on immediate transitions — once the steady-state vector is known.
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -79,10 +80,12 @@ struct VanishingBranch {
     double probability;     ///< branch probability (weights normalised)
 };
 
-/// Result of extracting a CTMC from a composed model.
-struct MarkovModel {
-    Ctmc chain;
-
+/// The part of a CTMC extraction that no exponential rate changes: which
+/// states are tangible, the immediate branches and the initial
+/// distribution.  build_markov derives it once per composed structure (and
+/// immediate slots and initial state) and shares it, read-only, among the
+/// MarkovModels built on every rate-patched copy.
+struct VanishingElimination {
     /// tangible_of[g] = dense CTMC index of composed state g, or kNoTangible.
     std::vector<TangibleId> tangible_of;
     /// orig_of[t] = composed-graph state id of CTMC state t.
@@ -111,6 +114,31 @@ struct MarkovModel {
     }
 };
 
+/// Result of extracting a CTMC from a composed model: the chain, plus
+/// read-only views of the shared VanishingElimination behind it.
+struct MarkovModel {
+    MarkovModel(Ctmc chain_in, std::shared_ptr<const VanishingElimination> elimination_in)
+        : chain(std::move(chain_in)), elimination(std::move(elimination_in)) {}
+
+    Ctmc chain;
+    /// Shared by every build on copies of one composed structure; the
+    /// members below view it.  Const, so a moved-from model keeps it too.
+    const std::shared_ptr<const VanishingElimination> elimination;
+
+    const std::vector<TangibleId>& tangible_of = elimination->tangible_of;
+    const std::vector<lts::StateId>& orig_of = elimination->orig_of;
+    const std::vector<std::size_t>& branch_start = elimination->branch_start;
+    const std::vector<VanishingBranch>& branches = elimination->branches;
+    const std::vector<lts::StateId>& vanishing_topo_order = elimination->vanishing_topo_order;
+    const std::vector<std::pair<TangibleId, double>>& initial_distribution =
+        elimination->initial_distribution;
+
+    [[nodiscard]] bool is_tangible(lts::StateId g) const { return elimination->is_tangible(g); }
+    [[nodiscard]] std::span<const VanishingBranch> branches_of(lts::StateId g) const {
+        return elimination->branches_of(g);
+    }
+};
+
 /// Extracts the CTMC.  Requirements checked:
 ///  * every transition is exponential, immediate or (RateUnspecified ==
 ///    forbidden) — a functional model cannot be solved;
@@ -119,12 +147,20 @@ struct MarkovModel {
 ///  * every tangible state has at least one outgoing timed transition
 ///    unless \p allow_absorbing is true.
 ///
-/// Elimination is a few flat passes over the composed graph: classify and
-/// normalise the branches, order the vanishing states (Kahn), compute each
-/// vanishing state's distribution over the tangible states it enters in
-/// reverse topological order, then assemble the generator row by row.  Each
-/// distribution and row is summed in first-seen transition order, so the
-/// result is the same on every standard library.
+/// Two stages.  The elimination depends on no exponential rate, so it runs
+/// once per composed structure and is kept with it (lts::Lts::memo), keyed
+/// by the immediate slots (priority, weight) and the initial state: four
+/// flat passes classify and normalise the branches, order the vanishing
+/// states (Kahn), compute each vanishing state's distribution over the
+/// tangible states it enters in reverse topological order, and fix the
+/// generator's pattern — per tangible row its targets, per entry its terms
+/// (rate slot, path probability).  Every call, the first included, then
+/// checks the rates and fills the generator in O(slots + terms): each entry
+/// sums rate × probability over its terms in first-seen transition order,
+/// so the result is the same on every standard library, and a rate-patched
+/// copy (exp::with_exp_rate, with_delay, ...) gets bit for bit the chain a
+/// fresh composition would.  A copy that changes the key (with_delay 0
+/// makes a slot immediate) rebuilds the elimination and replaces it.
 [[nodiscard]] MarkovModel build_markov(const adl::ComposedModel& model,
                                        bool allow_absorbing = false);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <deque>
 #include <string>
 
@@ -323,13 +324,19 @@ std::vector<std::vector<TangibleId>> bottom_sccs(const Ctmc& chain) {
             }
         }
     }
-    std::vector<std::vector<TangibleId>> out(static_cast<std::size_t>(scc.count));
-    for (TangibleId v = 0; v < n; ++v) {
-        out[static_cast<std::size_t>(scc.of[v])].push_back(v);
-    }
+    // Only the bottom classes collect members: most SCCs are transient
+    // singletons.
+    std::vector<std::size_t> bottom_of(static_cast<std::size_t>(scc.count), SIZE_MAX);
     std::vector<std::vector<TangibleId>> bottoms;
-    for (std::size_t c = 0; c < out.size(); ++c) {
-        if (is_bottom[c]) bottoms.push_back(std::move(out[c]));
+    for (std::size_t c = 0; c < bottom_of.size(); ++c) {
+        if (is_bottom[c]) {
+            bottom_of[c] = bottoms.size();
+            bottoms.emplace_back();
+        }
+    }
+    for (TangibleId v = 0; v < n; ++v) {
+        const std::size_t b = bottom_of[static_cast<std::size_t>(scc.of[v])];
+        if (b != SIZE_MAX) bottoms[b].push_back(v);
     }
     return bottoms;
 }

@@ -47,8 +47,9 @@ struct SolveOptions {
 /// strongly connected component).
 [[nodiscard]] bool is_irreducible(const Ctmc& chain);
 
-/// Bottom strongly connected components (recurrent classes) of the chain.
-/// Each inner vector lists the member states of one BSCC.
+/// Bottom strongly connected components (recurrent classes) of the chain, in
+/// the order Tarjan's search from state 0 completes them.  Each inner vector
+/// lists the member states of one BSCC in ascending order.
 [[nodiscard]] std::vector<std::vector<TangibleId>> bottom_sccs(const Ctmc& chain);
 
 /// Steady-state distribution by the sparse GTH kernel (sparse.hpp), traced

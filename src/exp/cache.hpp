@@ -94,11 +94,12 @@ private:
                                             const std::string& instance,
                                             const std::string& action, double delay);
 
-/// One Markov sweep point: extracts the CTMC of \p model (vanishing
-/// elimination), solves its steady state and evaluates each of \p measures,
-/// in order.  The solver's diagnostics (method, factor entries) ride
-/// along in PointResult::diagnostics.  Throws what build_markov /
-/// steady_state throw.
+/// One Markov sweep point: extracts the CTMC of \p model (the vanishing
+/// elimination runs once per composed structure, so points patched from one
+/// skeleton share it), solves its steady state and evaluates each of
+/// \p measures, in order.  The solver's diagnostics (method, factor
+/// entries) ride along in PointResult::diagnostics.  Throws what
+/// build_markov / steady_state throw.
 [[nodiscard]] PointResult solve_point(const adl::ComposedModel& model,
                                       const std::vector<adl::Measure>& measures);
 

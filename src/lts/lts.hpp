@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -70,6 +71,16 @@ struct RateSlot {
     Rate rate;
 };
 
+/// Base of a value that a layer derives from the structure of an Lts (and
+/// whatever else it keys the value by) and keeps with it: see Lts::memo.
+class StructureMemo {
+public:
+    StructureMemo() = default;
+    StructureMemo(const StructureMemo&) = delete;
+    StructureMemo& operator=(const StructureMemo&) = delete;
+    virtual ~StructureMemo() = default;
+};
+
 /// A rooted labelled transition system with rate-annotated transitions,
 /// stored as one compressed sparse row: the transitions of state s are
 /// transitions()[offsets()[s] .. offsets()[s+1]).
@@ -81,8 +92,9 @@ struct RateSlot {
 /// An Lts is built whole by an LtsBuilder; afterwards its structure never
 /// changes.  The structure (offsets and transitions) sits behind one
 /// shared_ptr, so copies share it and own only their slot table, and
-/// mutate_rates() is the one way to patch a rate.  A const Lts can be read
-/// from any number of threads.
+/// mutate_rates() is the one way to patch a rate.  The structure also holds
+/// one memo slot (memo()), so a value derived from it once serves every
+/// copy.  A const Lts can be read from any number of threads.
 class Lts {
 public:
     /// The empty system (no states) over a fresh action table.
@@ -140,11 +152,34 @@ public:
         for (RateSlot& slot : slots_) fn(slot.action, slot.rate);
     }
 
+    /// The value kept with this system's structure, if it is a \p T and
+    /// \p fits(value) holds; otherwise \p make(), kept in its place.  Every
+    /// copy sharing the structure shares this one slot, so one value lives
+    /// per structure at most.  The lookup and make() run under the slot's
+    /// lock, so concurrent callers make a fitting value once; if make()
+    /// throws, the slot is left as it was.
+    template <typename T, typename Fits, typename Make>
+    [[nodiscard]] std::shared_ptr<const T> memo(Fits&& fits, Make&& make) const {
+        Structure::Memo& slot = structure_->memo;
+        const std::lock_guard<std::mutex> lock(slot.mutex);
+        std::shared_ptr<const T> held = std::dynamic_pointer_cast<const T>(slot.value);
+        if (held != nullptr && fits(*held)) return held;
+        held = make();
+        slot.value = held;
+        return held;
+    }
+
 private:
     friend class LtsBuilder;
     struct Structure {
         std::vector<std::uint32_t> offsets{0};
         std::vector<Transition> transitions;
+        /// The one derived value kept with the structure (Lts::memo).
+        struct Memo {
+            std::mutex mutex;
+            std::shared_ptr<const StructureMemo> value;
+        };
+        mutable Memo memo;
     };
     Lts(std::shared_ptr<ActionTable> actions, std::shared_ptr<const Structure> structure,
         std::vector<RateSlot> slots, StateId initial);

@@ -66,7 +66,7 @@ public:
     Span(const Span&) = delete;
     Span& operator=(const Span&) = delete;
 
-    static constexpr std::size_t kMaxArgs = 4;
+    static constexpr std::size_t kMaxArgs = 5;
 
     /// Attaches up to kMaxArgs numeric annotations, rendered into the
     /// event's "args" object (extra calls are ignored).  No-op when the span

@@ -15,7 +15,11 @@
 /// on the recurrent class, again to 1e-12 relative.  Rate-patched copies
 /// (exp::with_exp_rate, with_dist, with_delay) are compared with a rebuild
 /// that sets every matching rate transition by transition: the same rows,
-/// and a bit-identical build_markov.
+/// and a bit-identical build_markov.  Builds on copies of one composed
+/// structure reuse its memoised elimination; interleaved patches, immediate
+/// weight and priority changes and error paths are compared bit for bit
+/// (chain and elimination, or failure type and message) with builds on
+/// fresh structures.
 
 #include <gtest/gtest.h>
 
@@ -26,8 +30,10 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <optional>
 #include <random>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -316,11 +322,12 @@ Outcome compare_builds(const adl::ComposedModel& model, const std::string& label
                        bool allow_absorbing = false) {
     SCOPED_TRACE(label);
     RefModel ref;
-    MarkovModel got;
+    std::optional<MarkovModel> built;
     const Outcome want = outcome_of([&] { ref = ref_build_markov(model, allow_absorbing); });
-    const Outcome have = outcome_of([&] { got = build_markov(model, allow_absorbing); });
+    const Outcome have = outcome_of([&] { built.emplace(build_markov(model, allow_absorbing)); });
     EXPECT_EQ(static_cast<int>(have), static_cast<int>(want));
     if (want != Outcome::Ok || have != Outcome::Ok) return want;
+    const MarkovModel& got = *built;
 
     EXPECT_EQ(got.tangible_of, ref.tangible_of);
     EXPECT_EQ(got.orig_of, ref.orig_of);
@@ -455,17 +462,34 @@ void expect_same_rows(const lts::Lts& got, const lts::Lts& want) {
     EXPECT_EQ(mismatches, 0u);
 }
 
-/// build_markov on both: the same outcome and, when both build, the same
-/// rows, exit rates, state maps and initial distribution, bit for bit.
-void expect_identical_builds(const adl::ComposedModel& got, const adl::ComposedModel& want) {
-    MarkovModel have;
-    MarkovModel ref;
-    const Outcome want_outcome = outcome_of([&] { ref = build_markov(want); });
-    const Outcome have_outcome = outcome_of([&] { have = build_markov(got); });
-    ASSERT_EQ(static_cast<int>(have_outcome), static_cast<int>(want_outcome));
-    if (want_outcome != Outcome::Ok) return;
+/// "<exception type>: <message>" of \p build, or "" when it returns.
+template <typename Build>
+std::string failure_of(Build&& build) {
+    try {
+        build();
+        return "";
+    } catch (const ModelError& e) {
+        return std::string("ModelError: ") + e.what();
+    } catch (const NumericalError& e) {
+        return std::string("NumericalError: ") + e.what();
+    } catch (const Error& e) {
+        return std::string("Error: ") + e.what();
+    }
+}
+
+/// The same chain (rows, exit rates) and elimination (state maps, branch
+/// tables, topological order, initial distribution), bit for bit.
+void expect_identical_models(const MarkovModel& have, const MarkovModel& ref) {
     EXPECT_EQ(have.orig_of, ref.orig_of);
     EXPECT_EQ(have.tangible_of, ref.tangible_of);
+    EXPECT_EQ(have.branch_start, ref.branch_start);
+    ASSERT_EQ(have.branches.size(), ref.branches.size());
+    for (std::size_t k = 0; k < ref.branches.size(); ++k) {
+        EXPECT_EQ(have.branches[k].target, ref.branches[k].target) << "branch " << k;
+        EXPECT_EQ(have.branches[k].action, ref.branches[k].action) << "branch " << k;
+        EXPECT_EQ(have.branches[k].probability, ref.branches[k].probability) << "branch " << k;
+    }
+    EXPECT_EQ(have.vanishing_topo_order, ref.vanishing_topo_order);
     EXPECT_EQ(have.initial_distribution, ref.initial_distribution);
     ASSERT_EQ(have.chain.num_states(), ref.chain.num_states());
     for (TangibleId t = 0; t < ref.chain.num_states(); ++t) {
@@ -478,6 +502,22 @@ void expect_identical_builds(const adl::ComposedModel& got, const adl::ComposedM
         }
         EXPECT_EQ(have.chain.exit_rate(t), ref.chain.exit_rate(t)) << "row " << t;
     }
+}
+
+/// build_markov on both: the same failure (type and message) or, when both
+/// build, identical models.  Returns the build on \p got, if any.
+std::optional<MarkovModel> expect_identical_builds(const adl::ComposedModel& got,
+                                                   const adl::ComposedModel& want,
+                                                   bool allow_absorbing = false) {
+    std::optional<MarkovModel> have;
+    std::optional<MarkovModel> ref;
+    const std::string want_failure =
+        failure_of([&] { ref.emplace(build_markov(want, allow_absorbing)); });
+    const std::string have_failure =
+        failure_of([&] { have.emplace(build_markov(got, allow_absorbing)); });
+    EXPECT_EQ(have_failure, want_failure);
+    if (have && ref) expect_identical_models(*have, *ref);
+    return have;
 }
 
 /// The reference form of exp::with_delay.
@@ -535,6 +575,134 @@ TEST(PatchDiff, GeneralSpecUnderEveryPatch) {
                              "DPM", "send_shutdown", delay_patch(delay),
                              "with_delay " + std::to_string(delay));
     }
+}
+
+// ---------------------------------------------------------------------------
+// The memoised elimination: builds on copies of one composed structure
+// against builds on fresh structures, which have nothing memoised
+// ---------------------------------------------------------------------------
+
+TEST(PatchDiff, InterleavedPatchesMatchFreshStructures) {
+    namespace fs = std::filesystem;
+    const std::map<std::string, std::string> swept = {
+        {"disk_markov.aem", "send_shutdown"},
+        {"rpc_revised_markov.aem", "send_shutdown"},
+        {"streaming_markov.aem", "send_wakeup"},
+    };
+    for (const auto& entry : fs::directory_iterator(DPMA_SPECS_DIR)) {
+        const std::string name = entry.path().filename().string();
+        if (name.ends_with("_markov.aem")) {
+            EXPECT_EQ(swept.count(name), 1u) << name;
+        }
+    }
+    using Patch = std::function<adl::ComposedModel(const adl::ComposedModel&)>;
+    for (const auto& [spec, action] : swept) {
+        const auto exp_rate = [&action](double rate) -> Patch {
+            return [&action, rate](const adl::ComposedModel& m) {
+                return exp::with_exp_rate(m, "DPM", action, rate);
+            };
+        };
+        const auto delay = [&action](double d) -> Patch {
+            return [&action, d](const adl::ComposedModel& m) {
+                return exp::with_delay(m, "DPM", action, d);
+            };
+        };
+        // with_delay 0 turns the swept slots immediate, which changes the
+        // key; the next with_exp_rate changes it back.
+        const std::vector<std::pair<std::string, Patch>> steps = {
+            {"with_exp_rate 0.37", exp_rate(0.37)}, {"with_delay 2.5", delay(2.5)},
+            {"with_delay 0", delay(0.0)},           {"with_exp_rate 1.3", exp_rate(1.3)},
+            {"with_exp_rate 0.37", exp_rate(0.37)},
+        };
+        const adl::ComposedModel skeleton = adl::compose(models::archi(spec));
+        std::vector<std::optional<MarkovModel>> built;
+        for (const auto& [label, patch] : steps) {
+            SCOPED_TRACE(spec + " " + label);
+            built.push_back(expect_identical_builds(
+                patch(skeleton), patch(adl::compose(models::archi(spec)))));
+        }
+        ASSERT_TRUE(built[0] && built[1] && built[3] && built[4]) << spec;
+        // Copies with one key share one elimination; a key change rebuilds.
+        EXPECT_EQ(built[0]->elimination, built[1]->elimination) << spec;
+        EXPECT_NE(built[1]->elimination, built[3]->elimination) << spec;
+        EXPECT_EQ(built[3]->elimination, built[4]->elimination) << spec;
+        if (built[2]) {
+            EXPECT_NE(built[2]->elimination, built[3]->elimination) << spec;
+        }
+    }
+}
+
+/// \p model's copy with \p patch applied to every slot labelled \p label.
+adl::ComposedModel patched_copy(const adl::ComposedModel& model, const std::string& label,
+                                const RatePatch& patch) {
+    const lts::ActionId action = model.graph.actions()->find(label);
+    EXPECT_NE(action, kNoSymbol) << label;
+    adl::ComposedModel out = model;
+    out.graph.mutate_rates([&](lts::ActionId a, lts::Rate& rate) {
+        if (a == action) rate = patch(rate);
+    });
+    return out;
+}
+
+TEST(PatchDiff, ImmediateWeightsAndPrioritiesKeyTheElimination) {
+    const adl::ComposedModel model = adl::compose(vanishing_model(0.25, 1));
+    const auto immediate = [](int priority, double weight) -> RatePatch {
+        return [=](const lts::Rate&) -> lts::Rate { return lts::RateImmediate{priority, weight}; };
+    };
+    const std::vector<std::tuple<std::string, std::string, RatePatch>> patches = {
+        {"go_left", "weight 0.75", immediate(1, 0.75)},
+        {"go_left", "weight 0", immediate(1, 0.0)},
+        {"go_right", "priority 5", immediate(5, 0.75)},
+        {"go_left", "unchanged", immediate(1, 0.25)},
+    };
+    for (const auto& [action, label, patch] : patches) {
+        SCOPED_TRACE(action + " " + label);
+        expect_identical_builds(patched_copy(model, "X." + action, patch),
+                                reference_patch(model, "X", action, patch));
+    }
+}
+
+TEST(PatchDiff, OnlyTimedSlotsOfTangibleStatesMustBePositive) {
+    // Choice also offers a timed "late", which its immediates pre-empt.
+    adl::ArchiType archi = vanishing_model(0.25, 1);
+    archi.elem_types[0].behaviors[1].alternatives.push_back(
+        {nullptr, {{"late", lts::RateExp{3.0}}}, {"Start", {}}});
+    const adl::ComposedModel model = adl::compose(archi);
+    const RatePatch zero = [](const lts::Rate&) -> lts::Rate { return lts::RateExp{0.0}; };
+    for (const std::string action : {"late", "step", "reset_r"}) {
+        SCOPED_TRACE(action);
+        const auto have = expect_identical_builds(patched_copy(model, "X." + action, zero),
+                                                  reference_patch(model, "X", action, zero));
+        EXPECT_EQ(have.has_value(), action == "late");
+    }
+    // Row 0 (A) needs a positive rate before row 1 (B) is found absorbing.
+    const adl::ComposedModel dead = adl::compose(deadlock_model());
+    for (const bool allow_absorbing : {false, true}) {
+        const adl::ComposedModel copy = patched_copy(dead, "X.once", zero);
+        EXPECT_EQ(failure_of([&] { (void)build_markov(copy, allow_absorbing); }),
+                  "Error: precondition violated: CTMC rates must be positive");
+        expect_identical_builds(copy, reference_patch(dead, "X", "once", zero), allow_absorbing);
+    }
+}
+
+TEST(PatchDiff, FailuresRepeatOnOneStructure) {
+    const adl::ComposedModel dead = adl::compose(deadlock_model());
+    const auto build = [&](bool allow_absorbing) {
+        return failure_of([&] { (void)build_markov(dead, allow_absorbing); });
+    };
+    const std::string absorbing = build(false);
+    EXPECT_TRUE(absorbing.starts_with("ModelError: absorbing tangible state found")) << absorbing;
+    EXPECT_EQ(build(false), absorbing);
+    EXPECT_EQ(build(true), "");
+    EXPECT_EQ(build(false), absorbing);
+    expect_identical_builds(dead, adl::compose(deadlock_model()));
+    expect_identical_builds(dead, adl::compose(deadlock_model()), /*allow_absorbing=*/true);
+
+    const adl::ComposedModel live = adl::compose(livelock_model());
+    const std::string cycle = failure_of([&] { (void)build_markov(live); });
+    EXPECT_TRUE(cycle.starts_with("NumericalError: immediate-action cycle")) << cycle;
+    EXPECT_EQ(failure_of([&] { (void)build_markov(live); }), cycle);
+    EXPECT_EQ(failure_of([&] { (void)build_markov(live, /*allow_absorbing=*/true); }), cycle);
 }
 
 // ---------------------------------------------------------------------------

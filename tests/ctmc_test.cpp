@@ -174,6 +174,25 @@ TEST(BottomSccs, AbsorbingStateIsItsOwnClass) {
     EXPECT_EQ(bottoms[0][0], 1u);
 }
 
+TEST(BottomSccs, SkipsManyTransientSingletons) {
+    // A chain of 40 transient singletons 0 -> ... -> 39 enters A = {41, 43,
+    // 45}; state 0 also enters B = {40, 42}.  The search from 0 completes A
+    // first and B only after the chain, so A comes first although B holds
+    // the lower states.
+    std::vector<Ctmc::Triplet> rates;
+    for (TangibleId s = 0; s < 39; ++s) rates.push_back({s, s + 1, 1.0});
+    rates.push_back({0, 40, 1.0});
+    rates.push_back({39, 41, 1.0});
+    for (const auto& [from, to] : {std::pair{41u, 43u}, {43u, 45u}, {45u, 41u}, {40u, 42u},
+                                   {42u, 40u}, {44u, 45u}}) {
+        rates.push_back({from, to, 2.0});
+    }
+    const auto bottoms = bottom_sccs(Ctmc(46, rates));
+    ASSERT_EQ(bottoms.size(), 2u);
+    EXPECT_EQ(bottoms[0], (std::vector<TangibleId>{41, 43, 45}));
+    EXPECT_EQ(bottoms[1], (std::vector<TangibleId>{40, 42}));
+}
+
 TEST(Irreducibility, DetectsBothDirections) {
     const Ctmc ring(3, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 0, 1.0}});
     EXPECT_TRUE(is_irreducible(ring));

@@ -23,6 +23,7 @@
 #include "models/variants.hpp"
 #include "obs/json.hpp"
 #include "obs/json_parse.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/gsmp.hpp"
 #include "sim/rng.hpp"
@@ -354,6 +355,53 @@ TEST(CacheTrace, PatchAndMeasuresAreSpanned) {
             << measures[k].name;
         EXPECT_EQ(evaluated[k]->number_at("tangible"), tangible) << measures[k].name;
     }
+#endif
+    obs::clear_trace();
+}
+
+TEST(CacheTrace, SweepEliminatesOncePerStructure) {
+    const adl::ComposedModel skeleton = adl::compose(models::archi("rpc_revised_markov.aem"));
+    const std::vector<adl::Measure> measures = models::measures("rpc_measures.msr");
+    Experiment experiment;
+    experiment.name = "eliminate_once";
+    experiment.grid.axis(Axis::list("shutdown_rate", {0.1, 0.5, 2.0}));
+    for (const adl::Measure& m : measures) experiment.measures.push_back(m.name);
+    experiment.eval = [&](const Point& point, const PointContext&) {
+        return solve_point(
+            with_exp_rate(skeleton, "DPM", "send_shutdown", point.at("shutdown_rate")),
+            measures);
+    };
+    RunOptions options;
+    options.jobs = 2;
+    const std::uint64_t builds_before = obs::counter("ctmc.builds").value();
+    const std::uint64_t skeletons_before = obs::counter("ctmc.skeleton.builds").value();
+    obs::clear_trace();
+    obs::set_tracing(true);
+    const ResultSet results = run(experiment, options);
+    obs::set_tracing(false);
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_EQ(obs::counter("ctmc.builds").value(), builds_before + 3);
+    EXPECT_EQ(obs::counter("ctmc.skeleton.builds").value(), skeletons_before + 1);
+#if !defined(DPMA_OBS_DISABLED)
+    const obs::Json trace = obs::json_parse(obs::trace_json());
+    const obs::Json* events = trace.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    std::size_t eliminations = 0;
+    std::size_t builds = 0;
+    double built = 0.0;
+    for (const obs::Json& e : events->array) {
+        if (e.string_at("name") == "ctmc.eliminate") {
+            ++eliminations;
+            EXPECT_EQ(e.find("args")->number_at("states"),
+                      static_cast<double>(skeleton.graph.num_states()));
+        } else if (e.string_at("name") == "ctmc.build_markov") {
+            ++builds;
+            built += e.find("args")->number_at("skeleton_built");
+        }
+    }
+    EXPECT_EQ(eliminations, 1u);
+    EXPECT_EQ(builds, 3u);
+    EXPECT_EQ(built, 1.0);
 #endif
     obs::clear_trace();
 }

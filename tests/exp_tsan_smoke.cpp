@@ -14,8 +14,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <string>
 #include <vector>
@@ -239,10 +241,14 @@ int check_sparse_steady_state() {
 /// A Markov sweep over one cached skeleton: every pool worker patches the
 /// shared skeleton with with_exp_rate and runs build_markov, steady_state and
 /// evaluate_measure on its copy.  A copy shares the skeleton's CSR and owns
-/// only its rate slots, so the workers read one structure concurrently.
-/// The parallel sweep must be bit-identical to the serial one, every copy
-/// must share the skeleton's transition array, and the skeleton's rates must
-/// be unchanged afterwards.
+/// only its rate slots, so the workers read one structure concurrently, and
+/// the vanishing elimination kept with that structure is built once and
+/// shared by every point.  The parallel sweep must be bit-identical to the
+/// serial one, every copy must share the skeleton's transition array and
+/// elimination, and the skeleton's rates must be unchanged afterwards.  A
+/// second sweep retimes one point with with_delay 0, which makes the swept
+/// slots immediate: points then switch the structure's elimination back and
+/// forth concurrently, and must still be bit-identical to the serial run.
 int check_markov_sweep() {
     exp::ModelCache cache;
     const auto compose_rpc = [] { return adl::compose(models::archi("rpc_revised_markov.aem")); };
@@ -251,6 +257,9 @@ int check_markov_sweep() {
                                             skeleton->graph.slots().end());
     const std::vector<adl::Measure> measures = models::measures("rpc_measures.msr");
     std::atomic<std::size_t> unshared{0};
+    std::mutex seen_mutex;
+    std::vector<std::shared_ptr<const ctmc::VanishingElimination>> seen;
+    std::atomic<std::size_t> immediate_index{SIZE_MAX};
 
     exp::Experiment experiment;
     experiment.name = "markov_smoke";
@@ -259,12 +268,19 @@ int check_markov_sweep() {
     experiment.eval = [&](const exp::Point& point, const exp::PointContext&) {
         const std::shared_ptr<const adl::ComposedModel> model =
             cache.composed("rpc", compose_rpc);
+        const bool immediate = point.index == immediate_index.load();
         const adl::ComposedModel patched =
-            exp::with_exp_rate(*model, "DPM", "send_shutdown", point.at("shutdown_rate"));
+            immediate ? exp::with_delay(*model, "DPM", "send_shutdown", 0.0)
+                      : exp::with_exp_rate(*model, "DPM", "send_shutdown",
+                                           point.at("shutdown_rate"));
         if (patched.graph.transitions().data() != model->graph.transitions().data()) {
             ++unshared;
         }
         const ctmc::MarkovModel markov = ctmc::build_markov(patched);
+        if (!immediate) {
+            const std::lock_guard<std::mutex> lock(seen_mutex);
+            seen.push_back(markov.elimination);
+        }
         const std::vector<double> pi = ctmc::steady_state(markov.chain);
         exp::PointResult result;
         for (const adl::Measure& m : measures) {
@@ -276,25 +292,40 @@ int check_markov_sweep() {
     serial.jobs = 1;
     exp::RunOptions parallel;
     parallel.jobs = 4;
-    const exp::ResultSet a = exp::run(experiment, serial);
-    const exp::ResultSet b = exp::run(experiment, parallel);
-    if (a.size() != b.size()) {
-        std::fprintf(stderr, "FAIL: %zu serial Markov points vs %zu parallel\n", a.size(),
-                     b.size());
-        return 1;
-    }
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a.at(i).result.values != b.at(i).result.values) {
-            std::fprintf(stderr, "FAIL: Markov point %zu differs between jobs=1 and jobs=4\n",
-                         i);
-            return 1;
+    const auto identical = [&](const char* what) {
+        const exp::ResultSet a = exp::run(experiment, serial);
+        const exp::ResultSet b = exp::run(experiment, parallel);
+        if (a.size() != b.size()) {
+            std::fprintf(stderr, "FAIL: %zu serial Markov points vs %zu parallel (%s)\n",
+                         a.size(), b.size(), what);
+            return false;
         }
-    }
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            if (a.at(i).result.values != b.at(i).result.values) {
+                std::fprintf(stderr,
+                             "FAIL: Markov point %zu differs between jobs=1 and jobs=4 (%s)\n",
+                             i, what);
+                return false;
+            }
+        }
+        return true;
+    };
+    if (!identical("one elimination")) return 1;
     if (unshared != 0) {
         std::fprintf(stderr, "FAIL: %zu patched copies do not share the skeleton's CSR\n",
                      unshared.load());
         return 1;
     }
+    const std::size_t points = seen.size();
+    if (std::any_of(seen.begin(), seen.end(), [&](const auto& e) {
+            return e->orig_of.data() != seen.front()->orig_of.data();
+        })) {
+        std::fprintf(stderr, "FAIL: the %zu Markov points do not share one elimination\n",
+                     points);
+        return 1;
+    }
+    immediate_index = 8;
+    if (!identical("with_delay 0 at point 8")) return 1;
     const auto after = skeleton->graph.slots();
     if (after.size() != before.size() ||
         !std::equal(before.begin(), before.end(), after.begin(),
@@ -305,8 +336,9 @@ int check_markov_sweep() {
         return 1;
     }
     std::printf("OK: %zu Markov points bit-identical across jobs counts, all on the "
-                "skeleton's CSR, skeleton rates unchanged\n",
-                a.size());
+                "skeleton's CSR and one elimination, also with a with_delay 0 point; "
+                "skeleton rates unchanged\n",
+                points);
     return 0;
 }
 
