@@ -162,6 +162,7 @@ Elimination eliminate(const Csr& a, std::vector<double> leak, std::vector<double
         out.x[i] = acc / pivot[i];
     }
     out.factor_entries = u.col.size();
+    out.factor_slots = out.factor_entries;
     record_solve("sparse_elimination", m, out.factor_entries);
     return out;
 }

@@ -2,6 +2,7 @@
 
 #include "core/error.hpp"
 #include "core/stats_math.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace dpma::ctmc {
@@ -11,6 +12,7 @@ std::vector<double> action_frequencies(const MarkovModel& markov,
                                        const std::vector<double>& pi) {
     DPMA_REQUIRE(pi.size() == markov.chain.num_states(),
                  "steady-state vector does not match the chain");
+    obs::counter("ctmc.frequency_walks").add();
     const std::size_t num_actions = model.graph.actions()->size();
     std::vector<double> freq(num_actions, 0.0);
     std::vector<double> vanishing_entry(model.graph.num_states(), 0.0);
@@ -58,28 +60,42 @@ double state_probability(const MarkovModel& markov, const adl::ComposedModel& mo
     return sum.value();
 }
 
+std::vector<double> evaluate_measures(const MarkovModel& markov,
+                                      const adl::ComposedModel& model,
+                                      const std::vector<double>& pi,
+                                      std::span<const adl::Measure> measures) {
+    std::vector<double> values;
+    values.reserve(measures.size());
+    // Walked once, in the span of the first measure with a TRANS_REWARD
+    // clause, and shared by every later one.
+    std::vector<double> freq;
+    for (const adl::Measure& measure : measures) {
+        DPMA_NAMED_SPAN(span, "ctmc.measure", "ctmc");
+        span.arg("clauses", static_cast<double>(measure.clauses.size()));
+        span.arg("tangible", static_cast<double>(markov.orig_of.size()));
+        KahanSum total;
+        for (const adl::RewardClause& clause : measure.clauses) {
+            if (clause.target == adl::RewardClause::Target::State) {
+                total.add(clause.reward *
+                          state_probability(markov, model, pi, clause.predicate));
+                continue;
+            }
+            if (freq.empty()) {
+                freq = action_frequencies(markov, model, pi);
+            }
+            const std::vector<char> mask = adl::action_mask(model, clause.predicate);
+            for (Symbol a = 0; a < mask.size(); ++a) {
+                if (mask[a]) total.add(clause.reward * freq[a]);
+            }
+        }
+        values.push_back(total.value());
+    }
+    return values;
+}
+
 double evaluate_measure(const MarkovModel& markov, const adl::ComposedModel& model,
                         const std::vector<double>& pi, const adl::Measure& measure) {
-    DPMA_NAMED_SPAN(span, "ctmc.measure", "ctmc");
-    span.arg("clauses", static_cast<double>(measure.clauses.size()));
-    span.arg("tangible", static_cast<double>(markov.orig_of.size()));
-    KahanSum total;
-    std::vector<double> freq;  // computed lazily, shared by all trans clauses
-    for (const adl::RewardClause& clause : measure.clauses) {
-        if (clause.target == adl::RewardClause::Target::State) {
-            total.add(clause.reward *
-                      state_probability(markov, model, pi, clause.predicate));
-            continue;
-        }
-        if (freq.empty()) {
-            freq = action_frequencies(markov, model, pi);
-        }
-        const std::vector<char> mask = adl::action_mask(model, clause.predicate);
-        for (Symbol a = 0; a < mask.size(); ++a) {
-            if (mask[a]) total.add(clause.reward * freq[a]);
-        }
-    }
-    return total.value();
+    return evaluate_measures(markov, model, pi, std::span(&measure, 1)).front();
 }
 
 }  // namespace dpma::ctmc

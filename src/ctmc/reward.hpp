@@ -10,6 +10,7 @@
 /// through the (acyclic) vanishing subgraph, so throughput-style measures
 /// can be attached to any action of the model, timed or immediate.
 
+#include <span>
 #include <vector>
 
 #include "adl/measure.hpp"
@@ -19,12 +20,23 @@ namespace dpma::ctmc {
 
 /// Firing frequency (events per unit of time) of every action label, given
 /// the steady-state distribution over tangible states.  Indexed by the
-/// composed model's ActionId.
+/// composed model's ActionId.  Each call walks every tangible state's
+/// transitions and the vanishing subgraph once, counted as
+/// ctmc.frequency_walks.
 [[nodiscard]] std::vector<double> action_frequencies(const MarkovModel& markov,
                                                      const adl::ComposedModel& model,
                                                      const std::vector<double>& pi);
 
-/// Value of one measure at steady state.
+/// Value of every measure at steady state, in order, bit-identical to one
+/// evaluate_measure call per measure.  The action frequencies are computed
+/// once, and only if some clause is TRANS_REWARD.
+[[nodiscard]] std::vector<double> evaluate_measures(const MarkovModel& markov,
+                                                    const adl::ComposedModel& model,
+                                                    const std::vector<double>& pi,
+                                                    std::span<const adl::Measure> measures);
+
+/// Value of one measure at steady state: evaluate_measures on \p measure
+/// alone.
 [[nodiscard]] double evaluate_measure(const MarkovModel& markov,
                                       const adl::ComposedModel& model,
                                       const std::vector<double>& pi,

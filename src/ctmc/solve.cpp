@@ -104,22 +104,25 @@ Elimination sparse_gth(const Ctmc& chain, std::size_t budget) {
     const std::size_t l_slots = l_start[n];
     const auto over_budget = [&](std::size_t row) {
         return NumericalError("sparse GTH on " + std::to_string(n) + " states needs more than " +
-                              std::to_string(budget) + " factor entries (budget exhausted at row " +
+                              std::to_string(budget) + " factor slots (budget exhausted at row " +
                               std::to_string(row) + ")");
     };
     if (l_slots > budget) throw over_budget(0);
 
     std::vector<double> l(l_slots, 0.0);
     std::vector<double> pivot(n, 0.0);
-    // U row k is u[u_start[k] - base, u_start[k+1] - base) while it is live;
-    // rows below `dead` are folded by no later row.
-    std::vector<RateEntry> u;
+    // U row k is dense over its profile (k, k + len_k]: the values of
+    // columns k+1.. as row k left them, zeros included, at
+    // u[u_start[k] - base, u_start[k+1] - base) while it is live; rows below
+    // `dead` are folded by no later row.
+    std::vector<double> u;
     std::vector<std::size_t> u_start(n + 1, 0);
     std::size_t base = 0;
     std::size_t dead = 0;
     std::size_t l_entries = 0;
+    std::size_t u_entries = 0;
     // Row i under elimination, scattered densely.  Every entry is a sum of
-    // positive terms, so w[j] != 0 marks the pattern; `last` bounds it.
+    // non-negative terms, so w[j] != 0 marks the pattern; `last` bounds it.
     std::vector<double> w(n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
         std::size_t last = i;
@@ -135,31 +138,37 @@ Elimination sparse_gth(const Ctmc& chain, std::size_t budget) {
             w[k] = 0.0;
             l_row[k - first[i]] = f;
             ++l_entries;
-            const RateEntry* const begin = u.data() + (u_start[k] - base);
-            const RateEntry* const end = u.data() + (u_start[k + 1] - base);
-            for (const RateEntry* p = begin; p != end; ++p) w[p->target] += f * p->rate;
-            if (end != begin) last = std::max<std::size_t>(last, end[-1].target);
+            // A stored zero adds f * 0 = +0, which leaves every sum as the
+            // nonzeros alone would: one contiguous a*x + y per fold.
+            const double* const u_row = u.data() + (u_start[k] - base);
+            const std::size_t len = u_start[k + 1] - u_start[k];
+            double* const w_row = w.data() + k + 1;
+            for (std::size_t j = 0; j < len; ++j) w_row[j] += f * u_row[j];
+            last = std::max(last, k + len);
         }
         // What folded onto the diagonal is a return to i; GTH's pivot is the
         // rate of leaving i for the states not yet eliminated instead.
         w[i] = 0.0;
         // Slide the window: drop the dead prefix once it is half the buffer,
-        // so each entry moves at most once on average.
+        // so each slot moves at most once on average.
         while (dead < i && last_use[dead] <= i) ++dead;
-        const std::size_t dead_entries = u_start[dead] - base;
-        if (dead_entries > 0 && 2 * dead_entries >= u.size()) {
-            u.erase(u.begin(), u.begin() + static_cast<std::ptrdiff_t>(dead_entries));
+        const std::size_t dead_slots = u_start[dead] - base;
+        if (dead_slots > 0 && 2 * dead_slots >= u.size()) {
+            u.erase(u.begin(), u.begin() + static_cast<std::ptrdiff_t>(dead_slots));
             base = u_start[dead];
         }
+        const std::size_t len = last - i;
+        if (l_slots + u_start[i] + len > budget) throw over_budget(i);
         double out = 0.0;
         for (std::size_t j = i + 1; j <= last; ++j) {
-            if (w[j] == 0.0) continue;
-            if (l_slots + base + u.size() >= budget) throw over_budget(i);
             out += w[j];
-            u.push_back(RateEntry{static_cast<TangibleId>(j), w[j]});
-            w[j] = 0.0;
+            u_entries += w[j] != 0.0;
         }
-        u_start[i + 1] = base + u.size();
+        u.insert(u.end(), w.begin() + static_cast<std::ptrdiff_t>(i + 1),
+                 w.begin() + static_cast<std::ptrdiff_t>(last + 1));
+        std::fill(w.begin() + static_cast<std::ptrdiff_t>(i + 1),
+                  w.begin() + static_cast<std::ptrdiff_t>(last + 1), 0.0);
+        u_start[i + 1] = u_start[i] + len;
         if (i + 1 < n && !(out > 0.0)) {
             throw NumericalError("GTH: state " + std::to_string(state_at(i)) +
                                  " cannot reach lower-numbered states (chain not irreducible)");
@@ -178,7 +187,8 @@ Elimination sparse_gth(const Ctmc& chain, std::size_t budget) {
     Elimination result;
     result.x.assign(pi.rbegin(), pi.rend());
     normalize(result.x);
-    result.factor_entries = l_entries + u_start[n];
+    result.factor_entries = l_entries + u_entries;
+    result.factor_slots = l_slots + u_start[n];
     record_solve("gth", n, result.factor_entries);
     return result;
 }
@@ -346,7 +356,7 @@ namespace {
 /// The sparse kernel, or the dense reference up to options.dense_threshold.
 Elimination solve_irreducible(const Ctmc& chain, const SolveOptions& options) {
     const std::size_t n = chain.num_states();
-    if (n <= options.dense_threshold) return Elimination{steady_state_gth(chain), n * n};
+    if (n <= options.dense_threshold) return Elimination{steady_state_gth(chain), n * n, n * n};
     return sparse_gth(chain);
 }
 
@@ -367,6 +377,7 @@ std::vector<double> steady_state(const Ctmc& chain, const SolveOptions& options)
     const std::vector<TangibleId>& recurrent = bottoms.front();
     const auto finish = [&](const Elimination& solved) {
         span.arg("factor_entries", static_cast<double>(solved.factor_entries));
+        span.arg("factor_slots", static_cast<double>(solved.factor_slots));
         if (options.diagnostics != nullptr) {
             *options.diagnostics = SolveDiagnostics{.method = "gth",
                                                     .states = recurrent.size(),

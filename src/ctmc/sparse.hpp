@@ -36,16 +36,20 @@ struct Csr {
 /// and logs it at debug level.
 void record_solve(const char* method, std::size_t states, std::size_t factor_entries);
 
-/// Most entries the factor of eliminate() or sparse_gth() may hold: 2^25,
-/// ~400 MB of column/value pairs.  A chain that fills beyond it ends in
-/// NumericalError instead of an out-of-memory kill.
+/// Most slots the factor of eliminate() or sparse_gth() may hold: 2^25.
+/// eliminate() stores a column/value pair per entry (12 B, ~400 MB at the
+/// budget); sparse_gth() stores a bare double per slot of its L skyline
+/// and U profile rows, zeros included (8 B, ~270 MB).  A chain that fills
+/// beyond it ends in NumericalError instead of an out-of-memory kill.
 inline constexpr std::size_t kFactorBudget = std::size_t{1} << 25;
 
-/// A direct solve: the solution and the number of off-diagonal entries its
-/// factor held.
+/// A direct solve: the solution, the number of nonzero off-diagonal
+/// entries its factor held, and the slots that held them (stored zeros
+/// included; equal to the entries for an indexed factor).
 struct Elimination {
     std::vector<double> x;
     std::size_t factor_entries = 0;
+    std::size_t factor_slots = 0;
 };
 
 /// Solves the first-passage system  (leak_i + sum_j a_ij) x_i - sum_j a_ij x_j
@@ -66,11 +70,15 @@ struct Elimination {
 /// off-diagonal rates of its row (no subtraction), the multipliers
 /// L(i,k) = w[k] / pivot[k] kept, then back substitution from the last
 /// eliminated state down, which only adds non-negative terms.  L is a dense
-/// skyline over each row's envelope, allocated once from an O(nnz) pre-pass;
-/// a U row lives in a sliding window until the last row whose envelope
-/// reaches its column has been eliminated.  Records the solve as method
-/// "gth"; throws NumericalError when L's slots plus the U entries would
-/// exceed \p budget, or when a pivot is zero (the chain is not irreducible).
+/// skyline over each row's envelope, allocated once from an O(nnz) pre-pass.
+/// U row k is dense over its profile (k, last_k], zeros included, so each
+/// fold is one contiguous a*x + y; stored zeros add +0 to non-negative sums,
+/// so the result is the one the nonzeros alone give, bit for bit.  A U row
+/// lives in a sliding window until the last row whose envelope reaches its
+/// column has been eliminated.  Records the solve as method "gth";
+/// factor_entries counts nonzeros, factor_slots the L and U slots.  Throws
+/// NumericalError when the slots would exceed \p budget, or when a pivot is
+/// zero (the chain is not irreducible).
 [[nodiscard]] Elimination sparse_gth(const Ctmc& chain, std::size_t budget = kFactorBudget);
 
 }  // namespace dpma::ctmc

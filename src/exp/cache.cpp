@@ -147,10 +147,7 @@ PointResult solve_point(const adl::ComposedModel& model,
     options.diagnostics = &diagnostics;
     const std::vector<double> pi = ctmc::steady_state(markov.chain, options);
     PointResult result;
-    result.values.reserve(measures.size());
-    for (const adl::Measure& m : measures) {
-        result.values.push_back(ctmc::evaluate_measure(markov, model, pi, m));
-    }
+    result.values = ctmc::evaluate_measures(markov, model, pi, measures);
     result.diagnostics = diagnostics.json();
     return result;
 }

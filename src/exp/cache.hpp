@@ -97,7 +97,8 @@ private:
 /// One Markov sweep point: extracts the CTMC of \p model (the vanishing
 /// elimination runs once per composed structure, so points patched from one
 /// skeleton share it), solves its steady state and evaluates each of
-/// \p measures, in order.  The solver's diagnostics (method, factor
+/// \p measures, in order, over one shared action-frequency walk
+/// (ctmc::evaluate_measures).  The solver's diagnostics (method, factor
 /// entries) ride along in PointResult::diagnostics.  Throws what
 /// build_markov / steady_state throw.
 [[nodiscard]] PointResult solve_point(const adl::ComposedModel& model,

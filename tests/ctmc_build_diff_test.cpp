@@ -19,12 +19,16 @@
 /// structure reuse its memoised elimination; interleaved patches, immediate
 /// weight and priority changes and error paths are compared bit for bit
 /// (chain and elimination, or failure type and message) with builds on
-/// fresh structures.
+/// fresh structures.  The steady states of streaming at capacities 3 and 10
+/// are pinned to a bit digest, and evaluate_measures on every shipped Markov
+/// spec matches one evaluate_measure call per measure bit for bit, with one
+/// action-frequency walk instead of one per measure with a TRANS clause.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <deque>
 #include <filesystem>
 #include <functional>
@@ -41,11 +45,13 @@
 #include "adl/measure.hpp"
 #include "core/error.hpp"
 #include "ctmc/ctmc.hpp"
+#include "ctmc/reward.hpp"
 #include "ctmc/solve.hpp"
 #include "ctmc_fixtures.hpp"
 #include "exp/cache.hpp"
 #include "models/specs.hpp"
 #include "models/variants.hpp"
+#include "obs/metrics.hpp"
 
 #ifndef DPMA_SPECS_DIR
 #error "DPMA_SPECS_DIR must point at the shipped specs/ directory"
@@ -391,6 +397,67 @@ TEST(BuildDiff, StreamingAcrossBufferCapacities) {
                       Outcome::Ok);
         }
     }
+}
+
+TEST(BuildDiff, StreamingSteadyStatesArePinnedBitForBit) {
+    // Digests and factor sizes of the indexed-U sparse GTH kernel that the
+    // dense-profile one replaced; stored profile zeros add only +0 terms.
+    struct Pin {
+        long capacity;
+        std::uint64_t digest;
+        std::size_t factor_entries;
+    };
+    const adl::ArchiType streaming = models::archi("streaming_markov.aem");
+    for (const Pin& pin : {Pin{3, 10153608141143189550u, 3398},
+                           Pin{10, 793259167945082880u, 72377}}) {
+        SCOPED_TRACE("capacity " + std::to_string(pin.capacity));
+        const adl::ComposedModel model = adl::compose(models::with_capacity(
+            models::with_capacity(streaming, {"AP"}, pin.capacity), {"B"}, pin.capacity));
+        const MarkovModel markov = build_markov(model);
+        SolveDiagnostics diagnostics;
+        const std::vector<double> pi = steady_state(markov.chain, {.diagnostics = &diagnostics});
+        EXPECT_EQ(bit_digest(pi), pin.digest);
+        EXPECT_EQ(diagnostics.factor_entries, pin.factor_entries);
+    }
+}
+
+TEST(MeasureDiff, EvaluateMeasuresMatchesOneCallPerMeasure) {
+    namespace fs = std::filesystem;
+    std::size_t checked = 0;
+    for (const auto& entry : fs::directory_iterator(DPMA_SPECS_DIR)) {
+        const std::string name = entry.path().filename().string();
+        if (!name.ends_with("_markov.aem")) continue;
+        // disk_markov.aem goes with disk_measures.msr, and so on.
+        const std::string msr = name.substr(0, name.find('_')) + "_measures.msr";
+        SCOPED_TRACE(name + " + " + msr);
+        const adl::ComposedModel model = adl::compose(models::archi(name));
+        const std::vector<adl::Measure> measures = models::measures(msr);
+        const MarkovModel markov = build_markov(model);
+        const std::vector<double> pi = steady_state(markov.chain);
+        const auto trans = static_cast<std::uint64_t>(
+            std::count_if(measures.begin(), measures.end(), [](const adl::Measure& m) {
+                return std::any_of(m.clauses.begin(), m.clauses.end(), [](const auto& c) {
+                    return c.target == adl::RewardClause::Target::Trans;
+                });
+            }));
+        obs::Counter& walks = obs::counter("ctmc.frequency_walks");
+        std::uint64_t before = walks.value();
+        std::vector<double> one_by_one;
+        for (const adl::Measure& m : measures) {
+            one_by_one.push_back(evaluate_measure(markov, model, pi, m));
+        }
+        EXPECT_EQ(walks.value() - before, trans);
+        if (name == "streaming_markov.aem") {
+            EXPECT_EQ(trans, 6u);
+        }
+        before = walks.value();
+        const std::vector<double> shared = evaluate_measures(markov, model, pi, measures);
+        EXPECT_EQ(walks.value() - before, trans > 0 ? 1u : 0u);
+        EXPECT_EQ(bit_digest(shared), bit_digest(one_by_one));
+        EXPECT_EQ(shared.size(), measures.size());
+        ++checked;
+    }
+    EXPECT_GE(checked, 3u);
 }
 
 TEST(BuildDiff, EliminationFixtures) {

@@ -2,7 +2,12 @@
 
 /// \file ctmc_fixtures.hpp
 /// Small architectures for the vanishing-state elimination tests
-/// (ctmc_test, ctmc_build_diff_test).
+/// (ctmc_test, ctmc_build_diff_test), and the bit digest both use to pin
+/// steady-state vectors.
+
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "adl/model.hpp"
 #include "lts/rate.hpp"
@@ -65,6 +70,21 @@ inline adl::ArchiType deadlock_model() {
     archi.elem_types = {t};
     archi.instances = {adl::Instance{"X", "T", {}}};
     return archi;
+}
+
+/// FNV-1a over the bit patterns of \p values: a pinned digest asserts a
+/// vector bit for bit (signed zeros and NaN payloads included).
+inline std::uint64_t bit_digest(const std::vector<double>& values) {
+    std::uint64_t hash = 0xcbf29ce484222325u;
+    for (const double v : values) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof bits);
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= (bits >> (8 * byte)) & 0xffu;
+            hash *= 0x100000001b3u;
+        }
+    }
+    return hash;
 }
 
 }  // namespace dpma::ctmc

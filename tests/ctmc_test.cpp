@@ -104,12 +104,31 @@ TEST(SteadyState, SparseGthMatchesDenseOnARingWithChords) {
     EXPECT_LE(max_rel_diff(steady_state(chain), steady_state_gth(chain)), 1e-12);
     // The dense reference through the public entry point agrees bit for bit.
     EXPECT_EQ(steady_state(chain, {.dense_threshold = SIZE_MAX}), steady_state_gth(chain));
+    // Pinned from the kernel with indexed U rows: the dense profile rows
+    // only add +0 terms, so neither the bits nor the nonzero count move.
+    const Elimination solved = sparse_gth(chain);
+    EXPECT_EQ(bit_digest(solved.x), 6396577854433973274u);
+    EXPECT_EQ(solved.factor_entries, 431u);
+    EXPECT_GE(solved.factor_slots, solved.factor_entries);
 }
 
 TEST(SteadyState, SparseGthRespectsTheFactorBudget) {
     const Ctmc chain = birth_death(25, 1.7, 1.1);
     EXPECT_THROW((void)sparse_gth(chain, 2 * 24 - 1), NumericalError);
     EXPECT_EQ(sparse_gth(chain, 2 * 24).factor_entries, 2u * 24u);
+}
+
+TEST(SteadyState, SparseGthBudgetCountsProfileSlots) {
+    // Eliminated in reverse index order, state 3 goes first; its U row
+    // spans positions 1..3 (states 2, 1, 0) but has no edge to state 1, so
+    // the profile holds one zero.  L: 0 + 1 + 1 + 3 slots, U: 3 + 2 + 1 + 0.
+    const Ctmc chain(4, {{3, 2, 1.0}, {3, 0, 2.0}, {2, 3, 1.5}, {2, 1, 0.5}, {1, 2, 3.0},
+                         {0, 3, 0.25}});
+    EXPECT_THROW((void)sparse_gth(chain, 10), NumericalError);
+    const Elimination solved = sparse_gth(chain, 11);
+    EXPECT_EQ(solved.factor_slots, 11u);
+    EXPECT_EQ(solved.factor_entries, 10u);
+    EXPECT_LE(max_rel_diff(solved.x, steady_state_gth(chain)), 1e-12);
 }
 
 TEST(SteadyState, SumsToOne) {

@@ -200,14 +200,39 @@ ctmc::Ctmc random_banded_chain(unsigned seed) {
     return ctmc::Ctmc(n, rates);
 }
 
+/// A seeded chain of 360 states: a band of width 1 in both directions plus
+/// chords 37 states up from every fifth state and 45 states down from
+/// others.  Its U profile rows are about two-thirds stored zeros, and the
+/// chords are short enough for the U window to drop its dead prefix a
+/// dozen times.
+ctmc::Ctmc chorded_chain() {
+    std::mt19937 rng(99);
+    constexpr std::size_t n = 360;
+    std::uniform_real_distribution<double> rate(0.1, 5.0);
+    std::vector<ctmc::Ctmc::Triplet> rates;
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto from = static_cast<ctmc::TangibleId>(i);
+        if (i + 1 < n) rates.push_back({from, static_cast<ctmc::TangibleId>(i + 1), rate(rng)});
+        if (i >= 1) rates.push_back({from, static_cast<ctmc::TangibleId>(i - 1), rate(rng)});
+        if (i % 5 == 0 && i + 37 < n) {
+            rates.push_back({from, static_cast<ctmc::TangibleId>(i + 37), rate(rng)});
+        }
+        if (i % 5 == 2 && i >= 45) {
+            rates.push_back({from, static_cast<ctmc::TangibleId>(i - 45), rate(rng)});
+        }
+    }
+    return ctmc::Ctmc(n, rates);
+}
+
 /// The sparse steady-state kernel under the sanitizers: steady_state on
-/// random banded chains, solved on a pool of 1 and of 4 jobs, must be
-/// bit-identical across job counts and within 1e-12 relative of the dense
-/// steady_state_gth.
+/// random banded chains and on the chorded chain, solved on a pool of 1 and
+/// of 4 jobs, must be bit-identical across job counts and within 1e-12
+/// relative of the dense steady_state_gth.
 int check_sparse_steady_state() {
     constexpr unsigned kChains = 6;
     std::vector<ctmc::Ctmc> chains;
     for (unsigned seed = 0; seed < kChains; ++seed) chains.push_back(random_banded_chain(seed));
+    chains.push_back(chorded_chain());
     const auto solve_all = [&](std::size_t jobs) {
         exp::ThreadPool pool(jobs);
         std::vector<std::vector<double>> out(chains.size());

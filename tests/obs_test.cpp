@@ -510,6 +510,10 @@ TEST(ObsDiagnostics, SteadyStateReportsGthFactorEntries) {
     const obs::Json* span = span_args(trace, "ctmc.solve");
     ASSERT_NE(span, nullptr);
     EXPECT_EQ(span->number_at("factor_entries"), 4.0);
+    // Eliminated in reverse order, state 2 goes first: its U row spans the
+    // two later states but reaches only state 0, so the profile stores one
+    // zero.  L 1 + 1 slots, U 2 + 1 + 0: density 4 / 5.
+    EXPECT_EQ(span->number_at("factor_slots"), 5.0);
 #endif
     obs::clear_trace();
     EXPECT_EQ(diagnostics.method, "gth");

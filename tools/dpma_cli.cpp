@@ -608,9 +608,9 @@ int cmd_solve(const std::string& model_path, const std::string& measures_path,
     const ctmc::MarkovModel markov = ctmc::build_markov(model);
     const auto pi = ctmc::steady_state(markov.chain);
     std::printf("CTMC: %zu tangible states\n", markov.chain.num_states());
-    for (const adl::Measure& m : measures) {
-        std::printf("%-24s = %.12g\n", m.name.c_str(),
-                    ctmc::evaluate_measure(markov, model, pi, m));
+    const std::vector<double> values = ctmc::evaluate_measures(markov, model, pi, measures);
+    for (std::size_t k = 0; k < measures.size(); ++k) {
+        std::printf("%-24s = %.12g\n", measures[k].name.c_str(), values[k]);
     }
     return 0;
 }
