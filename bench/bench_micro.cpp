@@ -19,6 +19,7 @@
 #include "models/specs.hpp"
 #include "models/variants.hpp"
 #include "noninterference/noninterference.hpp"
+#include "obs/json_parse.hpp"
 #include "obs/trace.hpp"
 #include "sim/gsmp.hpp"
 
@@ -191,6 +192,41 @@ void BM_SteadyStateStreaming(benchmark::State& state) {
                    std::to_string(diagnostics.factor_entries) + " factor entries");
 }
 BENCHMARK(BM_SteadyStateStreaming)->Arg(10)->Arg(16)->Unit(benchmark::kMillisecond);
+
+/// transient() on the streaming chain (awake period 200 ms) over
+/// first-passage's 2,000 ms horizon, per generator entry and series term:
+/// the cost of one uniformisation step per rate.  The series length is the
+/// `terms` arg of one traced call's ctmc.transient span.
+void BM_TransientStreaming(benchmark::State& state) {
+    const auto markov = ctmc::build_markov(exp::with_exp_rate(
+        compose_spec("streaming_markov.aem"), models::kDpm, "send_wakeup", 1.0 / 200.0));
+    const auto run = [&] {
+        return ctmc::transient(markov.chain, markov.initial_distribution, 2000.0);
+    };
+    obs::clear_trace();
+    obs::set_tracing(true);
+    (void)run();
+    obs::set_tracing(false);
+    const obs::Json trace = obs::json_parse(obs::trace_json());
+    double terms = 0.0;
+    for (const obs::Json& event : trace.find("traceEvents")->array) {
+        if (event.string_at("name") == "ctmc.transient") {
+            terms = event.find("args")->number_at("terms");
+        }
+    }
+    obs::clear_trace();
+    const auto start = std::chrono::steady_clock::now();
+    for (auto _ : state) benchmark::DoNotOptimize(run());
+    const std::chrono::duration<double, std::nano> elapsed =
+        std::chrono::steady_clock::now() - start;
+    state.counters["ns/entry-step"] =
+        elapsed.count() / (static_cast<double>(state.iterations()) * terms *
+                           static_cast<double>(markov.chain.num_entries()));
+    state.SetLabel(std::to_string(markov.chain.num_states()) + " states, " +
+                   std::to_string(markov.chain.num_entries()) + " entries, " +
+                   std::to_string(static_cast<long>(terms)) + " terms");
+}
+BENCHMARK(BM_TransientStreaming)->Unit(benchmark::kMillisecond);
 
 void BM_SimulateRpcGeneral(benchmark::State& state) {
     const auto model = compose_spec("rpc_general.aem");

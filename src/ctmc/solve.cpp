@@ -462,22 +462,6 @@ double uniformisation_rate(const Ctmc& chain) {
     return std::max(chain.max_exit_rate() * 1.05, 1e-9);
 }
 
-/// One step of the uniformised DTMC, out = v (I + Q / lambda), written into a
-/// caller-owned buffer so the series loops allocate their two vectors once
-/// and swap.
-void uniformised_step(const Ctmc& chain, double lambda, const std::vector<double>& v,
-                      std::vector<double>& out) {
-    std::fill(out.begin(), out.end(), 0.0);
-    for (TangibleId s = 0; s < chain.num_states(); ++s) {
-        out[s] += v[s] * (1.0 - chain.exit_rate(s) / lambda);
-        const double mass = v[s] / lambda;
-        if (mass == 0.0) continue;
-        for (const RateEntry& e : chain.row(s)) {
-            out[e.target] += mass * e.rate;
-        }
-    }
-}
-
 /// True once a uniformisation series may stop after term k: past the mode
 /// (k >= lt) the Poisson right tail is bounded by a geometric series,
 /// sum_{j>k} w_j <= w_k lt / (k+1-lt), which needs no subtraction from 1 and
@@ -495,6 +479,40 @@ void check_series_cap(std::size_t k, double lt) {
     }
 }
 
+/// The uniformisation series behind transient() and accumulated_reward():
+/// hands \p term the Poisson(lambda t) weight w_k and v_k = v_0 P^k for
+/// k = 0, 1, ... until tail_below(w_k, k, lt, \p target) holds, and returns
+/// the number of terms.  P = I + Q / lambda is built once, in pull form:
+/// row t holds the incoming rates rate(s, t) / lambda (the transposed
+/// generator, s ascending) and stay[t] = 1 - E(t) / lambda, so a step is a
+/// gather that divides nothing and writes each state once.
+template <class Term>
+std::size_t uniformisation_series(const Ctmc& chain, std::vector<double> v, double lambda,
+                                  double time, double target, Term&& term) {
+    const std::size_t n = chain.num_states();
+    Csr in = transpose(chain);
+    for (double& p : in.val) p /= lambda;
+    std::vector<double> stay(n);
+    for (TangibleId t = 0; t < n; ++t) stay[t] = 1.0 - chain.exit_rate(t) / lambda;
+
+    const double lt = lambda * time;
+    std::vector<double> next(n);
+    PoissonWeights weights(lt);
+    for (std::size_t k = 0;; ++k, weights.advance()) {
+        term(weights.current(), v);
+        if (tail_below(weights.current(), k, lt, target)) return k + 1;
+        check_series_cap(k, lt);
+        for (std::size_t t = 0; t < n; ++t) {
+            double sum = stay[t] * v[t];
+            for (std::size_t e = in.start[t]; e < in.start[t + 1]; ++e) {
+                sum += in.val[e] * v[in.col[e]];
+            }
+            next[t] = sum;
+        }
+        v.swap(next);
+    }
+}
+
 }  // namespace
 
 std::vector<double> transient(const Ctmc& chain,
@@ -503,25 +521,23 @@ std::vector<double> transient(const Ctmc& chain,
     const std::size_t n = chain.num_states();
     DPMA_REQUIRE(n >= 1, "empty chain");
     DPMA_REQUIRE(time >= 0.0, "negative time");
-    std::vector<double> vk = initial_vector(chain, initial);
-    if (time == 0.0) return vk;
-
-    const double lambda = uniformisation_rate(chain);
-    const double lt = lambda * time;
+    DPMA_NAMED_SPAN(span, "ctmc.transient", "solve");
+    span.arg("states", static_cast<double>(n));
+    span.arg("entries", static_cast<double>(chain.num_entries()));
+    std::vector<double> v0 = initial_vector(chain, initial);
+    if (time == 0.0) {
+        span.arg("terms", 0.0);
+        return v0;
+    }
 
     std::vector<double> result(n, 0.0);
-    std::vector<double> next(n, 0.0);
-    PoissonWeights weights(lt);
-    for (std::size_t k = 0;; ++k, weights.advance()) {
-        const double w = weights.current();
-        if (w != 0.0) {
-            for (std::size_t i = 0; i < n; ++i) result[i] += w * vk[i];
-        }
-        if (tail_below(w, k, lt, 1e-12)) break;
-        check_series_cap(k, lt);
-        uniformised_step(chain, lambda, vk, next);
-        vk.swap(next);
-    }
+    const std::size_t terms =
+        uniformisation_series(chain, std::move(v0), uniformisation_rate(chain), time, 1e-12,
+                              [&](double w, const std::vector<double>& vk) {
+                                  if (w == 0.0) return;
+                                  for (std::size_t i = 0; i < n; ++i) result[i] += w * vk[i];
+                              });
+    span.arg("terms", static_cast<double>(terms));
     normalize(result);
     return result;
 }
@@ -533,29 +549,38 @@ double accumulated_reward(const Ctmc& chain,
     DPMA_REQUIRE(n >= 1, "empty chain");
     DPMA_REQUIRE(reward_rates.size() == n, "reward vector does not match the chain");
     DPMA_REQUIRE(time >= 0.0, "negative time");
-    if (time == 0.0) return 0.0;
-
-    const double lambda = uniformisation_rate(chain);
-    const double lt = lambda * time;
-
-    // tail_k = P(Pois(lt) >= k+1); accumulate (tail_k / lambda) * (v_k . r).
-    KahanSum total;
-    std::vector<double> vk = initial_vector(chain, initial);
-    std::vector<double> next(n, 0.0);
-    double cdf = 0.0;  // P(Pois(lt) <= k)
-    PoissonWeights weights(lt);
-    for (std::size_t k = 0;; ++k, weights.advance()) {
-        cdf += weights.current();
-        const double tail = std::max(0.0, 1.0 - cdf);
-        KahanSum dot;
-        for (std::size_t i = 0; i < n; ++i) dot.add(vk[i] * reward_rates[i]);
-        total.add(tail / lambda * dot.value());
-        if (tail_below(weights.current(), k, lt, 1e-13)) break;
-        check_series_cap(k, lt);
-        uniformised_step(chain, lambda, vk, next);
-        vk.swap(next);
+    DPMA_NAMED_SPAN(span, "ctmc.accumulated_reward", "solve");
+    span.arg("states", static_cast<double>(n));
+    span.arg("entries", static_cast<double>(chain.num_entries()));
+    if (time == 0.0) {
+        span.arg("terms", 0.0);
+        return 0.0;
     }
-    return total.value();
+
+    // The reward is sum_k (tail_k / lambda) (v_k . r) with tail_k =
+    // P(Pois(lt) >= k+1).  Every tail_k v_k is non-negative, so the series
+    // sums per state, compensated (Kahan: a long series adds thousands of
+    // like terms), and the signed rewards enter once, in the final dot.
+    const double lambda = uniformisation_rate(chain);
+    std::vector<double> acc(n, 0.0);
+    std::vector<double> carry(n, 0.0);
+    double cdf = 0.0;  // P(Pois(lt) <= k)
+    const std::size_t terms = uniformisation_series(
+        chain, initial_vector(chain, initial), lambda, time, 1e-13,
+        [&](double w, const std::vector<double>& vk) {
+            cdf += w;
+            const double tail = std::max(0.0, 1.0 - cdf);
+            for (std::size_t i = 0; i < n; ++i) {
+                const double y = tail * vk[i] - carry[i];
+                const double sum = acc[i] + y;
+                carry[i] = (sum - acc[i]) - y;
+                acc[i] = sum;
+            }
+        });
+    span.arg("terms", static_cast<double>(terms));
+    KahanSum total;
+    for (std::size_t i = 0; i < n; ++i) total.add(acc[i] * reward_rates[i]);
+    return total.value() / lambda;
 }
 
 }  // namespace dpma::ctmc

@@ -99,7 +99,10 @@ private:
 /// adaptive truncation of the Poisson series: it stops past the mode once
 /// the right-tail bound  sum_{j>k} w_j <= w_k lt / (k+1-lt)  drops below
 /// 1e-12, and throws NumericalError (naming lt and k) if a safety cap of
-/// 20 (lt+10) terms is reached first.
+/// 20 (lt+10) terms is reached first.  Each call builds the uniformised
+/// matrix I + Q/lambda once, as incoming rows pre-divided by lambda, so a
+/// step is one gather per state.  Traced as span "ctmc.transient" with
+/// `states`, `entries` (generator entries) and `terms` (series length).
 [[nodiscard]] std::vector<double> transient(
     const Ctmc& chain, const std::vector<std::pair<TangibleId, double>>& initial,
     double time);
@@ -107,7 +110,10 @@ private:
 /// Expected reward accumulated over [0, t]:  E[ integral_0^t r(X_s) ds ],
 /// where r is a per-state reward rate vector.  Uses the uniformisation
 /// identity  integral_0^t pois(L s, k) ds = P(Pois(L t) >= k+1) / L, and
-/// truncates like transient() (tail bound below 1e-13).
+/// truncates like transient() (tail bound below 1e-13).  The series sums
+/// tail_k v_k per state, and the rewards enter once, in a final compensated
+/// dot product.  Traced as span "ctmc.accumulated_reward" with the args of
+/// transient()'s span.
 /// Answers questions like "how much energy does a cold start cost in its
 /// first second?" exactly on the Markovian model.
 [[nodiscard]] double accumulated_reward(

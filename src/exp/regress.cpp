@@ -73,6 +73,28 @@ std::map<std::string, SeriesPoints> collect_series(const obs::Json& report) {
     return out;
 }
 
+/// One entry of a run record's "spans" summary.
+struct SpanTotal {
+    std::string name;
+    double calls = 0.0;
+    double total_us = 0.0;
+
+    [[nodiscard]] double us_per_call() const { return calls > 0.0 ? total_us / calls : 0.0; }
+};
+
+/// A run record's "spans" summary, in record order.
+std::vector<SpanTotal> collect_spans(const obs::Json& report) {
+    std::vector<SpanTotal> out;
+    const obs::Json* spans = report.find("spans");
+    if (spans == nullptr || !spans->is_array()) return out;
+    for (const obs::Json& span : spans->array) {
+        const std::string name = span.string_at("name");
+        if (name.empty()) continue;
+        out.push_back({name, span.number_at("count"), span.number_at("total_us")});
+    }
+    return out;
+}
+
 void require_run_record(const obs::Json& doc, const char* which) {
     const std::string schema = doc.string_at("schema");
     if (schema.rfind("dpma-run-report/", 0) != 0) {
@@ -118,6 +140,17 @@ std::string RegressReport::table() const {
                       s.series.c_str(), s.paired, s.old_total_s, s.new_total_s,
                       s.comparable ? s.ratio : 0.0, ci, s.verdict.c_str());
         out += line;
+    }
+    if (!spans.empty()) {
+        std::snprintf(line, sizeof line, "\n%-36s %9s %9s %14s %14s %8s\n", "span",
+                      "calls_old", "calls_new", "old_us/call", "new_us/call", "ratio");
+        out += line;
+        for (const SpanComparison& s : spans) {
+            std::snprintf(line, sizeof line, "%-36s %9.0f %9.0f %14.2f %14.2f %8.3f\n",
+                          s.name.c_str(), s.old_calls, s.new_calls, s.old_us_per_call,
+                          s.new_us_per_call, s.ratio);
+            out += line;
+        }
     }
     for (const std::string& note : notes) {
         out += "note: " + note + "\n";
@@ -254,6 +287,21 @@ RegressReport compare_reports(const obs::Json& older, const obs::Json& newer,
                                    "both sides");
         }
         report.series.push_back(std::move(cmp));
+    }
+
+    const std::vector<SpanTotal> old_spans = collect_spans(older);
+    for (const SpanTotal& span : collect_spans(newer)) {
+        const auto old_it =
+            std::find_if(old_spans.begin(), old_spans.end(),
+                         [&span](const SpanTotal& old) { return old.name == span.name; });
+        if (old_it == old_spans.end()) continue;
+        const double old_us = old_it->us_per_call();
+        report.spans.push_back({.name = span.name,
+                                .old_calls = old_it->calls,
+                                .new_calls = span.calls,
+                                .old_us_per_call = old_us,
+                                .new_us_per_call = span.us_per_call(),
+                                .ratio = old_us > 0.0 ? span.us_per_call() / old_us : 0.0});
     }
 
     // Whole-record wall clock, for the reader; never part of the verdict

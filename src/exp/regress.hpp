@@ -28,6 +28,10 @@
 /// behaviour, not just speed.  Notes never set the exit code; the verdict
 /// table does.
 ///
+/// Spans: every span name present in both records' "spans" summaries gets
+/// an informational row (calls and microseconds per call on each side, and
+/// their ratio).  Span rows never set the exit code either.
+///
 /// This is the CI gate behind `dpma_cli report old.json new.json`: exit 0
 /// when no series regressed, nonzero otherwise.
 
@@ -66,13 +70,25 @@ struct SeriesComparison {
     std::string verdict;  ///< "ok" | "faster" | "slower" | "REGRESSION" | "incomparable"
 };
 
+/// One span name present in both records, from their "spans" summaries.
+struct SpanComparison {
+    std::string name;
+    double old_calls = 0.0;
+    double new_calls = 0.0;
+    double old_us_per_call = 0.0;
+    double new_us_per_call = 0.0;
+    double ratio = 0.0;  ///< new / old microseconds per call (0 if old is 0)
+};
+
 struct RegressReport {
     std::vector<SeriesComparison> series;
+    std::vector<SpanComparison> spans;  ///< in the new record's order
     std::vector<std::string> notes;  ///< unpaired series/points, value drift
     double threshold = 0.0;
     bool regression = false;  ///< any series verdict == "REGRESSION"
 
-    /// Fixed-width verdict table plus the notes, ready to print.
+    /// Fixed-width verdict table, the span rows (when there are any) and the
+    /// notes, ready to print.
     [[nodiscard]] std::string table() const;
 };
 

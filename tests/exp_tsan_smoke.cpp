@@ -29,6 +29,7 @@
 #include "adl/measure.hpp"
 #include "battery/coupling.hpp"
 #include "bisim/partition.hpp"
+#include "core/stats_math.hpp"
 #include "ctmc/ctmc.hpp"
 #include "ctmc/reward.hpp"
 #include "ctmc/solve.hpp"
@@ -263,6 +264,105 @@ int check_sparse_steady_state() {
     return 0;
 }
 
+/// transient() and accumulated_reward() on rpc_revised_markov at three
+/// horizons, each (horizon) on a pool of 1 and of 4 jobs: bit-identical
+/// across job counts, and within 1e-13 relative of the push-form series
+/// (zero-filled output, v / lambda scattered along the rows) inline here.
+int check_transient() {
+    const ctmc::MarkovModel markov =
+        ctmc::build_markov(adl::compose(models::archi("rpc_revised_markov.aem")));
+    const ctmc::Ctmc& chain = markov.chain;
+    const std::size_t n = chain.num_states();
+    std::vector<double> rewards(n);
+    for (std::size_t i = 0; i < n; ++i) rewards[i] = static_cast<double>(i % 5) - 1.0;
+    const double horizons[] = {1.0, 50.0, 2000.0};
+    struct Result {
+        std::vector<double> pi;
+        double reward = 0.0;
+        bool operator==(const Result&) const = default;
+    };
+    const auto solve_all = [&](std::size_t jobs) {
+        exp::ThreadPool pool(jobs);
+        std::vector<Result> out(std::size(horizons));
+        pool.run(out.size(), [&](std::size_t i) {
+            out[i].pi = ctmc::transient(chain, markov.initial_distribution, horizons[i]);
+            out[i].reward = ctmc::accumulated_reward(chain, markov.initial_distribution,
+                                                     rewards, horizons[i]);
+        });
+        return out;
+    };
+    const std::vector<Result> serial = solve_all(1);
+    if (serial != solve_all(4)) {
+        std::fprintf(stderr, "FAIL: transient analysis differs between jobs=1 and jobs=4\n");
+        return 1;
+    }
+    const double lambda = std::max(chain.max_exit_rate() * 1.05, 1e-9);
+    const auto push_step = [&](const std::vector<double>& v, std::vector<double>& out) {
+        std::fill(out.begin(), out.end(), 0.0);
+        for (ctmc::TangibleId s = 0; s < n; ++s) {
+            out[s] += v[s] * (1.0 - chain.exit_rate(s) / lambda);
+            for (const ctmc::RateEntry& e : chain.row(s)) out[e.target] += v[s] / lambda * e.rate;
+        }
+    };
+    double worst = 0.0;
+    for (std::size_t h = 0; h < std::size(horizons); ++h) {
+        const double lt = lambda * horizons[h];
+        const auto stop = [lt](double w, std::size_t k, double target) {
+            const double kd = static_cast<double>(k);
+            return kd >= lt && w * lt <= target * (kd + 1.0 - lt);
+        };
+        std::vector<double> start(n, 0.0);
+        KahanSum initial_mass;
+        for (const auto& [state, p] : markov.initial_distribution) {
+            start[state] += p;
+            initial_mass.add(p);
+        }
+        for (double& p : start) p /= initial_mass.value();
+        std::vector<double> v = start;
+        std::vector<double> next(n);
+        std::vector<double> pi(n, 0.0);
+        ctmc::PoissonWeights weights(lt);
+        for (std::size_t k = 0;; ++k, weights.advance()) {
+            for (std::size_t i = 0; i < n; ++i) pi[i] += weights.current() * v[i];
+            if (stop(weights.current(), k, 1e-12)) break;
+            push_step(v, next);
+            v.swap(next);
+        }
+        KahanSum mass;
+        for (const double p : pi) mass.add(p);
+        for (std::size_t i = 0; i < n; ++i) {
+            const double expected = pi[i] / mass.value();
+            if (expected > 1e-300) {
+                worst = std::max(worst, std::abs(serial[h].pi[i] - expected) / expected);
+            }
+        }
+        KahanSum reward;
+        double cdf = 0.0;
+        v = start;
+        ctmc::PoissonWeights reward_weights(lt);
+        for (std::size_t k = 0;; ++k, reward_weights.advance()) {
+            cdf += reward_weights.current();
+            KahanSum dot;
+            for (std::size_t i = 0; i < n; ++i) dot.add(v[i] * rewards[i]);
+            reward.add(std::max(0.0, 1.0 - cdf) / lambda * dot.value());
+            if (stop(reward_weights.current(), k, 1e-13)) break;
+            push_step(v, next);
+            v.swap(next);
+        }
+        worst = std::max(worst,
+                         std::abs(serial[h].reward - reward.value()) / std::abs(reward.value()));
+    }
+    if (!(worst <= 1e-13)) {
+        std::fprintf(stderr, "FAIL: transient analysis and the push series differ by %.2e "
+                             "relative\n", worst);
+        return 1;
+    }
+    std::printf("OK: transient and accumulated reward bit-identical across jobs counts and "
+                "within %.1e of the push series (%zu states, %zu horizons)\n",
+                worst, n, std::size(horizons));
+    return 0;
+}
+
 /// A Markov sweep over one cached skeleton: every pool worker patches the
 /// shared skeleton with with_exp_rate and runs build_markov, steady_state and
 /// evaluate_measure on its copy.  A copy shares the skeleton's CSR and owns
@@ -450,6 +550,7 @@ int main() {
     if (const int rc = check_parallel_refinement(); rc != 0) return rc;
     if (const int rc = check_pooled_primitives(); rc != 0) return rc;
     if (const int rc = check_sparse_steady_state(); rc != 0) return rc;
+    if (const int rc = check_transient(); rc != 0) return rc;
     if (const int rc = check_markov_sweep(); rc != 0) return rc;
 
     exp::ModelCache cache;

@@ -533,6 +533,32 @@ TEST(ObsDiagnostics, SteadyStateReportsGthFactorEntries) {
     EXPECT_EQ(diagnostics.factor_entries, 9u);
 }
 
+TEST(ObsTrace, TransientSpansReportTheSeriesLength) {
+    // 0 <-> 1 at rates 1 and 2: lambda = 2.1, so lambda t = 2.1 at t = 1.
+    // The tail bound w_k lt / (k+1-lt) first drops below 1e-12 at k = 19
+    // and below the reward's 1e-13 at k = 20.
+    const ctmc::Ctmc chain(2, {{0, 1, 1.0}, {1, 0, 2.0}});
+    obs::clear_trace();
+    obs::set_tracing(true);
+    (void)ctmc::transient(chain, {{0, 1.0}}, 1.0);
+    (void)ctmc::accumulated_reward(chain, {{0, 1.0}}, {1.0, 0.0}, 1.0);
+    obs::set_tracing(false);
+#if !defined(DPMA_OBS_DISABLED)
+    const obs::Json trace = obs::json_parse(obs::trace_json());
+    const obs::Json* transient = span_args(trace, "ctmc.transient");
+    ASSERT_NE(transient, nullptr);
+    EXPECT_EQ(transient->number_at("states"), 2.0);
+    EXPECT_EQ(transient->number_at("entries"), 2.0);
+    EXPECT_EQ(transient->number_at("terms"), 20.0);
+    const obs::Json* reward = span_args(trace, "ctmc.accumulated_reward");
+    ASSERT_NE(reward, nullptr);
+    EXPECT_EQ(reward->number_at("states"), 2.0);
+    EXPECT_EQ(reward->number_at("entries"), 2.0);
+    EXPECT_EQ(reward->number_at("terms"), 21.0);
+#endif
+    obs::clear_trace();
+}
+
 TEST(ObsDiagnostics, ConvergenceJsonIsValid) {
     sim::BatchEstimate estimate;
     estimate.mean = 0.5;

@@ -162,6 +162,52 @@ TEST(Regress, RejectsDocumentsThatAreNotRunRecords) {
     EXPECT_THROW((void)compare_reports(record, plain), Error);
 }
 
+/// \p record with a "spans" summary appended.
+std::string with_spans(std::string record, const std::string& spans) {
+    record.pop_back();  // the closing brace
+    return record + R"(, "spans": [)" + spans + "]}";
+}
+
+TEST(Regress, SpansInBothRecordsGetInformationalRows) {
+    const obs::Json older = obs::json_parse(with_spans(record_json(1.0), R"(
+        {"name": "ctmc.solve", "count": 4, "total_us": 400},
+        {"name": "ctmc.transient", "count": 10, "total_us": 20000},
+        {"name": "only.old", "count": 1, "total_us": 5})"));
+    const obs::Json newer = obs::json_parse(with_spans(record_json(1.0), R"(
+        {"name": "ctmc.transient", "count": 10, "total_us": 12000},
+        {"name": "only.new", "count": 3, "total_us": 9},
+        {"name": "ctmc.solve", "count": 8, "total_us": 4000})"));
+    const RegressReport report = compare_reports(older, newer);
+    // In the new record's order; names on one side only get no row.
+    ASSERT_EQ(report.spans.size(), 2u);
+    EXPECT_EQ(report.spans[0].name, "ctmc.transient");
+    EXPECT_EQ(report.spans[0].old_calls, 10.0);
+    EXPECT_EQ(report.spans[0].new_calls, 10.0);
+    EXPECT_DOUBLE_EQ(report.spans[0].old_us_per_call, 2000.0);
+    EXPECT_DOUBLE_EQ(report.spans[0].new_us_per_call, 1200.0);
+    EXPECT_DOUBLE_EQ(report.spans[0].ratio, 0.6);
+    EXPECT_EQ(report.spans[1].name, "ctmc.solve");
+    EXPECT_DOUBLE_EQ(report.spans[1].old_us_per_call, 100.0);
+    EXPECT_DOUBLE_EQ(report.spans[1].new_us_per_call, 500.0);
+    EXPECT_DOUBLE_EQ(report.spans[1].ratio, 5.0);
+    // A span five times slower per call leaves the verdict alone.
+    EXPECT_FALSE(report.regression);
+    const std::string table = report.table();
+    EXPECT_NE(table.find("new_us/call"), std::string::npos);
+    EXPECT_NE(table.find("ctmc.transient"), std::string::npos);
+    EXPECT_NE(table.find("2000.00"), std::string::npos);
+    EXPECT_NE(table.find("0.600"), std::string::npos);
+    EXPECT_EQ(table.find("only.old"), std::string::npos);
+    EXPECT_EQ(table.find("only.new"), std::string::npos);
+}
+
+TEST(Regress, RecordsWithoutSpansPrintNoSpanTable) {
+    const obs::Json record = obs::json_parse(with_spans(record_json(1.0), ""));
+    const RegressReport report = compare_reports(record, record);
+    EXPECT_TRUE(report.spans.empty());
+    EXPECT_EQ(report.table().find("new_us/call"), std::string::npos);
+}
+
 TEST(Regress, OptionsValidateRejectsNonsense) {
     RegressOptions options;
     EXPECT_NO_THROW(options.validate());

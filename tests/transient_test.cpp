@@ -1,14 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <random>
+#include <string>
 
 #include "adl/compose.hpp"
+#include "core/stats_math.hpp"
 #include "ctmc/ctmc.hpp"
 #include "ctmc/reward.hpp"
 #include "ctmc/solve.hpp"
 #include "core/error.hpp"
 #include "models/specs.hpp"
+#include "obs/json_parse.hpp"
+#include "obs/trace.hpp"
 
 namespace dpma::ctmc {
 namespace {
@@ -253,6 +259,203 @@ TEST(AccumulatedReward, AbsorbingChainAccruesItsStateRewardLinearly) {
 TEST(AccumulatedReward, RejectsMismatchedRewardVector) {
     const Ctmc chain(2, {{0, 1, 1.0}, {1, 0, 1.0}});
     EXPECT_THROW((void)accumulated_reward(chain, {{0, 1.0}}, {1.0}, 1.0), Error);
+}
+
+// ---------------------------------------------------------------------------
+// The gather kernel against the push series it replaced
+// ---------------------------------------------------------------------------
+
+/// The uniformisation series in push form, as transient() and
+/// accumulated_reward() ran it before the gather kernel: each step zero-fills
+/// the output, divides v / lambda per state and scatters the rows, and the
+/// reward takes a compensated dot v_k . r on every term.  The reference for
+/// the differential tests below; its results agree with the library's to
+/// rounding, not bit for bit (the library multiplies by rate / lambda).
+struct PushSeries {
+    std::vector<double> pi;
+    double reward = 0.0;
+    std::size_t pi_terms = 0;      ///< length of the pi(t) series
+    std::size_t reward_terms = 0;  ///< length of the reward series
+};
+
+void push_normalize(std::vector<double>& v) {
+    KahanSum sum;
+    for (const double p : v) sum.add(p);
+    const double total = sum.value();
+    for (double& p : v) p /= total;
+}
+
+void push_step(const Ctmc& chain, double lambda, const std::vector<double>& v,
+               std::vector<double>& out) {
+    std::fill(out.begin(), out.end(), 0.0);
+    for (TangibleId s = 0; s < chain.num_states(); ++s) {
+        out[s] += v[s] * (1.0 - chain.exit_rate(s) / lambda);
+        const double mass = v[s] / lambda;
+        if (mass == 0.0) continue;
+        for (const RateEntry& e : chain.row(s)) out[e.target] += mass * e.rate;
+    }
+}
+
+bool push_tail_below(double w, std::size_t k, double lt, double target) {
+    const double kd = static_cast<double>(k);
+    return kd >= lt && w * lt <= target * (kd + 1.0 - lt);
+}
+
+/// pi(t) (tail target 1e-12) and, in a second series, the reward
+/// accumulated over [0, t] (tail target 1e-13), with both series' lengths.
+PushSeries push_series(const Ctmc& chain,
+                       const std::vector<std::pair<TangibleId, double>>& initial,
+                       const std::vector<double>& rewards, double time) {
+    const std::size_t n = chain.num_states();
+    std::vector<double> start(n, 0.0);
+    for (const auto& [s, p] : initial) start[s] += p;
+    push_normalize(start);
+    const double lambda = std::max(chain.max_exit_rate() * 1.05, 1e-9);
+    const double lt = lambda * time;
+    PushSeries out;
+    out.pi.assign(n, 0.0);
+    std::vector<double> vk = start;
+    std::vector<double> next(n, 0.0);
+    PoissonWeights weights(lt);
+    for (std::size_t k = 0;; ++k, weights.advance()) {
+        const double w = weights.current();
+        if (w != 0.0) {
+            for (std::size_t i = 0; i < n; ++i) out.pi[i] += w * vk[i];
+        }
+        if (push_tail_below(w, k, lt, 1e-12)) {
+            out.pi_terms = k + 1;
+            break;
+        }
+        push_step(chain, lambda, vk, next);
+        vk.swap(next);
+    }
+    push_normalize(out.pi);
+
+    KahanSum total;
+    vk = start;
+    double cdf = 0.0;
+    PoissonWeights reward_weights(lt);
+    for (std::size_t k = 0;; ++k, reward_weights.advance()) {
+        cdf += reward_weights.current();
+        const double tail = std::max(0.0, 1.0 - cdf);
+        KahanSum dot;
+        for (std::size_t i = 0; i < n; ++i) dot.add(vk[i] * rewards[i]);
+        total.add(tail / lambda * dot.value());
+        if (push_tail_below(reward_weights.current(), k, lt, 1e-13)) {
+            out.reward_terms = k + 1;
+            break;
+        }
+        push_step(chain, lambda, vk, next);
+        vk.swap(next);
+    }
+    out.reward = total.value();
+    return out;
+}
+
+/// The `terms` arg of the span \p name in the current trace (-1 if absent).
+double traced_terms(const char* name) {
+    const obs::Json trace = obs::json_parse(obs::trace_json());
+    for (const obs::Json& event : trace.find("traceEvents")->array) {
+        if (event.string_at("name") == name) return event.find("args")->number_at("terms");
+    }
+    return -1.0;
+}
+
+/// Runs transient() and accumulated_reward() traced and compares them with
+/// the push series: pi within 1e-13 relative wherever the reference
+/// probability exceeds 1e-300, the reward within 1e-13 relative, and both
+/// series of equal length.
+void expect_matches_push_series(const Ctmc& chain,
+                                const std::vector<std::pair<TangibleId, double>>& initial,
+                                const std::vector<double>& rewards, double time) {
+    const PushSeries reference = push_series(chain, initial, rewards, time);
+    obs::clear_trace();
+    obs::set_tracing(true);
+    const std::vector<double> pi = transient(chain, initial, time);
+    const double reward = accumulated_reward(chain, initial, rewards, time);
+    obs::set_tracing(false);
+    std::size_t compared = 0;
+    for (std::size_t i = 0; i < pi.size(); ++i) {
+        if (!(reference.pi[i] > 1e-300)) continue;
+        ++compared;
+        EXPECT_LE(std::abs(pi[i] - reference.pi[i]), 1e-13 * reference.pi[i])
+            << "state " << i << ": " << pi[i] << " vs " << reference.pi[i];
+    }
+    EXPECT_GT(compared, 0u);
+    EXPECT_LE(std::abs(reward - reference.reward), 1e-13 * std::abs(reference.reward))
+        << reward << " vs " << reference.reward;
+#if !defined(DPMA_OBS_DISABLED)
+    EXPECT_EQ(traced_terms("ctmc.transient"), static_cast<double>(reference.pi_terms));
+    EXPECT_EQ(traced_terms("ctmc.accumulated_reward"),
+              static_cast<double>(reference.reward_terms));
+#endif
+    obs::clear_trace();
+}
+
+/// Seeded rewards in [-1, 3]: both signs, positive on average.
+std::vector<double> signed_rewards(std::mt19937_64& rng, std::size_t n) {
+    std::uniform_real_distribution<double> reward(-1.0, 3.0);
+    std::vector<double> out(n);
+    for (double& r : out) r = reward(rng);
+    return out;
+}
+
+TEST(TransientDiff, MatchesThePushSeriesOnEveryShippedMarkovSpec) {
+    namespace fs = std::filesystem;
+    std::size_t checked = 0;
+    for (const auto& entry : fs::directory_iterator(DPMA_SPECS_DIR)) {
+        const std::string name = entry.path().filename().string();
+        if (!name.ends_with("_markov.aem")) continue;
+        const MarkovModel markov = build_markov(adl::compose(models::archi(name)));
+        std::mt19937_64 rng(checked + 11);
+        const std::vector<double> rewards = signed_rewards(rng, markov.chain.num_states());
+        for (const double t : {1.0, 50.0, 2000.0}) {
+            SCOPED_TRACE(name + " at t = " + std::to_string(t));
+            expect_matches_push_series(markov.chain, markov.initial_distribution, rewards, t);
+        }
+        ++checked;
+    }
+    EXPECT_GE(checked, 3u);
+}
+
+/// A random sparse chain over \p n states: about one state in eight is
+/// absorbing (exit rate 0), the others have one to four targets with rates
+/// spread over four decades.
+Ctmc random_absorbing_chain(std::mt19937_64& rng, std::size_t n) {
+    std::uniform_int_distribution<TangibleId> state(0, static_cast<TangibleId>(n - 1));
+    std::uniform_int_distribution<int> degree(1, 4);
+    std::uniform_real_distribution<double> log_rate(-2.0, 2.0);
+    std::bernoulli_distribution absorbing(0.125);
+    std::vector<Ctmc::Triplet> rates;
+    for (TangibleId s = 0; s < n; ++s) {
+        if (absorbing(rng)) continue;
+        for (int d = degree(rng); d > 0; --d) {
+            rates.push_back({s, state(rng), std::pow(10.0, log_rate(rng))});
+        }
+    }
+    return Ctmc(n, rates);
+}
+
+TEST(TransientDiff, MatchesThePushSeriesOnRandomAbsorbingChains) {
+    std::size_t absorbing = 0;
+    for (unsigned seed = 0; seed < 24; ++seed) {
+        std::mt19937_64 rng(seed * 7919 + 3);
+        const std::size_t n = std::uniform_int_distribution<std::size_t>(2, 300)(rng);
+        const Ctmc chain = random_absorbing_chain(rng, n);
+        for (TangibleId s = 0; s < n; ++s) absorbing += chain.exit_rate(s) == 0.0 ? 1 : 0;
+        // Several mass points, unnormalised.
+        std::vector<std::pair<TangibleId, double>> initial;
+        std::uniform_int_distribution<TangibleId> state(0, static_cast<TangibleId>(n - 1));
+        std::uniform_real_distribution<double> mass(0.1, 2.0);
+        for (int m = 0; m < 4; ++m) initial.emplace_back(state(rng), mass(rng));
+        const std::vector<double> rewards = signed_rewards(rng, n);
+        for (const double t : {0.05, 3.0, 40.0}) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + ", " + std::to_string(n) +
+                         " states, t = " + std::to_string(t));
+            expect_matches_push_series(chain, initial, rewards, t);
+        }
+    }
+    EXPECT_GT(absorbing, 0u);
 }
 
 }  // namespace
