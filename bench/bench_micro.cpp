@@ -13,6 +13,7 @@
 #include "bisim/equivalence.hpp"
 #include "bisim/partition.hpp"
 #include "ctmc/ctmc.hpp"
+#include "ctmc/reward.hpp"
 #include "lts/ops.hpp"
 #include "ctmc/solve.hpp"
 #include "exp/cache.hpp"
@@ -192,6 +193,38 @@ void BM_SteadyStateStreaming(benchmark::State& state) {
                    std::to_string(diagnostics.factor_entries) + " factor entries");
 }
 BENCHMARK(BM_SteadyStateStreaming)->Arg(10)->Arg(16)->Unit(benchmark::kMillisecond);
+
+/// The seven streaming measures at buffer capacity 16 (send_wakeup 1/100),
+/// per tangible state: shared=0 makes one evaluate_measure call per measure,
+/// as perfbench's markov_point does (six of them have a TRANS_REWARD
+/// clause), shared=1 one evaluate_measures call, as exp::solve_point does.
+/// The frequency terms are derived before the timed loop, as they are once
+/// per structure in a sweep.
+void BM_EvaluateMeasuresStreaming(benchmark::State& state) {
+    const bool shared = state.range(0) != 0;
+    const auto model =
+        exp::with_exp_rate(compose_streaming(16), models::kDpm, "send_wakeup", 1.0 / 100.0);
+    const auto markov = ctmc::build_markov(model);
+    const std::vector<double> pi = ctmc::steady_state(markov.chain);
+    const std::vector<adl::Measure> measures = models::measures("streaming_measures.msr");
+    (void)ctmc::evaluate_measures(markov, model, pi, measures);
+    time_per_state(state, markov.chain.num_states(), [&] {
+        if (shared) {
+            benchmark::DoNotOptimize(ctmc::evaluate_measures(markov, model, pi, measures));
+            return;
+        }
+        for (const adl::Measure& m : measures) {
+            benchmark::DoNotOptimize(ctmc::evaluate_measure(markov, model, pi, m));
+        }
+    });
+    state.SetLabel(std::to_string(markov.chain.num_states()) + " tangible states, " +
+                   std::to_string(measures.size()) + " measures");
+}
+BENCHMARK(BM_EvaluateMeasuresStreaming)
+    ->ArgNames({"shared"})
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 /// transient() on the streaming chain (awake period 200 ms) over
 /// first-passage's 2,000 ms horizon, per generator entry and series term:

@@ -5,6 +5,7 @@
 
 #include "aemilia/lexer.hpp"
 #include "lts/rate.hpp"
+#include "obs/trace.hpp"
 
 namespace dpma::aemilia {
 namespace {
@@ -477,19 +478,35 @@ private:
 
 }  // namespace
 
-adl::ArchiType parse_archi_type(std::string_view input) {
+namespace {
+
+/// Both architectural entry points, traced as span "aemilia.parse".
+adl::ArchiType parse_archi(std::string_view input, bool run_validate) {
+    DPMA_NAMED_SPAN(span, "aemilia.parse", "aemilia");
+    span.arg("bytes", static_cast<double>(input.size()));
     Parser parser(input);
-    return parser.parse_archi_type(/*run_validate=*/true);
+    adl::ArchiType out = parser.parse_archi_type(run_validate);
+    span.arg("instances", static_cast<double>(out.instances.size()));
+    return out;
+}
+
+}  // namespace
+
+adl::ArchiType parse_archi_type(std::string_view input) {
+    return parse_archi(input, /*run_validate=*/true);
 }
 
 adl::ArchiType parse_archi_type_unchecked(std::string_view input) {
-    Parser parser(input);
-    return parser.parse_archi_type(/*run_validate=*/false);
+    return parse_archi(input, /*run_validate=*/false);
 }
 
 std::vector<adl::Measure> parse_measures(std::string_view input) {
+    DPMA_NAMED_SPAN(span, "aemilia.parse", "aemilia");
+    span.arg("bytes", static_cast<double>(input.size()));
     Parser parser(input);
-    return parser.parse_measures();
+    std::vector<adl::Measure> out = parser.parse_measures();
+    span.arg("measures", static_cast<double>(out.size()));
+    return out;
 }
 
 }  // namespace dpma::aemilia

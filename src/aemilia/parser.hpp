@@ -61,6 +61,10 @@ namespace dpma::aemilia {
 [[nodiscard]] adl::ArchiType parse_archi_type_unchecked(std::string_view input);
 
 /// Parses a sequence of MEASURE definitions.
+///
+/// Every entry point is traced as span "aemilia.parse" with the input's
+/// `bytes` and what it yields: `instances` for an architectural type,
+/// `measures` for a measure file.
 [[nodiscard]] std::vector<adl::Measure> parse_measures(std::string_view input);
 
 }  // namespace dpma::aemilia

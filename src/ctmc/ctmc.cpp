@@ -14,18 +14,18 @@
 namespace dpma::ctmc {
 namespace {
 
-/// A sparse vector over tangible states summed in place: a dense slot per
-/// state plus the touched states in first-seen order, so draining costs
-/// only what was added.
+/// A sparse vector over dense ids (tangible states or actions) summed in
+/// place: a dense slot per id plus the touched ids in first-seen order, so
+/// draining costs only what was added.
 class Accumulator {
 public:
     explicit Accumulator(std::size_t num_states) : slot_(num_states, kNoTangible) {}
 
-    void add(TangibleId state, double value) {
-        TangibleId& slot = slot_[state];
+    void add(std::uint32_t id, double value) {
+        TangibleId& slot = slot_[id];
         if (slot == kNoTangible) {
             slot = static_cast<TangibleId>(states_.size());
-            states_.push_back(state);
+            states_.push_back(id);
             values_.push_back(value);
         } else {
             values_[slot] += value;
@@ -334,7 +334,105 @@ std::shared_ptr<const Skeleton> eliminate(const lts::Lts& graph, ImmediateSlots 
     return out;
 }
 
+/// See VanishingElimination::frequency_terms.  Per tangible row and per
+/// slot of its timed transitions into vanishing states, unit mass enters
+/// at their targets and is pushed through the vanishing subgraph in
+/// topological order, each branch adding its share to its action's
+/// coefficient.  A min-heap on the topological rank orders the states the
+/// row reaches; a state pops only after every predecessor, so its mass is
+/// complete, and its entries (one per path into it) merge as it pops.
+/// Scratch beyond the terms is the ranks and the heap.
+FrequencyTerms derive_frequency_terms(const VanishingElimination& elim,
+                                      const lts::Lts& graph) {
+    const std::size_t n = graph.num_states();
+    DPMA_REQUIRE(elim.tangible_of.size() == n, "the graph does not match the elimination");
+    DPMA_NAMED_SPAN(span, "ctmc.frequency_terms", "ctmc");
+    std::vector<std::uint32_t> rank(n, 0);
+    for (std::size_t i = 0; i < elim.vanishing_topo_order.size(); ++i) {
+        rank[elim.vanishing_topo_order[i]] = static_cast<std::uint32_t>(i);
+    }
+    std::vector<char> timed(graph.slots().size(), 0);
+    for (lts::SlotId slot = 0; slot < timed.size(); ++slot) {
+        timed[slot] = std::holds_alternative<lts::RateExp>(graph.slots()[slot].rate) ? 1 : 0;
+    }
+    struct Mass {
+        std::uint32_t rank;
+        lts::StateId state;
+        double mass;
+    };
+    const auto later = [](const Mass& x, const Mass& y) { return x.rank > y.rank; };
+    std::vector<Mass> heap;
+    const auto push = [&](lts::StateId v, double mass) {
+        heap.push_back(Mass{rank[v], v, mass});
+        std::push_heap(heap.begin(), heap.end(), later);
+    };
+    const auto pop = [&] {
+        std::pop_heap(heap.begin(), heap.end(), later);
+        const Mass top = heap.back();
+        heap.pop_back();
+        return top;
+    };
+
+    Accumulator acc(graph.actions()->size());
+    std::vector<lts::SlotId> row_slots;
+    // Hands every term of tangible row t to emit.
+    const auto walk_row = [&](TangibleId t, auto&& emit) {
+        const auto enters = [&](const lts::Transition& tr) {
+            return timed[tr.slot] != 0 && !elim.is_tangible(tr.target);
+        };
+        const auto transitions = graph.out(elim.orig_of[t]);
+        row_slots.clear();
+        for (const lts::Transition& tr : transitions) {
+            if (enters(tr) &&
+                std::find(row_slots.begin(), row_slots.end(), tr.slot) == row_slots.end()) {
+                row_slots.push_back(tr.slot);
+            }
+        }
+        for (const lts::SlotId slot : row_slots) {
+            for (const lts::Transition& tr : transitions) {
+                if (tr.slot == slot && enters(tr)) push(tr.target, 1.0);
+            }
+            while (!heap.empty()) {
+                Mass v = pop();
+                while (!heap.empty() && heap.front().state == v.state) v.mass += pop().mass;
+                for (const VanishingBranch& b : elim.branches_of(v.state)) {
+                    const double mass = v.mass * b.probability;
+                    acc.add(b.action, mass);
+                    if (!elim.is_tangible(b.target)) push(b.target, mass);
+                }
+            }
+            acc.drain([&](lts::ActionId a, double coefficient) {
+                emit(FrequencyTerm{coefficient, slot, a});
+            });
+        }
+    };
+    // Counted first and then filled, so the table is allocated once at its
+    // size: grown by doubling, it held up to three times that while the
+    // first measure's worker built it.
+    const std::size_t num_tangible = elim.orig_of.size();
+    FrequencyTerms out;
+    out.term_start.assign(num_tangible + 1, 0);
+    for (TangibleId t = 0; t < num_tangible; ++t) {
+        walk_row(t, [&](const FrequencyTerm&) { ++out.term_start[t + 1]; });
+    }
+    for (TangibleId t = 0; t < num_tangible; ++t) out.term_start[t + 1] += out.term_start[t];
+    out.terms.resize(out.term_start.back());
+    for (TangibleId t = 0; t < num_tangible; ++t) {
+        std::size_t k = out.term_start[t];
+        walk_row(t, [&](const FrequencyTerm& term) { out.terms[k++] = term; });
+    }
+    obs::counter("ctmc.frequency_terms.builds").add();
+    span.arg("vanishing", static_cast<double>(elim.vanishing_topo_order.size()));
+    span.arg("terms", static_cast<double>(out.terms.size()));
+    return out;
+}
+
 }  // namespace
+
+const FrequencyTerms& VanishingElimination::frequency_terms(const lts::Lts& graph) const {
+    std::call_once(terms_once_, [&] { terms_ = derive_frequency_terms(*this, graph); });
+    return terms_;
+}
 
 MarkovModel build_markov(const adl::ComposedModel& model, bool allow_absorbing) {
     const lts::Lts& graph = model.graph;

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -80,11 +81,36 @@ struct VanishingBranch {
     double probability;     ///< branch probability (weights normalised)
 };
 
+/// One rate-independent term of the action frequencies of a tangible state
+/// t: the expected number of firings of `action` along the immediate paths
+/// that t's timed transitions of `slot` enter, i.e. branch probabilities
+/// multiplied along each path and summed over the paths.  t contributes
+/// pi_t * rate(slot) * coefficient firings of `action` per unit of time.
+struct FrequencyTerm {
+    double coefficient;
+    lts::SlotId slot;
+    lts::ActionId action;
+};
+static_assert(sizeof(FrequencyTerm) == 16);
+
+/// The frequency terms of every tangible state, flat: those of state t are
+/// terms[term_start[t] .. term_start[t+1]), one per (slot, action) in the
+/// order t's transitions first reach them.
+struct FrequencyTerms {
+    std::vector<std::size_t> term_start;
+    std::vector<FrequencyTerm> terms;
+
+    [[nodiscard]] std::span<const FrequencyTerm> of(TangibleId t) const {
+        return {terms.data() + term_start[t], terms.data() + term_start[t + 1]};
+    }
+};
+
 /// The part of a CTMC extraction that no exponential rate changes: which
 /// states are tangible, the immediate branches and the initial
 /// distribution.  build_markov derives it once per composed structure (and
 /// immediate slots and initial state) and shares it, read-only, among the
-/// MarkovModels built on every rate-patched copy.
+/// MarkovModels built on every rate-patched copy.  The frequency terms are
+/// derived from it too, but only when a measure first asks for them.
 struct VanishingElimination {
     /// tangible_of[g] = dense CTMC index of composed state g, or kNoTangible.
     std::vector<TangibleId> tangible_of;
@@ -99,7 +125,7 @@ struct VanishingElimination {
     std::vector<VanishingBranch> branches;
 
     /// Vanishing states in a topological order of the vanishing subgraph
-    /// (sources first); used to propagate visit frequencies.
+    /// (sources first).
     std::vector<lts::StateId> vanishing_topo_order;
 
     /// Initial probability distribution over tangible states (the composed
@@ -112,6 +138,19 @@ struct VanishingElimination {
     [[nodiscard]] std::span<const VanishingBranch> branches_of(lts::StateId g) const {
         return {branches.data() + branch_start[g], branches.data() + branch_start[g + 1]};
     }
+
+    /// The frequency terms of the tangible states.  \p graph must share the
+    /// structure and the immediate slots this elimination was derived from
+    /// (any copy build_markov accepted with it will do).  The first call
+    /// derives them, pushing unit mass from each tangible state's timed
+    /// transitions through the vanishing states they reach, traced as span
+    /// "ctmc.frequency_terms" (args `vanishing`, `terms`); every later call,
+    /// also a concurrent one, returns the same table.
+    [[nodiscard]] const FrequencyTerms& frequency_terms(const lts::Lts& graph) const;
+
+private:
+    mutable std::once_flag terms_once_;
+    mutable FrequencyTerms terms_;
 };
 
 /// Result of extracting a CTMC from a composed model: the chain, plus
@@ -121,8 +160,9 @@ struct MarkovModel {
         : chain(std::move(chain_in)), elimination(std::move(elimination_in)) {}
 
     Ctmc chain;
-    /// Shared by every build on copies of one composed structure; the
-    /// members below view it.  Const, so a moved-from model keeps it too.
+    /// Shared by every build on copies of one composed structure, with the
+    /// frequency terms it derives lazily; the members below view it.
+    /// Const, so a moved-from model keeps it too.
     const std::shared_ptr<const VanishingElimination> elimination;
 
     const std::vector<TangibleId>& tangible_of = elimination->tangible_of;
@@ -160,7 +200,9 @@ struct MarkovModel {
 /// so the result is the same on every standard library, and a rate-patched
 /// copy (exp::with_exp_rate, with_delay, ...) gets bit for bit the chain a
 /// fresh composition would.  A copy that changes the key (with_delay 0
-/// makes a slot immediate) rebuilds the elimination and replaces it.
+/// makes a slot immediate) rebuilds the elimination and replaces it.  The
+/// elimination's frequency terms are not derived here: the first
+/// TRANS_REWARD measure on any model sharing it derives them, once.
 [[nodiscard]] MarkovModel build_markov(const adl::ComposedModel& model,
                                        bool allow_absorbing = false);
 

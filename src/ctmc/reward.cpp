@@ -13,36 +13,27 @@ std::vector<double> action_frequencies(const MarkovModel& markov,
     DPMA_REQUIRE(pi.size() == markov.chain.num_states(),
                  "steady-state vector does not match the chain");
     obs::counter("ctmc.frequency_walks").add();
-    const std::size_t num_actions = model.graph.actions()->size();
-    std::vector<double> freq(num_actions, 0.0);
-    std::vector<double> vanishing_entry(model.graph.num_states(), 0.0);
-
-    // Timed transitions out of tangible states.
-    const std::vector<const lts::RateExp*> exp_of_slot =
-        lts::slot_rates<lts::RateExp>(model.graph);
-    for (TangibleId t = 0; t < markov.orig_of.size(); ++t) {
-        const lts::StateId s = markov.orig_of[t];
-        for (const lts::Transition& tr : model.graph.out(s)) {
-            const lts::RateExp* exp_rate = exp_of_slot[tr.slot];
-            if (exp_rate == nullptr) continue;
-            const double f = pi[t] * exp_rate->rate;
-            freq[tr.action] += f;
-            if (!markov.is_tangible(tr.target)) {
-                vanishing_entry[tr.target] += f;
-            }
+    const lts::Lts& graph = model.graph;
+    const FrequencyTerms& terms = markov.elimination->frequency_terms(graph);
+    // Per slot its exponential rate; 0 for an immediate slot, which never
+    // fires in a tangible state.
+    std::vector<double> rate_of(graph.slots().size(), 0.0);
+    for (lts::SlotId slot = 0; slot < rate_of.size(); ++slot) {
+        if (const auto* exp_rate = std::get_if<lts::RateExp>(&graph.slots()[slot].rate)) {
+            rate_of[slot] = exp_rate->rate;
         }
     }
-
-    // Propagate through the acyclic vanishing subgraph, sources first.
-    for (lts::StateId v : markov.vanishing_topo_order) {
-        const double entry = vanishing_entry[v];
-        if (entry == 0.0) continue;
-        for (const VanishingBranch& b : markov.branches_of(v)) {
-            const double f = entry * b.probability;
-            freq[b.action] += f;
-            if (!markov.is_tangible(b.target)) {
-                vanishing_entry[b.target] += f;
-            }
+    // Every sum starts at +0 and adds terms >= +0, so skipping a state
+    // without mass changes no bit.
+    std::vector<double> freq(graph.actions()->size(), 0.0);
+    for (TangibleId t = 0; t < markov.orig_of.size(); ++t) {
+        const double p = pi[t];
+        if (p == 0.0) continue;
+        for (const lts::Transition& tr : graph.out(markov.orig_of[t])) {
+            freq[tr.action] += p * rate_of[tr.slot];
+        }
+        for (const FrequencyTerm& term : terms.of(t)) {
+            freq[term.action] += p * rate_of[term.slot] * term.coefficient;
         }
     }
     return freq;

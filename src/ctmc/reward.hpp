@@ -6,9 +6,10 @@
 /// STATE_REWARD clauses weight the steady-state probability of the tangible
 /// states satisfying the predicate.  TRANS_REWARD clauses weight the firing
 /// frequency of the matching actions; frequencies of actions that occur on
-/// immediate transitions are recovered by propagating entry frequencies
-/// through the (acyclic) vanishing subgraph, so throughput-style measures
-/// can be attached to any action of the model, timed or immediate.
+/// immediate transitions come from the frequency terms kept with the
+/// elimination (the expected firings along the immediate paths each timed
+/// transition enters), so throughput-style measures can be attached to any
+/// action of the model, timed or immediate.
 
 #include <span>
 #include <vector>
@@ -20,9 +21,10 @@ namespace dpma::ctmc {
 
 /// Firing frequency (events per unit of time) of every action label, given
 /// the steady-state distribution over tangible states.  Indexed by the
-/// composed model's ActionId.  Each call walks every tangible state's
-/// transitions and the vanishing subgraph once, counted as
-/// ctmc.frequency_walks.
+/// composed model's ActionId.  Each call is one pass over the transitions
+/// and the frequency terms (VanishingElimination::frequency_terms, derived
+/// on the first call for the structure) of the tangible states with mass,
+/// counted as ctmc.frequency_walks; the vanishing states are not visited.
 [[nodiscard]] std::vector<double> action_frequencies(const MarkovModel& markov,
                                                      const adl::ComposedModel& model,
                                                      const std::vector<double>& pi);

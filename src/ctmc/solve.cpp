@@ -25,6 +25,25 @@ void normalize(std::vector<double>& pi) {
     for (double& p : pi) p /= total;
 }
 
+/// ||x Q||_1 / sum_s x_s E(s) for the generator Q of \p chain, in one pass
+/// over the rows with mass (0 when nothing flows: then x Q is exactly 0).
+/// \p balance is scratch of the chain's size, all zeros on entry.
+double relative_residual(const Ctmc& chain, const std::vector<double>& x,
+                         std::vector<double>& balance) {
+    KahanSum flow;
+    for (TangibleId s = 0; s < chain.num_states(); ++s) {
+        if (x[s] == 0.0) continue;
+        const double out = x[s] * chain.exit_rate(s);
+        balance[s] -= out;
+        flow.add(out);
+        for (const RateEntry& e : chain.row(s)) balance[e.target] += x[s] * e.rate;
+    }
+    if (flow.value() == 0.0) return 0.0;
+    KahanSum norm;
+    for (const double b : balance) norm.add(std::abs(b));
+    return norm.value() / flow.value();
+}
+
 }  // namespace
 
 void record_solve(const char* method, std::size_t states, std::size_t factor_entries) {
@@ -187,6 +206,8 @@ Elimination sparse_gth(const Ctmc& chain, std::size_t budget) {
     Elimination result;
     result.x.assign(pi.rbegin(), pi.rend());
     normalize(result.x);
+    std::fill(pi.begin(), pi.end(), 0.0);
+    result.residual = relative_residual(chain, result.x, pi);
     result.factor_entries = l_entries + u_entries;
     result.factor_slots = l_slots + u_start[n];
     record_solve("gth", n, result.factor_entries);
@@ -356,8 +377,11 @@ namespace {
 /// The sparse kernel, or the dense reference up to options.dense_threshold.
 Elimination solve_irreducible(const Ctmc& chain, const SolveOptions& options) {
     const std::size_t n = chain.num_states();
-    if (n <= options.dense_threshold) return Elimination{steady_state_gth(chain), n * n, n * n};
-    return sparse_gth(chain);
+    if (n > options.dense_threshold) return sparse_gth(chain);
+    Elimination dense{steady_state_gth(chain), n * n, n * n};
+    std::vector<double> balance(n, 0.0);
+    dense.residual = relative_residual(chain, dense.x, balance);
+    return dense;
 }
 
 }  // namespace
@@ -375,41 +399,41 @@ std::vector<double> steady_state(const Ctmc& chain, const SolveOptions& options)
             "initial state (is the model deadlock-free?)");
     }
     const std::vector<TangibleId>& recurrent = bottoms.front();
-    const auto finish = [&](const Elimination& solved) {
-        span.arg("factor_entries", static_cast<double>(solved.factor_entries));
-        span.arg("factor_slots", static_cast<double>(solved.factor_slots));
-        if (options.diagnostics != nullptr) {
-            *options.diagnostics = SolveDiagnostics{.method = "gth",
-                                                    .states = recurrent.size(),
-                                                    .factor_entries = solved.factor_entries};
-        }
-    };
+    Elimination solved;
+    std::vector<double> pi;
     if (recurrent.size() == chain.num_states()) {
-        Elimination solved = solve_irreducible(chain, options);
-        finish(solved);
-        return std::move(solved.x);
-    }
-    span.arg("recurrent", static_cast<double>(recurrent.size()));
-    // The recurrent rows, sliced out and renumbered (no edge leaves them).
-    std::vector<TangibleId> dense_of(chain.num_states(), kNoTangible);
-    for (std::size_t i = 0; i < recurrent.size(); ++i) {
-        dense_of[recurrent[i]] = static_cast<TangibleId>(i);
-    }
-    std::vector<std::size_t> row_start{0};
-    std::vector<RateEntry> entries;
-    for (const TangibleId s : recurrent) {
-        for (const RateEntry& e : chain.row(s)) {
-            DPMA_ASSERT(dense_of[e.target] != kNoTangible, "edge leaves a bottom SCC");
-            entries.push_back(RateEntry{dense_of[e.target], e.rate});
+        solved = solve_irreducible(chain, options);
+        pi = std::move(solved.x);
+    } else {
+        span.arg("recurrent", static_cast<double>(recurrent.size()));
+        // The recurrent rows, sliced out and renumbered (no edge leaves them).
+        std::vector<TangibleId> dense_of(chain.num_states(), kNoTangible);
+        for (std::size_t i = 0; i < recurrent.size(); ++i) {
+            dense_of[recurrent[i]] = static_cast<TangibleId>(i);
         }
-        row_start.push_back(entries.size());
+        std::vector<std::size_t> row_start{0};
+        std::vector<RateEntry> entries;
+        for (const TangibleId s : recurrent) {
+            for (const RateEntry& e : chain.row(s)) {
+                DPMA_ASSERT(dense_of[e.target] != kNoTangible, "edge leaves a bottom SCC");
+                entries.push_back(RateEntry{dense_of[e.target], e.rate});
+            }
+            row_start.push_back(entries.size());
+        }
+        solved = solve_irreducible(Ctmc(std::move(row_start), std::move(entries)), options);
+        pi.assign(chain.num_states(), 0.0);
+        for (std::size_t i = 0; i < recurrent.size(); ++i) {
+            pi[recurrent[i]] = solved.x[i];
+        }
     }
-    const Elimination solved =
-        solve_irreducible(Ctmc(std::move(row_start), std::move(entries)), options);
-    finish(solved);
-    std::vector<double> pi(chain.num_states(), 0.0);
-    for (std::size_t i = 0; i < recurrent.size(); ++i) {
-        pi[recurrent[i]] = solved.x[i];
+    span.arg("factor_entries", static_cast<double>(solved.factor_entries));
+    span.arg("factor_slots", static_cast<double>(solved.factor_slots));
+    span.arg("residual", solved.residual);
+    if (options.diagnostics != nullptr) {
+        *options.diagnostics = SolveDiagnostics{.method = "gth",
+                                                .states = recurrent.size(),
+                                                .final_residual = solved.residual,
+                                                .factor_entries = solved.factor_entries};
     }
     return pi;
 }

@@ -18,13 +18,15 @@ namespace dpma::ctmc {
 
 /// Record of one steady-state solve, filled when the caller hangs a
 /// SolveDiagnostics off SolveOptions.  Every steady-state solve is direct,
-/// so iterations and final_residual stay 0; factor_entries is the size of
-/// the factor the solve built (L and U entries for the sparse kernel, n^2
-/// for the dense reference).
+/// so iterations stay 0; final_residual certifies the answer after the
+/// fact; factor_entries is the size of the factor the solve built (L and U
+/// entries for the sparse kernel, n^2 for the dense reference).
 struct SolveDiagnostics {
     std::string method;            ///< "gth"
     std::size_t states = 0;        ///< size of the chain actually solved
     std::size_t iterations = 0;
+    /// ||pi Q||_1 / sum_s pi_s E(s) over the recurrent class: the residual
+    /// of the balance equations relative to the probability flow.
     double final_residual = 0.0;
     std::size_t factor_entries = 0;
 
@@ -53,7 +55,9 @@ struct SolveOptions {
 [[nodiscard]] std::vector<std::vector<TangibleId>> bottom_sccs(const Ctmc& chain);
 
 /// Steady-state distribution by the sparse GTH kernel (sparse.hpp), traced
-/// as span "ctmc.solve" with its `factor_entries`.
+/// as span "ctmc.solve" with its `factor_entries` and the `residual` of
+/// SolveDiagnostics::final_residual, computed for every solve in one pass
+/// over the recurrent rows.
 ///
 /// Chains with transient states (e.g. a client's one-shot prebuffering
 /// delay) are handled by restricting to the recurrent class (its rows,

@@ -45,11 +45,15 @@ inline constexpr std::size_t kFactorBudget = std::size_t{1} << 25;
 
 /// A direct solve: the solution, the number of nonzero off-diagonal
 /// entries its factor held, and the slots that held them (stored zeros
-/// included; equal to the entries for an indexed factor).
+/// included; equal to the entries for an indexed factor).  A steady-state
+/// solve also certifies x: residual is ||x Q||_1 / sum_s x_s E(s), the
+/// balance equations' residual relative to the probability flow;
+/// eliminate() leaves it 0.
 struct Elimination {
     std::vector<double> x;
     std::size_t factor_entries = 0;
     std::size_t factor_slots = 0;
+    double residual = 0.0;
 };
 
 /// Solves the first-passage system  (leak_i + sum_j a_ij) x_i - sum_j a_ij x_j
@@ -76,7 +80,10 @@ struct Elimination {
 /// so the result is the one the nonzeros alone give, bit for bit.  A U row
 /// lives in a sliding window until the last row whose envelope reaches its
 /// column has been eliminated.  Records the solve as method "gth";
-/// factor_entries counts nonzeros, factor_slots the L and U slots.  Throws
+/// factor_entries counts nonzeros, factor_slots the L and U slots; the
+/// residual is computed here, in the back substitution's buffer, because
+/// the same pass after the solve on a fresh vector read 7-30% slower
+/// ctmc.steady_ms on perfbench's markov-sweep.  Throws
 /// NumericalError when the slots would exceed \p budget, or when a pivot is
 /// zero (the chain is not irreducible).
 [[nodiscard]] Elimination sparse_gth(const Ctmc& chain, std::size_t budget = kFactorBudget);

@@ -6,6 +6,7 @@
 
 #include "core/error.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace dpma::lts {
 namespace {
@@ -211,8 +212,10 @@ TauCollapseResult collapse_tau_sccs(const Lts& model) {
 }
 
 Lts saturate(const Lts& model) {
+    DPMA_NAMED_SPAN(span, "lts.saturate", "lts");
     const ActionId tau = model.actions()->tau();
     const std::size_t n = model.num_states();
+    span.arg("states", static_cast<double>(n));
     LtsBuilder out(model.actions());
     for (StateId s = 0; s < n; ++s) out.add_state();
     if (model.initial() != kNoState) out.set_initial(model.initial());
@@ -340,6 +343,7 @@ Lts saturate(const Lts& model) {
         }
     }
     obs::counter("lts.saturate.weak_transitions").add(total);
+    span.arg("weak_transitions", static_cast<double>(total));
     return std::move(out).build();
 }
 

@@ -52,6 +52,7 @@ struct TauCollapseResult {
 /// tau-paths of length >= 0 (hence reflexive tau self-loops).  Strong
 /// bisimilarity on the saturated system coincides with weak bisimilarity on
 /// the original one.  All rates are dropped (functional analysis only).
+/// Traced as span "lts.saturate" with `states` and `weak_transitions`.
 [[nodiscard]] Lts saturate(const Lts& model);
 
 /// Result of a disjoint union of two systems over a merged action table.

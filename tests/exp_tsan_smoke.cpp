@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 
 #include "adl/compose.hpp"
@@ -368,12 +369,15 @@ int check_transient() {
 /// evaluate_measure on its copy.  A copy shares the skeleton's CSR and owns
 /// only its rate slots, so the workers read one structure concurrently, and
 /// the vanishing elimination kept with that structure is built once and
-/// shared by every point.  The parallel sweep must be bit-identical to the
-/// serial one, every copy must share the skeleton's transition array and
-/// elimination, and the skeleton's rates must be unchanged afterwards.  A
-/// second sweep retimes one point with with_delay 0, which makes the swept
-/// slots immediate: points then switch the structure's elimination back and
-/// forth concurrently, and must still be bit-identical to the serial run.
+/// shared by every point.  The 4-job sweep runs first, so its workers also
+/// race to derive the elimination's frequency terms (for the TRANS_REWARD
+/// throughput), which must happen once.  The parallel sweep must be
+/// bit-identical to the serial one, every copy must share the skeleton's
+/// transition array and elimination, and the skeleton's rates must be
+/// unchanged afterwards.  A second sweep retimes one point with with_delay
+/// 0, which makes the swept slots immediate: points then switch the
+/// structure's elimination back and forth concurrently, and must still be
+/// bit-identical to the serial run.
 int check_markov_sweep() {
     exp::ModelCache cache;
     const auto compose_rpc = [] { return adl::compose(models::archi("rpc_revised_markov.aem")); };
@@ -418,8 +422,8 @@ int check_markov_sweep() {
     exp::RunOptions parallel;
     parallel.jobs = 4;
     const auto identical = [&](const char* what) {
-        const exp::ResultSet a = exp::run(experiment, serial);
         const exp::ResultSet b = exp::run(experiment, parallel);
+        const exp::ResultSet a = exp::run(experiment, serial);
         if (a.size() != b.size()) {
             std::fprintf(stderr, "FAIL: %zu serial Markov points vs %zu parallel (%s)\n",
                          a.size(), b.size(), what);
@@ -435,7 +439,14 @@ int check_markov_sweep() {
         }
         return true;
     };
+    obs::Counter& term_builds = obs::counter("ctmc.frequency_terms.builds");
+    const std::uint64_t builds_before = term_builds.value();
     if (!identical("one elimination")) return 1;
+    if (term_builds.value() - builds_before != 1) {
+        std::fprintf(stderr, "FAIL: the frequency terms were derived %llu times, not once\n",
+                     static_cast<unsigned long long>(term_builds.value() - builds_before));
+        return 1;
+    }
     if (unshared != 0) {
         std::fprintf(stderr, "FAIL: %zu patched copies do not share the skeleton's CSR\n",
                      unshared.load());
@@ -461,8 +472,8 @@ int check_markov_sweep() {
         return 1;
     }
     std::printf("OK: %zu Markov points bit-identical across jobs counts, all on the "
-                "skeleton's CSR and one elimination, also with a with_delay 0 point; "
-                "skeleton rates unchanged\n",
+                "skeleton's CSR and one elimination with its frequency terms derived once, "
+                "also with a with_delay 0 point; skeleton rates unchanged\n",
                 points);
     return 0;
 }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "adl/compose.hpp"
+#include "aemilia/parser.hpp"
 #include "core/error.hpp"
 #include "ctmc/absorption.hpp"
 #include "ctmc/ctmc.hpp"
@@ -18,6 +19,7 @@
 #include "ctmc_fixtures.hpp"
 #include "exp/experiment.hpp"
 #include "exp/report.hpp"
+#include "lts/ops.hpp"
 #include "models/specs.hpp"
 #include "models/variants.hpp"
 #include "noninterference/noninterference.hpp"
@@ -433,6 +435,54 @@ TEST(ObsTrace, BuildAndSolveSpansCarryTheirSizes) {
     obs::clear_trace();
 }
 
+TEST(ObsTrace, ParseAndSaturateSpansCarryTheirSizes) {
+    constexpr std::string_view kSpec = R"(
+ARCHI_TYPE Toggle(void)
+ARCHI_ELEM_TYPES
+ELEM_TYPE T(void)
+  BEHAVIOR
+    Off(void; void) = <on, exp(1)> . On();
+    On(void; void) = <off, exp(2)> . Off()
+  INPUT_INTERACTIONS void
+  OUTPUT_INTERACTIONS void
+ARCHI_TOPOLOGY
+  ARCHI_ELEM_INSTANCES
+    X : T()
+END
+)";
+    constexpr std::string_view kMeasures = R"(
+MEASURE switches IS ENABLED(X.on) -> TRANS_REWARD(1);
+MEASURE up IS ENABLED(X.off) -> STATE_REWARD(1)
+)";
+    obs::clear_trace();
+    obs::set_tracing(true);
+    const adl::ComposedModel model = adl::compose(aemilia::parse_archi_type(kSpec));
+    const std::vector<adl::Measure> measures = aemilia::parse_measures(kMeasures);
+    const lts::Lts saturated = lts::saturate(model.graph);
+    obs::set_tracing(false);
+    ASSERT_EQ(model.graph.num_states(), 2u);
+    ASSERT_EQ(measures.size(), 2u);
+    // Per state: its reflexive tau step and its one visible move.
+    EXPECT_EQ(saturated.num_transitions(), 4u);
+#if !defined(DPMA_OBS_DISABLED)
+    const obs::Json trace = obs::json_parse(obs::trace_json());
+    std::vector<const obs::Json*> parses;
+    for (const obs::Json& event : trace.find("traceEvents")->array) {
+        if (event.string_at("name") == "aemilia.parse") parses.push_back(event.find("args"));
+    }
+    ASSERT_EQ(parses.size(), 2u);
+    EXPECT_EQ(parses[0]->number_at("bytes"), static_cast<double>(kSpec.size()));
+    EXPECT_EQ(parses[0]->number_at("instances"), 1.0);
+    EXPECT_EQ(parses[1]->number_at("bytes"), static_cast<double>(kMeasures.size()));
+    EXPECT_EQ(parses[1]->number_at("measures"), 2.0);
+    const obs::Json* saturate = span_args(trace, "lts.saturate");
+    ASSERT_NE(saturate, nullptr);
+    EXPECT_EQ(saturate->number_at("states"), 2.0);
+    EXPECT_EQ(saturate->number_at("weak_transitions"), 4.0);
+#endif
+    obs::clear_trace();
+}
+
 TEST(ObsTrace, NoninterferenceCheckTracesViewsAndBranchingReduction) {
     const adl::ArchiType archi = models::archi("rpc_untimed.aem");
     const adl::ComposedModel model = adl::compose(archi);
@@ -514,8 +564,10 @@ TEST(ObsDiagnostics, SteadyStateReportsGthFactorEntries) {
     // two later states but reaches only state 0, so the profile stores one
     // zero.  L 1 + 1 slots, U 2 + 1 + 0: density 4 / 5.
     EXPECT_EQ(span->number_at("factor_slots"), 5.0);
+    EXPECT_EQ(span->number_at("residual"), diagnostics.final_residual);
 #endif
     obs::clear_trace();
+    EXPECT_LE(diagnostics.final_residual, 1e-15);
     EXPECT_EQ(diagnostics.method, "gth");
     EXPECT_EQ(diagnostics.states, 3u);
     EXPECT_EQ(diagnostics.iterations, 0u);
