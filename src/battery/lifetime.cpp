@@ -104,12 +104,6 @@ void StudyOptions::validate() const {
     if (!std::isfinite(control)) {
         throw Error("control parameter must be finite (negative = model default)");
     }
-    if (retries < 0) {
-        throw Error("retries must be >= 0");
-    }
-    if (resume && checkpoint_path.empty()) {
-        throw Error("resume requires a checkpoint path");
-    }
 }
 
 exp::Experiment lifetime_experiment(const StudyOptions& options) {
@@ -177,9 +171,6 @@ exp::RunOutcome run_lifetime_sweep(const StudyOptions& options) {
     exp::RunOptions run;
     run.jobs = options.jobs;
     run.base_seed = options.base_seed;
-    run.retries = options.retries;
-    run.checkpoint_path = options.checkpoint_path;
-    run.resume = options.resume;
     return exp::run_sweep(experiment, run);
 }
 

@@ -47,12 +47,6 @@ struct StudyOptions {
     std::uint64_t base_seed = 1;
     std::size_t jobs = 0;  ///< 0 = DPMA_JOBS / hardware_concurrency
     ProfileOptions profile{.step = 0.0, .max_steps = 5'000, .tolerance = 1e-9};
-    /// Fault tolerance, forwarded to exp::RunOptions: per-point retry
-    /// budget, durable checkpoint file, and whether to restore finished
-    /// points from it (see exp/checkpoint.hpp).
-    int retries = 0;
-    std::string checkpoint_path;
-    bool resume = false;
 
     void validate() const;  ///< throws Error on out-of-range values
 };
@@ -72,10 +66,9 @@ inline constexpr const char* kLifetimeMeasures[] = {
 /// once and hand it to exp::run.  Validates \p options.
 [[nodiscard]] exp::Experiment lifetime_experiment(const StudyOptions& options);
 
-/// lifetime_experiment + exp::run_sweep with the study's jobs/base_seed and
-/// fault-tolerance options — the checkpoint/resume/retry path used by
-/// `dpma_cli lifetime`.  The outcome reports failed and skipped points
-/// instead of throwing; see exp::RunOutcome.
+/// lifetime_experiment + exp::run_sweep with the study's jobs/base_seed, as
+/// `dpma_cli lifetime` runs it.  The outcome reports failed points instead
+/// of throwing; see exp::RunOutcome.
 [[nodiscard]] exp::RunOutcome run_lifetime_sweep(const StudyOptions& options);
 
 /// lifetime_experiment + exp::run with the study's jobs/base_seed.  Throws

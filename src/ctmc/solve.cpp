@@ -17,11 +17,29 @@
 namespace dpma::ctmc {
 namespace {
 
-void normalize(std::vector<double>& pi) {
+double mass(const std::vector<double>& pi) {
     KahanSum sum;
     for (double p : pi) sum.add(p);
-    const double total = sum.value();
+    return sum.value();
+}
+
+void normalize(std::vector<double>& pi) {
+    const double total = mass(pi);
     DPMA_REQUIRE(total > 0.0, "probability vector has zero mass");
+    for (double& p : pi) p /= total;
+}
+
+/// Normalises the unnormalised stationary weights of a GTH back
+/// substitution.  When the rates span more orders of magnitude than a
+/// double holds, the weights overflow to inf or NaN: a numerical limit of
+/// the solve, not a caller error.
+void normalize_gth_weights(std::vector<double>& pi, const char* method) {
+    const double total = mass(pi);
+    if (!std::isfinite(total) || !(total > 0.0)) {
+        throw NumericalError(std::string(method) +
+                             ": the stationary weights overflow to inf/NaN; the rates span "
+                             "too many orders of magnitude");
+    }
     for (double& p : pi) p /= total;
 }
 
@@ -205,7 +223,7 @@ Elimination sparse_gth(const Ctmc& chain, std::size_t budget) {
     }
     Elimination result;
     result.x.assign(pi.rbegin(), pi.rend());
-    normalize(result.x);
+    normalize_gth_weights(result.x, "GTH");
     std::fill(pi.begin(), pi.end(), 0.0);
     result.residual = relative_residual(chain, result.x, pi);
     result.factor_entries = l_entries + u_entries;
@@ -266,7 +284,7 @@ std::vector<double> steady_state_gth(const Ctmc& chain) {
         for (std::size_t i = 0; i < k; ++i) sum.add(pi[i] * a[i][k]);
         pi[k] = sum.value();
     }
-    normalize(pi);
+    normalize_gth_weights(pi, "dense GTH");
     record_solve("gth_dense", n, n * n);
     return pi;
 }

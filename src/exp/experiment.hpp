@@ -85,14 +85,10 @@ struct PointResult {
     /// wall clock it is *not* part of the determinism contract.
     double elapsed_s = 0.0;
     /// Failure record: empty for a successful evaluation, otherwise the
-    /// exception type and message the runner captured once the retry budget
-    /// (RunOptions::retries) was exhausted.  Failed points keep one NaN per
-    /// measure (rendered null in JSON) so they stay measure-aligned.
+    /// exception type and message the runner captured when eval threw.
+    /// Failed points keep one NaN per measure (rendered null in JSON) so
+    /// they stay measure-aligned.
     std::string error;
-    /// Evaluation attempts the runner made for this point: 1 means the
-    /// first try succeeded, >1 means retries happened, 0 means the result
-    /// was restored from a checkpoint without running in this process.
-    int attempts = 0;
 
     [[nodiscard]] bool failed() const noexcept { return !error.empty(); }
 };

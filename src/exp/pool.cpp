@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <exception>
 
 #include "obs/log.hpp"
 
@@ -51,15 +52,11 @@ double env_positive_double(const char* name, double fallback) {
     return value;
 }
 
-/// Shared state of one run()/run_collect() call.  Indices are claimed from
-/// `next`; `done` counts completed ones so the submitting thread knows when
-/// to wake up.  `slots` (run_collect mode) points at a caller-owned
-/// per-index exception array; when set, a throwing job records its exception
-/// there instead of cancelling the batch, so siblings keep running.
+/// Shared state of one run() call.  Indices are claimed from `next`; `done`
+/// counts completed ones so the submitting thread knows when to wake up.
 struct ThreadPool::Batch {
     std::size_t count = 0;
     const std::function<void(std::size_t)>* body = nullptr;
-    std::exception_ptr* slots = nullptr;
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
     std::atomic<bool> cancelled{false};
@@ -91,15 +88,9 @@ void ThreadPool::execute(Batch& batch) {
             try {
                 (*batch.body)(index);
             } catch (...) {
-                if (batch.slots != nullptr) {
-                    // run_collect(): isolate the failure to its own index.
-                    // Each slot is written by exactly one job, so no lock.
-                    batch.slots[index] = std::current_exception();
-                } else {
-                    const std::lock_guard<std::mutex> lock(batch.mutex);
-                    if (!batch.error) batch.error = std::current_exception();
-                    batch.cancelled.store(true, std::memory_order_relaxed);
-                }
+                const std::lock_guard<std::mutex> lock(batch.mutex);
+                if (!batch.error) batch.error = std::current_exception();
+                batch.cancelled.store(true, std::memory_order_relaxed);
             }
         }
         if (batch.done.fetch_add(1, std::memory_order_acq_rel) + 1 == batch.count) {
@@ -127,8 +118,12 @@ void ThreadPool::worker_loop() {
     }
 }
 
-void ThreadPool::run_batch(const std::shared_ptr<Batch>& batch) {
-    if (!workers_.empty() && batch->count > 1) {
+void ThreadPool::run(std::size_t count, const std::function<void(std::size_t)>& body) {
+    if (count == 0) return;
+    const auto batch = std::make_shared<Batch>();
+    batch->count = count;
+    batch->body = &body;
+    if (!workers_.empty() && count > 1) {
         {
             const std::lock_guard<std::mutex> lock(mutex_);
             queue_.push_back(batch);
@@ -151,27 +146,7 @@ void ThreadPool::run_batch(const std::shared_ptr<Batch>& batch) {
             }
         }
     }
-}
-
-void ThreadPool::run(std::size_t count, const std::function<void(std::size_t)>& body) {
-    if (count == 0) return;
-    const auto batch = std::make_shared<Batch>();
-    batch->count = count;
-    batch->body = &body;
-    run_batch(batch);
     if (batch->error) std::rethrow_exception(batch->error);
-}
-
-std::vector<std::exception_ptr> ThreadPool::run_collect(
-    std::size_t count, const std::function<void(std::size_t)>& body) {
-    std::vector<std::exception_ptr> errors(count);
-    if (count == 0) return errors;
-    const auto batch = std::make_shared<Batch>();
-    batch->count = count;
-    batch->body = &body;
-    batch->slots = errors.data();
-    run_batch(batch);
-    return errors;
 }
 
 }  // namespace dpma::exp

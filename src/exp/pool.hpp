@@ -20,7 +20,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -58,21 +57,10 @@ public:
     /// drained.  Reentrant: body may call run() on this pool.
     void run(std::size_t count, const std::function<void(std::size_t)>& body);
 
-    /// Like run(), but with per-index failure isolation: every index runs to
-    /// completion regardless of siblings, and instead of rethrowing the first
-    /// exception — which used to discard the results every other job had
-    /// already computed — the exception (if any) of each index is returned in
-    /// slot i of the result.  An all-null vector means full success.  The
-    /// sweep runner builds its retry/failed-point accounting on top of this.
-    /// Reentrant like run().
-    [[nodiscard]] std::vector<std::exception_ptr> run_collect(
-        std::size_t count, const std::function<void(std::size_t)>& body);
-
 private:
     struct Batch;
 
     void worker_loop();
-    void run_batch(const std::shared_ptr<Batch>& batch);
     static void execute(Batch& batch);
 
     std::size_t jobs_;

@@ -145,10 +145,19 @@ std::string RegressReport::table() const {
         std::snprintf(line, sizeof line, "\n%-36s %9s %9s %14s %14s %8s\n", "span",
                       "calls_old", "calls_new", "old_us/call", "new_us/call", "ratio");
         out += line;
+        // A side the span is missing from prints "-", and so does the ratio.
+        const auto cell = [](bool present, const char* format, double value) {
+            char text[32] = "-";
+            if (present) std::snprintf(text, sizeof text, format, value);
+            return std::string(text);
+        };
         for (const SpanComparison& s : spans) {
-            std::snprintf(line, sizeof line, "%-36s %9.0f %9.0f %14.2f %14.2f %8.3f\n",
-                          s.name.c_str(), s.old_calls, s.new_calls, s.old_us_per_call,
-                          s.new_us_per_call, s.ratio);
+            std::snprintf(line, sizeof line, "%-36s %9s %9s %14s %14s %8s\n", s.name.c_str(),
+                          cell(s.in_old, "%.0f", s.old_calls).c_str(),
+                          cell(s.in_new, "%.0f", s.new_calls).c_str(),
+                          cell(s.in_old, "%.2f", s.old_us_per_call).c_str(),
+                          cell(s.in_new, "%.2f", s.new_us_per_call).c_str(),
+                          cell(s.in_old && s.in_new, "%.3f", s.ratio).c_str());
             out += line;
         }
     }
@@ -290,18 +299,31 @@ RegressReport compare_reports(const obs::Json& older, const obs::Json& newer,
     }
 
     const std::vector<SpanTotal> old_spans = collect_spans(older);
-    for (const SpanTotal& span : collect_spans(newer)) {
-        const auto old_it =
-            std::find_if(old_spans.begin(), old_spans.end(),
-                         [&span](const SpanTotal& old) { return old.name == span.name; });
-        if (old_it == old_spans.end()) continue;
-        const double old_us = old_it->us_per_call();
+    const std::vector<SpanTotal> new_spans = collect_spans(newer);
+    const auto find_span = [](const std::vector<SpanTotal>& spans, const std::string& name) {
+        const auto it = std::find_if(spans.begin(), spans.end(),
+                                     [&name](const SpanTotal& s) { return s.name == name; });
+        return it == spans.end() ? nullptr : &*it;
+    };
+    for (const SpanTotal& span : new_spans) {
+        const SpanTotal* old = find_span(old_spans, span.name);
+        const double old_us = old != nullptr ? old->us_per_call() : 0.0;
+        report.spans.push_back(
+            {.name = span.name,
+             .in_old = old != nullptr,
+             .in_new = true,
+             .old_calls = old != nullptr ? old->calls : 0.0,
+             .new_calls = span.calls,
+             .old_us_per_call = old_us,
+             .new_us_per_call = span.us_per_call(),
+             .ratio = old_us > 0.0 ? span.us_per_call() / old_us : 0.0});
+    }
+    for (const SpanTotal& span : old_spans) {
+        if (find_span(new_spans, span.name) != nullptr) continue;
         report.spans.push_back({.name = span.name,
-                                .old_calls = old_it->calls,
-                                .new_calls = span.calls,
-                                .old_us_per_call = old_us,
-                                .new_us_per_call = span.us_per_call(),
-                                .ratio = old_us > 0.0 ? span.us_per_call() / old_us : 0.0});
+                                .in_old = true,
+                                .old_calls = span.calls,
+                                .old_us_per_call = span.us_per_call()});
     }
 
     // Whole-record wall clock, for the reader; never part of the verdict

@@ -28,9 +28,11 @@
 /// behaviour, not just speed.  Notes never set the exit code; the verdict
 /// table does.
 ///
-/// Spans: every span name present in both records' "spans" summaries gets
-/// an informational row (calls and microseconds per call on each side, and
-/// their ratio).  Span rows never set the exit code either.
+/// Spans: every span name in either record's "spans" summary gets an
+/// informational row (calls and microseconds per call on each side, and
+/// their ratio when both sides have it; a span that a change adds or
+/// removes shows "-" for the missing side).  Span rows never set the exit
+/// code either.
 ///
 /// This is the CI gate behind `dpma_cli report old.json new.json`: exit 0
 /// when no series regressed, nonzero otherwise.
@@ -70,19 +72,24 @@ struct SeriesComparison {
     std::string verdict;  ///< "ok" | "faster" | "slower" | "REGRESSION" | "incomparable"
 };
 
-/// One span name present in both records, from their "spans" summaries.
+/// One span name from the records' "spans" summaries.
 struct SpanComparison {
     std::string name;
+    bool in_old = false;  ///< the old record has this span
+    bool in_new = false;  ///< the new record has this span
     double old_calls = 0.0;
     double new_calls = 0.0;
     double old_us_per_call = 0.0;
     double new_us_per_call = 0.0;
-    double ratio = 0.0;  ///< new / old microseconds per call (0 if old is 0)
+    /// new / old microseconds per call (0 if old is 0 or a side is missing)
+    double ratio = 0.0;
 };
 
 struct RegressReport {
     std::vector<SeriesComparison> series;
-    std::vector<SpanComparison> spans;  ///< in the new record's order
+    /// In the new record's order, then the old record's spans that the new
+    /// one lacks.
+    std::vector<SpanComparison> spans;
     std::vector<std::string> notes;  ///< unpaired series/points, value drift
     double threshold = 0.0;
     bool regression = false;  ///< any series verdict == "REGRESSION"

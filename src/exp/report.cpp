@@ -118,8 +118,7 @@ std::string ResultSet::json() const {
             // Failed points are represented, not dropped: their values are
             // NaN (null above) and the failure record rides along so report
             // consumers can tell "measured zero" from "never measured".
-            out += ", \"error\": " + quoted(record.result.error) +
-                   ", \"attempts\": " + std::to_string(record.result.attempts);
+            out += ", \"error\": " + quoted(record.result.error);
         }
         if (!record.result.diagnostics.empty()) {
             out += ", \"diagnostics\": " + record.result.diagnostics;

@@ -55,8 +55,8 @@ public:
     /// "diagnostics": {...}}, ...]}, where "diagnostics" appears only for
     /// points whose PointResult carried one (solver method and factor size,
     /// simulator convergence trajectory).  A failed point additionally
-    /// carries "error" (exception type and message) and "attempts"; its
-    /// values are NaN, rendered null.
+    /// carries "error" (exception type and message); its values are NaN,
+    /// rendered null.
     [[nodiscard]] std::string json() const;
 
 private:

@@ -3,19 +3,14 @@
 #include <cxxabi.h>
 
 #include <chrono>
-#include <climits>
 #include <cstdlib>
 #include <limits>
-#include <memory>
-#include <mutex>
-#include <string_view>
-#include <thread>
+#include <string>
+#include <typeinfo>
 #include <utility>
 
 #include "core/error.hpp"
 #include "core/stats_math.hpp"
-#include "exp/checkpoint.hpp"
-#include "exp/shutdown.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/rng.hpp"
@@ -24,7 +19,7 @@ namespace dpma::exp {
 namespace {
 
 /// Human-readable "Type: message" for a failure record, demangled so the
-/// checkpoint says "dpma::NumericalError", not "N4dpma14NumericalErrorE".
+/// record says "dpma::NumericalError", not "N4dpma14NumericalErrorE".
 std::string describe_exception(const std::exception& e) {
     const char* mangled = typeid(e).name();
     int status = 0;
@@ -34,77 +29,11 @@ std::string describe_exception(const std::exception& e) {
     return name + ": " + e.what();
 }
 
-/// Test-only fault injection and pacing, parsed from the environment per
-/// run so ctests can script deterministic failures end to end:
-///   DPMA_FAULT_POINTS   comma-separated grid indices whose eval throws
-///   DPMA_FAULT_ATTEMPTS make only the first K attempts of a faulty point
-///                       throw (default: all attempts, the point fails)
-///   DPMA_POINT_DELAY_MS sleep per point, to make SIGTERM-mid-sweep
-///                       timing reproducible in tests
-struct FaultPlan {
-    std::vector<std::size_t> points;
-    int attempts = INT_MAX;
-    int delay_ms = 0;
-
-    [[nodiscard]] bool faulty(std::size_t index, int attempt) const {
-        if (attempt > attempts) return false;
-        for (const std::size_t p : points) {
-            if (p == index) return true;
-        }
-        return false;
-    }
-};
-
-FaultPlan fault_plan_from_env() {
-    FaultPlan plan;
-    if (const char* env = std::getenv("DPMA_FAULT_POINTS")) {
-        const char* cursor = env;
-        while (*cursor != '\0') {
-            char* end = nullptr;
-            const unsigned long value = std::strtoul(cursor, &end, 10);
-            if (end == cursor) break;  // trailing garbage: stop parsing
-            plan.points.push_back(static_cast<std::size_t>(value));
-            cursor = *end == ',' ? end + 1 : end;
-        }
-    }
-    if (const char* env = std::getenv("DPMA_FAULT_ATTEMPTS")) {
-        plan.attempts = std::atoi(env);
-    }
-    if (const char* env = std::getenv("DPMA_POINT_DELAY_MS")) {
-        plan.delay_ms = std::atoi(env);
-    }
-    return plan;
-}
-
-/// DPMA_RESULT_TIMING=0 zeroes per-point elapsed_s so resumed and
-/// uninterrupted result artifacts can be byte-compared.
-bool timing_from_env(bool base) {
-    if (const char* env = std::getenv("DPMA_RESULT_TIMING")) {
-        if (std::string_view(env) == "0") return false;
-    }
-    return base;
-}
-
-/// Per-index lifecycle used by the drain: every state but kPending counts
-/// as "accounted for"; only kDone and kFailed emit events and checkpoint
-/// records (restored points were recorded by the run that computed them,
-/// skipped ones never ran).
-enum PointState : unsigned char {
-    kPending = 0,
-    kDone = 1,
-    kFailed = 2,
-    kRestored = 3,
-    kSkipped = 4,
-};
-
 }  // namespace
 
 RunOutcome run_sweep(const Experiment& experiment, const RunOptions& options) {
     DPMA_REQUIRE(static_cast<bool>(experiment.eval),
                  "experiment '" + experiment.name + "' has no eval function");
-    DPMA_REQUIRE(options.retries >= 0, "retries must be >= 0");
-    DPMA_REQUIRE(!options.resume || !options.checkpoint_path.empty(),
-                 "resume requires a checkpoint path");
     DPMA_NAMED_SPAN(span, "exp.run", "exp");
     obs::counter("exp.runs").add();
     // When the caller supplies a pool, the local one stays thread-less.
@@ -114,194 +43,64 @@ RunOutcome run_sweep(const Experiment& experiment, const RunOptions& options) {
     const std::size_t count = experiment.grid.size();
     std::vector<Point> points(count);
     std::vector<PointResult> results(count);
-    std::vector<PointState> state(count, kPending);
-    std::vector<std::exception_ptr> point_error(count);
-
-    // Checkpointing (exp/checkpoint.hpp): restore finished points first,
-    // then open the file for appending — the header goes out immediately,
-    // so even a run killed before its first point leaves a resumable file.
-    std::unique_ptr<CheckpointWriter> checkpoint;
-    std::size_t restored = 0;
-    if (!options.checkpoint_path.empty()) {
-        if (options.resume) {
-            CheckpointState loaded =
-                load_checkpoint(options.checkpoint_path, experiment, options.base_seed);
-            for (auto& [index, result] : loaded.finished) {
-                points[index] = experiment.grid.point(index);
-                results[index] = std::move(result);
-                state[index] = kRestored;
-                ++restored;
-            }
-        }
-        checkpoint = std::make_unique<CheckpointWriter>(options.checkpoint_path,
-                                                        experiment, options.base_seed);
-    }
-
-    // Telemetry (exp/events.hpp): explicit sink, else DPMA_EVENTS.  Points
-    // finish in scheduler order; the drain below emits the contiguous prefix
-    // of accounted points under one mutex, so the stream is in index order —
-    // identical for every jobs count.
-    SweepEvents events(options.events.sink ? options.events : events_from_env(),
-                       experiment.name, experiment.measures, count, restored);
-    std::mutex drain_mutex;
-    std::size_t next_drain = 0;
-    // First sink/checkpoint failure; once set, the sweep stops dispatching
-    // (computing unsaveable points helps nobody) and rethrows it at the end.
-    std::exception_ptr sink_error;
-    std::atomic<bool> sink_failed{false};
-
-    const FaultPlan faults = fault_plan_from_env();
-    const bool timing = timing_from_env(options.timing);
-    const int max_attempts = options.retries + 1;
-    const auto stop_requested = [&] {
-        return shutdown_requested() ||
-               (options.stop != nullptr && options.stop->load()) ||
-               sink_failed.load(std::memory_order_relaxed);
-    };
-    // Advances over the contiguous prefix of accounted points, emitting
-    // events and checkpoint records for the ones that ran here.  Callers
-    // hold drain_mutex.
-    const auto drain_locked = [&] {
-        while (next_drain < count && state[next_drain] != kPending) {
-            const std::size_t d = next_drain++;
-            if (state[d] != kDone && state[d] != kFailed) continue;
-            if (sink_failed.load(std::memory_order_relaxed)) continue;
-            try {
-                if (events.active()) events.point(points[d], results[d]);
-                if (checkpoint) {
-                    PointContext drained;
-                    drained.base_seed = options.base_seed;
-                    drained.point_index = d;
-                    checkpoint->point(points[d], results[d], drained.seed());
-                }
-            } catch (...) {
-                // A failing sink (disk full under the checkpoint or the
-                // events file) must abort the sweep loudly, not rot.
-                sink_error = std::current_exception();
-                sink_failed.store(true, std::memory_order_relaxed);
-            }
-        }
-    };
+    std::vector<std::exception_ptr> errors(count);
 
     static obs::Counter& point_counter = obs::counter("exp.points");
     static obs::Counter& failed_counter = obs::counter("exp.point.failed");
-    static obs::Counter& retried_counter = obs::counter("exp.point.retried");
-    const std::vector<std::exception_ptr> infra_errors =
-        pool.run_collect(count, [&](std::size_t i) {
-            if (state[i] == kRestored) return;
-            if (stop_requested()) {
-                // Cooperative shutdown: never start a new point once a
-                // SIGINT/SIGTERM (or stop flag) arrived; in-flight siblings
-                // drain on their own threads.
-                const std::lock_guard<std::mutex> lock(drain_mutex);
-                state[i] = kSkipped;
-                drain_locked();
-                return;
-            }
-            DPMA_NAMED_SPAN(point_span, "exp.point", "exp");
-            point_span.arg("index", static_cast<double>(i));
-            points[i] = experiment.grid.point(i);
-            PointContext context;
-            context.base_seed = options.base_seed;
-            context.point_index = i;
-            context.pool = &pool;
+    pool.run(count, [&](std::size_t i) {
+        DPMA_NAMED_SPAN(point_span, "exp.point", "exp");
+        point_span.arg("index", static_cast<double>(i));
+        points[i] = experiment.grid.point(i);
+        PointContext context;
+        context.base_seed = options.base_seed;
+        context.point_index = i;
+        context.pool = &pool;
 
-            const auto started = std::chrono::steady_clock::now();
-            PointResult result;
-            std::exception_ptr error;
-            std::string error_text;
-            for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-                if (attempt > 1) retried_counter.add();
-                try {
-                    if (faults.delay_ms > 0) {
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(faults.delay_ms));
-                    }
-                    if (faults.faulty(i, attempt)) {
-                        throw Error("injected fault (DPMA_FAULT_POINTS) at point " +
-                                    std::to_string(i) + ", attempt " +
-                                    std::to_string(attempt));
-                    }
-                    result = experiment.eval(points[i], context);
-                    result.attempts = attempt;
-                    error = nullptr;
-                    break;
-                } catch (const std::exception& e) {
-                    error = std::current_exception();
-                    error_text = describe_exception(e);
-                } catch (...) {
-                    error = std::current_exception();
-                    error_text = "unknown exception";
-                }
-            }
-            if (error) {
-                // Retry budget exhausted: this point is a failure *record*,
-                // not a lost sweep — NaN values keep it measure-aligned.
-                failed_counter.add();
-                result = PointResult{};
-                result.values.assign(experiment.measures.size(),
-                                     std::numeric_limits<double>::quiet_NaN());
-                result.error = error_text;
-                result.attempts = max_attempts;
-            }
-            result.elapsed_s =
-                timing ? std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - started)
-                             .count()
-                       : 0.0;
-            results[i] = std::move(result);
-            point_counter.add();
-
-            const std::lock_guard<std::mutex> lock(drain_mutex);
-            point_error[i] = error;
-            state[i] = error ? kFailed : kDone;
-            drain_locked();
-        });
-    if (sink_error) std::rethrow_exception(sink_error);
-    for (const std::exception_ptr& infra : infra_errors) {
-        // Exceptions escaping the body are infrastructure bugs (eval errors
-        // are caught above); surface the lowest-index one.
-        if (infra) std::rethrow_exception(infra);
-    }
+        const auto started = std::chrono::steady_clock::now();
+        PointResult result;
+        std::string error_text;
+        try {
+            result = experiment.eval(points[i], context);
+        } catch (const std::exception& e) {
+            errors[i] = std::current_exception();
+            error_text = describe_exception(e);
+        } catch (...) {
+            errors[i] = std::current_exception();
+            error_text = "unknown exception";
+        }
+        if (errors[i]) {
+            // The point is a failure *record*, not a lost sweep: NaN values
+            // keep it measure-aligned.
+            failed_counter.add();
+            result = PointResult{};
+            result.values.assign(experiment.measures.size(),
+                                 std::numeric_limits<double>::quiet_NaN());
+            result.error = std::move(error_text);
+        }
+        result.elapsed_s =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
+                .count();
+        results[i] = std::move(result);
+        point_counter.add();
+    });
+    span.arg("points", static_cast<double>(count));
 
     RunOutcome outcome(
         ResultSet(experiment.name, experiment.grid.names(), experiment.measures));
-    outcome.total = count;
-    outcome.restored = restored;
     for (std::size_t i = 0; i < count; ++i) {
-        switch (state[i]) {
-            case kDone:
-                ++outcome.completed;
-                break;
-            case kFailed:
-                ++outcome.failed;
-                if (!outcome.first_error) outcome.first_error = point_error[i];
-                break;
-            case kSkipped:
-            case kPending:
-                ++outcome.skipped;
-                break;
-            case kRestored:
-                break;
+        if (errors[i]) {
+            ++outcome.failed;
+            if (!outcome.first_error) outcome.first_error = errors[i];
         }
-    }
-    outcome.interrupted = outcome.skipped > 0;
-    events.finish(outcome.interrupted);
-    span.arg("points", static_cast<double>(count));
-
-    for (std::size_t i = 0; i < count; ++i) {
-        if (state[i] == kDone || state[i] == kFailed || state[i] == kRestored) {
-            outcome.results.add(std::move(points[i]), std::move(results[i]));
-        }
+        outcome.results.add(std::move(points[i]), std::move(results[i]));
     }
     return outcome;
 }
 
 ResultSet run(const Experiment& experiment, const RunOptions& options) {
     RunOutcome outcome = run_sweep(experiment, options);
-    // Keep the historical contract — a throwing eval surfaces to the caller
-    // — without the historical data loss: the rethrow happens after every
-    // sibling point has drained (and been checkpointed, when enabled).
+    // A throwing eval surfaces to the caller, but only after every sibling
+    // point has run.
     if (outcome.first_error) std::rethrow_exception(outcome.first_error);
     return std::move(outcome.results);
 }

@@ -9,13 +9,10 @@
 /// (point seed, replication_index) — the same splitting the serial code
 /// paths use — so DPMA_JOBS=1 and DPMA_JOBS=N produce the same bytes.
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
-#include <string>
 #include <vector>
 
-#include "exp/events.hpp"
 #include "exp/experiment.hpp"
 #include "exp/pool.hpp"
 #include "exp/report.hpp"
@@ -31,71 +28,30 @@ struct RunOptions {
     /// Execute on this pool instead of creating one (e.g. to share workers
     /// between experiments).
     ThreadPool* pool = nullptr;
-    /// Live telemetry sink (exp/events.hpp).  When the sink is empty the
-    /// runner falls back to the DPMA_EVENTS environment variable; the
-    /// stream is in point-index order for every jobs count.
-    EventOptions events;
-    /// Retry budget per point: a throwing eval is re-run up to this many
-    /// extra times (same point, same seed — failures here are environmental,
-    /// the computation is deterministic) before the point is recorded as
-    /// failed.  0 means one attempt, no retry.
-    int retries = 0;
-    /// When non-empty, append one durable record per finished point to this
-    /// JSONL file (exp/checkpoint.hpp) so a killed sweep can resume.
-    std::string checkpoint_path;
-    /// Restore previously checkpointed points from checkpoint_path instead
-    /// of recomputing them.  Requires checkpoint_path; a missing file is not
-    /// an error (first run of an always-resume script).
-    bool resume = false;
-    /// Record wall-clock elapsed_s per point.  false zeroes the field —
-    /// together with DPMA_RESULT_TIMING=0 (which overrides true) this makes
-    /// result artifacts bit-comparable across runs.
-    bool timing = true;
-    /// Optional external stop flag, polled like the SIGINT/SIGTERM flag
-    /// (exp/shutdown.hpp): once true, no new point starts, in-flight points
-    /// drain, and the outcome reports interrupted.  For embedders and tests.
-    const std::atomic<bool>* stop = nullptr;
 };
 
-/// What a fault-tolerant sweep produced.  `results` holds one record per
-/// point that finished (evaluated here, restored from checkpoint, or failed
-/// after retries) in grid order; interrupted sweeps omit the points never
-/// started, so results.size() < total exactly when `interrupted`.
+/// What a sweep produced: one record per grid point, in grid order.
 struct RunOutcome {
     explicit RunOutcome(ResultSet results) : results(std::move(results)) {}
 
     ResultSet results;
-    std::size_t total = 0;      ///< grid points
-    std::size_t completed = 0;  ///< evaluated successfully in this process
-    std::size_t restored = 0;   ///< restored from the checkpoint, not re-run
-    std::size_t failed = 0;     ///< recorded as failed after the retry budget
-    std::size_t skipped = 0;    ///< never started (shutdown/stop request)
-    bool interrupted = false;   ///< a shutdown/stop request cut the sweep short
+    std::size_t failed = 0;  ///< points whose eval threw (failed records)
     /// The exception of the lowest-index failed point (null when none) —
     /// what run() rethrows for callers without failure handling.
     std::exception_ptr first_error;
-
-    /// Every point accounted for, none failed: the sweep is done.
-    [[nodiscard]] bool complete() const noexcept {
-        return !interrupted && failed == 0;
-    }
 };
 
-/// Fault-tolerant sweep execution: evaluates every grid point of
-/// \p experiment (in parallel when jobs > 1) with per-point failure
-/// isolation, optional retries, durable checkpointing and cooperative
-/// shutdown — see RunOptions.  Throwing points become failed records, not
-/// lost sweeps; the determinism contract above is unchanged (retries reuse
-/// the same derived seed, restored points replay recorded bytes).
+/// Evaluates every grid point of \p experiment (in parallel when jobs > 1)
+/// with per-point failure isolation: a point whose eval throws becomes a
+/// failed record (one NaN per measure, the demangled exception type and
+/// message in PointResult::error, counter exp.point.failed) and its
+/// siblings still run.
 [[nodiscard]] RunOutcome run_sweep(const Experiment& experiment,
                                    const RunOptions& options = {});
 
-/// Evaluates every grid point of \p experiment (in parallel when jobs > 1)
-/// and returns the records in grid order.  Thin wrapper over run_sweep():
-/// when any point failed, rethrows the lowest-index point's exception after
-/// the whole sweep has drained (completed sibling results are no longer
-/// discarded mid-flight, they are simply unreachable through this
-/// signature — callers that want them use run_sweep()).
+/// Evaluates every grid point of \p experiment and returns the records in
+/// grid order.  Thin wrapper over run_sweep(): when any point failed, it
+/// rethrows the lowest-index point's exception once every sibling has run.
 [[nodiscard]] ResultSet run(const Experiment& experiment, const RunOptions& options = {});
 
 /// Replication-parallel counterpart of sim::simulate_replications: the same

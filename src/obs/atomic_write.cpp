@@ -76,28 +76,4 @@ void atomic_write(const std::string& path, std::string_view text) {
     }
 }
 
-DurableAppender::DurableAppender(std::string path) : path_(std::move(path)) {
-    fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (fd_ < 0) {
-        throw Error("cannot open " + path_ + " for appending: " + errno_text());
-    }
-}
-
-DurableAppender::~DurableAppender() {
-    if (fd_ >= 0) ::close(fd_);
-}
-
-void DurableAppender::append_line(std::string_view line) {
-    std::string record;
-    record.reserve(line.size() + 1);
-    record.append(line);
-    record.push_back('\n');
-    if (!write_fully(fd_, record.data(), record.size())) {
-        throw Error("cannot append to " + path_ + ": write failed: " + errno_text());
-    }
-    if (::fsync(fd_) != 0) {
-        throw Error("cannot append to " + path_ + ": fsync failed: " + errno_text());
-    }
-}
-
 }  // namespace dpma::obs

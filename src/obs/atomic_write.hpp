@@ -4,7 +4,7 @@
 /// Crash-safe artifact writes.
 ///
 /// Every JSON/CSV artifact of the toolchain (run records, ResultSet sinks,
-/// trace and metrics dumps, sweep checkpoints) used to be written by opening
+/// trace and metrics dumps) used to be written by opening
 /// the destination with std::ofstream — truncating in place — so a crash,
 /// an OOM kill or a full disk mid-write left a corrupt half-file that
 /// `dpma_cli report` and json_check later choked on, and a short write
@@ -14,12 +14,6 @@
 /// either the complete old artifact or the complete new one, never a mix,
 /// and every syscall's result is checked — a failure throws core Error with
 /// the path in the message instead of silently truncating.
-///
-/// DurableAppender is the append-mode counterpart for JSONL streams that
-/// must survive the writing process (sweep checkpoints, exp/checkpoint.hpp):
-/// one full write(2) plus one fsync(2) per record, state checked after every
-/// call.  A torn *final* line (the process died inside the write) is the
-/// only possible damage; checkpoint loading tolerates exactly that.
 
 #include <string>
 #include <string_view>
@@ -31,32 +25,5 @@ namespace dpma::obs {
 /// Throws core Error naming the path (and errno) on any failure; the
 /// temporary file is unlinked before throwing, so no debris is left behind.
 void atomic_write(const std::string& path, std::string_view text);
-
-/// Append-only file handle with per-record durability.  Records appended by
-/// a process that later crashes are still on disk (modulo a torn final
-/// line); concurrent appenders from separate processes never interleave
-/// within one append_line() call smaller than PIPE_BUF, which every
-/// checkpoint record respects in practice via a single write(2).
-class DurableAppender {
-public:
-    /// Opens (creating if absent) \p path for appending.  Throws core Error
-    /// naming the path when the file cannot be opened.
-    explicit DurableAppender(std::string path);
-    ~DurableAppender();
-
-    DurableAppender(const DurableAppender&) = delete;
-    DurableAppender& operator=(const DurableAppender&) = delete;
-
-    /// Appends \p line plus a trailing newline in one write(2), then
-    /// fsync(2)s.  Throws core Error naming the path on a short or failed
-    /// write — a full disk must not look like success.
-    void append_line(std::string_view line);
-
-    [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
-private:
-    std::string path_;
-    int fd_ = -1;
-};
 
 }  // namespace dpma::obs

@@ -467,6 +467,24 @@ TEST(SolveResidual, EveryShippedMarkovSpecAndStreamingAtCapacity16) {
     }
 }
 
+TEST(SolveResidual, OverflowingGthWeightsAreANumericalError) {
+    // At send_shutdown = 1e300 the unnormalised GTH weights overflow; both
+    // kernels must report that as a numerical limit, not a caller bug.
+    const MarkovModel markov = build_markov(exp::with_exp_rate(
+        adl::compose(models::archi("rpc_revised_markov.aem")), "DPM", "send_shutdown", 1e300));
+    const auto expect_overflow = [](const auto& solve, const char* label) {
+        SCOPED_TRACE(label);
+        try {
+            (void)solve();
+            FAIL() << "the solve must throw";
+        } catch (const NumericalError& e) {
+            EXPECT_NE(std::string(e.what()).find("overflow"), std::string::npos) << e.what();
+        }
+    };
+    expect_overflow([&] { return steady_state(markov.chain); }, "sparse GTH");
+    expect_overflow([&] { return steady_state_gth(markov.chain); }, "dense GTH");
+}
+
 TEST(MeasureDiff, EvaluateMeasuresMatchesOneCallPerMeasure) {
     namespace fs = std::filesystem;
     std::size_t checked = 0;

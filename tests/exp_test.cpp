@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -528,89 +530,78 @@ TEST(Report, JsonCarriesPerPointElapsed) {
     EXPECT_GT(sweep.at(0).result.elapsed_s, 0.0);
 }
 
-/// Captured event stream of one sweep: the lines and the per-line types.
-struct CapturedEvents {
-    std::vector<std::string> lines;
-    std::size_t points = 0;
-};
-
-CapturedEvents run_with_events(std::size_t jobs, bool timing) {
-    CapturedEvents captured;
-    RunOptions options;
-    options.jobs = jobs;
-    options.events.timing = timing;
-    options.events.sink = [&](const std::string& line) {
-        captured.lines.push_back(line);
+/// Eight-point sweep whose point 2 throws: values from the coordinate and
+/// the per-point seed only.  \p evaluated counts the evals that ran.
+Experiment failing_experiment(std::atomic<int>& evaluated) {
+    Experiment experiment;
+    experiment.name = "failing demo";
+    experiment.grid.axis(Axis::linspace("x", 1.0, 8.0, 8));
+    experiment.measures = {"y", "z"};
+    experiment.eval = [&evaluated](const Point& point, const PointContext& context) {
+        ++evaluated;
+        if (point.index == 2) throw NumericalError("solver diverged");
+        PointResult result;
+        result.values = {2.0 * point.at("x"), static_cast<double>(context.seed() % 1000)};
+        return result;
     };
-    const ResultSet results =
-        run(bench::rpc_markov_experiment({0.0, 2.0, 5.0, 10.0, 25.0}, true), options);
-    captured.points = results.size();
-    return captured;
+    return experiment;
 }
 
-TEST(Events, StreamHasTheDocumentedShapeAndMonotoneProgress) {
-    const CapturedEvents captured = run_with_events(4, true);
-    ASSERT_FALSE(captured.lines.empty());
-    EXPECT_NE(captured.lines.front().find("\"type\":\"sweep_started\""),
-              std::string::npos);
-    EXPECT_NE(captured.lines.back().find("\"type\":\"sweep_finished\""),
-              std::string::npos);
-    // started + N*(point_started, point_finished, sweep_progress) + finished.
-    EXPECT_EQ(captured.lines.size(), 2 + 3 * captured.points);
-    std::size_t last_completed = 0;
-    std::size_t progress_lines = 0;
-    for (const std::string& line : captured.lines) {
-        if (line.find("\"type\":\"sweep_progress\"") == std::string::npos) continue;
-        ++progress_lines;
-        const std::size_t at = line.find("\"completed\":");
-        ASSERT_NE(at, std::string::npos) << line;
-        const std::size_t completed =
-            static_cast<std::size_t>(std::atol(line.c_str() + at + 12));
-        EXPECT_GT(completed, last_completed) << line;
-        last_completed = completed;
-        EXPECT_NE(line.find("\"total\":" + std::to_string(captured.points)),
-                  std::string::npos);
+TEST(Runner, FailedPointBecomesARecordNotALostSweep) {
+    std::atomic<int> evaluated{0};
+    const Experiment experiment = failing_experiment(evaluated);
+    RunOptions options;
+    options.jobs = 4;
+    const std::uint64_t failed_before = obs::counter("exp.point.failed").value();
+    const RunOutcome outcome = run_sweep(experiment, options);
+    EXPECT_EQ(obs::counter("exp.point.failed").value(), failed_before + 1);
+
+    EXPECT_EQ(outcome.failed, 1u);
+    ASSERT_TRUE(static_cast<bool>(outcome.first_error));
+    ASSERT_EQ(outcome.results.size(), 8u);  // siblings are not discarded
+    for (std::size_t i = 0; i < 8; ++i) {
+        const PointRecord& record = outcome.results.at(i);
+        EXPECT_EQ(record.point.index, i);
+        EXPECT_EQ(record.result.failed(), i == 2) << i;
+        if (i != 2) {
+            EXPECT_EQ(record.result.values[0], 2.0 * static_cast<double>(i + 1));
+        }
     }
-    EXPECT_EQ(progress_lines, captured.points);
-    EXPECT_EQ(last_completed, captured.points);
-    // The final event reports every point completed.
-    EXPECT_NE(captured.lines.back().find(
-                  "\"completed\":" + std::to_string(captured.points) +
-                  ",\"total\":" + std::to_string(captured.points)),
-              std::string::npos);
+
+    const PointRecord& failed = outcome.results.at(2);
+    EXPECT_NE(failed.result.error.find("dpma::NumericalError"), std::string::npos)
+        << failed.result.error;
+    EXPECT_NE(failed.result.error.find("solver diverged"), std::string::npos);
+    ASSERT_EQ(failed.result.values.size(), 2u);
+    for (const double v : failed.result.values) EXPECT_TRUE(std::isnan(v));
+    const std::string json = outcome.results.json();
+    EXPECT_NE(json.find("\"error\": "), std::string::npos);
+    EXPECT_EQ(json.find("\"attempts\""), std::string::npos);
 }
 
-TEST(Events, StreamBitIdenticalAcrossJobCountsWithoutTiming) {
-    const CapturedEvents serial = run_with_events(1, false);
-    const CapturedEvents parallel = run_with_events(8, false);
-    EXPECT_EQ(serial.lines, parallel.lines);
-}
-
-TEST(Events, TimingFieldsAppearOnlyInTimingMode) {
-    const CapturedEvents timed = run_with_events(2, true);
-    bool saw_eta = false;
-    for (const std::string& line : timed.lines) {
-        if (line.find("\"eta_s\":") != std::string::npos) saw_eta = true;
+TEST(Runner, RunRethrowsTheLowestIndexFailureAfterEverySiblingRan) {
+    for (const std::size_t jobs : {1u, 4u}) {
+        SCOPED_TRACE(jobs);
+        std::atomic<int> evaluated{0};
+        Experiment experiment = failing_experiment(evaluated);
+        const auto inner = experiment.eval;
+        // Point 6 fails too; its error must not win over point 2's.
+        experiment.eval = [inner](const Point& point, const PointContext& context) {
+            if (point.index == 6) throw Error("later failure");
+            return inner(point, context);
+        };
+        RunOptions options;
+        options.jobs = jobs;
+        try {
+            (void)run(experiment, options);
+            FAIL() << "run() must rethrow a failed point";
+        } catch (const NumericalError& e) {
+            EXPECT_STREQ(e.what(), "solver diverged");
+        }
+        // Every point but 6 reached the counting eval: no failure cancelled
+        // a sibling.
+        EXPECT_EQ(evaluated.load(), 7);
     }
-    EXPECT_TRUE(saw_eta);
-    for (const std::string& line : run_with_events(2, false).lines) {
-        EXPECT_EQ(line.find("\"elapsed_s\":"), std::string::npos) << line;
-        EXPECT_EQ(line.find("\"eta_s\":"), std::string::npos) << line;
-    }
-}
-
-TEST(Events, EnvParsingHonoursDisableAndTimingToggle) {
-    unsetenv("DPMA_EVENTS");
-    EXPECT_FALSE(static_cast<bool>(events_from_env().sink));
-    setenv("DPMA_EVENTS", "0", 1);
-    EXPECT_FALSE(static_cast<bool>(events_from_env().sink));
-    setenv("DPMA_EVENTS", "stderr", 1);
-    setenv("DPMA_EVENTS_TIMING", "0", 1);
-    const EventOptions options = events_from_env();
-    EXPECT_TRUE(static_cast<bool>(options.sink));
-    EXPECT_FALSE(options.timing);
-    unsetenv("DPMA_EVENTS");
-    unsetenv("DPMA_EVENTS_TIMING");
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -30,6 +31,7 @@
 #include "adl/measure.hpp"
 #include "battery/coupling.hpp"
 #include "bisim/partition.hpp"
+#include "core/error.hpp"
 #include "core/stats_math.hpp"
 #include "ctmc/ctmc.hpp"
 #include "ctmc/reward.hpp"
@@ -618,31 +620,43 @@ int main() {
     std::printf("OK: %zu battery replay points bit-identical across jobs counts\n",
                 c.size());
 
-    // Event telemetry: workers finish out of order, the runner drains the
-    // contiguous completed prefix under one mutex — so the stream (timing
-    // fields off) must be byte-identical for every jobs count, and the sink
-    // callback itself is a shared structure TSan should watch.
-    const auto capture_events = [&](std::size_t jobs) {
-        std::string stream;
-        exp::RunOptions options;
-        options.jobs = jobs;
-        options.base_seed = 7;
-        options.events.timing = false;
-        options.events.sink = [&stream](const std::string& line) {
-            stream += line;
-            stream += '\n';
-        };
-        (void)exp::run(experiment, options);
-        return stream;
+    // Failure isolation: one point of a 16-point sweep throws.  The runner
+    // must keep it as one failed record while its 15 siblings still run on
+    // the shared pool and cache, bit-identical for every jobs count.
+    exp::Experiment failing = sweep(cache);
+    failing.name = "tsan_smoke_failing";
+    failing.grid = exp::Grid{};
+    failing.grid.axis(exp::Axis::linspace("work_rate", 0.5, 4.0, 16));
+    const auto evaluate = failing.eval;
+    failing.eval = [evaluate](const exp::Point& point, const exp::PointContext& context) {
+        if (point.index == 9) throw NumericalError("failing smoke point");
+        return evaluate(point, context);
     };
-    const std::string events1 = capture_events(1);
-    const std::string events8 = capture_events(8);
-    if (events1.empty() || events1 != events8) {
-        std::fprintf(stderr, "FAIL: event stream differs between jobs=1 and jobs=8\n");
-        return 1;
+    const exp::RunOutcome e = exp::run_sweep(failing, serial);
+    const exp::RunOutcome f = exp::run_sweep(failing, parallel);
+    for (const exp::RunOutcome* outcome : {&e, &f}) {
+        if (outcome->failed != 1 || outcome->results.size() != 16 ||
+            !outcome->results.at(9).result.failed()) {
+            std::fprintf(stderr, "FAIL: want 16 records with point 9 failed, got %zu "
+                                 "records and %zu failed\n",
+                         outcome->results.size(), outcome->failed);
+            return 1;
+        }
     }
-    std::printf("OK: event stream byte-identical across jobs counts (%zu bytes)\n",
-                events1.size());
+    for (std::size_t i = 0; i < 16; ++i) {
+        if (i == 9) continue;
+        const std::vector<double>& x = e.results.at(i).result.values;
+        const std::vector<double>& y = f.results.at(i).result.values;
+        if (x.size() != y.size() ||
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) != 0) {
+            std::fprintf(stderr,
+                         "FAIL: point %zu of the failing sweep differs between "
+                         "jobs=1 and jobs=4\n",
+                         i);
+            return 1;
+        }
+    }
+    std::printf("OK: 15 points bit-identical around one failed record across jobs counts\n");
 
     // Run record of everything above: must be strict JSON with the
     // ResultSet series embedded intact.

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -23,6 +27,7 @@
 #include "models/specs.hpp"
 #include "models/variants.hpp"
 #include "noninterference/noninterference.hpp"
+#include "obs/atomic_write.hpp"
 #include "obs/json.hpp"
 #include "obs/json_parse.hpp"
 #include "obs/log.hpp"
@@ -655,6 +660,52 @@ TEST(ResultSetJson, OmitsDiagnosticsWhenEmpty) {
     std::string error;
     EXPECT_TRUE(obs::json_valid(json, &error)) << error;
     EXPECT_EQ(json.find("diagnostics"), std::string::npos);
+}
+
+// ---------------------------------------------------------- atomic writes
+
+std::string read_text(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(static_cast<bool>(in)) << path;
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+}
+
+/// Unique scratch path per test; removed on construction so reruns start
+/// clean and on destruction so the suite leaves no debris.
+struct ScratchFile {
+    explicit ScratchFile(const std::string& name)
+        : path(::testing::TempDir() + "dpma_" + name) {
+        std::remove(path.c_str());
+    }
+    ~ScratchFile() { std::remove(path.c_str()); }
+    std::string path;
+};
+
+TEST(AtomicWrite, ReplacesAtomicallyAndFailsWithThePath) {
+    ScratchFile file("atomic_write_test.json");
+    obs::atomic_write(file.path, "one");
+    EXPECT_EQ(read_text(file.path), "one");
+    obs::atomic_write(file.path, "two");
+    EXPECT_EQ(read_text(file.path), "two");
+
+    const std::string bad = "/nonexistent-dpma-dir/out.json";
+    try {
+        obs::atomic_write(bad, "x");
+        FAIL() << "atomic_write into a missing directory must throw";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(bad), std::string::npos) << e.what();
+    }
+}
+
+TEST(AtomicWrite, LeavesNoTemporaryDebris) {
+    ScratchFile file("atomic_debris_test.json");
+    obs::atomic_write(file.path, "payload");
+    // The temp name is <path>.tmp.<pid>; it must be gone after the rename.
+    const std::string tmp = file.path + ".tmp." + std::to_string(::getpid());
+    std::ifstream probe(tmp);
+    EXPECT_FALSE(static_cast<bool>(probe)) << tmp;
 }
 
 }  // namespace

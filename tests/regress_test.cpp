@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/error.hpp"
 #include "exp/regress.hpp"
@@ -171,14 +174,12 @@ std::string with_spans(std::string record, const std::string& spans) {
 TEST(Regress, SpansInBothRecordsGetInformationalRows) {
     const obs::Json older = obs::json_parse(with_spans(record_json(1.0), R"(
         {"name": "ctmc.solve", "count": 4, "total_us": 400},
-        {"name": "ctmc.transient", "count": 10, "total_us": 20000},
-        {"name": "only.old", "count": 1, "total_us": 5})"));
+        {"name": "ctmc.transient", "count": 10, "total_us": 20000})"));
     const obs::Json newer = obs::json_parse(with_spans(record_json(1.0), R"(
         {"name": "ctmc.transient", "count": 10, "total_us": 12000},
-        {"name": "only.new", "count": 3, "total_us": 9},
         {"name": "ctmc.solve", "count": 8, "total_us": 4000})"));
     const RegressReport report = compare_reports(older, newer);
-    // In the new record's order; names on one side only get no row.
+    // In the new record's order.
     ASSERT_EQ(report.spans.size(), 2u);
     EXPECT_EQ(report.spans[0].name, "ctmc.transient");
     EXPECT_EQ(report.spans[0].old_calls, 10.0);
@@ -197,8 +198,47 @@ TEST(Regress, SpansInBothRecordsGetInformationalRows) {
     EXPECT_NE(table.find("ctmc.transient"), std::string::npos);
     EXPECT_NE(table.find("2000.00"), std::string::npos);
     EXPECT_NE(table.find("0.600"), std::string::npos);
-    EXPECT_EQ(table.find("only.old"), std::string::npos);
-    EXPECT_EQ(table.find("only.new"), std::string::npos);
+}
+
+TEST(Regress, SpansOnOneSideOnlyGetRowsWithoutRatio) {
+    const obs::Json older = obs::json_parse(with_spans(record_json(1.0), R"(
+        {"name": "ctmc.solve", "count": 4, "total_us": 400},
+        {"name": "only.old", "count": 2, "total_us": 50})"));
+    const obs::Json newer = obs::json_parse(with_spans(record_json(1.0), R"(
+        {"name": "only.new", "count": 3, "total_us": 9},
+        {"name": "ctmc.solve", "count": 4, "total_us": 400})"));
+    const RegressReport report = compare_reports(older, newer);
+    // The new record's spans in its order, then the spans only the old has.
+    ASSERT_EQ(report.spans.size(), 3u);
+    EXPECT_EQ(report.spans[0].name, "only.new");
+    EXPECT_FALSE(report.spans[0].in_old);
+    EXPECT_TRUE(report.spans[0].in_new);
+    EXPECT_EQ(report.spans[0].new_calls, 3.0);
+    EXPECT_DOUBLE_EQ(report.spans[0].new_us_per_call, 3.0);
+    EXPECT_EQ(report.spans[0].ratio, 0.0);
+    EXPECT_EQ(report.spans[1].name, "ctmc.solve");
+    EXPECT_TRUE(report.spans[1].in_old && report.spans[1].in_new);
+    EXPECT_DOUBLE_EQ(report.spans[1].ratio, 1.0);
+    EXPECT_EQ(report.spans[2].name, "only.old");
+    EXPECT_TRUE(report.spans[2].in_old);
+    EXPECT_FALSE(report.spans[2].in_new);
+    EXPECT_EQ(report.spans[2].old_calls, 2.0);
+    EXPECT_DOUBLE_EQ(report.spans[2].old_us_per_call, 25.0);
+    EXPECT_FALSE(report.regression);
+
+    // The missing side and the ratio print "-".
+    const std::string table = report.table();
+    const auto row = [&table](const std::string& name) {
+        const std::size_t at = table.find(name);
+        EXPECT_NE(at, std::string::npos) << name;
+        return table.substr(at, table.find('\n', at) - at);
+    };
+    std::istringstream only_new(row("only.new"));
+    std::vector<std::string> cells{std::istream_iterator<std::string>(only_new), {}};
+    EXPECT_EQ(cells, (std::vector<std::string>{"only.new", "-", "3", "-", "3.00", "-"}));
+    std::istringstream only_old(row("only.old"));
+    cells.assign(std::istream_iterator<std::string>(only_old), {});
+    EXPECT_EQ(cells, (std::vector<std::string>{"only.old", "2", "-", "25.00", "-", "-"}));
 }
 
 TEST(Regress, RecordsWithoutSpansPrintNoSpanTable) {

@@ -14,14 +14,12 @@
 ///                     [--reps N] [--seed S] [--confidence C]
 ///   dpma_cli sweep    model.aem measures.msr --param I.action=lo:hi:steps
 ///                     [--jobs N] [--json PATH|-] [--csv PATH|-] [--precheck]
-///                     [--checkpoint PATH [--resume]] [--retries N]
 ///   dpma_cli lifetime rpc|streaming [--battery ideal|peukert|kibam]
 ///                     [--capacity lo:hi:steps] [--control C] [--reps N]
 ///                     [--seed S] [--confidence C] [--jobs N]
 ///                     [--horizon-factor F] [--peukert-exponent A]
 ///                     [--peukert-ref P] [--kibam-c C] [--kibam-rate K]
 ///                     [--format text|json] [--json PATH|-] [--csv PATH|-]
-///                     [--checkpoint PATH [--resume]] [--retries N]
 ///   dpma_cli report   old.json new.json [--threshold R] [--confidence C]
 ///                     [--resamples N] [--seed S]
 ///
@@ -33,9 +31,6 @@
 ///   --report FILE      write an obs::RunReport run record to FILE on exit
 ///                      ("-" = stdout); sweep/lifetime attach their
 ///                      ResultSet as a record series
-///   --events FILE      stream live sweep telemetry (JSONL heartbeats, see
-///                      exp/events.hpp) to FILE ("-"/"stderr" = stderr);
-///                      shorthand for DPMA_EVENTS=FILE
 ///   --log-level LEVEL  error | warn | info | debug (overrides DPMA_LOG)
 ///
 /// `check` runs the paper's noninterference analysis: --high lists the
@@ -71,23 +66,13 @@
 /// Exit status: 0 = check passed / command succeeded, 1 = check or lint
 /// failed, 2 = usage error, 3 = Æmilia parse error, 4 = analysis error
 /// (lint errors under a non-lint command, numerical failure, bad measure,
-/// unwritable output, ...), 5 = sweep interrupted gracefully (SIGINT/
-/// SIGTERM: in-flight points drained, checkpoint and partial artifacts
-/// written), 6 = sweep completed but some points failed after their retry
-/// budget (artifacts written; failed points carry "error" records).  Trace
-/// and metrics files are written even when the command fails — a trace of
-/// a failing run is precisely the one worth looking at.
-///
-/// Fault tolerance on sweep/lifetime: --checkpoint PATH appends one durable
-/// JSONL record per finished point (exp/checkpoint.hpp; survives kill -9
-/// modulo a torn final line), --resume restores the points the checkpoint
-/// already holds — resumed runs are bit-identical to uninterrupted ones
-/// (set DPMA_RESULT_TIMING=0 to byte-compare artifacts) — and --retries N
-/// re-runs a throwing point up to N extra times before recording it as
-/// failed instead of aborting the sweep.  Every file artifact (--json,
-/// --csv, --trace, --metrics, --report) is written atomically: temp file +
-/// fsync + rename, so no crash or full disk leaves a truncated artifact
-/// behind.
+/// unwritable output, ...), 6 = sweep/lifetime finished but some points
+/// failed (artifacts written; a failed point carries an "error" record and
+/// NaN values, and its siblings still ran).  Trace and metrics files are
+/// written even when the command fails — a trace of a failing run is
+/// precisely the one worth looking at.  Every file artifact (--json, --csv,
+/// --trace, --metrics, --report) is written atomically: temp file + fsync +
+/// rename, so no crash or full disk leaves a truncated artifact behind.
 ///
 /// `lifetime` runs a battery lifetime study (src/battery) on a built-in
 /// case-study system: capacity x {NO-DPM, DPM} sweep, each point replaying
@@ -143,7 +128,6 @@
 #include "exp/regress.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
-#include "exp/shutdown.hpp"
 #include "lts/dot.hpp"
 #include "lts/ops.hpp"
 #include "noninterference/noninterference.hpp"
@@ -180,19 +164,17 @@ dpma::obs::RunReport* g_run_report = nullptr;
                  "[--warmup W] [--reps N] [--seed S] [--confidence C]\n"
                  "  dpma_cli sweep    <model.aem> <measures.msr> "
                  "--param <instance.action>=<lo>:<hi>:<steps> [--jobs N] "
-                 "[--json PATH|-] [--csv PATH|-] [--precheck] "
-                 "[--checkpoint PATH [--resume]] [--retries N]\n"
+                 "[--json PATH|-] [--csv PATH|-] [--precheck]\n"
                  "  dpma_cli lifetime <rpc|streaming> "
                  "[--battery ideal|peukert|kibam] [--capacity lo:hi:steps] "
                  "[--control C] [--reps N] [--seed S] [--confidence C] "
                  "[--jobs N] [--horizon-factor F] [--peukert-exponent A] "
                  "[--peukert-ref P] [--kibam-c C] [--kibam-rate K] "
-                 "[--format text|json] [--json PATH|-] [--csv PATH|-] "
-                 "[--checkpoint PATH [--resume]] [--retries N]\n"
+                 "[--format text|json] [--json PATH|-] [--csv PATH|-]\n"
                  "  dpma_cli report   <old.json> <new.json> [--threshold R] "
                  "[--confidence C] [--resamples N] [--seed S]\n"
                  "global options (any command): [--trace FILE] [--metrics FILE] "
-                 "[--report FILE] [--events FILE] "
+                 "[--report FILE] "
                  "[--log-level error|warn|info|debug]\n");
     std::exit(2);
 }
@@ -664,30 +646,14 @@ void write_output(const std::string& path, const std::string& text) {
     obs::atomic_write(path, text);
 }
 
-/// Maps a sweep outcome to the CLI exit code — 0 complete, 5 interrupted,
-/// 6 finished with failed points — and prints the failure/interrupt summary
-/// to stderr (per-point errors, and how to resume when a checkpoint exists).
-int sweep_status(const exp::RunOutcome& outcome, const std::string& checkpoint_path) {
+/// Maps a sweep outcome to the CLI exit code — 0 complete, 6 finished with
+/// failed points — and prints each failed point's error to stderr.
+int sweep_status(const exp::RunOutcome& outcome) {
     for (std::size_t i = 0; i < outcome.results.size(); ++i) {
         const exp::PointRecord& record = outcome.results.at(i);
         if (!record.result.failed()) continue;
-        std::fprintf(stderr, "dpma_cli: point %zu failed after %d attempt(s): %s\n",
-                     record.point.index, record.result.attempts,
+        std::fprintf(stderr, "dpma_cli: point %zu failed: %s\n", record.point.index,
                      record.result.error.c_str());
-    }
-    if (outcome.restored > 0) {
-        std::fprintf(stderr, "dpma_cli: restored %zu point(s) from checkpoint\n",
-                     outcome.restored);
-    }
-    if (outcome.interrupted) {
-        std::fprintf(stderr,
-                     "dpma_cli: sweep interrupted: %zu/%zu point(s) done, "
-                     "%zu skipped%s%s\n",
-                     outcome.completed + outcome.restored + outcome.failed,
-                     outcome.total, outcome.skipped,
-                     checkpoint_path.empty() ? "" : "; resume with --resume --checkpoint ",
-                     checkpoint_path.c_str());
-        return 5;
     }
     if (outcome.failed > 0) {
         std::fprintf(stderr, "dpma_cli: sweep finished with %zu failed point(s)\n",
@@ -697,31 +663,6 @@ int sweep_status(const exp::RunOutcome& outcome, const std::string& checkpoint_p
     return 0;
 }
 
-/// Shared parse of the fault-tolerance flags on sweep/lifetime.
-struct FaultToleranceArgs {
-    std::string checkpoint_path;
-    bool resume = false;
-    int retries = 0;
-};
-
-/// False after a usage error of \p command.  --retries stops at INT_MAX - 1:
-/// the runner makes retries + 1 attempts per point.
-bool parse_fault_tolerance(std::vector<std::string>& args, const char* command,
-                           FaultToleranceArgs* out) {
-    out->checkpoint_path = option(args, "--checkpoint", "");
-    out->resume = flag(args, "--resume");
-    std::uint64_t retries = 0;
-    if (!count_option(args, command, "--retries", "0", 0, INT_MAX - 1, &retries)) {
-        return false;
-    }
-    out->retries = static_cast<int>(retries);
-    if (out->resume && out->checkpoint_path.empty()) {
-        usage_error(command, "--resume requires --checkpoint PATH");
-        return false;
-    }
-    return true;
-}
-
 int cmd_sweep(const std::string& model_path, const std::string& measures_path,
               std::vector<std::string> args) {
     const std::string param = option(args, "--param", "");
@@ -729,13 +670,8 @@ int cmd_sweep(const std::string& model_path, const std::string& measures_path,
     if (!count_option(args, "sweep", "--jobs", "0", 0, UINT64_MAX, &jobs)) return 2;
     const std::string json_path = option(args, "--json", "");
     const std::string csv_path = option(args, "--csv", "");
-    FaultToleranceArgs fault_tolerance;
-    if (!parse_fault_tolerance(args, "sweep", &fault_tolerance)) return 2;
     const bool precheck = flag(args, "--precheck");
     if (param.empty() || !args.empty()) usage();
-    // From here on Ctrl-C / SIGTERM means "stop dispatching, drain, write
-    // the checkpoint and partial artifacts, exit 5" — not instant death.
-    exp::install_shutdown_handler();
 
     // --param instance.action=lo:hi:steps
     const std::size_t eq = param.find('=');
@@ -783,9 +719,6 @@ int cmd_sweep(const std::string& model_path, const std::string& measures_path,
 
     exp::RunOptions run_options;
     run_options.jobs = static_cast<std::size_t>(jobs);
-    run_options.retries = fault_tolerance.retries;
-    run_options.checkpoint_path = fault_tolerance.checkpoint_path;
-    run_options.resume = fault_tolerance.resume;
     const exp::RunOutcome outcome = exp::run_sweep(experiment, run_options);
     const exp::ResultSet& results = outcome.results;
 
@@ -809,7 +742,7 @@ int cmd_sweep(const std::string& model_path, const std::string& measures_path,
     if (g_run_report != nullptr) g_run_report->add_series(results.json());
     if (!json_path.empty()) write_output(json_path, results.json());
     if (!csv_path.empty()) write_output(csv_path, results.csv());
-    return sweep_status(outcome, fault_tolerance.checkpoint_path);
+    return sweep_status(outcome);
 }
 
 int cmd_lifetime(const std::string& system, std::vector<std::string> args) {
@@ -831,8 +764,6 @@ int cmd_lifetime(const std::string& system, std::vector<std::string> args) {
     const std::string format = option(args, "--format", "text");
     const std::string json_path = option(args, "--json", "");
     const std::string csv_path = option(args, "--csv", "");
-    FaultToleranceArgs fault_tolerance;
-    if (!parse_fault_tolerance(args, "lifetime", &fault_tolerance)) return 2;
     if (!args.empty()) usage();
     if (format != "text" && format != "json") {
         return usage_error("lifetime", "--format wants text or json, got '" + format + "'");
@@ -892,16 +823,12 @@ int cmd_lifetime(const std::string& system, std::vector<std::string> args) {
     options.replications = static_cast<int>(reps);
     options.base_seed = seed;
     options.jobs = static_cast<std::size_t>(jobs);
-    options.retries = fault_tolerance.retries;
-    options.checkpoint_path = fault_tolerance.checkpoint_path;
-    options.resume = fault_tolerance.resume;
     try {
         options.validate();
     } catch (const Error& e) {
         return usage_error("lifetime", e.what());
     }
 
-    exp::install_shutdown_handler();
     const exp::RunOutcome outcome = battery::run_lifetime_sweep(options);
     const exp::ResultSet& results = outcome.results;
     if (format == "json") {
@@ -925,7 +852,7 @@ int cmd_lifetime(const std::string& system, std::vector<std::string> args) {
     if (g_run_report != nullptr) g_run_report->add_series(results.json());
     if (!json_path.empty()) write_output(json_path, results.json());
     if (!csv_path.empty()) write_output(csv_path, results.csv());
-    return sweep_status(outcome, fault_tolerance.checkpoint_path);
+    return sweep_status(outcome);
 }
 
 /// `report` — the perf-regression gate over two run records.
@@ -975,12 +902,6 @@ int main(int argc, char** argv) {
     const std::string trace_path = option(args, "--trace", "");
     const std::string metrics_path = option(args, "--metrics", "");
     const std::string report_file = option(args, "--report", "");
-    const std::string events_path = option(args, "--events", "");
-    if (!events_path.empty()) {
-        // Same channel the bench binaries use: exp::run picks it up through
-        // events_from_env().
-        setenv("DPMA_EVENTS", events_path.c_str(), 1);
-    }
     obs::RunReport run_report("dpma_cli");
     if (!report_file.empty()) {
         run_report.set_args(std::vector<std::string>(argv, argv + argc));
