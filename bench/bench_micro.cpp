@@ -279,35 +279,15 @@ void BM_SimulateRpcGeneral(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateRpcGeneral);
 
-// Scheduler-path throughput triplet (items/sec = simulated events/sec): the
-// all-exponential model through the clock-free Markov fast path, the same
-// model forced through the general clocked scheduler, and an
+// Scheduler throughput pair (items/sec = simulated events/sec): an
+// all-exponential model through the clocked scheduler, and an
 // immediate-heavy model exercising the compiled immediate tables.
-
-void BM_SimulateMarkovFastPath(benchmark::State& state) {
-    const auto model = compose_spec("rpc_revised_markov.aem");
-    const sim::Simulator simulator(model, rpc_measures());
-    sim::SimOptions options;
-    options.horizon = 5000.0;
-    std::uint64_t seed = 1;
-    std::uint64_t events = 0;
-    for (auto _ : state) {
-        options.seed = seed++;
-        const auto run = simulator.run(options);
-        events += run.events;
-        benchmark::DoNotOptimize(run);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(events));
-    state.SetLabel("items = simulated events (fast path)");
-}
-BENCHMARK(BM_SimulateMarkovFastPath);
 
 void BM_SimulateMarkovClocked(benchmark::State& state) {
     const auto model = compose_spec("rpc_revised_markov.aem");
     const sim::Simulator simulator(model, rpc_measures());
     sim::SimOptions options;
     options.horizon = 5000.0;
-    options.markov_fast_path = false;
     std::uint64_t seed = 1;
     std::uint64_t events = 0;
     for (auto _ : state) {
@@ -317,7 +297,7 @@ void BM_SimulateMarkovClocked(benchmark::State& state) {
         benchmark::DoNotOptimize(run);
     }
     state.SetItemsProcessed(static_cast<int64_t>(events));
-    state.SetLabel("items = simulated events (clocked path)");
+    state.SetLabel("items = simulated events (all-exponential)");
 }
 BENCHMARK(BM_SimulateMarkovClocked);
 

@@ -84,23 +84,22 @@ CompiledModel compile_model(const adl::ComposedModel& model,
     // replay a wrong permutation.
     bool order_modeled = true;
 
-    // Reserve against the transition count: candidates are one entry per
-    // timed transition, labels/immediates at most that many.
+    // Reserve the immediates against the transition count.  The timed
+    // tables grow as needed: only states without immediates have timed
+    // labels, far fewer than the transitions (streaming: 6,094 against
+    // 79,696), and an over-reserved block, once freed, raises glibc's mmap
+    // threshold and with it the heap's high-water mark.
     std::size_t num_transitions = 0;
     for (lts::StateId s = 0; s < num_states; ++s) {
         num_transitions += model.graph.out(s).size();
     }
     compiled.immediates.reserve(num_transitions / 4 + 8);
-    compiled.timed.reserve(num_transitions / 2 + 8);
-    compiled.targets.reserve(num_transitions);
-    compiled.tie_order.reserve(num_transitions / 2 + 8);
     compiled.state_rewards.reserve(num_states);
 
     std::vector<lts::ActionId> labels;     // scratch: per-state timed labels
     std::vector<std::uint32_t> label_pos;  // scratch: label -> timed index
     labels.reserve(64);
     label_pos.reserve(64);
-    bool all_exponential = true;
     const std::vector<const lts::RateImmediate*> immediate =
         lts::slot_rates<lts::RateImmediate>(model.graph);
     for (lts::StateId s = 0; s < num_states; ++s) {
@@ -167,7 +166,6 @@ CompiledModel compile_model(const adl::ComposedModel& model,
                     tl.dist = dist_of(model.graph.rate(t));
                     tl.action = t.action;
                     compiled.timed.push_back(tl);
-                    if (tl.dist.kind() != DistKind::Exponential) all_exponential = false;
                 }
             }
             // Candidate target groups, per label, in out-transition order.
@@ -232,28 +230,6 @@ CompiledModel compile_model(const adl::ComposedModel& model,
     compiled.action_reward_begin[compiled.num_actions] =
         static_cast<std::uint32_t>(compiled.action_rewards.size());
 
-    // Markov fast path: total exit rate + cumulative successor table.
-    compiled.all_exponential = all_exponential;
-    if (all_exponential) {
-        for (CompiledModel::StateInfo& info : compiled.states) {
-            info.fast_begin = static_cast<std::uint32_t>(compiled.fast.size());
-            double exit_rate = 0.0;
-            double cum = 0.0;
-            for (std::uint32_t li = info.timed_begin; li < info.timed_end; ++li) {
-                const CompiledModel::TimedLabel& tl = compiled.timed[li];
-                exit_rate += tl.dist.a();
-                const double share =
-                    tl.dist.a() / static_cast<double>(tl.cand_end - tl.cand_begin);
-                for (std::uint32_t c = tl.cand_begin; c < tl.cand_end; ++c) {
-                    cum += share;
-                    compiled.fast.push_back(
-                        CompiledModel::FastSuccessor{cum, tl.action, compiled.targets[c]});
-                }
-            }
-            info.exit_rate = exit_rate;
-            info.fast_end = static_cast<std::uint32_t>(compiled.fast.size());
-        }
-    }
     return compiled;
 }
 

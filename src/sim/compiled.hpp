@@ -27,13 +27,7 @@
 ///    compiled traces bit-identical to the reference even through ties;
 ///  * sparse (measure, value) reward lists per state and per action label,
 ///    ordered by measure index — the same KahanSum accumulation order as
-///    the dense loops they replace;
-///  * when every timed rate in the model is exponential, the per-state
-///    total exit rate and a cumulative-rate successor table: the Markov
-///    fast path samples the sojourn from Exp(exit_rate) and picks the
-///    successor with one uniform draw, never touching clock memory
-///    (equal in law by memorylessness, not samplewise — SimOptions::
-///    markov_fast_path turns it off to recover the clocked stream).
+///    the dense loops they replace.
 ///
 /// Construction also diagnoses the silent `choose_immediate` edge case: a
 /// state whose best-priority immediates all have weight <= 0 used to fall
@@ -73,24 +67,13 @@ struct CompiledModel {
         double value = 0.0;
     };
 
-    /// Fast-path successor: cumulative rate mass up to and including this
-    /// candidate (label rate split uniformly over its candidates).
-    struct FastSuccessor {
-        double cum = 0.0;
-        lts::ActionId action = 0;
-        lts::StateId target = 0;
-    };
-
     struct StateInfo {
         std::uint32_t imm_begin = 0, imm_end = 0;        ///< into immediates
         std::uint32_t timed_begin = 0, timed_end = 0;    ///< into timed / tie_order
         std::uint32_t reward_begin = 0, reward_end = 0;  ///< into state_rewards
-        std::uint32_t fast_begin = 0, fast_end = 0;      ///< into fast
         /// Reference-order sum of the best-priority immediate weights (the
         /// exact double the retired scanner multiplied the uniform by).
         double imm_total_weight = 0.0;
-        /// Fast path only: total exponential exit rate of the state.
-        double exit_rate = 0.0;
     };
 
     std::vector<StateInfo> states;
@@ -106,13 +89,7 @@ struct CompiledModel {
     /// action_reward_begin[a + 1]).
     std::vector<RewardEntry> action_rewards;
     std::vector<std::uint32_t> action_reward_begin;
-    /// Fast-path successors, grouped per state (empty unless
-    /// all_exponential).
-    std::vector<FastSuccessor> fast;
     std::size_t num_actions = 0;
-    /// Every timed rate reachable by the scheduler is exponential: the
-    /// Markov fast path applies.
-    bool all_exponential = false;
 };
 
 /// Builds the tables from the composed graph and the dense reward matrices

@@ -101,8 +101,6 @@ RunResult Simulator::run_impl(const SimOptions& options, const StopSpec* stop,
     lts::StateId state = model_.graph.initial();
     DPMA_REQUIRE(state != lts::kNoState, "model has no initial state");
 
-    const bool fast = compiled_.all_exponential && options.markov_fast_path;
-
     double now = 0.0;
     std::uint64_t events = 0;
     bool finished = false;
@@ -112,16 +110,14 @@ RunResult Simulator::run_impl(const SimOptions& options, const StopSpec* stop,
     // Dense clocks keyed by action label (enabling memory): value plus a
     // scheduling-round stamp per label.  A clock carries to the next round
     // iff its stamp is the previous round's; firing or disabling a label
-    // just leaves its stamp behind — no per-round map churn.  The fast path
-    // never touches them.
+    // just leaves its stamp behind — no per-round map churn.
     constexpr std::uint64_t kUnscheduled = std::numeric_limits<std::uint64_t>::max();
     struct Clock {
         double value = 0.0;
         std::uint64_t round = kUnscheduled;
     };
-    std::vector<Clock> clocks;
+    std::vector<Clock> clocks(compiled_.num_actions);
     std::uint64_t round = 0;
-    if (!fast) clocks.assign(compiled_.num_actions, Clock{});
     std::uint64_t fresh_samples = 0;
 
     // Distributes a state-residence reward interval over the batch buckets
@@ -269,29 +265,22 @@ RunResult Simulator::run_impl(const SimOptions& options, const StopSpec* stop,
             break;
         }
 
-        // Schedule: earliest clock expiry, or — on the fast path — the
-        // exponential sojourn of the state's total exit rate (equal in law
-        // by memorylessness; no clock memory).
-        double min_remaining;
-        if (fast) {
-            min_remaining = -std::log(rng.uniform01_open()) / info.exit_rate;
-        } else {
-            ++round;
-            min_remaining = std::numeric_limits<double>::infinity();
-            for (std::uint32_t li = info.timed_begin; li < info.timed_end; ++li) {
-                const CompiledModel::TimedLabel& tl = compiled_.timed[li];
-                Clock& clock = clocks[tl.action];
-                double remaining;
-                if (clock.round == round - 1) {
-                    remaining = clock.value;
-                } else {
-                    remaining = rng.sample(tl.dist);
-                    clock.value = remaining;
-                    ++fresh_samples;
-                }
-                clock.round = round;
-                min_remaining = std::min(min_remaining, remaining);
+        // Schedule: earliest clock expiry.
+        ++round;
+        double min_remaining = std::numeric_limits<double>::infinity();
+        for (std::uint32_t li = info.timed_begin; li < info.timed_end; ++li) {
+            const CompiledModel::TimedLabel& tl = compiled_.timed[li];
+            Clock& clock = clocks[tl.action];
+            double remaining;
+            if (clock.round == round - 1) {
+                remaining = clock.value;
+            } else {
+                remaining = rng.sample(tl.dist);
+                clock.value = remaining;
+                ++fresh_samples;
             }
+            clock.round = round;
+            min_remaining = std::min(min_remaining, remaining);
         }
 
         // Advance time to the expiry.
@@ -326,53 +315,37 @@ RunResult Simulator::run_impl(const SimOptions& options, const StopSpec* stop,
         }
         now = fire_time;
 
-        // Identify the firing and its target.
-        lts::ActionId fired_action;
-        lts::StateId fired_target;
-        if (fast) {
-            // One uniform draw over the cumulative successor rates; a single
-            // successor needs no draw at all.
-            std::uint32_t c = info.fast_begin;
-            if (info.fast_end - info.fast_begin > 1) {
-                const double u = rng.uniform01() * info.exit_rate;
-                while (c + 1 < info.fast_end && u >= compiled_.fast[c].cum) ++c;
-            }
-            fired_action = compiled_.fast[c].action;
-            fired_target = compiled_.fast[c].target;
-        } else {
-            // Expiring label (ties: collect all minimal labels and pick
-            // uniformly).  The scan walks the labels in the retired
-            // unordered_map's iteration order — the tie-break draws are
-            // order-sensitive — while decrementing every running clock.
-            lts::ActionId fired_label = kNoSymbol;
-            std::uint32_t fired_index = 0;
-            std::uint32_t minimal = 0;
-            for (std::uint32_t k = info.timed_begin; k < info.timed_end; ++k) {
-                const std::uint32_t li = info.timed_begin + compiled_.tie_order[k];
-                const CompiledModel::TimedLabel& tl = compiled_.timed[li];
-                const double remaining = (clocks[tl.action].value -= min_remaining);
-                if (remaining <= 1e-15) {
-                    ++minimal;
-                    if (fired_label == kNoSymbol || rng.below(minimal) == 0) {
-                        fired_label = tl.action;
-                        fired_index = li;
-                    }
+        // Expiring label (ties: collect all minimal labels and pick
+        // uniformly).  The scan walks the labels in the retired
+        // unordered_map's iteration order — the tie-break draws are
+        // order-sensitive — while decrementing every running clock.
+        lts::ActionId fired_action = kNoSymbol;
+        std::uint32_t fired_index = 0;
+        std::uint32_t minimal = 0;
+        for (std::uint32_t k = info.timed_begin; k < info.timed_end; ++k) {
+            const std::uint32_t li = info.timed_begin + compiled_.tie_order[k];
+            const CompiledModel::TimedLabel& tl = compiled_.timed[li];
+            const double remaining = (clocks[tl.action].value -= min_remaining);
+            if (remaining <= 1e-15) {
+                ++minimal;
+                if (fired_action == kNoSymbol || rng.below(minimal) == 0) {
+                    fired_action = tl.action;
+                    fired_index = li;
                 }
             }
-            DPMA_ASSERT(fired_label != kNoSymbol, "no clock expired at the minimum");
-
-            // Among transitions carrying the fired label, choose uniformly.
-            const CompiledModel::TimedLabel& fired = compiled_.timed[fired_index];
-            std::uint32_t candidates = 0;
-            fired_target = lts::kNoState;
-            for (std::uint32_t c = fired.cand_begin; c < fired.cand_end; ++c) {
-                ++candidates;
-                if (rng.below(candidates) == 0) fired_target = compiled_.targets[c];
-            }
-            DPMA_ASSERT(fired_target != lts::kNoState, "fired label has no transition");
-            clocks[fired_label].round = kUnscheduled;
-            fired_action = fired_label;
         }
+        DPMA_ASSERT(fired_action != kNoSymbol, "no clock expired at the minimum");
+
+        // Among transitions carrying the fired label, choose uniformly.
+        const CompiledModel::TimedLabel& fired = compiled_.timed[fired_index];
+        std::uint32_t candidates = 0;
+        lts::StateId fired_target = lts::kNoState;
+        for (std::uint32_t c = fired.cand_begin; c < fired.cand_end; ++c) {
+            ++candidates;
+            if (rng.below(candidates) == 0) fired_target = compiled_.targets[c];
+        }
+        DPMA_ASSERT(fired_target != lts::kNoState, "fired label has no transition");
+        clocks[fired_action].round = kUnscheduled;
 
         accumulate_firing(fired_action, now);
         if (now >= t_begin) {
@@ -401,11 +374,9 @@ RunResult Simulator::run_impl(const SimOptions& options, const StopSpec* stop,
     // on a per-event atomic, and `events` already aggregates the loop.
     static obs::Counter& run_counter = obs::counter("sim.runs");
     static obs::Counter& event_counter = obs::counter("sim.events");
-    static obs::Counter& fastpath_counter = obs::counter("sim.fastpath.runs");
     static obs::Counter& clock_counter = obs::counter("sim.clock.samples");
     run_counter.add();
     event_counter.add(events);
-    if (fast) fastpath_counter.add();
     if (fresh_samples != 0) clock_counter.add(fresh_samples);
     span.arg("events", static_cast<double>(events));
     return result;

@@ -42,11 +42,6 @@ struct SimOptions {
     std::uint64_t seed = 1;
     /// Guard against immediate-action livelock.
     std::uint64_t max_immediate_burst = 1'000'000;
-    /// Use the all-exponential fast path when the model qualifies (see
-    /// Simulator::fast_path_eligible).  Identical in law but not samplewise
-    /// to the clocked scheduler; turn off to reproduce the clocked stream
-    /// (the differential tests do).
-    bool markov_fast_path = true;
 };
 
 /// One simulation run's estimate of each measure (index-aligned with the
@@ -125,12 +120,6 @@ public:
 
     [[nodiscard]] const std::vector<adl::Measure>& measures() const noexcept {
         return measures_;
-    }
-
-    /// Every timed rate the scheduler can reach is exponential, so runs with
-    /// SimOptions::markov_fast_path take the clock-free CTMC path.
-    [[nodiscard]] bool fast_path_eligible() const noexcept {
-        return compiled_.all_exponential;
     }
 
     /// Total STATE_REWARD accrual rate of measure \p measure_index in every

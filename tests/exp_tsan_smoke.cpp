@@ -557,11 +557,46 @@ int check_pooled_primitives() {
     return 0;
 }
 
+/// The clocked scheduler on a shipped general spec (deterministic and
+/// normal delays, immediate choices): a short replication set on 1 and 4
+/// jobs must give bit-identical estimates, and must sample clocks.
+int check_general_replications() {
+    const adl::ComposedModel model = adl::compose(models::archi("rpc_general.aem"));
+    const sim::Simulator simulator(model, models::measures("rpc_measures.msr"));
+    sim::SimOptions options;
+    options.warmup = 100.0;
+    options.horizon = 2000.0;
+    options.seed = 31;
+    obs::Counter& clock_samples = obs::counter("sim.clock.samples");
+    const std::uint64_t samples_before = clock_samples.value();
+    exp::ThreadPool serial(1);
+    exp::ThreadPool parallel(4);
+    const auto a = exp::simulate_replications(simulator, options, 8, 0.90, serial);
+    const auto b = exp::simulate_replications(simulator, options, 8, 0.90, parallel);
+    if (clock_samples.value() == samples_before) {
+        std::fprintf(stderr, "FAIL: rpc_general replications sampled no clock\n");
+        return 1;
+    }
+    for (std::size_t m = 0; m < a.size(); ++m) {
+        if (a[m].samples != b[m].samples || a[m].mean != b[m].mean ||
+            a[m].half_width != b[m].half_width) {
+            std::fprintf(stderr,
+                         "FAIL: rpc_general measure %zu differs between jobs=1 and "
+                         "jobs=4\n",
+                         m);
+            return 1;
+        }
+    }
+    std::printf("OK: rpc_general replications bit-identical across jobs counts\n");
+    return 0;
+}
+
 }  // namespace
 
 int main() {
     if (const int rc = check_parallel_refinement(); rc != 0) return rc;
     if (const int rc = check_pooled_primitives(); rc != 0) return rc;
+    if (const int rc = check_general_replications(); rc != 0) return rc;
     if (const int rc = check_sparse_steady_state(); rc != 0) return rc;
     if (const int rc = check_transient(); rc != 0) return rc;
     if (const int rc = check_markov_sweep(); rc != 0) return rc;

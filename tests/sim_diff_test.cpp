@@ -3,10 +3,7 @@
 /// hot-path Simulator is compared against the retired clock-map scheduler,
 /// kept here verbatim as a standalone reference, on the shipped model
 /// families.  Traces, raw totals, event counts, depletion times and
-/// observer callbacks must agree bit for bit when the Markov fast path is
-/// off; the fast path itself is pinned to be deterministic and
-/// jobs-independent (it is equal in law, not samplewise, to the clocked
-/// stream).
+/// observer callbacks must agree bit for bit, Markov families included.
 
 #include <gtest/gtest.h>
 
@@ -345,7 +342,6 @@ SimOptions clocked_options(double horizon, std::uint64_t seed, double warmup = 0
     options.horizon = horizon;
     options.warmup = warmup;
     options.seed = seed;
-    options.markov_fast_path = false;  // compare against the clocked stream
     return options;
 }
 
@@ -478,40 +474,8 @@ TEST(SimDiff, ObservedTrajectoriesMatchReference) {
 }
 
 // ---------------------------------------------------------------------------
-// Fast path and construction-time validation
+// Construction-time validation
 // ---------------------------------------------------------------------------
-
-TEST(SimDiff, FastPathIsDeterministicAndEligibleOnlyForMarkovModels) {
-    const adl::ComposedModel markov =
-        models::compose_point("rpc_revised_markov.aem", "send_shutdown", 40.0, true);
-    const adl::ComposedModel general =
-        models::compose_point("rpc_general.aem", "send_shutdown", 40.0, true);
-    const auto measures = models::measures("rpc_measures.msr");
-    const Simulator fast(markov, measures);
-    const Simulator slow(general, measures);
-    EXPECT_TRUE(fast.fast_path_eligible());
-    EXPECT_FALSE(slow.fast_path_eligible());
-
-    SimOptions options;
-    options.horizon = 4000.0;
-    options.seed = 11;
-    ASSERT_TRUE(options.markov_fast_path);
-    const RunResult a = fast.run(options);
-    const RunResult b = fast.run(options);
-    EXPECT_EQ(a.values, b.values);
-    EXPECT_EQ(a.events, b.events);
-
-    // Fast and clocked paths agree in law: time averages of the busiest
-    // measure stay within a loose statistical band of each other.
-    options.markov_fast_path = false;
-    const RunResult clocked = fast.run(options);
-    for (std::size_t m = 0; m < a.values.size(); ++m) {
-        if (clocked.values[m] != 0.0) {
-            EXPECT_NEAR(a.values[m] / clocked.values[m], 1.0, 0.35)
-                << "measure " << m;
-        }
-    }
-}
 
 adl::ArchiType zero_weight_immediates() {
     adl::ArchiType archi;

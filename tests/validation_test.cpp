@@ -8,6 +8,7 @@
 #include "ctmc/solve.hpp"
 #include "models/specs.hpp"
 #include "models/variants.hpp"
+#include "obs/metrics.hpp"
 #include "sim/gsmp.hpp"
 
 namespace dpma {
@@ -31,53 +32,65 @@ double value(const std::vector<adl::Measure>& measures, const std::vector<double
     return values[models::measure_index(measures, name)];
 }
 
-TEST(Validation, RpcSimulatorReproducesMarkovMeasures) {
-    // Fig. 5 as a test: all three rpc measures, simulated with exponential
-    // distributions, must match the exact CTMC values.
-    const adl::ComposedModel exact_model =
-        adl::compose(models::archi("rpc_revised_markov.aem"));
+/// Simulates the exponentialised \p spec and checks every measure of \p msr
+/// against its exact CTMC value: |mean − exact| must stay within
+/// ci_factor × the 90% half-width plus a relative and an absolute slack.
+/// The runs must go through the clocked scheduler, i.e. sample clocks.
+void expect_simulator_reproduces_markov(const char* spec, const char* msr,
+                                        const sim::SimOptions& options,
+                                        int replications, double ci_factor,
+                                        double relative, double absolute) {
+    const adl::ComposedModel exact_model = adl::compose(models::archi(spec));
     const ctmc::MarkovModel markov = ctmc::build_markov(exact_model);
     const auto pi = ctmc::steady_state(markov.chain);
-    const auto measures = models::measures("rpc_measures.msr");
+    const auto measures = models::measures(msr);
 
     const adl::ComposedModel sim_model = exponentialized(exact_model);
     const sim::Simulator simulator(sim_model, measures);
-    sim::SimOptions options;
-    options.warmup = 500.0;
-    options.horizon = 15000.0;
-    options.seed = 1234;
-    const auto estimates = sim::simulate_replications(simulator, options, 30, 0.90);
+    obs::Counter& clock_samples = obs::counter("sim.clock.samples");
+    const std::uint64_t samples_before = clock_samples.value();
+    const auto estimates =
+        sim::simulate_replications(simulator, options, replications, 0.90);
+    EXPECT_GT(clock_samples.value(), samples_before) << spec;
 
     for (std::size_t m = 0; m < measures.size(); ++m) {
         const double exact =
             ctmc::evaluate_measure(markov, exact_model, pi, measures[m]);
         EXPECT_NEAR(estimates[m].mean, exact,
-                    5.0 * estimates[m].half_width + 0.002 * std::abs(exact) + 1e-6)
-            << measures[m].name;
+                    ci_factor * estimates[m].half_width + relative * std::abs(exact) +
+                        absolute)
+            << spec << " " << measures[m].name;
     }
 }
 
-TEST(Validation, StreamingSimulatorReproducesMarkovMeasures) {
-    const adl::ComposedModel exact_model = adl::compose(models::archi("streaming_markov.aem"));
-    const ctmc::MarkovModel markov = ctmc::build_markov(exact_model);
-    const auto pi = ctmc::steady_state(markov.chain);
-    const auto measures = models::measures("streaming_measures.msr");
-
-    const adl::ComposedModel sim_model = exponentialized(exact_model);
-    const sim::Simulator simulator(sim_model, measures);
+sim::SimOptions window(double warmup, double horizon, std::uint64_t seed) {
     sim::SimOptions options;
-    options.warmup = 5000.0;
-    options.horizon = 150000.0;
-    options.seed = 77;
-    const auto estimates = sim::simulate_replications(simulator, options, 12, 0.90);
+    options.warmup = warmup;
+    options.horizon = horizon;
+    options.seed = seed;
+    return options;
+}
 
-    for (std::size_t m = 0; m < measures.size(); ++m) {
-        const double exact =
-            ctmc::evaluate_measure(markov, exact_model, pi, measures[m]);
-        EXPECT_NEAR(estimates[m].mean, exact,
-                    6.0 * estimates[m].half_width + 0.01 * std::abs(exact) + 1e-5)
-            << measures[m].name;
-    }
+TEST(Validation, RpcSimulatorReproducesMarkovMeasures) {
+    // Fig. 5 as a test: all three rpc measures, simulated with exponential
+    // distributions, must match the exact CTMC values.
+    expect_simulator_reproduces_markov("rpc_revised_markov.aem", "rpc_measures.msr",
+                                       window(500.0, 15000.0, 1234), 30, 5.0, 0.002,
+                                       1e-6);
+}
+
+TEST(Validation, StreamingSimulatorReproducesMarkovMeasures) {
+    expect_simulator_reproduces_markov("streaming_markov.aem", "streaming_measures.msr",
+                                       window(5000.0, 150000.0, 77), 12, 6.0, 0.01,
+                                       1e-5);
+}
+
+TEST(Validation, DiskSimulatorReproducesMarkovMeasures) {
+    // Bursts of ~100 ms between ~20 s quiet periods: a long window, so that
+    // each replication spans about 500 burst cycles.
+    expect_simulator_reproduces_markov("disk_markov.aem", "disk_measures.msr",
+                                       window(20000.0, 1e7, 4242), 20, 5.0, 0.002,
+                                       1e-6);
 }
 
 // --- regression pins for the paper-shape claims -------------------------

@@ -1,39 +1,31 @@
 /// \file json_check.cpp
 /// Tiny JSON artifact validator used by the ctest suite:
 ///
-///   json_check <file> [--jsonl] [--contains STRING]...
+///   json_check <file> [--contains STRING]...
 ///
 /// Exits 0 when <file> parses as strict JSON (obs::json_valid) and contains
 /// every --contains substring; prints the reason and exits 1 otherwise.
-/// With --jsonl the file is a JSON-Lines stream instead: every non-empty
-/// line must be one strict JSON value, and a failure reports the 1-based
-/// line number; --contains still matches against the whole file.
 /// Keeps the artifact checks (trace files, metrics dumps, ResultSet JSON,
-/// run records, sweep event streams) dependency-free: no python/jq needed
-/// in the test environment.
+/// run records) dependency-free: no python/jq needed in the test
+/// environment.
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "obs/json.hpp"
 
 int main(int argc, char** argv) {
     if (argc < 2) {
-        std::fprintf(stderr,
-                     "usage: json_check <file> [--jsonl] [--contains STRING]...\n");
+        std::fprintf(stderr, "usage: json_check <file> [--contains STRING]...\n");
         return 1;
     }
     const std::string path = argv[1];
-    bool jsonl = false;
     std::vector<std::string> needles;
     for (int i = 2; i < argc; ++i) {
-        if (std::string(argv[i]) == "--jsonl") {
-            jsonl = true;
-        } else if (std::string(argv[i]) == "--contains" && i + 1 < argc) {
+        if (std::string(argv[i]) == "--contains" && i + 1 < argc) {
             needles.emplace_back(argv[++i]);
         } else {
             std::fprintf(stderr, "json_check: unexpected argument '%s'\n", argv[i]);
@@ -51,30 +43,7 @@ int main(int argc, char** argv) {
     const std::string text = buffer.str();
 
     std::string error;
-    std::size_t lines = 0;
-    if (jsonl) {
-        std::string_view remaining = text;
-        std::size_t line_number = 0;
-        while (!remaining.empty()) {
-            const std::size_t eol = remaining.find('\n');
-            const std::string_view line = remaining.substr(0, eol);
-            ++line_number;
-            if (!line.empty()) {
-                ++lines;
-                if (!dpma::obs::json_valid(line, &error)) {
-                    std::fprintf(stderr, "json_check: %s line %zu is not valid JSON: %s\n",
-                                 path.c_str(), line_number, error.c_str());
-                    return 1;
-                }
-            }
-            if (eol == std::string_view::npos) break;
-            remaining.remove_prefix(eol + 1);
-        }
-        if (lines == 0) {
-            std::fprintf(stderr, "json_check: %s has no JSONL values\n", path.c_str());
-            return 1;
-        }
-    } else if (!dpma::obs::json_valid(text, &error)) {
+    if (!dpma::obs::json_valid(text, &error)) {
         std::fprintf(stderr, "json_check: %s is not valid JSON: %s\n", path.c_str(),
                      error.c_str());
         return 1;
@@ -86,12 +55,7 @@ int main(int argc, char** argv) {
             return 1;
         }
     }
-    if (jsonl) {
-        std::printf("json_check: %s ok (%zu JSONL values, %zu substrings)\n",
-                    path.c_str(), lines, needles.size());
-    } else {
-        std::printf("json_check: %s ok (%zu bytes, %zu substrings)\n", path.c_str(),
-                    text.size(), needles.size());
-    }
+    std::printf("json_check: %s ok (%zu bytes, %zu substrings)\n", path.c_str(),
+                text.size(), needles.size());
     return 0;
 }
